@@ -21,8 +21,6 @@ from .decomposition import DecompositionError, decompose, verify_decomposition
 from .fixtures import FIXTURES, fixture_document
 from .identifiability import (
     QndModel,
-    continuous_identifiability,
-    discrete_identifiability,
     nondegeneracy_check,
     qnd_uniqueness,
     uniqueness_cross_check,
@@ -264,20 +262,15 @@ def cmd_identifiability(args) -> int:
         raise ValidationError("continuous identifiability expects a lindblad model file")
     if mode == "discrete" and not isinstance(parsed.obj, KrausChannel):
         raise ValidationError("discrete identifiability expects a kraus model file")
-    report = decompose(parsed.obj, seed=seed, tol=tol)
-    if mode == "continuous":
-        ident = continuous_identifiability(parsed.obj, report, tol)
-    else:
-        ident = discrete_identifiability(parsed.obj, report, args.max_len, tol)
-    cross = uniqueness_cross_check(
-        parsed.obj, seed=seed, tol=tol, max_len=args.max_len, report=report
-    )
+    # The cross-check picks the search from the model type, which the checks
+    # above tie to the mode.
+    cross = uniqueness_cross_check(parsed.obj, seed=seed, tol=tol, max_len=args.max_len)
     doc = {
-        "identifiability": identifiability_report_to_dict(ident),
+        "identifiability": identifiability_report_to_dict(cross.identifiability),
         "uniqueness_cross_check": cross_check_to_dict(cross),
     }
     _emit(args, doc, _identifiability_text(doc))
-    return 0 if ident.overall else 3
+    return 0 if cross.identifiability.overall else 3
 
 
 def cmd_examples(args) -> int:

@@ -17,7 +17,6 @@ from math import isqrt
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     DEFAULT_TOL,
@@ -32,7 +31,7 @@ from .linalg import (
     hs_inner,
     kernel_basis,
     lex_key,
-    matrix_exponential,
+    null_spaces,
     orthonormal_hermitian_span,
     psd_project,
     require_square,
@@ -43,7 +42,6 @@ from .semigroup import (
     KrausChannel,
     LindbladModel,
     Superoperator,
-    adjoint_generator,
     apply,
     build_generator,
     channel_superoperator,
@@ -66,9 +64,9 @@ class RecurrentSplit:
     recurrent: np.ndarray
     transient: np.ndarray
     dimension: int
-    method: str
     state: np.ndarray
     invariance_residual: float
+    kernel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,9 @@ class DecompositionReport:
     is_unique: bool
     residuals: dict
     conventions: dict
+    # Orthonormal basis (as columns) of ker L, reused by the checks that need
+    # invariant operators so that L is factored once; not serialized.
+    invariant_kernel: np.ndarray
 
 
 def _range_isometry(p: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -153,140 +154,35 @@ def _embed(iso: np.ndarray, x: np.ndarray) -> np.ndarray:
     return iso @ x @ dagger(iso)
 
 
-def _spectral_zero_state(mat: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Spectral projection at eigenvalue 0 applied to the maximally mixed state.
-
-    Uses a sorted Schur form; the oblique spectral projector is completed via
-    a Sylvester solve. Raises RuntimeError whenever the split looks unsafe so
-    the caller can fall back to averaging.
-    """
-    n2 = mat.shape[0]
-    n = isqrt(n2)
-    scale = max(1.0, float(np.linalg.norm(mat, 2)))
-    thr = max(1e-12, tol.rank_tol) * scale
-    t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=lambda lam: abs(lam) <= thr)
-    if sdim == 0:
-        raise RuntimeError("no eigenvalue near zero found")
-    if sdim == n2:
-        proj = np.eye(n2)
-    else:
-        t11 = t[:sdim, :sdim]
-        t12 = t[:sdim, sdim:]
-        t22 = t[sdim:, sdim:]
-        try:
-            x = scipy.linalg.solve_sylvester(t11, -t22, t12)
-        except Exception as exc:
-            raise RuntimeError(f"Sylvester completion failed: {exc}") from None
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
-            raise RuntimeError("spectral projector is numerically unstable")
-        proj = np.zeros((n2, n2), dtype=complex)
-        proj[:sdim, :sdim] = np.eye(sdim)
-        proj[:sdim, sdim:] = x
-        proj = z @ proj @ dagger(z)
-    rho = hermitian_part(unvec(proj @ vec(np.eye(n) / n)))
-    residual = float(np.linalg.norm(mat @ vec(rho)))
-    if residual > tol.residual_tol:
-        raise RuntimeError(f"spectral candidate is not invariant: residual {residual:.3e}")
-    return rho
-
-
-def _cesaro_state(
-    mat: np.ndarray, tol: Tolerances, discrete: bool, max_doublings: int = 30
-) -> np.ndarray:
-    """Time/step average of the evolution applied to the maximally mixed state,
-    over a doubling horizon, until the support stabilizes.
-
-    Plain averaging converges like 1/T (and repeated squaring slowly
-    accumulates roundoff), so the averaged state is polished with a few
-    resolvent passes: each one keeps the zero-eigenvalue component exact and
-    damps everything else by roughly lambda / gap.
-    """
-    n2 = mat.shape[0]
-    n = isqrt(n2)
-    v0 = vec(np.eye(n) / n)
-    if discrete:
-        # mat is Phi - Id; average the powers of Phi.
-        step = mat + np.eye(n2)
-        avg = np.eye(n2)
-    else:
-        block = np.zeros((2 * n2, 2 * n2), dtype=complex)
-        block[:n2, :n2] = mat
-        block[:n2, n2:] = np.eye(n2)
-        exp_block = matrix_exponential(block)
-        step = exp_block[:n2, :n2]
-        avg = exp_block[:n2, n2:]  # integral of exp(s L) over [0, 1]
-    prev_support = None
-    stable = 0
-    rho = hermitian_part(unvec(avg @ v0))
-    for _ in range(max_doublings):
-        rho = hermitian_part(unvec(avg @ v0))
-        residual = float(np.linalg.norm(mat @ vec(rho)))
-        support = support_projector(psd_project(rho, tol), tol)
-        if prev_support is not None and frob(support - prev_support) <= tol.residual_tol:
-            stable += 1
-        else:
-            stable = 0
-        if stable >= 2 and residual <= 1e-4:
-            break
-        prev_support = support
-        avg = (avg + step @ avg) / 2
-        step = step @ step
-
-    lam = 1e-5 * max(1.0, float(np.linalg.norm(mat, 2)))
-    shifted = lam * np.eye(n2) - mat
-    factor = scipy.linalg.lu_factor(shifted)
-    v = vec(rho)
-    for _ in range(3):
-        v = lam * scipy.linalg.lu_solve(factor, v)
-        rho = hermitian_part(unvec(v))
-        v = vec(rho)
-    residual = float(np.linalg.norm(mat @ vec(rho)))
-    if residual <= tol.residual_tol:
-        return rho
-    raise RuntimeError(
-        f"averaged state did not stabilize; final invariance residual {residual:.3e}"
-    )
-
-
-def recurrent_projector(
-    gen: Superoperator,
-    tol: Tolerances = DEFAULT_TOL,
-    discrete: bool = False,
-    method: str = "auto",
-) -> RecurrentSplit:
+def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     """Split the space into recurrent and transient parts.
 
     The recurrent projector is the support of the maximal-support invariant
-    state, obtained from the spectral projection at eigenvalue 0 applied to
-    the maximally mixed state (continuous time), or from a Cesàro average
-    with doubling horizon (discrete time, and as a fallback). ``gen`` holds
-    the generator, or the channel matrix minus the identity in discrete time.
+    state E(1/n), where E is the spectral projection at eigenvalue 0: the
+    projection onto ker L along ran L. With orthonormal bases K of ker L and
+    Y of ker L† from one SVD, E = K (Y†K)⁻¹ Y†. In discrete time ``gen``
+    holds the channel matrix minus the identity, and E is the Cesàro limit
+    of the channel's powers. Eigenvalue 0 is semisimple for any
+    trace-preserving semigroup or channel; a singular Y†K means it is not,
+    and raises. The split keeps K (as columns) for later stages.
     """
-    if method not in ("auto", "spectral", "cesaro"):
-        raise ValueError(f"unknown method {method!r}")
-    used = None
-    rho = None
-    if method in ("auto", "spectral") and not (discrete and method == "auto"):
-        try:
-            rho = _spectral_zero_state(gen.matrix, tol)
-            used = "spectral"
-        except RuntimeError:
-            if method == "spectral":
-                raise
-    if rho is None:
-        rho = _cesaro_state(gen.matrix, tol, discrete)
-        used = "cesaro"
-    state = psd_project(rho, tol)
+    n = gen.dim
+    kern, left = null_spaces(gen.matrix, tol)
+    if kern.shape[1] == 0:
+        raise RuntimeError("the generator has no eigenvalue at zero")
+    overlap = dagger(left) @ kern
+    if float(np.linalg.svd(overlap, compute_uv=False)[-1]) <= tol.rank_tol:
+        raise RuntimeError("eigenvalue 0 is not semisimple: ker L meets ran L")
+    coeff = np.linalg.solve(overlap, dagger(left) @ vec(np.eye(n) / n))
+    state = psd_project(hermitian_part(unvec(kern @ coeff)), tol)
     recurrent = support_projector(state, tol)
-    transient = np.eye(gen.dim) - recurrent
-    residual = float(np.linalg.norm(gen.matrix @ vec(state)))
     return RecurrentSplit(
         recurrent=recurrent,
-        transient=transient,
+        transient=np.eye(n) - recurrent,
         dimension=int(round(np.trace(recurrent).real)),
-        method=used,
         state=state,
-        invariance_residual=residual,
+        invariance_residual=float(np.linalg.norm(gen.matrix @ vec(state))),
+        kernel=kern,
     )
 
 
@@ -631,14 +527,13 @@ def _effective_superoperators(obj, tol: Tolerances):
     both time modes.
     """
     if isinstance(obj, LindbladModel):
-        return "lindblad", build_generator(obj), adjoint_generator(obj)
-    if isinstance(obj, KrausChannel):
+        kind, gen = "lindblad", build_generator(obj)
+    elif isinstance(obj, KrausChannel):
         phi = channel_superoperator(obj, tol)
-        eye = np.eye(obj.dim**2)
-        gen = Superoperator(dim=obj.dim, matrix=phi.matrix - eye)
-        adj = Superoperator(dim=obj.dim, matrix=dagger(phi.matrix) - eye)
-        return "kraus", gen, adj
-    raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
+        kind, gen = "kraus", Superoperator(obj.dim, phi.matrix - np.eye(obj.dim**2))
+    else:
+        raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
+    return kind, gen, Superoperator(obj.dim, dagger(gen.matrix))
 
 
 def _validate_input(obj, tol: Tolerances):
@@ -653,17 +548,15 @@ def _validate_input(obj, tol: Tolerances):
         raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
 
 
-def decompose(
-    obj,
-    seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
-    method: str = "auto",
-) -> DecompositionReport:
+def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     """Full decomposition of a Lindblad model or Kraus channel.
 
     Returns the transient/recurrent projectors, unique minimal enclosures
     with their extremal invariant states, and degenerate families with the
     partial isometries linking their members. Deterministic for a fixed seed.
+    ``recurrent_method`` names the limit that defines the maximal-support
+    state: "spectral" (t -> infinity of the semigroup) for Lindblad models,
+    "cesaro" (average of the channel's powers) for Kraus channels.
     """
     _validate_input(obj, tol)
     kind, gen, adj = _effective_superoperators(obj, tol)
@@ -677,10 +570,7 @@ def decompose(
         except Exception as exc:
             raise DecompositionError(name, str(exc)) from exc
 
-    split = stage(
-        "recurrent",
-        lambda: recurrent_projector(gen, tol, discrete=(kind == "kraus"), method=method),
-    )
+    split = stage("recurrent", lambda: recurrent_projector(gen, tol))
     cut = stage("cutoff", lambda: cutoff_generator(adj, split.recurrent))
     structure = stage("algebra", lambda: algebra_structure(cut, split.recurrent, seed, tol))
 
@@ -781,13 +671,14 @@ def decompose(
         transient=split.transient,
         recurrent_dimension=split.dimension,
         transient_dimension=n - split.dimension,
-        recurrent_method=split.method,
+        recurrent_method="cesaro" if kind == "kraus" else "spectral",
         max_support_state=split.state,
         unique_enclosures=tuple(unique),
         families=tuple(families),
         is_unique=not families,
         residuals=residuals,
         conventions={"vectorization": VECTORIZATION_NOTE},
+        invariant_kernel=split.kernel,
     )
 
 
@@ -806,14 +697,13 @@ class VerificationRecord:
 
 
 def _random_invariant_states(
-    report: DecompositionReport, gen: Superoperator, tol: Tolerances, count: int = 3
+    report: DecompositionReport, tol: Tolerances, count: int = 3
 ) -> list[np.ndarray]:
     """Exactly invariant states: the maximal-support state plus small
     kernel-space perturbations kept within its positive part."""
     rng = np.random.default_rng(report.seed + 7919)
     rho_max = report.max_support_state
-    kern = kernel_basis(gen.matrix, tol)
-    basis = hermitian_basis([unvec(v) for v in kern], tol)
+    basis = hermitian_basis([unvec(v) for v in report.invariant_kernel.T], tol)
     states = [rho_max]
     if len(basis) <= 1:
         return states
@@ -848,7 +738,7 @@ def verify_decomposition(
     if kind != report.kind:
         raise ValueError(f"report kind {report.kind!r} does not match object kind {kind!r}")
     enclosures = enumerate_minimal_enclosures(report)
-    states = _random_invariant_states(report, gen, tol)
+    states = _random_invariant_states(report, tol)
     clauses: list[VerificationClause] = []
 
     def add(name, residual):

@@ -19,14 +19,10 @@ from .linalg import (
     Tolerances,
     dagger,
     frob,
+    hermitian_basis,
     hermitian_part,
 )
-from .semigroup import (
-    KrausChannel,
-    LindbladModel,
-    build_generator,
-    fixed_point_basis,
-)
+from .semigroup import KrausChannel, LindbladModel, unvec
 from .decomposition import (
     DecompositionReport,
     decompose,
@@ -264,8 +260,7 @@ def qnd_uniqueness(
 
     model = qnd_to_model(qnd)
     report = decompose(model, seed=seed, tol=tol)
-    gen = build_generator(model)
-    basis = fixed_point_basis(gen, "generator", tol)
+    basis = hermitian_basis([unvec(v) for v in report.invariant_kernel.T], tol)
     diag_residual = max(
         (frob(x - np.diag(np.diag(x))) for x in basis), default=0.0
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .decomposition import (
     DecompositionReport,
+    VerificationClause,
     VerificationRecord,
 )
 from .identifiability import (
@@ -260,14 +261,15 @@ def decomposition_report_to_dict(report: DecompositionReport) -> dict:
     }
 
 
+def clauses_to_json(clauses: tuple[VerificationClause, ...]) -> list:
+    return [{"name": c.name, "residual": float(c.residual), "ok": bool(c.ok)} for c in clauses]
+
+
 def verification_record_to_dict(record: VerificationRecord) -> dict:
     return {
         "ok": bool(record.ok),
         "max_residual": float(record.max_residual),
-        "clauses": [
-            {"name": c.name, "residual": float(c.residual), "ok": bool(c.ok)}
-            for c in record.clauses
-        ],
+        "clauses": clauses_to_json(record.clauses),
     }
 
 
@@ -337,10 +339,7 @@ def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
         "invariant_measures": [real_vector_to_json(m) for m in record.measures],
         "zero_diagonal_states": list(record.zero_diagonal_states),
         "passed": bool(record.passed),
-        "clauses": [
-            {"name": c.name, "residual": float(c.residual), "ok": bool(c.ok)}
-            for c in record.clauses
-        ],
+        "clauses": clauses_to_json(record.clauses),
     }
 
 

@@ -124,23 +124,27 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return v @ dagger(v)
 
 
-def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space via SVD.
+def null_spaces(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the null spaces of m and of m†.
 
-    Returns the right-singular vectors whose singular value is at most
-    rank_tol * max(sigma_max, 1); the absolute floor keeps matrices that are
-    zero up to rounding noise from reporting an empty kernel.
+    One SVD: the singular vectors whose singular value is at most
+    rank_tol * max(sigma_max, 1) span the numerical kernels; the absolute
+    floor keeps matrices that are zero up to rounding noise from reporting
+    an empty kernel.
     """
     m = as_matrix(m)
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
-    n = m.shape[1]
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
     sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = tol.rank_tol * max(sigma_max, 1.0)
-    vectors = []
-    for i in range(n):
-        if i >= s.size or s[i] <= cutoff:
-            vectors.append(vh[i].conj())
-    return vectors
+    rank = int(np.count_nonzero(s > tol.rank_tol * max(sigma_max, 1.0)))
+    return dagger(vh[rank:]), u[:, rank:]
+
+
+def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical null space: the right half of
+    ``null_spaces``, as a list of vectors."""
+    return list(null_spaces(m, tol)[0].T)
 
 
 # Hermitian matrices form a real vector space; the maps below embed them

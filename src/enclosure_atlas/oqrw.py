@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .decomposition import VerificationClause, decompose, enumerate_minimal_enclosures
 from .linalg import DEFAULT_TOL, Tolerances, dagger, frob, hermiticity_defect
 from .semigroup import KrausChannel, LindbladModel
 
@@ -287,18 +288,11 @@ def invariant_measures(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> list[
 
 
 @dataclass(frozen=True)
-class OqrwClause:
-    name: str
-    residual: float
-    ok: bool
-
-
-@dataclass(frozen=True)
 class OqrwTheoremRecord:
     classes: tuple[tuple[int, ...], ...]
     measures: tuple[np.ndarray, ...]
     zero_diagonal_states: tuple[int, ...]
-    clauses: tuple[OqrwClause, ...]
+    clauses: tuple[VerificationClause, ...]
     passed: bool
     convention: str
     seed: int
@@ -315,18 +309,16 @@ def verify_oqrw_theorem(
     zero diagonal rate are flagged (fully inactive pairs can merge quantum
     mechanically) but do not abort the comparison.
     """
-    from .decomposition import decompose, enumerate_minimal_enclosures
-
     classes = closed_classes(rate)
     measures = invariant_measures(rate, tol)
     report = decompose(minimal_oqrw(rate), seed=seed, tol=tol)
     enclosures = enumerate_minimal_enclosures(report)
-    clauses: list[OqrwClause] = []
+    clauses: list[VerificationClause] = []
 
     def add(name, residual, ok=None):
         residual = float(residual)
         clauses.append(
-            OqrwClause(
+            VerificationClause(
                 name=name,
                 residual=residual,
                 ok=bool(residual <= 100 * tol.residual_tol) if ok is None else bool(ok),

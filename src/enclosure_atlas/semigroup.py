@@ -116,16 +116,9 @@ def build_generator(model: LindbladModel) -> Superoperator:
 
 
 def adjoint_generator(model: LindbladModel) -> Superoperator:
-    """Heisenberg-picture generator A -> i[H,A] + sum_j (L_j† A L_j - ½{L_j†L_j, A})."""
-    n = model.dim
-    eye = np.eye(n)
-    h = model.hamiltonian
-    mat = 1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
-    for op in model.jumps:
-        gram = dagger(op) @ op
-        mat += sandwich_superop(dagger(op), op)
-        mat -= 0.5 * (sandwich_superop(gram, eye) + sandwich_superop(eye, gram))
-    return Superoperator(dim=n, matrix=mat)
+    """Heisenberg-picture generator A -> i[H,A] + sum_j (L_j† A L_j - ½{L_j†L_j, A}),
+    the Hilbert-Schmidt adjoint of ``build_generator``."""
+    return Superoperator(dim=model.dim, matrix=dagger(build_generator(model).matrix))
 
 
 def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Superoperator:

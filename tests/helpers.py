@@ -4,7 +4,7 @@ import numpy as np
 
 from enclosure_atlas.linalg import random_hermitian, random_unitary
 from enclosure_atlas.oqrw import RateMatrix
-from enclosure_atlas.semigroup import LindbladModel
+from enclosure_atlas.semigroup import KrausChannel, LindbladModel
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -97,3 +97,14 @@ def random_rate_matrix(rng, n, density=0.5):
         q[i, (i + 1) % n] = 0.5
     np.fill_diagonal(q, -q.sum(axis=1))
     return RateMatrix.create(q)
+
+
+def conjugated_pair_channel(rng, d, num_kraus):
+    """Kraus channel on a dense block plus its conjugation by a random unitary:
+    a degenerate family of two equivalent d-dimensional enclosures."""
+    g = rng.standard_normal((num_kraus * d, d)) + 1j * rng.standard_normal((num_kraus * d, d))
+    q, _ = np.linalg.qr(g)
+    w = random_unitary(rng, d)
+    zero = np.zeros((d, d))
+    kraus = [q[k * d : (k + 1) * d] for k in range(num_kraus)]
+    return KrausChannel.create([np.block([[v, zero], [zero, w @ v @ w.conj().T]]) for v in kraus])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from enclosure_atlas.linalg import DEFAULT_TOL, psd_project, support_projector
 from enclosure_atlas.semigroup import (
     LindbladModel,
+    Superoperator,
     adjoint_generator,
     apply,
     build_generator,
@@ -12,6 +15,7 @@ from enclosure_atlas.semigroup import (
 )
 from enclosure_atlas.decomposition import (
     DecompositionError,
+    _effective_superoperators,
     algebra_structure,
     cutoff_generator,
     decompose,
@@ -31,13 +35,23 @@ from enclosure_atlas.fixtures import (
     zero_generator_2d,
 )
 
-from helpers import block_diag_model, conjugated_pair_model, random_density, random_model, unit
+from helpers import (
+    block_diag_model,
+    conjugated_pair_channel,
+    conjugated_pair_model,
+    leaky_model,
+    random_density,
+    random_model,
+    unit,
+)
 
 
 def test_recurrent_projector_faithful():
     split = recurrent_projector(build_generator(faithful_2d()))
     assert np.allclose(split.recurrent, np.eye(2), atol=1e-10)
-    assert split.dimension == 2 and split.method == "spectral"
+    assert split.dimension == 2
+    assert decompose(faithful_2d()).recurrent_method == "spectral"
+    assert decompose(rotation_channel()).recurrent_method == "cesaro"
 
 
 def test_recurrent_projector_unfaithful():
@@ -51,17 +65,73 @@ def test_recurrent_projector_zero_generator():
     assert np.allclose(split.recurrent, np.eye(2), atol=1e-12)
 
 
-def test_recurrent_projector_methods_agree():
-    rng = np.random.default_rng(31)
-    for trial in range(4):
-        model = (
-            random_model(rng, 3, 2) if trial % 2 else block_diag_model(rng, (2, 2), 2)
-        )
-        gen = build_generator(model)
-        a = recurrent_projector(gen, method="spectral")
-        b = recurrent_projector(gen, method="cesaro")
-        assert np.linalg.norm(a.recurrent - b.recurrent) < 1e-8
-        assert np.linalg.norm(a.state - b.state) < 1e-7
+def _schur_sylvester_state(mat):
+    """Spectral projection at 0 applied to the maximally mixed state, from a
+    sorted Schur form completed by a Sylvester solve: an independent oracle
+    for recurrent_projector."""
+    n2 = mat.shape[0]
+    n = int(round(np.sqrt(n2)))
+    thr = 1e-9 * max(1.0, float(np.linalg.norm(mat, 2)))
+    t, z, sdim = scipy.linalg.schur(mat, output="complex", sort=lambda lam: abs(lam) <= thr)
+    proj = np.eye(n2, dtype=complex)
+    if sdim < n2:
+        x = scipy.linalg.solve_sylvester(t[:sdim, :sdim], -t[sdim:, sdim:], t[:sdim, sdim:])
+        proj = np.zeros((n2, n2), dtype=complex)
+        proj[:sdim, :sdim] = np.eye(sdim)
+        proj[:sdim, sdim:] = x
+        proj = z @ proj @ z.conj().T
+    rho = unvec(proj @ vec(np.eye(n) / n))
+    return psd_project((rho + rho.conj().T) / 2)
+
+
+def _agreement_models():
+    rng = np.random.default_rng(47)
+    yield from (faithful_2d(), unfaithful_2d(), two_enclosures_2d(), zero_generator_2d())
+    yield rotation_channel()
+    for n in (3, 5, 8):
+        yield random_model(rng, n, 2)
+        yield leaky_model(rng, n, 2)
+    yield block_diag_model(rng, (2, 3, 3), 2)
+    yield conjugated_pair_model(rng, 4, 2)[0]
+    yield conjugated_pair_channel(rng, 3, 2)
+
+
+def test_recurrent_projector_matches_schur_sylvester_oracle():
+    for model in _agreement_models():
+        _, gen, _ = _effective_superoperators(model, DEFAULT_TOL)
+        split = recurrent_projector(gen)
+        oracle = _schur_sylvester_state(gen.matrix)
+        assert np.linalg.norm(split.state - oracle) < 1e-9
+        assert np.linalg.norm(split.recurrent - support_projector(oracle)) < 1e-10
+
+
+def test_recurrent_projector_rejects_jordan_block_at_zero():
+    # L e1 = 0 and L e2 = e1: ker L lies inside ran L, so no projection
+    # onto ker L along ran L exists.
+    mat = np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)
+    mat[0, 1] = 1.0
+    with pytest.raises(RuntimeError, match="not semisimple"):
+        recurrent_projector(Superoperator(dim=2, matrix=mat))
+
+
+def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
+    model = leaky_model(np.random.default_rng(5), 4, 2)
+    n2 = model.dim**2
+    svd = np.linalg.svd
+    shapes = []
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = decompose(model, seed=0)
+    assert report.recurrent_dimension == 3
+    assert shapes.count((n2, n2)) == 1
+    # verification reuses the kernel stored on the report
+    shapes.clear()
+    assert verify_decomposition(report, model).ok
+    assert (n2, n2) not in shapes
 
 
 def test_cutoff_generator_full_projector_is_adjoint():
@@ -410,27 +480,6 @@ def test_decompose_rejects_bad_inputs():
 def test_decompose_error_carries_stage():
     err = DecompositionError("algebra", "boom")
     assert err.stage == "algebra" and "[algebra]" in str(err)
-
-
-def test_recurrent_projector_rejects_unknown_method():
-    gen = build_generator(faithful_2d())
-    with pytest.raises(ValueError, match="method"):
-        recurrent_projector(gen, method="bogus")
-
-
-def test_recurrent_projector_spectral_failure_falls_back(monkeypatch):
-    import enclosure_atlas.decomposition as dec
-
-    def always_fail(mat, tol):
-        raise RuntimeError("forced failure")
-
-    monkeypatch.setattr(dec, "_spectral_zero_state", always_fail)
-    gen = build_generator(unfaithful_2d())
-    split = dec.recurrent_projector(gen, method="auto")
-    assert split.method == "cesaro"
-    assert np.allclose(split.recurrent, np.diag([1.0, 0.0]), atol=1e-9)
-    with pytest.raises(RuntimeError, match="forced failure"):
-        dec.recurrent_projector(gen, method="spectral")
 
 
 def test_decompose_ambiguous_clustering_is_an_error():
