@@ -166,7 +166,7 @@ def _analyze_one(path: str, args, seed_offset: int = 0) -> tuple[int, dict, str]
         f"verification: {'ok' if verification.ok else 'FAILED'}"
         f" (max residual {verification.max_residual:.3e})",
     ]
-    return 0, doc, "\n".join(lines) + "\n"
+    return 0 if verification.ok else 3, doc, "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args) -> int:

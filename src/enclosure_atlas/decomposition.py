@@ -66,7 +66,9 @@ class RecurrentSplit:
     dimension: int
     state: np.ndarray
     invariance_residual: float
+    # Orthonormal bases (as columns) of ker L and ker L† from one SVD of L.
     kernel: np.ndarray
+    adjoint_kernel: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,13 +145,6 @@ def _range_isometry(p: np.ndarray, tol: Tolerances) -> np.ndarray:
     return cols
 
 
-def _compress_superop(mat: np.ndarray, iso: np.ndarray) -> np.ndarray:
-    """Superoperator of A -> V† S(V A V†) V for an isometry V."""
-    lift = np.kron(iso.conj(), iso)
-    drop = np.kron(iso.T, dagger(iso))
-    return drop @ mat @ lift
-
-
 def _embed(iso: np.ndarray, x: np.ndarray) -> np.ndarray:
     return iso @ x @ dagger(iso)
 
@@ -164,7 +159,7 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
     holds the channel matrix minus the identity, and E is the Cesàro limit
     of the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,
-    and raises. The split keeps K (as columns) for later stages.
+    and raises. The split keeps K and Y (as columns) for later stages.
     """
     n = gen.dim
     kern, left = null_spaces(gen.matrix, tol)
@@ -183,6 +178,7 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
         state=state,
         invariance_residual=float(np.linalg.norm(gen.matrix @ vec(state))),
         kernel=kern,
+        adjoint_kernel=left,
     )
 
 
@@ -196,8 +192,12 @@ def cutoff_generator(adjoint_gen: Superoperator, p_r: np.ndarray) -> Superoperat
     p_r = require_square(p_r)
     if p_r.shape != (adjoint_gen.dim, adjoint_gen.dim):
         raise ValueError("projector dimension does not match the superoperator")
-    squeeze = np.kron(p_r.T, p_r)
-    return Superoperator(dim=adjoint_gen.dim, matrix=squeeze @ adjoint_gen.matrix @ squeeze)
+    # Column stacking: entry [a + n b, c + n d] of an n² x n² superoperator
+    # is entry [b, a, d, c] of its (n, n, n, n) reshape.
+    n = adjoint_gen.dim
+    quad = adjoint_gen.matrix.reshape(n, n, n, n)
+    out = np.einsum("ap,qb,qpsr,rc,ds->badc", p_r, p_r, quad, p_r, p_r, optimize=True)
+    return Superoperator(dim=n, matrix=out.reshape(n * n, n * n))
 
 
 def is_enclosure(
@@ -235,10 +235,10 @@ def _center_basis(fbasis: Sequence[np.ndarray], tol: Tolerances) -> list[np.ndar
         columns.append(col)
     a_mat = np.column_stack(columns)
     a_real = np.vstack([a_mat.real, a_mat.imag])
-    _, s, vh = np.linalg.svd(a_real, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = max(tol.rank_tol * sigma_max, tol.residual_tol)
-    coeffs = [vh[i] for i in range(k) if i >= s.size or s[i] <= cutoff]
+    # a_real is 2 k r² x k, so the thin SVD holds all k right singular vectors.
+    _, s, vh = np.linalg.svd(a_real, full_matrices=False)
+    cutoff = max(tol.rank_tol * float(s[0]), tol.residual_tol)
+    coeffs = [vh[i] for i in range(k) if s[i] <= cutoff]
     center = []
     for c in coeffs:
         z = sum(ci * fi for ci, fi in zip(c, fbasis))
@@ -267,6 +267,7 @@ def _closure_residual(
 def algebra_structure(
     cutoff: Superoperator,
     p_r: np.ndarray,
+    adjoint_kernel: np.ndarray,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
     max_retries: int = 5,
@@ -281,21 +282,31 @@ def algebra_structure(
     equivalent enclosures of dimension d, linked by matrix units. Generic
     elements are sampled with a seeded generator; ambiguous eigenvalue
     clusters trigger up to ``max_retries`` fresh samples, then an error.
+
+    The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
+    columns): every invariant state lives in R, so compression to R is
+    injective on ker L†. They are confirmed fixed in coefficient space.
     """
     rng = np.random.default_rng(seed)
     iso_r = _range_isometry(p_r, tol)
     r = iso_r.shape[1]
-    compressed = _compress_superop(cutoff.matrix, iso_r)
-    kern = kernel_basis(compressed, tol)
-    if not kern:
+    k = adjoint_kernel.shape[1]
+    if k == 0:
         raise DecompositionError("algebra", "fixed-point space of the cut-off evolution is empty")
-    fbasis = hermitian_basis([unvec(v) for v in kern], tol)
+    candidates = [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T]
+    images = cutoff.matrix @ np.column_stack([vec(_embed(iso_r, c)) for c in candidates])
+    fixed = len(kernel_basis(images, tol))
+    if fixed != k:
+        raise DecompositionError(
+            "algebra", f"only {fixed} of {k} compressed ker L† elements are cut-off fixed points"
+        )
+    fbasis = hermitian_basis(candidates, tol)
 
     residuals = {
         "algebra_invariance": max(
-            float(np.linalg.norm(compressed @ vec(f))) for f in fbasis
+            float(np.linalg.norm(cutoff.matrix @ vec(_embed(iso_r, f)))) for f in fbasis
         ),
-        "algebra_unit_invariance": float(np.linalg.norm(compressed @ vec(np.eye(r)))),
+        "algebra_unit_invariance": float(np.linalg.norm(cutoff.matrix @ vec(p_r))),
         "algebra_closure": _closure_residual(fbasis, rng),
     }
 
@@ -304,18 +315,13 @@ def algebra_structure(
     if n_blocks == 0:
         raise DecompositionError("algebra", "center of the fixed-point algebra is empty")
 
-    clusters = None
-    eigvecs = None
     for _ in range(max_retries):
         g = rng.standard_normal(n_blocks)
-        generic = sum(gi * zi for gi, zi in zip(g, center))
-        w, u = np.linalg.eigh(generic)
-        parts = cluster_sorted_values(w, tol.eig_cluster_tol)
-        if len(parts) == n_blocks:
-            clusters = parts
-            eigvecs = u
+        w, eigvecs = np.linalg.eigh(sum(gi * zi for gi, zi in zip(g, center)))
+        clusters = cluster_sorted_values(w, tol.eig_cluster_tol)
+        if len(clusters) == n_blocks:
             break
-    if clusters is None:
+    else:
         raise DecompositionError(
             "algebra",
             f"central eigenvalue clustering stayed ambiguous after {max_retries} samples",
@@ -340,21 +346,10 @@ def algebra_structure(
             )
         lift = iso_r @ u_block  # n x b isometry onto the central block
         if m == 1:
-            proj = _embed(lift, np.eye(b))
-            blocks.append(
-                CentralBlock(
-                    projector=proj,
-                    dimension=b,
-                    multiplicity=1,
-                    inner_dimension=d,
-                    member_projectors=(proj,),
-                    links=(proj,),
-                )
-            )
-            continue
-
-        members = _split_block_members(block_basis, m, d, rng, tol, max_retries)
-        links = _matrix_unit_links(block_basis, members, d, rng, tol, max_retries)
+            members = links = [np.eye(b)]
+        else:
+            members = _split_block_members(block_basis, m, d, rng, tol, max_retries)
+            links = _matrix_unit_links(block_basis, members, d, rng, tol, max_retries)
         blocks.append(
             CentralBlock(
                 projector=_embed(lift, np.eye(b)),
@@ -449,25 +444,26 @@ def _matrix_unit_links(
 
 
 def extremal_state(
-    p_v: np.ndarray, gen: Superoperator, tol: Tolerances = DEFAULT_TOL
+    p_v: np.ndarray, kernel: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Unique invariant state supported in a minimal enclosure.
 
-    Solves the generator compressed to the block; a kernel dimension other
-    than one signals that the subspace is not a minimal enclosure.
+    Finds ker L ∩ B(V) from the basis ``kernel`` (columns) of ker L; a
+    dimension other than one signals that V is not a minimal enclosure.
     """
     iso = _range_isometry(p_v, tol)
-    compressed = _compress_superop(gen.matrix, iso)
-    kern = kernel_basis(compressed, tol)
-    if len(kern) != 1:
+    p_v = iso @ dagger(iso)
+    outside = np.column_stack([x - vec(p_v @ unvec(x) @ p_v) for x in kernel.T])
+    coeffs = kernel_basis(outside, tol)
+    if len(coeffs) != 1:
         raise ValueError(
-            f"compressed kernel dimension {len(kern)} != 1: subspace is not a minimal enclosure"
+            f"kernel dimension {len(coeffs)} != 1: subspace is not a minimal enclosure"
         )
-    x = unvec(kern[0])
+    x = unvec(kernel @ coeffs[0])
     trace = np.trace(x)
     if abs(trace) < 1e-6:
         raise ValueError("kernel element has near-zero trace; cannot normalize to a state")
-    rho_block = psd_project(hermitian_part(x / trace), tol)
+    rho_block = psd_project(hermitian_part(dagger(iso) @ (x / trace) @ iso), tol)
     return _embed(iso, rho_block)
 
 
@@ -572,7 +568,10 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
 
     split = stage("recurrent", lambda: recurrent_projector(gen, tol))
     cut = stage("cutoff", lambda: cutoff_generator(adj, split.recurrent))
-    structure = stage("algebra", lambda: algebra_structure(cut, split.recurrent, seed, tol))
+    structure = stage(
+        "algebra",
+        lambda: algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed, tol),
+    )
 
     unique: list[EnclosureRecord] = []
     families: list[DegenerateFamily] = []
@@ -580,7 +579,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
     extremal_residuals = []
 
     def build_record(projector):
-        state = extremal_state(projector, gen, tol)
+        state = extremal_state(projector, split.kernel, tol)
         check = is_enclosure(projector, cut, split.recurrent, tol)
         if not (check.applicable and check.enclosed):
             raise ValueError(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from enclosure_atlas.linalg import DEFAULT_TOL, psd_project, support_projector
+from enclosure_atlas.linalg import DEFAULT_TOL, kernel_basis, psd_project, support_projector
 from enclosure_atlas.semigroup import (
     LindbladModel,
     Superoperator,
@@ -134,6 +134,91 @@ def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     assert (n2, n2) not in shapes
 
 
+def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
+    # The algebra and the extremal states come from the kernels of the one
+    # SVD of L; the remaining SVDs act on matrices with at most 2 dim ker L
+    # columns (coefficient spaces, Hermitian re-orthonormalization).
+    rng = np.random.default_rng(5)
+    models = [leaky_model(rng, 4, 2), conjugated_pair_model(rng, 3, 2)[0]]
+    svd = np.linalg.svd
+    shapes = []
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for model in models:
+        shapes.clear()
+        report = decompose(model, seed=0)
+        k = report.invariant_kernel.shape[1]
+        large = [shape for shape in shapes if min(shape) > 2 * k]
+        assert large == [(model.dim**2, model.dim**2)]
+
+
+def _compress_superop(mat, iso):
+    """Superoperator of A -> V† S(V A V†) V for an isometry V."""
+    return np.kron(iso.T, iso.conj().T) @ mat @ np.kron(iso.conj(), iso)
+
+
+def _range_of(p):
+    w, u = np.linalg.eigh((p + p.conj().T) / 2)
+    return u[:, w > 0.5]
+
+
+def _compressed_svd_oracle(model, seed=0):
+    """Fixed-point span projector, central-block projectors and extremal
+    states from SVDs of the compressed cut-off and compressed generators:
+    an independent oracle for algebra_structure and extremal_state."""
+    _, gen, adj = _effective_superoperators(model, DEFAULT_TOL)
+    split = recurrent_projector(gen)
+    iso = _range_of(split.recurrent)
+    cut = cutoff_generator(adj, split.recurrent)
+    fixed = [unvec(v) for v in kernel_basis(_compress_superop(cut.matrix, iso))]
+    span = np.column_stack([vec(iso @ f @ iso.conj().T) for f in fixed])
+    # Center: combinations of the fixed points commuting with all of them.
+    commutators = np.column_stack(
+        [np.concatenate([(a @ b - b @ a).ravel() for b in fixed]) for a in fixed]
+    )
+    center = [sum(c * f for c, f in zip(coeff, fixed)) for coeff in kernel_basis(commutators)]
+    rng = np.random.default_rng(seed)
+    generic = sum(rng.standard_normal() * (z + z.conj().T) for z in center)
+    generic = generic + sum(rng.standard_normal() * 1j * (z - z.conj().T) for z in center)
+    w, u = np.linalg.eigh(generic)
+    cuts = np.sort(np.argsort(np.diff(w))[len(w) - len(center) :]) + 1
+    blocks = [iso @ b @ b.conj().T @ iso.conj().T for b in np.split(u, cuts, axis=1)]
+
+    def state(p_v):
+        iso_v = _range_of(p_v)
+        (x,) = [unvec(v) for v in kernel_basis(_compress_superop(gen.matrix, iso_v))]
+        y = x / np.trace(x)
+        rho = psd_project((y + y.conj().T) / 2)
+        return iso_v @ rho @ iso_v.conj().T
+
+    return span @ span.conj().T, blocks, state
+
+
+def test_kernel_algebra_and_states_match_compressed_svd_oracle():
+    for model in _agreement_models():
+        report = decompose(model, seed=0)
+        _, gen, adj = _effective_superoperators(model, DEFAULT_TOL)
+        split = recurrent_projector(gen)
+        cut = cutoff_generator(adj, split.recurrent)
+        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+        span_oracle, blocks_oracle, state_oracle = _compressed_svd_oracle(model)
+
+        span = np.column_stack([vec(f) for f in structure.fixed_point_basis])
+        assert np.linalg.norm(span @ span.conj().T - span_oracle) < 1e-10
+
+        blocks = [block.projector for block in structure.blocks]
+        assert len(blocks) == len(blocks_oracle)
+        for p in blocks_oracle:
+            assert min(np.linalg.norm(p - q) for q in blocks) < 1e-10
+
+        for _, rec, _ in enumerate_minimal_enclosures(report):
+            assert np.linalg.norm(rec.extremal_state - state_oracle(rec.projector)) < 1e-10
+
+
 def test_cutoff_generator_full_projector_is_adjoint():
     model = two_enclosures_2d()
     adj = adjoint_generator(model)
@@ -198,7 +283,7 @@ def test_is_enclosure_leak_not_applicable():
 def test_algebra_structure_two_singleton_blocks():
     model = two_enclosures_2d()
     _, split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 2
     assert structure.center_dimension == 2
     assert all(b.multiplicity == 1 and b.inner_dimension == 1 for b in structure.blocks)
@@ -207,7 +292,7 @@ def test_algebra_structure_two_singleton_blocks():
 def test_algebra_structure_zero_generator_factor():
     model = zero_generator_2d()
     _, split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 4
     assert structure.center_dimension == 1
     (block,) = structure.blocks
@@ -217,7 +302,7 @@ def test_algebra_structure_zero_generator_factor():
 def test_algebra_structure_scalar_fixed_points():
     model = faithful_2d()
     _, split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 1
     (block,) = structure.blocks
     assert block.multiplicity == 1 and block.inner_dimension == 2
@@ -225,15 +310,15 @@ def test_algebra_structure_scalar_fixed_points():
 
 def test_extremal_state_coordinate_enclosure():
     model = two_enclosures_2d()
-    gen = build_generator(model)
-    rho = extremal_state(np.diag([1.0, 0.0]), gen)
+    split = recurrent_projector(build_generator(model))
+    rho = extremal_state(np.diag([1.0, 0.0]), split.kernel)
     assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_extremal_state_faithful_block():
     model = faithful_2d()
-    gen = build_generator(model)
-    rho = extremal_state(np.eye(2), gen)
+    split = recurrent_projector(build_generator(model))
+    rho = extremal_state(np.eye(2), split.kernel)
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-10)
 
 
@@ -250,9 +335,9 @@ def test_extremal_state_rotation_eigenvector():
 
 def test_extremal_state_rejects_non_minimal():
     model = zero_generator_2d()
-    gen = build_generator(model)
+    split = recurrent_projector(build_generator(model))
     with pytest.raises(ValueError, match="kernel dimension"):
-        extremal_state(np.eye(2), gen)
+        extremal_state(np.eye(2), split.kernel)
 
 
 def test_family_projector_endpoints_and_midpoint():

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+import enclosure_atlas.cli as cli
 from enclosure_atlas.cli import main
 from enclosure_atlas.fixtures import FIXTURES, fixture_document
 from enclosure_atlas.io import (
     ModelFileError,
     ValidationError,
+    complex_matrix_to_json,
     load_model_file,
     parse_model_document,
     parse_report,
@@ -15,6 +19,8 @@ from enclosure_atlas.io import (
 from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel
+
+from helpers import block_diag_model
 
 
 def write_fixture(tmp_path, name):
@@ -170,6 +176,39 @@ def test_cli_exit_codes(tmp_path, capsys):
     rates_path = write_fixture(tmp_path, "two-state-chain")
     assert main(["analyze", rates_path]) == 2
     assert main(["identifiability", rates_path]) == 2
+
+
+def test_cli_analyze_failed_verification_exits_3(tmp_path, capsys, monkeypatch):
+    verify = cli.verify_decomposition
+    monkeypatch.setattr(
+        cli, "verify_decomposition", lambda *a, **k: dataclasses.replace(verify(*a, **k), ok=False)
+    )
+    path = write_fixture(tmp_path, "unfaithful-2d")
+    assert main(["analyze", path]) == 3
+    assert "verification: FAILED" in capsys.readouterr().out
+    other = write_fixture(tmp_path, "two-enclosures-2d")
+    assert main(["analyze", path, other, "--batch"]) == 3
+
+
+def test_cli_analyze_weak_block_coupling_never_exits_0_unverified(tmp_path, capsys):
+    # Two 3-level blocks joined by a 1e-4 Hamiltonian coupling: a slow mode
+    # sits near the rank threshold. The analysis may fail cleanly or verify;
+    # it must not report a failed verification with exit 0.
+    base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
+    h = base.hamiltonian.copy()
+    h[0, 3] = h[3, 0] = 1e-4
+    doc = {
+        "mode": "lindblad",
+        "dim": 6,
+        "hamiltonian": complex_matrix_to_json(h),
+        "jumps": [complex_matrix_to_json(j) for j in base.jumps],
+    }
+    path = tmp_path / "weak-coupling.json"
+    path.write_text(serialize_report(doc))
+    code = main(["analyze", str(path)])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert "verification: ok" not in out
 
 
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):
