@@ -26,7 +26,6 @@ from .linalg import (
     dagger,
     fix_phase,
     frob,
-    hermitian_basis,
     hermitian_part,
     hs_inner,
     kernel_basis,
@@ -45,7 +44,7 @@ from .semigroup import (
     apply,
     build_generator,
     channel_superoperator,
-    choi_matrix,
+    choi_min_eigenvalue,
     unvec,
     vec,
 )
@@ -130,8 +129,11 @@ class DecompositionReport:
     is_unique: bool
     residuals: dict
     conventions: dict
-    # Orthonormal basis (as columns) of ker L, reused by the checks that need
-    # invariant operators so that L is factored once; not serialized.
+    # The generator-like superoperator L (Phi - Id for channels) and an
+    # orthonormal basis (as columns) of ker L, each vec of a Hermitian
+    # matrix; verification reuses both, so one analyze builds and factors L
+    # once. Not serialized.
+    generator: Superoperator
     invariant_kernel: np.ndarray
 
 
@@ -159,7 +161,9 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
     holds the channel matrix minus the identity, and E is the Cesàro limit
     of the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,
-    and raises. The split keeps K and Y (as columns) for later stages.
+    and raises. ``gen`` must preserve Hermiticity (``null_spaces`` raises
+    otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
+    matrix) for later stages.
     """
     n = gen.dim
     kern, left = null_spaces(gen.matrix, tol)
@@ -300,7 +304,7 @@ def algebra_structure(
         raise DecompositionError(
             "algebra", f"only {fixed} of {k} compressed ker L† elements are cut-off fixed points"
         )
-    fbasis = hermitian_basis(candidates, tol)
+    fbasis = orthonormal_hermitian_span(candidates, tol)
 
     residuals = {
         "algebra_invariance": max(
@@ -515,6 +519,14 @@ def enumerate_minimal_enclosures(report: DecompositionReport) -> list[tuple]:
     return out
 
 
+def _model_kind(obj) -> str:
+    if isinstance(obj, LindbladModel):
+        return "lindblad"
+    if isinstance(obj, KrausChannel):
+        return "kraus"
+    raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
+
+
 def _effective_superoperators(obj, tol: Tolerances):
     """(kind, generator-like, adjoint-like) pair of superoperators.
 
@@ -522,26 +534,23 @@ def _effective_superoperators(obj, tol: Tolerances):
     Phi* - Id, so kernels and cut-off fixed points mean the same thing in
     both time modes.
     """
-    if isinstance(obj, LindbladModel):
-        kind, gen = "lindblad", build_generator(obj)
-    elif isinstance(obj, KrausChannel):
-        phi = channel_superoperator(obj, tol)
-        kind, gen = "kraus", Superoperator(obj.dim, phi.matrix - np.eye(obj.dim**2))
+    kind = _model_kind(obj)
+    if kind == "lindblad":
+        gen = build_generator(obj)
     else:
-        raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
+        phi = channel_superoperator(obj, tol)
+        gen = Superoperator(obj.dim, phi.matrix - np.eye(obj.dim**2))
     return kind, gen, Superoperator(obj.dim, dagger(gen.matrix))
 
 
 def _validate_input(obj, tol: Tolerances):
-    if isinstance(obj, LindbladModel):
+    if _model_kind(obj) == "lindblad":
         LindbladModel.create(obj.hamiltonian, obj.jumps, tol)
-    elif isinstance(obj, KrausChannel):
-        KrausChannel.create(obj.kraus, tol)
-        w = np.linalg.eigvalsh(choi_matrix(obj))
-        if float(w[0]) < -tol.psd_tol:
-            raise ValueError(f"channel is not completely positive: Choi eigenvalue {w[0]:.3e}")
     else:
-        raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
+        KrausChannel.create(obj.kraus, tol)
+        choi_min = choi_min_eigenvalue(obj)
+        if choi_min < -tol.psd_tol:
+            raise ValueError(f"channel is not completely positive: Choi eigenvalue {choi_min:.3e}")
 
 
 def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
@@ -677,6 +686,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
         is_unique=not families,
         residuals=residuals,
         conventions={"vectorization": VECTORIZATION_NOTE},
+        generator=gen,
         invariant_kernel=split.kernel,
     )
 
@@ -702,7 +712,7 @@ def _random_invariant_states(
     kernel-space perturbations kept within its positive part."""
     rng = np.random.default_rng(report.seed + 7919)
     rho_max = report.max_support_state
-    basis = hermitian_basis([unvec(v) for v in report.invariant_kernel.T], tol)
+    basis = [unvec(v) for v in report.invariant_kernel.T]
     states = [rho_max]
     if len(basis) <= 1:
         return states
@@ -733,7 +743,7 @@ def verify_decomposition(
     the off-diagonal block composed with the partial isometry is proportional
     to the extremal state. Diagnostics only; never raises on failed clauses.
     """
-    kind, gen, _ = _effective_superoperators(obj, tol)
+    kind = _model_kind(obj)
     if kind != report.kind:
         raise ValueError(f"report kind {report.kind!r} does not match object kind {kind!r}")
     enclosures = enumerate_minimal_enclosures(report)
@@ -748,7 +758,10 @@ def verify_decomposition(
         )
 
     for label, rec, _ in enclosures:
-        add(f"extremal_invariance:{label}", np.linalg.norm(gen.matrix @ vec(rec.extremal_state)))
+        add(
+            f"extremal_invariance:{label}",
+            np.linalg.norm(report.generator.matrix @ vec(rec.extremal_state)),
+        )
         add(
             f"extremal_support:{label}",
             frob((np.eye(report.dim) - rec.projector) @ rec.extremal_state),

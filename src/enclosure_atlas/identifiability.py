@@ -19,7 +19,6 @@ from .linalg import (
     Tolerances,
     dagger,
     frob,
-    hermitian_basis,
     hermitian_part,
 )
 from .semigroup import KrausChannel, LindbladModel, unvec
@@ -260,7 +259,7 @@ def qnd_uniqueness(
 
     model = qnd_to_model(qnd)
     report = decompose(model, seed=seed, tol=tol)
-    basis = hermitian_basis([unvec(v) for v in report.invariant_kernel.T], tol)
+    basis = [unvec(v) for v in report.invariant_kernel.T]
     diag_residual = max(
         (frob(x - np.diag(np.diag(x))) for x in basis), default=0.0
     )
@@ -352,7 +351,7 @@ def discrete_identifiability(
     magnitude = {pair: 0.0 for pair in npairs}
 
     frontier = [((), list(states))]
-    for _ in range(max_len):
+    for depth in range(1, max_len + 1):
         if all(pair in witness for pair in npairs):
             break
         next_frontier = []
@@ -367,7 +366,8 @@ def discrete_identifiability(
                         magnitude[pair] = gap
                     if pair not in witness and gap > tol.residual_tol:
                         witness[pair] = new_word
-                next_frontier.append((new_word, evolved))
+                if depth < max_len:  # the last level's states are never expanded
+                    next_frontier.append((new_word, evolved))
         frontier = next_frontier
 
     pairs = []

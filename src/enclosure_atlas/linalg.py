@@ -9,6 +9,7 @@ than by wrapper types. Every function here is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -124,29 +125,6 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return v @ dagger(v)
 
 
-def null_spaces(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of the null spaces of m and of m†.
-
-    One SVD: the singular vectors whose singular value is at most
-    rank_tol * max(sigma_max, 1) span the numerical kernels; the absolute
-    floor keeps matrices that are zero up to rounding noise from reporting
-    an empty kernel.
-    """
-    m = as_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol.rank_tol * max(sigma_max, 1.0)))
-    return dagger(vh[rank:]), u[:, rank:]
-
-
-def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical null space: the right half of
-    ``null_spaces``, as a list of vectors."""
-    return list(null_spaces(m, tol)[0].T)
-
-
 # Hermitian matrices form a real vector space; the maps below embed them
 # isometrically (for the HS inner product) into real coordinate vectors so
 # that real SVD can orthonormalize without leaving the Hermitian cone.
@@ -161,15 +139,97 @@ def _herm_to_real(x: np.ndarray) -> np.ndarray:
     ])
 
 
-def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
+def _hermitian_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column-stacked vec indices of the diagonal (i, i) and of the entries
+    (i, j), (j, i) for i < j, in the order ``_herm_to_real`` uses."""
     iu = np.triu_indices(n, k=1)
-    k = iu[0].size
-    x = np.zeros((n, n), dtype=complex)
-    np.fill_diagonal(x, v[:n])
-    upper = (v[n:n + k] + 1j * v[n + k:n + 2 * k]) / np.sqrt(2.0)
-    x[iu] = upper
-    x[(iu[1], iu[0])] = upper.conj()
-    return x
+    return np.arange(n) * (n + 1), iu[0] + n * iu[1], iu[1] + n * iu[0]
+
+
+def _real_to_vec_herm(x: np.ndarray, n: int) -> np.ndarray:
+    """Columns T x: vec of the Hermitian matrices with real coordinates x."""
+    diag, p, q = _hermitian_pairs(n)
+    k = p.size
+    out = np.empty((n * n, x.shape[1]), dtype=complex)
+    out[diag] = x[:n]
+    out[p] = (x[n:n + k] + 1j * x[n + k:]) / np.sqrt(2.0)
+    out[q] = out[p].conj()
+    return out
+
+
+def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
+    return _real_to_vec_herm(v[:, None], n).reshape((n, n), order="F")
+
+
+def _numerical_rank(s: np.ndarray, tol: Tolerances) -> int:
+    """Singular values (descending) above rank_tol * max(sigma_max, 1); the
+    absolute floor keeps matrices that are zero up to rounding noise from
+    reporting an empty kernel."""
+    sigma_max = float(s[0]) if s.size else 0.0
+    return int(np.count_nonzero(s > tol.rank_tol * max(sigma_max, 1.0)))
+
+
+def null_spaces(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the null spaces of a
+    Hermiticity-preserving superoperator m and of m†.
+
+    m acts on column-stacked n × n operators. With T the unitary whose
+    columns are vec of the orthonormal Hermitian basis of ``_herm_to_real``
+    (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2), M = T† m T is real
+    and has the singular values of m. M is gathered from index pairs; its
+    imaginary part must vanish within residual_tol, else ValueError. One real
+    SVD of M follows: the singular vectors beyond ``_numerical_rank`` span
+    the numerical kernels, and mapped back through T every basis vector is
+    vec of a Hermitian matrix.
+    """
+    m = require_square(m)
+    n = isqrt(m.shape[0])
+    if n * n != m.shape[0]:
+        raise ValueError(f"{m.shape} is not the shape of a superoperator")
+    diag, p, q = _hermitian_pairs(n)
+    k, r = p.size, np.sqrt(0.5)
+    sym, anti = slice(n, n + k), slice(n + k, None)
+    # m T, column blocks: m[:, diag], (m[:, p] + m[:, q]) r, i (m[:, p] − m[:, q]) r.
+    cols = np.empty_like(m)
+    cols[:, :n] = m[:, diag]
+    cols[:, sym] = m[:, p]
+    cols[:, anti] = m[:, q]
+    cols[:, anti] -= cols[:, sym]
+    cols[:, anti] *= -1j * r
+    cols[:, sym] += m[:, q]
+    cols[:, sym] *= r
+    # T† (m T), row blocks in the same order, split into real and imaginary parts.
+    re, im = cols.real, cols.imag
+    real = np.empty(m.shape)
+    real[:n] = re[diag]
+    np.add(re[p], re[q], out=real[sym])
+    np.subtract(im[p], im[q], out=real[anti])
+    real[n:] *= r
+    imag_sq = (
+        np.sum(im[diag] ** 2)
+        + 0.5 * np.sum((im[p] + im[q]) ** 2)
+        + 0.5 * np.sum((re[p] - re[q]) ** 2)
+    )
+    del cols, re, im
+    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, frob(real)):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    u, s, vt = np.linalg.svd(real)
+    rank = _numerical_rank(s, tol)
+    return _real_to_vec_herm(vt[rank:].T, n), _real_to_vec_herm(u[:, rank:], n)
+
+
+def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical null space of any matrix.
+
+    Same rank rule as ``null_spaces``. A tall or square m needs only the thin
+    SVD; a wide one needs all right singular vectors.
+    """
+    m = as_matrix(m)
+    rows, cols = m.shape
+    _, s, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    return list(vh[_numerical_rank(s, tol):].conj())
 
 
 def orthonormal_hermitian_span(

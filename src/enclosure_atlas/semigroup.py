@@ -102,16 +102,24 @@ class Superoperator:
             )
 
 
+def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, so that the generator
+    is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
+    n = model.dim
+    gram = sum((dagger(op) @ op for op in model.jumps), np.zeros((n, n), dtype=complex))
+    return -1j * model.hamiltonian - 0.5 * gram, gram
+
+
 def build_generator(model: LindbladModel) -> Superoperator:
-    """Schrödinger-picture generator rho -> -i[H,rho] + sum_j D[L_j](rho)."""
+    """Schrödinger-picture generator rho -> -i[H,rho] + sum_j D[L_j](rho),
+    assembled as 1 ⊗ K + conj(K) ⊗ 1 + sum_j conj(L_j) ⊗ L_j."""
     n = model.dim
     eye = np.eye(n)
-    h = model.hamiltonian
-    mat = -1j * (sandwich_superop(h, eye) - sandwich_superop(eye, h))
+    drift, _ = _drift_and_gram(model)
+    mat = np.kron(eye, drift)
+    mat += np.kron(drift.conj(), eye)
     for op in model.jumps:
-        gram = dagger(op) @ op
-        mat += sandwich_superop(op, dagger(op))
-        mat -= 0.5 * (sandwich_superop(gram, eye) + sandwich_superop(eye, gram))
+        mat += np.kron(op.conj(), op)
     return Superoperator(dim=n, matrix=mat)
 
 
@@ -160,6 +168,17 @@ def choi_matrix(channel: KrausChannel) -> np.ndarray:
     return sum(c @ dagger(c) for c in cols)
 
 
+def choi_min_eigenvalue(channel: KrausChannel) -> float:
+    """Smallest eigenvalue of the Choi matrix C C†, C = [vec V_j], from the
+    k × k Gram matrix C†C: C C† has rank at most k, so the value is 0 when
+    k < n², and otherwise the n²-th largest eigenvalue of C†C."""
+    n2, k = channel.dim**2, len(channel.kraus)
+    if k < n2:
+        return 0.0
+    c = np.column_stack([vec(v) for v in channel.kraus])
+    return float(np.linalg.eigvalsh(dagger(c) @ c)[k - n2])
+
+
 @dataclass(frozen=True)
 class ModelDiagnostics:
     kind: str
@@ -174,14 +193,14 @@ def validate(obj, tol: Tolerances = DEFAULT_TOL) -> ModelDiagnostics:
     """Diagnostics for a model or channel; never raises on bad numbers."""
     if isinstance(obj, LindbladModel):
         herm = hermiticity_defect(obj.hamiltonian)
-        gen = build_generator(obj)
-        trace_res = float(np.linalg.norm(vec(np.eye(obj.dim)).conj() @ gen.matrix))
+        # vec(1)† L = vec(L*(1))†, and L*(1) = K + K† + G.
+        drift, gram = _drift_and_gram(obj)
+        trace_res = frob(drift + dagger(drift) + gram)
         ok = bool(herm <= 100 * tol.residual_tol and trace_res <= 100 * tol.residual_tol)
         return ModelDiagnostics("lindblad", obj.dim, herm, trace_res, None, ok)
     if isinstance(obj, KrausChannel):
         trace_res = frob(sum(dagger(v) @ v for v in obj.kraus) - np.eye(obj.dim))
-        w = np.linalg.eigvalsh(choi_matrix(obj))
-        choi_min = float(w[0])
+        choi_min = choi_min_eigenvalue(obj)
         ok = bool(trace_res <= 100 * tol.residual_tol and choi_min >= -tol.psd_tol)
         return ModelDiagnostics("kraus", obj.dim, 0.0, trace_res, choi_min, ok)
     raise TypeError(f"cannot validate object of type {type(obj).__name__}")

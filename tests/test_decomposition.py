@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from enclosure_atlas.linalg import DEFAULT_TOL, kernel_basis, psd_project, support_projector
+from enclosure_atlas.linalg import (
+    DEFAULT_TOL,
+    kernel_basis,
+    null_spaces,
+    psd_project,
+    support_projector,
+)
 from enclosure_atlas.semigroup import (
     LindbladModel,
     Superoperator,
@@ -26,6 +32,7 @@ from enclosure_atlas.decomposition import (
     recurrent_projector,
     verify_decomposition,
 )
+import enclosure_atlas.decomposition as decomposition_module
 from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
 from enclosure_atlas.fixtures import (
     faithful_2d,
@@ -106,32 +113,127 @@ def test_recurrent_projector_matches_schur_sylvester_oracle():
 
 
 def test_recurrent_projector_rejects_jordan_block_at_zero():
-    # L e1 = 0 and L e2 = e1: ker L lies inside ran L, so no projection
-    # onto ker L along ran L exists.
-    mat = np.diag([0.0, 0.0, -1.0, -1.0]).astype(complex)
-    mat[0, 1] = 1.0
+    # L(E00) = 0 and L(E11) = E00, with the coherences decaying: L preserves
+    # Hermiticity, and ker L lies inside ran L, so no projection onto ker L
+    # along ran L exists.
+    mat = np.diag([0.0, -1.0, -1.0, 0.0]).astype(complex)
+    mat[0, 3] = 1.0
     with pytest.raises(RuntimeError, match="not semisimple"):
         recurrent_projector(Superoperator(dim=2, matrix=mat))
+
+
+def _svd_spy(monkeypatch):
+    """Record (shape, is_complex, full_matrices, compute_uv) of every SVD."""
+    svd = np.linalg.svd
+    calls = []
+
+    def spy(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), np.iscomplexobj(a), full_matrices, compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _forbid_superoperator_builds(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("superoperator rebuilt")
+
+    for name in ("build_generator", "channel_superoperator"):
+        monkeypatch.setattr(decomposition_module, name, forbidden)
 
 
 def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     model = leaky_model(np.random.default_rng(5), 4, 2)
     n2 = model.dim**2
-    svd = np.linalg.svd
-    shapes = []
-
-    def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = _svd_spy(monkeypatch)
     report = decompose(model, seed=0)
     assert report.recurrent_dimension == 3
+    shapes = [c[0] for c in calls]
     assert shapes.count((n2, n2)) == 1
-    # verification reuses the kernel stored on the report
-    shapes.clear()
+    # the one n² x n² SVD is real: L in Hermitian coordinates
+    assert [c[1] for c in calls if c[0] == (n2, n2)] == [False]
+    # verification reuses the generator and the kernel stored on the report
+    calls.clear()
+    _forbid_superoperator_builds(monkeypatch)
     assert verify_decomposition(report, model).ok
-    assert (n2, n2) not in shapes
+    assert (n2, n2) not in [c[0] for c in calls]
+
+
+def test_verify_builds_no_channel_superoperator(monkeypatch):
+    channel = conjugated_pair_channel(np.random.default_rng(5), 2, 2)
+    report = decompose(channel, seed=0)
+    _forbid_superoperator_builds(monkeypatch)
+    assert verify_decomposition(report, channel).ok
+    with pytest.raises(ValueError, match="does not match"):
+        verify_decomposition(report, faithful_2d())
+
+
+def test_no_full_svd_of_a_tall_matrix_after_stage_one(monkeypatch):
+    # kernel_basis on the tall n² x k matrices of the algebra and enclosure
+    # stages takes a thin SVD; only the square SVD of L is full.
+    rng = np.random.default_rng(9)
+    models = [leaky_model(rng, 5, 2), conjugated_pair_model(rng, 3, 2)[0]]
+    models += [block_diag_model(rng, (2, 3), 2), conjugated_pair_channel(rng, 3, 2)]
+    calls = _svd_spy(monkeypatch)
+    for model in models:
+        calls.clear()
+        report = decompose(model, seed=0)
+        verify_decomposition(report, model)
+        n2 = model.dim**2
+        first = [c[0] for c in calls].index((n2, n2))
+        full_tall = [
+            shape
+            for shape, _, full, uv in calls[first + 1 :]
+            if full and uv and shape[0] > shape[1]
+        ]
+        assert full_tall == []
+
+
+def test_null_spaces_match_complex_svd_oracle(monkeypatch):
+    # Oracle: the complex SVD of L itself, with the same rank rule.
+    svd = np.linalg.svd
+    real_values = []
+
+    def spy(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if not np.iscomplexobj(a):
+            real_values.append(out[1])
+        return out
+
+    for model in _agreement_models():
+        _, gen, _ = _effective_superoperators(model, DEFAULT_TOL)
+        n = gen.dim
+        u, s, vh = svd(gen.matrix)
+        rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * max(s[0], 1.0)))
+        real_values.clear()
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        kern, left = null_spaces(gen.matrix)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        (values,) = real_values
+        assert np.max(np.abs(values - s)) <= 1e-12 * max(s[0], 1.0)
+        assert kern.shape[1] == left.shape[1] == n * n - rank
+        for basis, oracle in ((kern, vh[rank:].conj().T), (left, u[:, rank:])):
+            assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+            proj = basis @ basis.conj().T
+            assert np.linalg.norm(proj - oracle @ oracle.conj().T) < 1e-10
+            for v in basis.T:
+                x = unvec(v)
+                assert np.array_equal(x, x.conj().T)
+
+
+def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
+    # Coherences decaying at different rates: L(X)† != L(X†).
+    mat = np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        recurrent_projector(Superoperator(dim=2, matrix=mat))
+    monkeypatch.setattr(
+        decomposition_module, "build_generator", lambda model: Superoperator(dim=2, matrix=mat)
+    )
+    with pytest.raises(DecompositionError, match="does not preserve Hermiticity") as err:
+        decompose(faithful_2d())
+    assert err.value.stage == "recurrent"
+    assert str(err.value).startswith("[recurrent]")
 
 
 def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):

@@ -91,6 +91,15 @@ def test_kernel_basis_vectors_annihilate():
             assert np.linalg.norm(m @ v) <= 10 * DEFAULT_TOL.rank_tol * sigma_max
 
 
+def test_kernel_basis_wide_matrix_keeps_every_null_direction():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    vectors = kernel_basis(m)
+    assert len(vectors) == 3
+    for v in vectors:
+        assert np.linalg.norm(m @ v) < 1e-12
+
+
 def test_hermitian_basis_off_diagonal_pair():
     basis = hermitian_basis([unit(0, 1), unit(1, 0)])
     assert len(basis) == 2

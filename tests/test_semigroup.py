@@ -11,6 +11,7 @@ from enclosure_atlas.semigroup import (
     build_generator,
     channel_superoperator,
     choi_matrix,
+    choi_min_eigenvalue,
     fixed_point_basis,
     matrix_exponential,
     propagate,
@@ -19,7 +20,25 @@ from enclosure_atlas.semigroup import (
     vec,
 )
 
-from helpers import PAULI_Y, PAULI_Z, random_density, random_model, unit
+from enclosure_atlas.fixtures import (
+    faithful_2d,
+    rotation_channel,
+    two_enclosures_2d,
+    unfaithful_2d,
+    zero_generator_2d,
+)
+
+from helpers import (
+    PAULI_Y,
+    PAULI_Z,
+    block_diag_model,
+    conjugated_pair_channel,
+    conjugated_pair_model,
+    leaky_model,
+    random_density,
+    random_model,
+    unit,
+)
 
 
 def generic_density(rng):
@@ -272,3 +291,45 @@ def test_fixed_point_basis_empty_kernel_is_error():
     s = Superoperator(2, 2.0 * np.eye(4))
     with pytest.raises(RuntimeError, match="fixed-point"):
         fixed_point_basis(s, "channel")
+
+
+def _sandwich_generator(model):
+    """The generator assembled term by term, -i(1⊗H - Hᵀ⊗1) plus, per jump,
+    conj(L)⊗L - ½(1⊗L†L + (L†L)ᵀ⊗1): 2 + 3k Kronecker products."""
+    n = model.dim
+    eye = np.eye(n)
+    h = model.hamiltonian
+    mat = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op in model.jumps:
+        gram = op.conj().T @ op
+        mat += np.kron(op.conj(), op)
+        mat -= 0.5 * (np.kron(eye, gram) + np.kron(gram.T, eye))
+    return mat
+
+
+def test_build_generator_matches_term_by_term_assembly():
+    rng = np.random.default_rng(17)
+    models = [faithful_2d(), unfaithful_2d(), two_enclosures_2d(), zero_generator_2d()]
+    for n in (3, 5, 8):
+        models += [random_model(rng, n, 2), leaky_model(rng, n, 2)]
+    models += [block_diag_model(rng, (2, 3, 3), 2), conjugated_pair_model(rng, 4, 2)[0]]
+    for model in models:
+        expected = _sandwich_generator(model)
+        diff = np.linalg.norm(build_generator(model).matrix - expected)
+        assert diff <= 1e-12 * max(1.0, np.linalg.norm(expected))
+        assert validate(model).trace_residual <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+
+def test_choi_min_eigenvalue_matches_choi_spectrum():
+    rng = np.random.default_rng(19)
+    # five Kraus operators on C²: k = 5 >= n² = 4, so the Gram path decides
+    q, _ = np.linalg.qr(rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2)))
+    wide = KrausChannel.create([q[2 * j : 2 * j + 2] for j in range(5)])
+    channels = [rotation_channel(), rotation_channel(0.3), wide]
+    channels += [conjugated_pair_channel(rng, 3, 2), conjugated_pair_channel(rng, 2, 5)]
+    for channel in channels:
+        expected = float(np.linalg.eigvalsh(choi_matrix(channel))[0])
+        assert abs(choi_min_eigenvalue(channel) - expected) <= 1e-12
+        assert validate(channel).choi_min_eigenvalue == choi_min_eigenvalue(channel)
+    assert len(wide.kraus) >= wide.dim**2
+    assert choi_min_eigenvalue(wide) > 1e-3
