@@ -45,6 +45,7 @@ from .semigroup import (
     build_generator,
     channel_superoperator,
     choi_min_eigenvalue,
+    generator_action,
     unvec,
     vec,
 )
@@ -129,11 +130,9 @@ class DecompositionReport:
     is_unique: bool
     residuals: dict
     conventions: dict
-    # The generator-like superoperator L (Phi - Id for channels) and an
-    # orthonormal basis (as columns) of ker L, each vec of a Hermitian
-    # matrix; verification reuses both, so one analyze builds and factors L
-    # once. Not serialized.
-    generator: Superoperator
+    # Orthonormal basis (as columns) of ker L (Phi - Id for channels), each
+    # vec of a Hermitian matrix; verification reuses it, so one analyze
+    # factors L once. Not serialized.
     invariant_kernel: np.ndarray
 
 
@@ -596,7 +595,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
                 f"(residual {check.residual}, leak {check.leak:.3e})"
             )
         enclosure_residuals.append(check.residual)
-        extremal_residuals.append(float(np.linalg.norm(gen.matrix @ vec(state))))
+        extremal_residuals.append(frob(generator_action(obj, state)))
         return EnclosureRecord(
             projector=projector,
             dimension=check_projector(projector, tol),
@@ -686,7 +685,6 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
         is_unique=not families,
         residuals=residuals,
         conventions={"vectorization": VECTORIZATION_NOTE},
-        generator=gen,
         invariant_kernel=split.kernel,
     )
 
@@ -741,7 +739,9 @@ def verify_decomposition(
     diagonal blocks are proportional to the extremal states, cross blocks
     between distinct enclosure groups vanish, and within a degenerate family
     the off-diagonal block composed with the partial isometry is proportional
-    to the extremal state. Diagnostics only; never raises on failed clauses.
+    to the extremal state. Each extremal state's invariance residual is
+    ‖L(ρ)‖_F applied from the model itself (``generator_action``), so no
+    superoperator is built. Diagnostics only; never raises on failed clauses.
     """
     kind = _model_kind(obj)
     if kind != report.kind:
@@ -758,10 +758,7 @@ def verify_decomposition(
         )
 
     for label, rec, _ in enclosures:
-        add(
-            f"extremal_invariance:{label}",
-            np.linalg.norm(report.generator.matrix @ vec(rec.extremal_state)),
-        )
+        add(f"extremal_invariance:{label}", frob(generator_action(obj, rec.extremal_state)))
         add(
             f"extremal_support:{label}",
             frob((np.eye(report.dim) - rec.projector) @ rec.extremal_state),

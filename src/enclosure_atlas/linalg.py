@@ -161,12 +161,38 @@ def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
     return _real_to_vec_herm(v[:, None], n).reshape((n, n), order="F")
 
 
+def _rank_cut(sigma_max: float, tol: Tolerances) -> float:
+    """Singular values above rank_tol * max(sigma_max, 1) count towards the
+    rank; the absolute floor keeps matrices that are zero up to rounding
+    noise from reporting an empty kernel."""
+    return tol.rank_tol * max(sigma_max, 1.0)
+
+
 def _numerical_rank(s: np.ndarray, tol: Tolerances) -> int:
-    """Singular values (descending) above rank_tol * max(sigma_max, 1); the
-    absolute floor keeps matrices that are zero up to rounding noise from
-    reporting an empty kernel."""
-    sigma_max = float(s[0]) if s.size else 0.0
-    return int(np.count_nonzero(s > tol.rank_tol * max(sigma_max, 1.0)))
+    """Rank from singular values in descending order, by ``_rank_cut``."""
+    return int(np.count_nonzero(s > _rank_cut(float(s[0]) if s.size else 0.0, tol)))
+
+
+def _sector_roots(m: np.ndarray) -> np.ndarray:
+    """For each coordinate of a square matrix, the smallest coordinate of its
+    sector: its connected component in the symmetric nonzero pattern
+    (m != 0) | (m != 0)ᵀ. Only exact zeros separate coordinates.
+
+    Every coordinate starts with its own label and repeatedly takes the
+    smallest label among its neighbours, then its label's label (pointer
+    jumping); at the fixed point each component carries its smallest
+    coordinate.
+    """
+    size = m.shape[0]
+    pattern = m != 0
+    pattern |= pattern.T
+    labels = np.arange(size)
+    while True:
+        nearest = np.minimum(labels, np.where(pattern, labels, size).min(axis=1))
+        nearest = nearest[nearest]
+        if np.array_equal(nearest, labels):
+            return labels
+        labels = nearest
 
 
 def null_spaces(
@@ -179,10 +205,17 @@ def null_spaces(
     columns are vec of the orthonormal Hermitian basis of ``_herm_to_real``
     (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2), M = T† m T is real
     and has the singular values of m. M is gathered from index pairs; its
-    imaginary part must vanish within residual_tol, else ValueError. One real
-    SVD of M follows: the singular vectors beyond ``_numerical_rank`` span
-    the numerical kernels, and mapped back through T every basis vector is
-    vec of a Hermitian matrix.
+    imaginary part must vanish within residual_tol, else ValueError.
+
+    M maps each of its sectors (``_sector_roots``) to itself, so its singular
+    values are the union of the sectors' and its kernels are direct sums of
+    the sectors' kernels. One real SVD per sector follows, with the sectors
+    of one size stacked into a single batched call, and M itself factored
+    when one sector spans every coordinate. The rank rule (``_rank_cut``)
+    takes sigma_max over all sectors. The trailing singular vectors of each
+    sector, embedded at its coordinates, span the numerical kernels; columns
+    come ordered by sector (smallest coordinate first), and mapped back
+    through T every basis vector is vec of a Hermitian matrix.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -215,9 +248,30 @@ def null_spaces(
     del cols, re, im
     if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, frob(real)):
         raise ValueError("superoperator does not preserve Hermiticity")
-    u, s, vt = np.linalg.svd(real)
-    rank = _numerical_rank(s, tol)
-    return _real_to_vec_herm(vt[rank:].T, n), _real_to_vec_herm(u[:, rank:], n)
+    roots = _sector_roots(real)
+    order = np.argsort(roots, kind="stable")
+    _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
+    factors = []
+    for size in np.unique(sizes):
+        # (sectors of this size) x size coordinates, one row per sector
+        idx = order[starts[sizes == size][:, None] + np.arange(size)]
+        block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
+        factors.append((idx, *np.linalg.svd(block)))
+    cut = _rank_cut(max(float(s[:, 0].max()) for _, _, s, _ in factors), tol)
+    owners, right, left = [], [], []
+    for idx, u, s, vt in factors:
+        # Trailing singular vectors of each sector, embedded at its coordinates.
+        sector, j = np.nonzero(s <= cut)
+        at = (idx[sector], np.arange(sector.size)[:, None])
+        owners.append(idx[sector, 0])
+        for out, vecs in ((right, vt[sector, j]), (left, u[sector, :, j])):
+            out.append(np.zeros((n * n, sector.size)))
+            out[-1][at] = vecs
+    by_sector = np.argsort(np.concatenate(owners), kind="stable")
+    return (
+        _real_to_vec_herm(np.hstack(right)[:, by_sector], n),
+        _real_to_vec_herm(np.hstack(left)[:, by_sector], n),
+    )
 
 
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

@@ -39,11 +39,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v).reshape((n, n), order="F")
 
 
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X B."""
-    return np.kron(np.asarray(b).T, np.asarray(a))
-
-
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus jump operators defining a Lindblad generator."""
@@ -110,16 +105,29 @@ def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return -1j * model.hamiltonian - 0.5 * gram, gram
 
 
+def _sandwich_sum(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """sum_a conj(A_a) ⊗ A_a, the matrix of Y -> sum_a A_a Y A_a†, as one GEMM.
+
+    With X the k × n² stack of the row-major A_a, (X†X)[(i, j), (k, l)] is
+    sum_a conj(A_a[i, j]) A_a[k, l]: the Kronecker entry [(i, k), (j, l)].
+    An entry is an exact zero wherever every term is.
+    """
+    x = np.array(ops, dtype=complex).reshape(len(ops), n * n)
+    quad = (dagger(x) @ x).reshape(n, n, n, n)
+    return quad.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def build_generator(model: LindbladModel) -> Superoperator:
     """Schrödinger-picture generator rho -> -i[H,rho] + sum_j D[L_j](rho),
     assembled as 1 ⊗ K + conj(K) ⊗ 1 + sum_j conj(L_j) ⊗ L_j."""
     n = model.dim
-    eye = np.eye(n)
     drift, _ = _drift_and_gram(model)
-    mat = np.kron(eye, drift)
-    mat += np.kron(drift.conj(), eye)
-    for op in model.jumps:
-        mat += np.kron(op.conj(), op)
+    mat = _sandwich_sum(model.jumps, n)
+    # Entry [(i, k), (j, l)] of the (n, n, n, n) view: 1 ⊗ K fills i = j,
+    # conj(K) ⊗ 1 fills k = l.
+    quad, diag = mat.reshape(n, n, n, n), np.arange(n)
+    quad[diag, :, diag, :] += drift
+    quad[:, diag, :, diag] += drift.conj()
     return Superoperator(dim=n, matrix=mat)
 
 
@@ -135,8 +143,23 @@ def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) 
     defect = frob(sum(dagger(v) @ v for v in channel.kraus) - np.eye(n))
     if defect > 100 * tol.residual_tol:
         raise ValueError(f"Kraus normalization violated: defect {defect:.3e}")
-    mat = sum(sandwich_superop(v, dagger(v)) for v in channel.kraus)
-    return Superoperator(dim=n, matrix=mat)
+    return Superoperator(dim=n, matrix=_sandwich_sum(channel.kraus, n))
+
+
+def generator_action(obj, x: np.ndarray) -> np.ndarray:
+    """The generator-like map of a model applied to one operator, in
+    O(k n³) and without a superoperator: K x + x K† + sum_j L_j x L_j† (that
+    is L(x)) for a Lindblad model, sum_j V_j x V_j† − x for a channel."""
+    if isinstance(obj, LindbladModel):
+        drift, _ = _drift_and_gram(obj)
+        out, ops = drift @ x + x @ dagger(drift), obj.jumps
+    elif isinstance(obj, KrausChannel):
+        out, ops = -np.asarray(x, dtype=complex), obj.kraus
+    else:
+        raise TypeError(f"cannot apply object of type {type(obj).__name__}")
+    for a in ops:
+        out += a @ x @ dagger(a)
+    return out
 
 
 def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:

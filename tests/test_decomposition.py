@@ -34,6 +34,7 @@ from enclosure_atlas.decomposition import (
 )
 import enclosure_atlas.decomposition as decomposition_module
 from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
+from enclosure_atlas.oqrw import minimal_oqrw
 from enclosure_atlas.fixtures import (
     faithful_2d,
     rotation_channel,
@@ -49,6 +50,7 @@ from helpers import (
     leaky_model,
     random_density,
     random_model,
+    random_rate_matrix,
     unit,
 )
 
@@ -143,21 +145,39 @@ def _forbid_superoperator_builds(monkeypatch):
         monkeypatch.setattr(decomposition_module, name, forbidden)
 
 
+def _stage_one_spy(monkeypatch, calls):
+    """Per null_spaces call, the slice of ``calls`` (an ``_svd_spy`` list)
+    that it made: the SVDs of stage 1."""
+    stages = []
+
+    def spy(m, tol=DEFAULT_TOL):
+        start = len(calls)
+        out = null_spaces(m, tol)
+        stages.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(decomposition_module, "null_spaces", spy)
+    return stages
+
+
 def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     model = leaky_model(np.random.default_rng(5), 4, 2)
     n2 = model.dim**2
     calls = _svd_spy(monkeypatch)
+    stages = _stage_one_spy(monkeypatch, calls)
     report = decompose(model, seed=0)
     assert report.recurrent_dimension == 3
-    shapes = [c[0] for c in calls]
-    assert shapes.count((n2, n2)) == 1
-    # the one n² x n² SVD is real: L in Hermitian coordinates
-    assert [c[1] for c in calls if c[0] == (n2, n2)] == [False]
-    # verification reuses the generator and the kernel stored on the report
+    # L is factored once: real square sector blocks that cover n² coordinates
+    (svds,) = stages
+    assert all(not is_complex and shape[-1] == shape[-2] for shape, is_complex, _, _ in svds)
+    assert sum(shape[0] * shape[1] for shape, _, _, _ in svds) == n2
+    # the report keeps ker L but not L itself
+    assert not hasattr(report, "generator")
+    # verification reuses the kernel stored on the report and builds no L
     calls.clear()
     _forbid_superoperator_builds(monkeypatch)
     assert verify_decomposition(report, model).ok
-    assert (n2, n2) not in [c[0] for c in calls]
+    assert calls == [] and len(stages) == 1
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):
@@ -170,38 +190,41 @@ def test_verify_builds_no_channel_superoperator(monkeypatch):
 
 
 def test_no_full_svd_of_a_tall_matrix_after_stage_one(monkeypatch):
-    # kernel_basis on the tall n² x k matrices of the algebra and enclosure
-    # stages takes a thin SVD; only the square SVD of L is full.
+    # Stage 1 factors square sector blocks; kernel_basis on the tall n² x k
+    # matrices of the algebra and enclosure stages takes a thin SVD. No SVD
+    # anywhere forms the full left factor of a tall matrix.
     rng = np.random.default_rng(9)
     models = [leaky_model(rng, 5, 2), conjugated_pair_model(rng, 3, 2)[0]]
     models += [block_diag_model(rng, (2, 3), 2), conjugated_pair_channel(rng, 3, 2)]
     calls = _svd_spy(monkeypatch)
     for model in models:
-        calls.clear()
         report = decompose(model, seed=0)
         verify_decomposition(report, model)
-        n2 = model.dim**2
-        first = [c[0] for c in calls].index((n2, n2))
-        full_tall = [
-            shape
-            for shape, _, full, uv in calls[first + 1 :]
-            if full and uv and shape[0] > shape[1]
-        ]
-        assert full_tall == []
+    full_tall = [shape for shape, _, full, uv in calls if full and uv and shape[-2] > shape[-1]]
+    assert full_tall == []
+
+
+def _sector_models():
+    rng = np.random.default_rng(53)
+    yield minimal_oqrw(random_rate_matrix(rng, 6))
+    yield zero_generator_2d()
+    yield rotation_channel()
+    yield block_diag_model(rng, (3, 1, 2), 2)
 
 
 def test_null_spaces_match_complex_svd_oracle(monkeypatch):
-    # Oracle: the complex SVD of L itself, with the same rank rule.
+    # Oracle: the complex SVD of L itself, with the same rank rule. The
+    # sectors' singular values together are the singular values of L.
     svd = np.linalg.svd
     real_values = []
 
     def spy(a, *args, **kwargs):
         out = svd(a, *args, **kwargs)
         if not np.iscomplexobj(a):
-            real_values.append(out[1])
+            real_values.append(np.ravel(out[1]))
         return out
 
-    for model in _agreement_models():
+    for model in (*_agreement_models(), *_sector_models()):
         _, gen, _ = _effective_superoperators(model, DEFAULT_TOL)
         n = gen.dim
         u, s, vh = svd(gen.matrix)
@@ -210,7 +233,7 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
         monkeypatch.setattr(np.linalg, "svd", spy)
         kern, left = null_spaces(gen.matrix)
         monkeypatch.setattr(np.linalg, "svd", svd)
-        (values,) = real_values
+        values = np.sort(np.concatenate(real_values))[::-1]
         assert np.max(np.abs(values - s)) <= 1e-12 * max(s[0], 1.0)
         assert kern.shape[1] == left.shape[1] == n * n - rank
         for basis, oracle in ((kern, vh[rank:].conj().T), (left, u[:, rank:])):
@@ -220,6 +243,30 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
             for v in basis.T:
                 x = unvec(v)
                 assert np.array_equal(x, x.conj().T)
+
+
+def test_null_spaces_factor_a_dense_model_as_one_sector(monkeypatch):
+    model = random_model(np.random.default_rng(3), 4, 2)
+    calls = _svd_spy(monkeypatch)
+    null_spaces(build_generator(model).matrix)
+    assert [c[0] for c in calls] == [(1, 16, 16)]
+
+
+def test_null_spaces_split_only_at_exact_zeros(monkeypatch):
+    base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
+    calls = _svd_spy(monkeypatch)
+    kern, _ = null_spaces(build_generator(base).matrix)
+    assert len(calls) > 1 and kern.shape[1] == 2
+    # kernel columns come sector by sector, each supported in one block
+    first, second = (unvec(v) for v in kern.T)
+    assert np.count_nonzero(first[3:, :]) == np.count_nonzero(first[:, 3:]) == 0
+    assert np.count_nonzero(second[:3, :]) == np.count_nonzero(second[:, :3]) == 0
+    h = base.hamiltonian.copy()
+    h[0, 3] = h[3, 0] = 1e-300
+    coupled = LindbladModel.create(h, base.jumps)
+    calls.clear()
+    null_spaces(build_generator(coupled).matrix)
+    assert [c[0] for c in calls] == [(1, 36, 36)]
 
 
 def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
@@ -237,25 +284,24 @@ def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch)
 
 
 def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
-    # The algebra and the extremal states come from the kernels of the one
-    # SVD of L; the remaining SVDs act on matrices with at most 2 dim ker L
-    # columns (coefficient spaces, Hermitian re-orthonormalization).
+    # The algebra and the extremal states come from the kernels of stage 1;
+    # the remaining SVDs act on matrices with at most 2 dim ker L columns
+    # (coefficient spaces, Hermitian re-orthonormalization). So every SVD
+    # larger than that is a sector block of L.
     rng = np.random.default_rng(5)
     models = [leaky_model(rng, 4, 2), conjugated_pair_model(rng, 3, 2)[0]]
-    svd = np.linalg.svd
-    shapes = []
-
-    def counting_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    models += [block_diag_model(rng, (3, 4), 2)]
+    calls = _svd_spy(monkeypatch)
+    stages = _stage_one_spy(monkeypatch, calls)
     for model in models:
-        shapes.clear()
+        calls.clear()
+        stages.clear()
         report = decompose(model, seed=0)
         k = report.invariant_kernel.shape[1]
-        large = [shape for shape in shapes if min(shape) > 2 * k]
-        assert large == [(model.dim**2, model.dim**2)]
+        large = [shape for shape, _, _, _ in calls if min(shape[-2:]) > 2 * k]
+        (svds,) = stages
+        assert large == [shape for shape, _, _, _ in svds if shape[-1] > 2 * k]
+        assert sum(shape[0] * shape[1] for shape, _, _, _ in svds) == model.dim**2
 
 
 def _compress_superop(mat, iso):
@@ -716,6 +762,32 @@ def test_verify_decomposition_single_enclosure_vacuous():
     record = verify_decomposition(report, model)
     assert record.ok
     assert not any("cross" in c.name for c in record.clauses)
+
+
+def _kron_generator(model):
+    """Dense L (Phi - Id for channels) from Kronecker products."""
+    n = model.dim
+    eye = np.eye(n)
+    if isinstance(model, LindbladModel):
+        drift = -1j * model.hamiltonian - 0.5 * sum(j.conj().T @ j for j in model.jumps)
+        mat = np.kron(eye, drift) + np.kron(drift.conj(), eye)
+        return mat + sum(np.kron(j.conj(), j) for j in model.jumps)
+    return sum(np.kron(v.conj(), v) for v in model.kraus) - np.eye(n * n)
+
+
+def test_extremal_invariance_matches_dense_generator():
+    # verify and decompose apply L to each extremal state from the model;
+    # the residuals agree with the dense L applied to vec(rho).
+    for model in (*_agreement_models(), *_sector_models()):
+        report = decompose(model, seed=0)
+        mat = _kron_generator(model)
+        scale = 1e-12 * max(1.0, np.linalg.norm(mat))
+        clauses = {c.name: c.residual for c in verify_decomposition(report, model).clauses}
+        expected = []
+        for label, rec, _ in enumerate_minimal_enclosures(report):
+            expected.append(np.linalg.norm(mat @ vec(rec.extremal_state)))
+            assert abs(clauses[f"extremal_invariance:{label}"] - expected[-1]) <= scale
+        assert abs(report.residuals["extremal_invariance"] - max(expected)) <= scale
 
 
 def test_verify_decomposition_kind_mismatch():

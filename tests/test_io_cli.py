@@ -20,7 +20,7 @@ from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel
 
-from helpers import block_diag_model
+from helpers import block_diag_model, leaky_model
 
 
 def write_fixture(tmp_path, name):
@@ -209,6 +209,31 @@ def test_cli_analyze_weak_block_coupling_never_exits_0_unverified(tmp_path, caps
     out = capsys.readouterr().out
     assert code == 3
     assert "verification: ok" not in out
+
+
+def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
+    # A 4-level generic block drained from a fifth level at rate 1e-6. Stage
+    # 1 factors the drained level's coherences as a sector of their own, and
+    # the kernel vector from the remaining sector leaks 4.6e-10 outside the
+    # enclosure: below extremal_state's absolute 1e-9 cut, which the kernel
+    # vector from one SVD of all of L crossed (1.2e-9, exit 3).
+    base = leaky_model(np.random.default_rng(1), 5, 2)
+    jumps = [*base.jumps[:-1], 1e-3 * base.jumps[-1]]
+    doc = {
+        "mode": "lindblad",
+        "dim": 5,
+        "hamiltonian": complex_matrix_to_json(base.hamiltonian),
+        "jumps": [complex_matrix_to_json(j) for j in jumps],
+    }
+    path = tmp_path / "weak-drain.json"
+    path.write_text(serialize_report(doc))
+    assert main(["analyze", str(path), "--format", "structured"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    dec = report["decomposition"]
+    assert dec["transient"]["dimension"] == 1
+    assert [rec["dimension"] for rec in dec["unique_enclosures"]] == [4]
+    assert dec["families"] == []
+    assert report["verification"]["ok"] is True
 
 
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):

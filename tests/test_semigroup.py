@@ -13,6 +13,7 @@ from enclosure_atlas.semigroup import (
     choi_matrix,
     choi_min_eigenvalue,
     fixed_point_basis,
+    generator_action,
     matrix_exponential,
     propagate,
     unvec,
@@ -20,6 +21,7 @@ from enclosure_atlas.semigroup import (
     vec,
 )
 
+from enclosure_atlas.oqrw import minimal_oqrw
 from enclosure_atlas.fixtures import (
     faithful_2d,
     rotation_channel,
@@ -37,6 +39,7 @@ from helpers import (
     leaky_model,
     random_density,
     random_model,
+    random_rate_matrix,
     unit,
 )
 
@@ -313,11 +316,41 @@ def test_build_generator_matches_term_by_term_assembly():
     for n in (3, 5, 8):
         models += [random_model(rng, n, 2), leaky_model(rng, n, 2)]
     models += [block_diag_model(rng, (2, 3, 3), 2), conjugated_pair_model(rng, 4, 2)[0]]
+    models += [minimal_oqrw(random_rate_matrix(rng, 6)), minimal_oqrw(random_rate_matrix(rng, 9))]
+    channels = [rotation_channel(), conjugated_pair_channel(rng, 3, 2)]
+    channels += [conjugated_pair_channel(rng, 2, 5)]
     for model in models:
         expected = _sandwich_generator(model)
-        diff = np.linalg.norm(build_generator(model).matrix - expected)
+        actual = build_generator(model).matrix
+        diff = np.linalg.norm(actual - expected)
         assert diff <= 1e-12 * max(1.0, np.linalg.norm(expected))
+        # the sectors of stage 1 are read off exact zeros
+        assert np.array_equal(actual != 0, expected != 0)
         assert validate(model).trace_residual <= 1e-12 * max(1.0, np.linalg.norm(expected))
+    for channel in channels:
+        expected = sum(np.kron(v.conj(), v) for v in channel.kraus)
+        actual = channel_superoperator(channel).matrix
+        assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert np.array_equal(actual != 0, expected != 0)
+
+
+def test_generator_action_matches_dense_superoperator():
+    rng = np.random.default_rng(23)
+    models = [faithful_2d(), zero_generator_2d(), leaky_model(rng, 5, 2)]
+    models += [minimal_oqrw(random_rate_matrix(rng, 5)), rotation_channel()]
+    models += [conjugated_pair_channel(rng, 3, 2)]
+    for model in models:
+        n = model.dim
+        if isinstance(model, LindbladModel):
+            mat = _sandwich_generator(model)
+        else:
+            mat = sum(np.kron(v.conj(), v) for v in model.kraus) - np.eye(n * n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        expected = unvec(mat @ vec(x))
+        diff = np.linalg.norm(generator_action(model, x) - expected)
+        assert diff <= 1e-12 * max(1.0, np.linalg.norm(mat)) * np.linalg.norm(x)
+    with pytest.raises(TypeError):
+        generator_action(np.eye(2), np.eye(2))
 
 
 def test_choi_min_eigenvalue_matches_choi_spectrum():
