@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .decomposition import DecompositionError, decompose, verify_decomposition
 from .fixtures import FIXTURES, fixture_document
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decompose a lindblad or kraus model file")
     p.add_argument("paths", nargs="+", metavar="MODEL")
     p.add_argument(
-        "--batch", action="store_true", help="process several files concurrently"
+        "--batch", action="store_true", help="process several files in turn (file k: seed + k)"
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_analyze)
@@ -177,8 +176,7 @@ def cmd_analyze(args) -> int:
         _emit(args, doc, text)
         return code
 
-    def run(item):
-        index, path = item
+    def run(index, path):
         try:
             return path, _analyze_one(path, args, seed_offset=index)
         except ModelFileError as exc:
@@ -188,8 +186,7 @@ def cmd_analyze(args) -> int:
         except (DecompositionError, RuntimeError) as exc:
             return path, (3, {"error": str(exc)}, f"analysis error: {exc}\n")
 
-    with ThreadPoolExecutor(max_workers=min(8, len(args.paths))) as pool:
-        results = list(pool.map(run, enumerate(args.paths)))
+    results = [run(index, path) for index, path in enumerate(args.paths)]
     doc = {"reports": {path: payload[1] for path, payload in results}}
     text = "".join(
         f"== {path} ==\n{payload[2]}" for path, payload in results

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .semigroup import (
     KrausChannel,
     LindbladModel,
     Superoperator,
-    apply,
     build_generator,
     channel_superoperator,
     choi_min_eigenvalue,
@@ -185,27 +184,24 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
     )
 
 
-def cutoff_generator(adjoint_gen: Superoperator, p_r: np.ndarray) -> Superoperator:
-    """Superoperator of A -> P_R L*(P_R A P_R) P_R.
+def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map A -> P_R L*(P_R A P_R) P_R of a model, applied from its
+    operators (``generator_action`` in the Heisenberg picture) in O(k n³).
 
     Its kernel, restricted to operators supported in the recurrent subspace,
     is the fixed-point set of the compressed Heisenberg evolution. In
-    discrete time pass the adjoint channel minus the identity.
+    discrete time L* is the adjoint channel minus the identity.
     """
+    _model_kind(obj)
     p_r = require_square(p_r)
-    if p_r.shape != (adjoint_gen.dim, adjoint_gen.dim):
-        raise ValueError("projector dimension does not match the superoperator")
-    # Column stacking: entry [a + n b, c + n d] of an n² x n² superoperator
-    # is entry [b, a, d, c] of its (n, n, n, n) reshape.
-    n = adjoint_gen.dim
-    quad = adjoint_gen.matrix.reshape(n, n, n, n)
-    out = np.einsum("ap,qb,qpsr,rc,ds->badc", p_r, p_r, quad, p_r, p_r, optimize=True)
-    return Superoperator(dim=n, matrix=out.reshape(n * n, n * n))
+    if p_r.shape != (obj.dim, obj.dim):
+        raise ValueError("projector dimension does not match the model")
+    return lambda a: p_r @ generator_action(obj, p_r @ a @ p_r, adjoint=True) @ p_r
 
 
 def is_enclosure(
     p_v: np.ndarray,
-    cutoff: Superoperator,
+    cutoff: Callable[[np.ndarray], np.ndarray],
     recurrent: np.ndarray,
     tol: Tolerances = DEFAULT_TOL,
 ) -> EnclosureCheck:
@@ -215,10 +211,10 @@ def is_enclosure(
     applicable rather than judged.
     """
     p_v = require_square(p_v)
-    leak = frob((np.eye(cutoff.dim) - recurrent) @ p_v)
+    leak = frob((np.eye(len(recurrent)) - recurrent) @ p_v)
     if leak > tol.residual_tol:
         return EnclosureCheck(applicable=False, enclosed=False, residual=None, leak=leak)
-    residual = frob(apply(cutoff, p_v))
+    residual = frob(cutoff(p_v))
     return EnclosureCheck(
         applicable=True,
         enclosed=bool(residual <= tol.residual_tol),
@@ -268,7 +264,7 @@ def _closure_residual(
 
 
 def algebra_structure(
-    cutoff: Superoperator,
+    cutoff: Callable[[np.ndarray], np.ndarray],
     p_r: np.ndarray,
     adjoint_kernel: np.ndarray,
     seed: int = 0,
@@ -297,7 +293,7 @@ def algebra_structure(
     if k == 0:
         raise DecompositionError("algebra", "fixed-point space of the cut-off evolution is empty")
     candidates = [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T]
-    images = cutoff.matrix @ np.column_stack([vec(_embed(iso_r, c)) for c in candidates])
+    images = np.column_stack([vec(cutoff(_embed(iso_r, c))) for c in candidates])
     fixed = len(kernel_basis(images, tol))
     if fixed != k:
         raise DecompositionError(
@@ -306,10 +302,8 @@ def algebra_structure(
     fbasis = orthonormal_hermitian_span(candidates, tol)
 
     residuals = {
-        "algebra_invariance": max(
-            float(np.linalg.norm(cutoff.matrix @ vec(_embed(iso_r, f)))) for f in fbasis
-        ),
-        "algebra_unit_invariance": float(np.linalg.norm(cutoff.matrix @ vec(p_r))),
+        "algebra_invariance": max(frob(cutoff(_embed(iso_r, f))) for f in fbasis),
+        "algebra_unit_invariance": frob(cutoff(p_r)),
         "algebra_closure": _closure_residual(fbasis, rng),
     }
 
@@ -526,20 +520,15 @@ def _model_kind(obj) -> str:
     raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
 
 
-def _effective_superoperators(obj, tol: Tolerances):
-    """(kind, generator-like, adjoint-like) pair of superoperators.
-
-    For channels the generator-like map is Phi - Id and its adjoint is
-    Phi* - Id, so kernels and cut-off fixed points mean the same thing in
-    both time modes.
-    """
-    kind = _model_kind(obj)
-    if kind == "lindblad":
-        gen = build_generator(obj)
-    else:
-        phi = channel_superoperator(obj, tol)
-        gen = Superoperator(obj.dim, phi.matrix - np.eye(obj.dim**2))
-    return kind, gen, Superoperator(obj.dim, dagger(gen.matrix))
+def _generator(obj, tol: Tolerances) -> Superoperator:
+    """L for a Lindblad model, Phi - Id for a channel (the identity taken off
+    the diagonal in place), so kernels and cut-off fixed points mean the same
+    thing in both time modes."""
+    if _model_kind(obj) == "lindblad":
+        return build_generator(obj)
+    gen = channel_superoperator(obj, tol)
+    gen.matrix[np.diag_indices(obj.dim**2)] -= 1.0
+    return gen
 
 
 def _validate_input(obj, tol: Tolerances):
@@ -563,8 +552,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
     "cesaro" (average of the channel's powers) for Kraus channels.
     """
     _validate_input(obj, tol)
-    kind, gen, adj = _effective_superoperators(obj, tol)
-    n = gen.dim
+    kind, n = _model_kind(obj), obj.dim
 
     def stage(name, fn):
         try:
@@ -574,8 +562,9 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
         except Exception as exc:
             raise DecompositionError(name, str(exc)) from exc
 
-    split = stage("recurrent", lambda: recurrent_projector(gen, tol))
-    cut = stage("cutoff", lambda: cutoff_generator(adj, split.recurrent))
+    # L is built inside stage 1 only: no n² x n² array outlives it.
+    split = stage("recurrent", lambda: recurrent_projector(_generator(obj, tol), tol))
+    cut = stage("cutoff", lambda: cutoff_generator(obj, split.recurrent))
     structure = stage(
         "algebra",
         lambda: algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed, tol),

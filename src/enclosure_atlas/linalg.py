@@ -13,7 +13,6 @@ from math import isqrt
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,11 @@ def hermitian_basis(
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a square complex matrix (scaling-and-squaring Pade)."""
+    """exp(m) for a square complex matrix (scaling-and-squaring Pade).
+
+    scipy is imported here, its only use, so the CLI starts without it."""
+    import scipy.linalg
+
     return scipy.linalg.expm(require_square(m))
 
 

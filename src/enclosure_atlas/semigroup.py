@@ -146,18 +146,21 @@ def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) 
     return Superoperator(dim=n, matrix=_sandwich_sum(channel.kraus, n))
 
 
-def generator_action(obj, x: np.ndarray) -> np.ndarray:
+def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """The generator-like map of a model applied to one operator, in
     O(k n³) and without a superoperator: K x + x K† + sum_j L_j x L_j† (that
-    is L(x)) for a Lindblad model, sum_j V_j x V_j† − x for a channel."""
+    is L(x)) for a Lindblad model, sum_j V_j x V_j† − x for a channel. With
+    ``adjoint`` the Heisenberg picture L*(x): K† x + x K + sum_j L_j† x L_j,
+    or sum_j V_j† x V_j − x."""
+    side = dagger if adjoint else np.asarray
     if isinstance(obj, LindbladModel):
-        drift, _ = _drift_and_gram(obj)
+        drift = side(_drift_and_gram(obj)[0])
         out, ops = drift @ x + x @ dagger(drift), obj.jumps
     elif isinstance(obj, KrausChannel):
         out, ops = -np.asarray(x, dtype=complex), obj.kraus
     else:
         raise TypeError(f"cannot apply object of type {type(obj).__name__}")
-    for a in ops:
+    for a in map(side, ops):
         out += a @ x @ dagger(a)
     return out
 

@@ -36,7 +36,6 @@ from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
 from enclosure_atlas.linalg import DEFAULT_TOL
 from enclosure_atlas.oqrw import minimal_oqrw, verify_oqrw_theorem
 from enclosure_atlas.semigroup import (
-    adjoint_generator,
     build_generator,
     channel_superoperator,
     fixed_point_basis,
@@ -119,7 +118,7 @@ def test_criterion_1d_zero_generator_family():
         fam = report.families[0]
         assert len(fam.members) == 2
         assert all(rec.dimension == 1 for rec in fam.members)
-        cut = cutoff_generator(adjoint_generator(model), report.recurrent)
+        cut = cutoff_generator(model, report.recurrent)
         q = fam.isometries[(0, 1)]
         for theta in (0.0, np.pi / 6, np.pi / 4, np.pi / 2):
             p_theta = family_projector(

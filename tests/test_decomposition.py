@@ -21,7 +21,7 @@ from enclosure_atlas.semigroup import (
 )
 from enclosure_atlas.decomposition import (
     DecompositionError,
-    _effective_superoperators,
+    _generator,
     algebra_structure,
     cutoff_generator,
     decompose,
@@ -107,7 +107,7 @@ def _agreement_models():
 
 def test_recurrent_projector_matches_schur_sylvester_oracle():
     for model in _agreement_models():
-        _, gen, _ = _effective_superoperators(model, DEFAULT_TOL)
+        gen = _generator(model, DEFAULT_TOL)
         split = recurrent_projector(gen)
         oracle = _schur_sylvester_state(gen.matrix)
         assert np.linalg.norm(split.state - oracle) < 1e-9
@@ -180,6 +180,25 @@ def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     assert calls == [] and len(stages) == 1
 
 
+def test_decompose_builds_one_superoperator(monkeypatch):
+    # L (Phi - Id for a channel) is the only n² x n² array decompose builds:
+    # the cut-off is applied from the model's operators.
+    built = []
+    post_init = Superoperator.__post_init__
+
+    def spy(self):
+        built.append(self.dim)
+        post_init(self)
+
+    monkeypatch.setattr(Superoperator, "__post_init__", spy)
+    rng = np.random.default_rng(61)
+    for model in (leaky_model(rng, 4, 2), conjugated_pair_channel(rng, 2, 2)):
+        built.clear()
+        report = decompose(model, seed=0)
+        assert report.unique_enclosures or report.families
+        assert built == [model.dim]
+
+
 def test_verify_builds_no_channel_superoperator(monkeypatch):
     channel = conjugated_pair_channel(np.random.default_rng(5), 2, 2)
     report = decompose(channel, seed=0)
@@ -225,7 +244,7 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
         return out
 
     for model in (*_agreement_models(), *_sector_models()):
-        _, gen, _ = _effective_superoperators(model, DEFAULT_TOL)
+        gen = _generator(model, DEFAULT_TOL)
         n = gen.dim
         u, s, vh = svd(gen.matrix)
         rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * max(s[0], 1.0)))
@@ -318,10 +337,10 @@ def _compressed_svd_oracle(model, seed=0):
     """Fixed-point span projector, central-block projectors and extremal
     states from SVDs of the compressed cut-off and compressed generators:
     an independent oracle for algebra_structure and extremal_state."""
-    _, gen, adj = _effective_superoperators(model, DEFAULT_TOL)
+    gen = _generator(model, DEFAULT_TOL)
     split = recurrent_projector(gen)
     iso = _range_of(split.recurrent)
-    cut = cutoff_generator(adj, split.recurrent)
+    cut = _dense_cutoff(model, split.recurrent)
     fixed = [unvec(v) for v in kernel_basis(_compress_superop(cut.matrix, iso))]
     span = np.column_stack([vec(iso @ f @ iso.conj().T) for f in fixed])
     # Center: combinations of the fixed points commuting with all of them.
@@ -349,9 +368,8 @@ def _compressed_svd_oracle(model, seed=0):
 def test_kernel_algebra_and_states_match_compressed_svd_oracle():
     for model in _agreement_models():
         report = decompose(model, seed=0)
-        _, gen, adj = _effective_superoperators(model, DEFAULT_TOL)
-        split = recurrent_projector(gen)
-        cut = cutoff_generator(adj, split.recurrent)
+        split = recurrent_projector(_generator(model, DEFAULT_TOL))
+        cut = cutoff_generator(model, split.recurrent)
         structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
         span_oracle, blocks_oracle, state_oracle = _compressed_svd_oracle(model)
 
@@ -367,30 +385,50 @@ def test_kernel_algebra_and_states_match_compressed_svd_oracle():
             assert np.linalg.norm(rec.extremal_state - state_oracle(rec.projector)) < 1e-10
 
 
+def _dense_cutoff(model, p_r):
+    """Oracle: the dense cut-off superoperator kron(P_Rᵀ, P_R) L† kron(P_Rᵀ, P_R),
+    with L from Kronecker products."""
+    sandwich = np.kron(p_r.T, p_r)
+    return Superoperator(model.dim, sandwich @ _kron_generator(model).conj().T @ sandwich)
+
+
+def test_cutoff_generator_matches_dense_oracle():
+    # The map applied to every matrix unit tabulates its superoperator.
+    models = [*_agreement_models(), minimal_oqrw(random_rate_matrix(np.random.default_rng(59), 6))]
+    for model in models:
+        n = model.dim
+        p_r = recurrent_projector(_generator(model, DEFAULT_TOL)).recurrent
+        cut = cutoff_generator(model, p_r)
+        units = np.eye(n * n).reshape(n * n, n, n, order="F")
+        mat = np.column_stack([vec(cut(e)) for e in units])
+        oracle = _dense_cutoff(model, p_r).matrix
+        assert np.linalg.norm(mat - oracle) <= 1e-12 * max(1.0, np.linalg.norm(oracle))
+
+
 def test_cutoff_generator_full_projector_is_adjoint():
     model = two_enclosures_2d()
     adj = adjoint_generator(model)
-    cut = cutoff_generator(adj, np.eye(2))
+    cut = _dense_cutoff(model, np.eye(2))
     assert np.allclose(cut.matrix, adj.matrix, atol=1e-14)
 
 
 def test_cutoff_generator_compressed_block():
     model = unfaithful_2d()
     split = recurrent_projector(build_generator(model))
-    cut = cutoff_generator(adjoint_generator(model), split.recurrent)
+    cut = _dense_cutoff(model, split.recurrent)
     # the surviving one-dimensional block is stationary
     assert np.linalg.norm(apply(cut, np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_cutoff_generator_zero():
-    cut = cutoff_generator(adjoint_generator(zero_generator_2d()), np.diag([1.0, 0.0]))
+    cut = _dense_cutoff(zero_generator_2d(), np.diag([1.0, 0.0]))
     assert np.allclose(cut.matrix, 0.0)
 
 
 def _context(model):
     gen = build_generator(model)
     split = recurrent_projector(gen)
-    cut = cutoff_generator(adjoint_generator(model), split.recurrent)
+    cut = cutoff_generator(model, split.recurrent)
     return gen, split, cut
 
 
@@ -535,7 +573,7 @@ def test_decompose_zero_generator_golden():
 def test_decompose_family_projector_continuum_is_enclosed():
     model = zero_generator_2d()
     report = decompose(model, seed=0)
-    cut = cutoff_generator(adjoint_generator(model), report.recurrent)
+    cut = cutoff_generator(model, report.recurrent)
     fam = report.families[0]
     q = fam.isometries[(0, 1)]
     for theta in (0.0, np.pi / 6, np.pi / 4, np.pi / 2, 1.1):
@@ -550,7 +588,7 @@ def test_decompose_reports_every_enclosure_enclosed():
     rng = np.random.default_rng(17)
     model = block_diag_model(rng, (2, 3), 2)
     report = decompose(model, seed=5)
-    cut = cutoff_generator(adjoint_generator(model), report.recurrent)
+    cut = cutoff_generator(model, report.recurrent)
     for label, rec, _ in enumerate_minimal_enclosures(report):
         check = is_enclosure(rec.projector, cut, report.recurrent)
         assert check.enclosed, label
@@ -727,9 +765,8 @@ def test_decompose_ambiguous_clustering_is_an_error():
 
 
 def test_cutoff_generator_dimension_mismatch():
-    adj = adjoint_generator(faithful_2d())
     with pytest.raises(ValueError, match="dimension"):
-        cutoff_generator(adj, np.eye(3))
+        cutoff_generator(faithful_2d(), np.eye(3))
 
 
 def test_verify_decomposition_two_enclosures():

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,3 +387,18 @@ def test_golden_fixture_reingestion(tmp_path, capsys):
         assert main(["analyze", path, "--format", "structured"]) == 0
         doc = parse_report(capsys.readouterr().out)
         assert check(doc["decomposition"]), name
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only matrix_exponential, which no CLI command calls.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, enclosure_atlas.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

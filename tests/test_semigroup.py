@@ -346,9 +346,11 @@ def test_generator_action_matches_dense_superoperator():
         else:
             mat = sum(np.kron(v.conj(), v) for v in model.kraus) - np.eye(n * n)
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        expected = unvec(mat @ vec(x))
-        diff = np.linalg.norm(generator_action(model, x) - expected)
-        assert diff <= 1e-12 * max(1.0, np.linalg.norm(mat)) * np.linalg.norm(x)
+        # adjoint=True applies the Heisenberg picture, the matrix L†
+        for adjoint, dense in ((False, mat), (True, mat.conj().T)):
+            expected = unvec(dense @ vec(x))
+            diff = np.linalg.norm(generator_action(model, x, adjoint=adjoint) - expected)
+            assert diff <= 1e-12 * max(1.0, np.linalg.norm(mat)) * np.linalg.norm(x)
     with pytest.raises(TypeError):
         generator_action(np.eye(2), np.eye(2))
 
