@@ -4,16 +4,16 @@ enclosures.
 
 The pipeline: the maximal-support invariant state gives the recurrent
 projector; the Heisenberg generator compressed to the recurrent subspace (the
-cut-off generator) has a fixed-point set that is a unital †-closed algebra;
-its minimal central projections split the recurrent subspace into blocks, and
-within each block the multiplicity of the algebra counts equivalent minimal
-enclosures, linked by partial isometries recovered from matrix units.
+cut-off generator) has a fixed-point set that is a unital †-closed algebra F;
+the eigenspaces of one generic Hermitian element of F are its minimal
+projections, the minimal enclosures, and the corners of one generic element
+group them into blocks of equivalent enclosures and give the partial
+isometries (matrix units) linking them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Sequence
 
 import numpy as np
@@ -223,28 +223,6 @@ def is_enclosure(
     )
 
 
-def _center_basis(fbasis: Sequence[np.ndarray], tol: Tolerances) -> list[np.ndarray]:
-    """Hermitian orthonormal basis of the center of the algebra spanned by fbasis."""
-    k = len(fbasis)
-    if k == 1:
-        return list(fbasis)
-    columns = []
-    for a in fbasis:
-        col = np.concatenate([(a @ b - b @ a).ravel() for b in fbasis])
-        columns.append(col)
-    a_mat = np.column_stack(columns)
-    a_real = np.vstack([a_mat.real, a_mat.imag])
-    # a_real is 2 k r² x k, so the thin SVD holds all k right singular vectors.
-    _, s, vh = np.linalg.svd(a_real, full_matrices=False)
-    cutoff = max(tol.rank_tol * float(s[0]), tol.residual_tol)
-    coeffs = [vh[i] for i in range(k) if s[i] <= cutoff]
-    center = []
-    for c in coeffs:
-        z = sum(ci * fi for ci, fi in zip(c, fbasis))
-        center.append(z)
-    return center
-
-
 def _closure_residual(
     fbasis: Sequence[np.ndarray], rng: np.random.Generator, max_pairs: int = 200
 ) -> float:
@@ -263,6 +241,40 @@ def _closure_residual(
     return worst
 
 
+def _link_clusters(
+    x: np.ndarray, parts: Sequence[slice], tol: Tolerances
+) -> tuple[list[list[tuple[slice, np.ndarray]]], float]:
+    """Group eigenvalue clusters into the blocks of the algebra.
+
+    ``x`` is a generic algebra element in the eigenbasis of a generic
+    Hermitian one, whose clusters ``parts`` are minimal projections. A
+    corner x[q, p] is zero between blocks and a nonzero multiple of the
+    matrix unit p -> q inside one, so each cluster joins the first group
+    whose head it links to, with the normalized corner as its link (the
+    head's link is the identity), or starts a new group. Returns the groups
+    and the largest partial-isometry defect of the links.
+    """
+    groups: list[list[tuple[slice, np.ndarray]]] = []
+    defect = 0.0
+    for part in parts:
+        for group in groups:
+            head = group[0][0]
+            corner = x[part, head]
+            scale = frob(corner) / np.sqrt(head.stop - head.start)
+            if scale > tol.eig_cluster_tol:
+                w = corner / scale
+                defect = max(
+                    defect,
+                    frob(dagger(w) @ w - np.eye(w.shape[1])),
+                    frob(w @ dagger(w) - np.eye(w.shape[0])),
+                )
+                group.append((part, w))
+                break
+        else:
+            groups.append([(part, np.eye(part.stop - part.start))])
+    return groups, defect
+
+
 def algebra_structure(
     cutoff: Callable[[np.ndarray], np.ndarray],
     p_r: np.ndarray,
@@ -274,13 +286,17 @@ def algebra_structure(
     """Block structure of the fixed-point algebra of the cut-off evolution.
 
     Restricted to the recurrent subspace, the fixed-point set is a unital
-    †-closed algebra, isomorphic to a direct sum of full matrix algebras with
-    multiplicity: each central block carries a multiplicity m and an inner
-    dimension d with m*d = block dimension. Blocks with m = 1 hold a unique
-    minimal enclosure; blocks with m >= 2 hold a degenerate family of m
-    equivalent enclosures of dimension d, linked by matrix units. Generic
-    elements are sampled with a seeded generator; ambiguous eigenvalue
-    clusters trigger up to ``max_retries`` fresh samples, then an error.
+    †-closed algebra F ≅ ⊕_b M_{m_b} ⊗ 1_{d_b}. Blocks with m = 1 hold a
+    unique minimal enclosure; blocks with m >= 2 hold a degenerate family of
+    m equivalent enclosures of dimension d, linked by matrix units.
+
+    One sample reads it all off two generic elements of F (Murota, Kanno,
+    Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): the eigenspaces
+    of a Hermitian one are the minimal projections, and the corners of a
+    complex one group them into blocks and give the links
+    (``_link_clusters``). A sample is accepted when every link is a partial
+    isometry and Σ m_b² = dim F; otherwise up to ``max_retries`` seeded
+    samples are drawn, then an error is raised.
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
@@ -307,54 +323,40 @@ def algebra_structure(
         "algebra_closure": _closure_residual(fbasis, rng),
     }
 
-    center = _center_basis(fbasis, tol)
-    n_blocks = len(center)
-    if n_blocks == 0:
-        raise DecompositionError("algebra", "center of the fixed-point algebra is empty")
-
+    stack, dim_f = np.array(fbasis), len(fbasis)
     for _ in range(max_retries):
-        g = rng.standard_normal(n_blocks)
-        w, eigvecs = np.linalg.eigh(sum(gi * zi for gi, zi in zip(g, center)))
-        clusters = cluster_sorted_values(w, tol.eig_cluster_tol)
-        if len(clusters) == n_blocks:
+        g = rng.standard_normal(dim_f)
+        c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
+        w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
+        x = dagger(u) @ np.tensordot(c, stack, axes=1) @ u
+        groups, defect = _link_clusters(x, cluster_sorted_values(w, tol.eig_cluster_tol), tol)
+        squares = sum(len(group) ** 2 for group in groups)
+        if defect <= 100 * tol.residual_tol and squares == dim_f:
             break
     else:
         raise DecompositionError(
             "algebra",
-            f"central eigenvalue clustering stayed ambiguous after {max_retries} samples",
+            f"eigenvalue clustering stayed ambiguous after {max_retries} samples: "
+            f"the last gave Σ m_b² = {squares} against dim F = {dim_f} "
+            f"(link defect {defect:.3e})",
         )
 
     blocks = []
-    for part in clusters:
-        u_block = eigvecs[:, part]
-        b = u_block.shape[1]
-        restricted = [dagger(u_block) @ f @ u_block for f in fbasis]
-        block_basis = orthonormal_hermitian_span(restricted, tol)
-        m = isqrt(len(block_basis))
-        if m * m != len(block_basis):
-            raise DecompositionError(
-                "algebra",
-                f"block algebra dimension {len(block_basis)} is not a perfect square",
-            )
-        d, rem = divmod(b, m)
-        if rem:
-            raise DecompositionError(
-                "algebra", f"multiplicity {m} does not divide block dimension {b}"
-            )
-        lift = iso_r @ u_block  # n x b isometry onto the central block
-        if m == 1:
-            members = links = [np.eye(b)]
-        else:
-            members = _split_block_members(block_basis, m, d, rng, tol, max_retries)
-            links = _matrix_unit_links(block_basis, members, d, rng, tol, max_retries)
+    for group in groups:
+        # n x d isometries onto the members; the first is the group's head
+        lifts = [iso_r @ u[:, part] for part, _ in group]
+        members = [lift @ dagger(lift) for lift in lifts]
+        m, d = len(group), lifts[0].shape[1]
         blocks.append(
             CentralBlock(
-                projector=_embed(lift, np.eye(b)),
-                dimension=b,
+                projector=sum(members),
+                dimension=m * d,
                 multiplicity=m,
                 inner_dimension=d,
-                member_projectors=tuple(_embed(lift, p) for p in members),
-                links=tuple(_embed(lift, w) for w in links),
+                member_projectors=tuple(members),
+                links=tuple(
+                    lift @ link @ dagger(lifts[0]) for lift, (_, link) in zip(lifts, group)
+                ),
             )
         )
 
@@ -366,77 +368,11 @@ def algebra_structure(
 
     return AlgebraStructure(
         recurrent_dimension=r,
-        fixed_point_dimension=len(fbasis),
-        center_dimension=n_blocks,
+        fixed_point_dimension=dim_f,
+        center_dimension=len(blocks),
         blocks=tuple(blocks),
         fixed_point_basis=tuple(_embed(iso_r, f) for f in fbasis),
         residuals=residuals,
-    )
-
-
-def _split_block_members(
-    block_basis: Sequence[np.ndarray],
-    m: int,
-    d: int,
-    rng: np.random.Generator,
-    tol: Tolerances,
-    max_retries: int,
-) -> list[np.ndarray]:
-    """Diagonal matrix units of a factor: eigenprojections of a generic
-    Hermitian element, which has m distinct eigenvalues of multiplicity d."""
-    for _ in range(max_retries):
-        h = rng.standard_normal(len(block_basis))
-        generic = sum(hi * bi for hi, bi in zip(h, block_basis))
-        w, u = np.linalg.eigh(generic)
-        parts = cluster_sorted_values(w, tol.eig_cluster_tol)
-        if len(parts) == m and all(p.stop - p.start == d for p in parts):
-            return [u[:, p] @ dagger(u[:, p]) for p in parts]
-    raise DecompositionError(
-        "algebra",
-        f"could not isolate {m} eigenvalue clusters of size {d} after {max_retries} samples",
-    )
-
-
-def _matrix_unit_links(
-    block_basis: Sequence[np.ndarray],
-    members: Sequence[np.ndarray],
-    d: int,
-    rng: np.random.Generator,
-    tol: Tolerances,
-    max_retries: int,
-) -> list[np.ndarray]:
-    """Partial isometries w_g: member 0 -> member g inside the algebra.
-
-    The corner p_g Y p_0 of a generic algebra element is a scalar multiple of
-    the matrix unit, so scalar normalization recovers it without leaving the
-    algebra.
-    """
-    p0 = members[0]
-    for _ in range(max_retries):
-        coeff = rng.standard_normal(len(block_basis)) + 1j * rng.standard_normal(
-            len(block_basis)
-        )
-        generic = sum(ci * bi for ci, bi in zip(coeff, block_basis))
-        links = [p0]
-        ok = True
-        for pg in members[1:]:
-            corner = pg @ generic @ p0
-            scale = np.sqrt(np.trace(dagger(corner) @ corner).real / d)
-            if scale <= tol.eig_cluster_tol:
-                ok = False
-                break
-            w = corner / scale
-            if (
-                frob(dagger(w) @ w - p0) > 100 * tol.residual_tol
-                or frob(w @ dagger(w) - pg) > 100 * tol.residual_tol
-            ):
-                ok = False
-                break
-            links.append(w)
-        if ok:
-            return links
-    raise DecompositionError(
-        "algebra", f"could not normalize matrix units after {max_retries} samples"
     )
 
 

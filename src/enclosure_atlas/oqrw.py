@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decomposition import VerificationClause, decompose, enumerate_minimal_enclosures
-from .linalg import DEFAULT_TOL, Tolerances, dagger, frob, hermiticity_defect
+from .linalg import DEFAULT_TOL, Tolerances, dagger, frob, hermiticity_defect, kernel_basis
 from .semigroup import KrausChannel, LindbladModel
 
 OQRW_CONVENTION_NOTE = (
@@ -185,74 +185,19 @@ def spec_from_rate_matrix(rate: RateMatrix) -> OqrwSpec:
 def closed_classes(rate: RateMatrix) -> list[list[int]]:
     """Closed communication classes of the chain.
 
-    Strongly connected components of the directed graph of positive rates,
-    restricted to components with no outgoing condensation edge. Each class
-    is sorted ascending; the list is sorted by smallest member.
+    Reachability along positive rates is the boolean closure of the
+    adjacency matrix, by ⌈log₂ n⌉ squarings. State i lies in a closed class
+    iff every state it reaches reaches it back; its class is then everything
+    it reaches. Each class is sorted ascending; the list is sorted by
+    smallest member.
     """
     n = rate.n
-    adjacency = [
-        [j for j in range(n) if j != i and rate.q[i, j] > 0] for i in range(n)
-    ]
-    components = _tarjan_scc(adjacency)
-    comp_of = {}
-    for idx, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = idx
-    closed = []
-    for idx, comp in enumerate(components):
-        if all(comp_of[j] == idx for v in comp for j in adjacency[v]):
-            closed.append(sorted(comp))
-    closed.sort(key=lambda c: c[0])
-    return closed
-
-
-def _tarjan_scc(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected components."""
-    n = len(adjacency)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(adjacency[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, edges = work[-1]
-            advanced = False
-            for w in edges:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adjacency[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
+    reach = (rate.q > 0) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    closed = ~np.any(reach & ~reach.T, axis=1)
+    classes = {tuple(np.flatnonzero(reach[i]).tolist()) for i in np.flatnonzero(closed)}
+    return [list(c) for c in sorted(classes)]
 
 
 def invariant_measures(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
@@ -266,19 +211,17 @@ def invariant_measures(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> list[
     for cls in closed_classes(rate):
         sub = rate.q[np.ix_(cls, cls)]
         # pi sub = 0  <=>  sub^T pi^T = 0
-        _, s, vh = np.linalg.svd(sub.T)
-        cutoff = tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-        null = [vh[i] for i in range(len(cls)) if i >= s.size or s[i] <= cutoff]
+        null = kernel_basis(sub.T, tol)
         if len(null) != 1:
             raise ValueError(
                 f"class {cls} yields a {len(null)}-dimensional balance kernel; "
                 "class identification failed"
             )
-        pi_local = null[0].real
-        total = pi_local.sum()
+        total = null[0].sum()
         if abs(total) < tol.rank_tol:
             raise ValueError(f"balance solution on class {cls} has zero mass")
-        pi_local = pi_local / total
+        # dividing by the sum also removes the kernel vector's complex phase
+        pi_local = (null[0] / total).real
         if pi_local.min() < -tol.residual_tol:
             raise ValueError(f"balance solution on class {cls} is not nonnegative")
         pi = np.zeros(rate.n)

@@ -8,6 +8,7 @@ on column-stacked n × n operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -18,10 +19,9 @@ from .linalg import (
     as_matrix,
     dagger,
     frob,
-    hermitian_basis,
     hermiticity_defect,
-    kernel_basis,
     matrix_exponential,
+    null_spaces,
     psd_project,
     require_square,
 )
@@ -59,6 +59,14 @@ class LindbladModel:
             raise ValueError("hamiltonian is not Hermitian within tolerance")
         return cls(dim=n, hamiltonian=h, jumps=ops)
 
+    @cached_property
+    def _drift(self) -> np.ndarray:
+        return _drift_and_gram(self)[0]
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _stacked(self.jumps, self.dim)
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -81,6 +89,10 @@ class KrausChannel:
             raise ValueError(f"Kraus operators are not trace preserving: defect {defect:.3e}")
         return cls(dim=n, kraus=ops)
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _stacked(self.kraus, self.dim)
+
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -97,6 +109,11 @@ class Superoperator:
             )
 
 
+def _stacked(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The operators as one k × n × n complex array."""
+    return np.array(ops, dtype=complex).reshape(len(ops), n, n)
+
+
 def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, so that the generator
     is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
@@ -105,14 +122,16 @@ def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     return -1j * model.hamiltonian - 0.5 * gram, gram
 
 
-def _sandwich_sum(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """sum_a conj(A_a) ⊗ A_a, the matrix of Y -> sum_a A_a Y A_a†, as one GEMM.
+def _sandwich_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_a conj(A_a) ⊗ A_a, the matrix of Y -> sum_a A_a Y A_a†, as one GEMM
+    over the k × n × n stack of the A_a.
 
     With X the k × n² stack of the row-major A_a, (X†X)[(i, j), (k, l)] is
     sum_a conj(A_a[i, j]) A_a[k, l]: the Kronecker entry [(i, k), (j, l)].
     An entry is an exact zero wherever every term is.
     """
-    x = np.array(ops, dtype=complex).reshape(len(ops), n * n)
+    k, n, _ = stack.shape
+    x = stack.reshape(k, n * n)
     quad = (dagger(x) @ x).reshape(n, n, n, n)
     return quad.transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
@@ -120,9 +139,8 @@ def _sandwich_sum(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
 def build_generator(model: LindbladModel) -> Superoperator:
     """Schrödinger-picture generator rho -> -i[H,rho] + sum_j D[L_j](rho),
     assembled as 1 ⊗ K + conj(K) ⊗ 1 + sum_j conj(L_j) ⊗ L_j."""
-    n = model.dim
-    drift, _ = _drift_and_gram(model)
-    mat = _sandwich_sum(model.jumps, n)
+    n, drift = model.dim, model._drift
+    mat = _sandwich_sum(model._stack)
     # Entry [(i, k), (j, l)] of the (n, n, n, n) view: 1 ⊗ K fills i = j,
     # conj(K) ⊗ 1 fills k = l.
     quad, diag = mat.reshape(n, n, n, n), np.arange(n)
@@ -143,7 +161,7 @@ def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) 
     defect = frob(sum(dagger(v) @ v for v in channel.kraus) - np.eye(n))
     if defect > 100 * tol.residual_tol:
         raise ValueError(f"Kraus normalization violated: defect {defect:.3e}")
-    return Superoperator(dim=n, matrix=_sandwich_sum(channel.kraus, n))
+    return Superoperator(dim=n, matrix=_sandwich_sum(channel._stack))
 
 
 def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -151,18 +169,21 @@ def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     O(k n³) and without a superoperator: K x + x K† + sum_j L_j x L_j† (that
     is L(x)) for a Lindblad model, sum_j V_j x V_j† − x for a channel. With
     ``adjoint`` the Heisenberg picture L*(x): K† x + x K + sum_j L_j† x L_j,
-    or sum_j V_j† x V_j − x."""
-    side = dagger if adjoint else np.asarray
+    or sum_j V_j† x V_j − x.
+
+    K and the k × n × n stack of operators are computed once per model; the
+    sum over operators is two GEMMs: the stacked A_j x, then its contraction
+    with the stacked A_j†."""
     if isinstance(obj, LindbladModel):
-        drift = side(_drift_and_gram(obj)[0])
-        out, ops = drift @ x + x @ dagger(drift), obj.jumps
+        drift = dagger(obj._drift) if adjoint else obj._drift
+        out = drift @ x + x @ dagger(drift)
     elif isinstance(obj, KrausChannel):
-        out, ops = -np.asarray(x, dtype=complex), obj.kraus
+        out = -np.asarray(x, dtype=complex)
     else:
         raise TypeError(f"cannot apply object of type {type(obj).__name__}")
-    for a in map(side, ops):
-        out += a @ x @ dagger(a)
-    return out
+    ops = obj._stack.conj().transpose(0, 2, 1) if adjoint else obj._stack
+    left = (ops.reshape(-1, obj.dim) @ x).reshape(ops.shape)
+    return out + np.tensordot(left, ops.conj(), axes=([0, 2], [0, 2]))
 
 
 def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
@@ -238,8 +259,10 @@ def fixed_point_basis(
     """Hermitian orthonormal basis of the fixed-point space.
 
     mode "generator": solutions of L(A) = 0; mode "channel": solutions of
-    Phi(A) = A. A trace-preserving map always has a fixed point in finite
-    dimension, so an empty result signals numerical failure and raises.
+    Phi(A) = A. The map must preserve Hermiticity; its kernel comes from
+    ``null_spaces``, whose basis is already orthonormal and Hermitian. A
+    trace-preserving map always has a fixed point in finite dimension, so an
+    empty result signals numerical failure and raises.
     """
     if mode == "generator":
         target = s.matrix
@@ -247,9 +270,9 @@ def fixed_point_basis(
         target = s.matrix - np.eye(s.dim**2)
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'generator' or 'channel'")
-    kernel = kernel_basis(target, tol)
-    if not kernel:
+    kernel = null_spaces(target, tol)[0]
+    if kernel.shape[1] == 0:
         raise RuntimeError(
             "empty fixed-point space for a trace-preserving map: numerical failure"
         )
-    return hermitian_basis([unvec(v) for v in kernel], tol)
+    return [unvec(v) for v in kernel.T]

@@ -4,9 +4,13 @@ import scipy.linalg
 
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
+    cluster_sorted_values,
     kernel_basis,
     null_spaces,
+    orthonormal_hermitian_span,
     psd_project,
+    random_hermitian,
+    random_unitary,
     support_projector,
 )
 from enclosure_atlas.semigroup import (
@@ -383,6 +387,131 @@ def test_kernel_algebra_and_states_match_compressed_svd_oracle():
 
         for _, rec, _ in enumerate_minimal_enclosures(report):
             assert np.linalg.norm(rec.extremal_state - state_oracle(rec.projector)) < 1e-10
+
+
+def _family_model(rng, m, d, num_jumps=2):
+    """m copies of one dense d-dimensional block, each conjugated by its own
+    random unitary: a degenerate family of m equivalent enclosures."""
+    h0 = random_hermitian(rng, d)
+    ops = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(num_jumps)]
+    units = [np.eye(d)] + [random_unitary(rng, d) for _ in range(m - 1)]
+    h = scipy.linalg.block_diag(*[w @ h0 @ w.conj().T for w in units])
+    jumps = [scipy.linalg.block_diag(*[w @ op @ w.conj().T for w in units]) for op in ops]
+    return LindbladModel.create(h, jumps)
+
+
+def _family_unique_drain_model(rng):
+    """A family (m = 2, d = 2) ⊕ a unique 3-dimensional block ⊕ one transient
+    level drained into the unique block."""
+    family = _family_model(rng, 2, 2)
+    block = block_diag_model(rng, (3,), 2)
+    h = scipy.linalg.block_diag(family.hamiltonian, block.hamiltonian, np.zeros((1, 1)))
+    jumps = [
+        scipy.linalg.block_diag(a, b, np.zeros((1, 1)))
+        for a, b in zip(family.jumps, block.jumps)
+    ]
+    drain = np.zeros((8, 8), dtype=complex)
+    drain[4, 7] = 1.0
+    return LindbladModel.create(h, [*jumps, drain])
+
+
+def _central_path_oracle(structure, p_r, seed=0, tol=DEFAULT_TOL, retries=5):
+    """The block step through the center: a Hermitian basis of the center
+    from an SVD of the commutator matrix, the eigenvalue clusters of a
+    generic central element, then per block the perfect-square rule on the
+    restricted algebra's dimension and the eigenvalue clusters of a generic
+    block element. Returns (m, d, block projector, member projectors) per
+    block."""
+    iso = _range_of(p_r)
+    fbasis = [iso.conj().T @ f @ iso for f in structure.fixed_point_basis]
+    commutators = np.column_stack(
+        [np.concatenate([(a @ b - b @ a).ravel() for b in fbasis]) for a in fbasis]
+    )
+    _, s, vh = np.linalg.svd(np.vstack([commutators.real, commutators.imag]), full_matrices=False)
+    cut = max(tol.rank_tol * s[0], tol.residual_tol)
+    center = [sum(c * f for c, f in zip(row, fbasis)) for row, sv in zip(vh, s) if sv <= cut]
+    rng = np.random.default_rng(seed)
+
+    def clusters(elements, accept):
+        for _ in range(retries):
+            w, u = np.linalg.eigh(sum(rng.standard_normal() * e for e in elements))
+            parts = cluster_sorted_values(w, tol.eig_cluster_tol)
+            if accept(parts):
+                return u, parts
+        raise AssertionError("oracle clustering stayed ambiguous")
+
+    u, parts = clusters(center, lambda parts: len(parts) == len(center))
+    out = []
+    for part in parts:
+        block = u[:, part]
+        basis = orthonormal_hermitian_span([block.conj().T @ f @ block for f in fbasis], tol)
+        m = int(round(np.sqrt(len(basis))))
+        assert m * m == len(basis)
+        d, rem = divmod(block.shape[1], m)
+        assert rem == 0
+        inner, members = clusters(
+            basis, lambda parts: len(parts) == m and all(p.stop - p.start == d for p in parts)
+        )
+        lift = iso @ block
+        out.append(
+            (
+                m,
+                d,
+                lift @ lift.conj().T,
+                [lift @ inner[:, p] @ inner[:, p].conj().T @ lift.conj().T for p in members],
+            )
+        )
+    return out
+
+
+def test_algebra_blocks_match_central_path_oracle():
+    rng = np.random.default_rng(71)
+    models = [*_agreement_models(), _family_model(rng, 3, 3), _family_unique_drain_model(rng)]
+    model_shapes = []
+    for model in models:
+        split = recurrent_projector(_generator(model, DEFAULT_TOL))
+        cut = cutoff_generator(model, split.recurrent)
+        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+        oracle = _central_path_oracle(structure, split.recurrent)
+        shapes = sorted((b.multiplicity, b.inner_dimension) for b in structure.blocks)
+        assert shapes == sorted((m, d) for m, d, _, _ in oracle)
+        model_shapes.append(shapes)
+        assert structure.center_dimension == len(oracle)
+        for m, d, projector, members in oracle:
+            (block,) = [
+                b for b in structure.blocks if np.linalg.norm(b.projector - projector) < 1e-12
+            ]
+            assert (block.multiplicity, block.inner_dimension) == (m, d)
+            assert np.linalg.norm(sum(members) - projector) < 1e-12
+            # the members may be another choice of minimal projections of the
+            # block: rank-d projectors that sum to it, hence mutually orthogonal
+            assert np.linalg.norm(sum(block.member_projectors) - projector) < 1e-12
+            for p in block.member_projectors:
+                assert abs(np.trace(p).real - d) < 1e-12
+                assert np.linalg.norm(p @ p - p) < 1e-12
+    # the last two models: a three-member family; a family, a unique block and a drain
+    assert model_shapes[-2:] == [[(3, 3)], [(1, 3), (2, 2)]]
+
+
+def test_algebra_structure_factors_nothing_larger_than_its_inputs(monkeypatch):
+    # The center of F needed an SVD of a 2 k r² x k commutator matrix; two
+    # generic elements of F need factorizations of at most max(n², k) rows.
+    n = 6
+    model = LindbladModel.create(np.zeros((n, n)), [])
+    split = recurrent_projector(_generator(model, DEFAULT_TOL))
+    cut = cutoff_generator(model, split.recurrent)
+    k = split.adjoint_kernel.shape[1]
+    rows = []
+    for name in ("svd", "eigh"):
+        def spy(a, *args, _factor=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return _factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+    (block,) = structure.blocks
+    assert (block.multiplicity, block.inner_dimension) == (n, 1)
+    assert rows and max(rows) <= max(n * n, k)
 
 
 def _dense_cutoff(model, p_r):
@@ -762,6 +891,15 @@ def test_decompose_ambiguous_clustering_is_an_error():
     with pytest.raises(DecompositionError, match="ambiguous") as excinfo:
         decompose(two_enclosures_2d(), seed=0, tol=coarse)
     assert excinfo.value.stage == "algebra"
+
+
+def test_decompose_ambiguous_clustering_reports_the_dimension_count():
+    from enclosure_atlas.linalg import Tolerances
+
+    # one cluster spans both blocks: one group of one member against dim F = 2
+    coarse = Tolerances(eig_cluster_tol=1e6)
+    with pytest.raises(DecompositionError, match="Σ m_b² = 1 against dim F = 2"):
+        decompose(two_enclosures_2d(), seed=0, tol=coarse)
 
 
 def test_cutoff_generator_dimension_mismatch():

@@ -183,7 +183,9 @@ def test_closed_classes_against_reachability_oracle():
     rng = np.random.default_rng(55)
     for trial in range(25):
         rate = random_rate_matrix(rng, int(rng.integers(2, 7)), density=rng.uniform(0.15, 0.9))
-        assert closed_classes(rate) == _reachability_closed_classes(rate.q), trial
+        classes = closed_classes(rate)
+        assert classes == _reachability_closed_classes(rate.q), trial
+        assert all(type(state) is int for cls in classes for state in cls)
 
 
 def test_invariant_measures_examples():

@@ -355,6 +355,46 @@ def test_generator_action_matches_dense_superoperator():
         generator_action(np.eye(2), np.eye(2))
 
 
+def test_generator_action_builds_the_drift_once_per_model(monkeypatch):
+    # K = -iH - ½ Σ L_j†L_j (k Gram products) is built on the first call only
+    import enclosure_atlas.semigroup as semigroup_module
+
+    calls = []
+    drift_and_gram = semigroup_module._drift_and_gram
+
+    def spy(model):
+        calls.append(model.dim)
+        return drift_and_gram(model)
+
+    monkeypatch.setattr(semigroup_module, "_drift_and_gram", spy)
+    rng = np.random.default_rng(29)
+    model = LindbladModel.create(random_density(rng, 4), [random_density(rng, 4)] * 3)
+    x = random_density(rng, 4)
+    first = generator_action(model, x)
+    for adjoint in (False, True, False, True):
+        generator_action(model, x, adjoint=adjoint)
+    assert calls == [4]
+    assert np.array_equal(generator_action(model, x), first)
+
+
+def test_fixed_point_basis_takes_one_real_factorization(monkeypatch):
+    # the kernel comes from the Hermitian-coordinate factorization of L: real
+    # sector SVDs only, with no complex n² x n² SVD
+    svd = np.linalg.svd
+    complex_calls = []
+
+    def spy(a, *args, **kwargs):
+        complex_calls.append(np.iscomplexobj(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    model = leaky_model(np.random.default_rng(31), 4, 2)
+    (rho,) = fixed_point_basis(build_generator(model), "generator")
+    assert complex_calls and not any(complex_calls)
+    assert np.linalg.norm(rho - rho.conj().T) == 0.0
+    assert abs(np.linalg.norm(rho) - 1.0) < 1e-12
+
+
 def test_choi_min_eigenvalue_matches_choi_spectrum():
     rng = np.random.default_rng(19)
     # five Kraus operators on C²: k = 5 >= n² = 4, so the Gram path decides
