@@ -88,7 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "continuous", "discrete", "qnd"),
         default="auto",
     )
-    p.add_argument("--max-len", type=int, default=6, help="longest outcome word searched")
+    p.add_argument(
+        "--max-len",
+        type=int,
+        default=None,
+        help="optional cap on word length; default: search until the reachable span closes",
+    )
     _add_common_flags(p)
     p.set_defaults(func=cmd_identifiability)
 

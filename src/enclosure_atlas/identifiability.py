@@ -6,6 +6,14 @@ pointer basis) with the pairwise non-degeneracy condition, continuous-time
 identifiability through jump-operator expectations, and discrete-time optimal
 identifiability through outcome-word probabilities. Separations at or below
 residual_tol count as equality; reports always carry the raw magnitudes.
+
+The discrete check closes the span of the tuples (V_w rho_a V_w†)_a that
+outcome words w reach, as in the equivalence test for probabilistic automata
+(Tzeng, SIAM J. Comput. 21, 1992; for quantum automata Li & Qiu, Theor.
+Comput. Sci. 403, 2008). Words are tested in shortlex order and a word is
+pruned only against earlier kept words, so the witness is the shortest,
+lexicographically first separating word, and the search ends after at most
+2·Σ_a d_a² kept words with a verdict on words of every length.
 """
 
 from __future__ import annotations
@@ -327,61 +335,88 @@ def continuous_identifiability(
 def discrete_identifiability(
     channel: KrausChannel,
     report: DecompositionReport,
-    max_len: int = 6,
+    max_len: int | None = None,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IdentifiabilityReport:
-    """Breadth-first search for outcome words separating extremal states.
+    """Shortest outcome words separating extremal states, found by closing
+    the reachable span.
 
-    Words are explored in shortest-then-lexicographic order, so the recorded
-    witness is the canonical shortest one. The magnitude of an unseparated
-    pair is the largest trace gap seen across all explored words.
+    A word w = (s_1, ..., s_L) stands for the tuple (V_w rho_a V_w†)_a over
+    the extremal states, with V_w = V_{s_L} ... V_{s_1}. It separates a and b
+    when the traces of their entries differ by more than residual_tol. The
+    search expands one level of words at a time and tests every child for a
+    gap. It expands a child further only when the child's tuple is linearly
+    independent (relative to rank_tol) of the tuples of the words kept
+    before it. Children are tested in shortlex order and pruned only against
+    earlier kept words, and shortlex order survives appending a symbol, so
+    every tuple of length L lies in the span of kept words of length <= L
+    that precede it. A trace gap is linear in the tuple, so in exact
+    arithmetic the recorded witness is the shortest, lexicographically first
+    separating word. The search stops when a level keeps no word, when every
+    pair is separated, or after ``max_len`` levels if a cap is given. The
+    tuples have 2·Σ_a d_a² real coordinates, so at most that many words are
+    kept, and an unseparated pair without a cap is separated by no word of
+    any length.
+
+    The magnitude of a pair is the largest trace gap over the tested words.
+    Raises ValueError when a Kraus operator maps an enclosure of the report
+    out of itself, as with a report taken from another model.
     """
-    if max_len < 1:
+    if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
-    k = len(channel.kraus)
-    if k**max_len > 10**7:
-        raise ValueError(
-            f"word search would visit {k}^{max_len} > 1e7 words; lower max_len"
-        )
     enclosures = enumerate_minimal_enclosures(report)
     labels = tuple(label for label, _, _ in enclosures)
-    states = [rec.extremal_state for _, rec, _ in enclosures]
-    npairs = [(a, b) for a in range(len(states)) for b in range(a + 1, len(states))]
+    kraus = channel._stack
+    blocks, level = [], []
+    for label, rec, _ in enclosures:
+        p = rec.projector
+        leak = np.linalg.norm(kraus @ p - p @ kraus @ p, axis=(1, 2)).max()
+        if leak > tol.residual_tol:
+            raise ValueError(
+                f"a Kraus operator maps enclosure {label} out of itself "
+                f"(leak {leak:.3e}); is the report from another model?"
+            )
+        # Each enclosure evolves on its own range, so compress to it.
+        u = np.linalg.eigh(p)[1][:, -rec.dimension:]
+        w = dagger(u) @ kraus @ u
+        blocks.append((w, w.conj().transpose(0, 2, 1)))
+        level.append((dagger(u) @ rec.extremal_state @ u)[None])
+    npairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    first, second = np.array(npairs, dtype=int).reshape(-1, 2).T
     witness: dict = {}
-    magnitude = {pair: 0.0 for pair in npairs}
+    magnitude = np.zeros(len(npairs))
 
-    frontier = [((), list(states))]
-    for depth in range(1, max_len + 1):
-        if all(pair in witness for pair in npairs):
-            break
-        next_frontier = []
-        for word, mats in frontier:
-            for s, v in enumerate(channel.kraus):
-                new_word = word + (s,)
-                evolved = [v @ m @ dagger(v) for m in mats]
-                traces = [float(np.trace(m).real) for m in evolved]
-                for pair in npairs:
-                    gap = abs(traces[pair[0]] - traces[pair[1]])
-                    if gap > magnitude[pair]:
-                        magnitude[pair] = gap
-                    if pair not in witness and gap > tol.residual_tol:
-                        witness[pair] = new_word
-                if depth < max_len:  # the last level's states are never expanded
-                    next_frontier.append((new_word, evolved))
-        frontier = next_frontier
+    words = [()]
+    root = _coordinates(level)
+    span = root / np.linalg.norm(root)
+    depth = 0
+    while words and len(witness) < len(npairs) and (max_len is None or depth < max_len):
+        depth += 1
+        # Children parent by parent, symbol by symbol: shortlex order.
+        level = [
+            (w[None] @ x[:, None] @ w_dag[None]).reshape(-1, *x.shape[1:])
+            for (w, w_dag), x in zip(blocks, level)
+        ]
+        words = [word + (s,) for word in words for s in range(len(kraus))]
+        traces = np.array([np.trace(x, axis1=1, axis2=2).real for x in level])
+        gaps = np.abs(traces[first] - traces[second])
+        magnitude = np.maximum(magnitude, gaps.max(axis=1))
+        for i, row in enumerate(gaps):
+            hits = np.flatnonzero(row > tol.residual_tol)
+            if i not in witness and hits.size:
+                witness[i] = words[hits[0]]
+        keep, span = _extend_span(_coordinates(level), span, tol)
+        words = [words[j] for j in keep]
+        level = [x[keep] for x in level]
 
     pairs = []
-    for pair in npairs:
-        word = witness.get(pair)
-        pairs.append(
-            PairVerdict(
-                a=pair[0],
-                b=pair[1],
-                separated=word is not None,
-                witness="word" + str(list(word)) if word is not None else f"none up to {max_len}",
-                magnitude=magnitude[pair],
-            )
-        )
+    for i, (a, b) in enumerate(npairs):
+        word = witness.get(i)
+        if word is not None:
+            text = "word" + str(list(word))
+        else:
+            text = f"none up to {max_len}" if max_len is not None else "none of any length"
+        pairs.append(PairVerdict(a, b, word is not None, text, float(magnitude[i])))
     return IdentifiabilityReport(
         mode="discrete",
         labels=labels,
@@ -389,6 +424,32 @@ def discrete_identifiability(
         overall=all(p.separated for p in pairs),
         hypothesis_violated=report.transient_dimension > 0,
     )
+
+
+def _coordinates(level: list) -> np.ndarray:
+    """Real coordinates of a level of tuples, one row per word."""
+    return np.hstack([x.reshape(len(x), -1) for x in level]).view(np.float64)
+
+
+def _extend_span(rows: np.ndarray, span: np.ndarray, tol: Tolerances):
+    """Indices of the rows independent of ``span`` and of the rows before
+    them, and ``span`` with orthonormal rows added to cover them.
+
+    Each row is projected off the orthonormal rows of ``span`` twice; an
+    unpivoted QR of the residuals in row order then measures each row
+    against those before it. Residuals already at rank_tol are left out of
+    the QR, so they add no direction to it.
+    """
+    scale = tol.rank_tol * np.linalg.norm(rows, axis=1)
+    rest = rows - (rows @ span.T) @ span
+    rest -= (rest @ span.T) @ span
+    live = np.flatnonzero(np.linalg.norm(rest, axis=1) > scale)
+    # R has a diagonal entry for the first min(rows, coordinates) residuals
+    # only; with more residuals than coordinates the rest are dependent.
+    r_diag = np.abs(np.diagonal(np.linalg.qr(rest[live].T, mode="r")))
+    head = live[: r_diag.size]
+    keep = head[r_diag > scale[head]]
+    return keep, np.vstack([span, np.linalg.qr(rest[keep].T)[0].T])
 
 
 @dataclass(frozen=True)
@@ -407,7 +468,7 @@ def uniqueness_cross_check(
     obj,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    max_len: int = 6,
+    max_len: int | None = None,
     report: DecompositionReport | None = None,
 ) -> UniquenessCrossCheck:
     """Consistency between identifiability and uniqueness of the decomposition.

@@ -108,3 +108,24 @@ def conjugated_pair_channel(rng, d, num_kraus):
     zero = np.zeros((d, d))
     kraus = [q[k * d : (k + 1) * d] for k in range(num_kraus)]
     return KrausChannel.create([np.block([[v, zero], [zero, w @ v @ w.conj().T]]) for v in kraus])
+
+
+def renewal_pair_channel():
+    """n = 24 channel whose two unique enclosures agree on every outcome word
+    of length <= 7.
+
+    V_0 steps a chain X of 7 levels, a chain Y of 9 levels and a cycle Z of 8
+    levels forward; V_1 maps X_end -> (X_0 + Y_0)/√2, Y_end -> (X_0 - Y_0)/√2
+    and Z_end -> Z_0. The enclosures X ⊕ Y (dimension 16) and Z (dimension 8)
+    are renewal processes with gaps {7, 9} and {8}, first told apart by 0^8.
+    """
+    x, y, z = range(0, 7), range(7, 16), range(16, 24)
+    v0, v1 = np.zeros((24, 24)), np.zeros((24, 24))
+    for chain in (x, y, z):
+        for a, b in zip(chain, chain[1:]):
+            v0[b, a] = 1.0
+    r = np.sqrt(0.5)
+    v1[x[0], x[-1]] = v1[y[0], x[-1]] = v1[x[0], y[-1]] = r
+    v1[y[0], y[-1]] = -r
+    v1[z[0], z[-1]] = 1.0
+    return KrausChannel.create([v0, v1])

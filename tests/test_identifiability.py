@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enclosure_atlas.decomposition import decompose
+from enclosure_atlas.decomposition import decompose, enumerate_minimal_enclosures
 from enclosure_atlas.fixtures import (
     faithful_2d,
     rotation_channel,
@@ -19,9 +19,16 @@ from enclosure_atlas.identifiability import (
     qnd_uniqueness,
     uniqueness_cross_check,
 )
+from enclosure_atlas.linalg import DEFAULT_TOL
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel, build_generator, fixed_point_basis
 
-from helpers import conjugated_pair_model, unit
+from helpers import (
+    PAULI_X,
+    conjugated_pair_channel,
+    conjugated_pair_model,
+    renewal_pair_channel,
+    unit,
+)
 
 
 def random_qnd(rng, pointers, channels):
@@ -240,12 +247,15 @@ def test_discrete_identifiability_monotone_in_max_len():
     assert first.pairs[0].witness == later.pairs[0].witness
 
 
-def test_discrete_identifiability_single_enclosure_vacuous():
-    # amplitude damping: unique one-dimensional enclosure, transient level
-    p = 0.4
+def _amplitude_damping_channel(p):
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - p)]])
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]])
-    ch = KrausChannel.create([k0, k1])
+    return KrausChannel.create([k0, k1])
+
+
+def test_discrete_identifiability_single_enclosure_vacuous():
+    # amplitude damping: unique one-dimensional enclosure, transient level
+    ch = _amplitude_damping_channel(0.4)
     report = decompose(ch, seed=0)
     assert len(report.unique_enclosures) == 1
     assert report.transient_dimension == 1
@@ -255,10 +265,42 @@ def test_discrete_identifiability_single_enclosure_vacuous():
 
 
 def test_discrete_identifiability_word_guard():
+    # 2^25 words of length 25: closing the span needs no guard on that count
     ch = KrausChannel.create([unit(0, 0), unit(1, 1)])
     report = decompose(ch, seed=0)
-    with pytest.raises(ValueError, match="1e7"):
-        discrete_identifiability(ch, report, max_len=25)
+    capped = discrete_identifiability(ch, report, max_len=25)
+    uncapped = discrete_identifiability(ch, report)
+    assert capped.overall == uncapped.overall
+    assert [p.witness for p in capped.pairs] == [p.witness for p in uncapped.pairs]
+
+
+def test_discrete_identifiability_rejects_a_report_of_another_model():
+    # the bit flip mixes the two enclosures of the dephasing channel
+    report = decompose(KrausChannel.create([unit(0, 0), unit(1, 1)]), seed=0)
+    bit_flip = KrausChannel.create([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * PAULI_X])
+    with pytest.raises(ValueError, match="out of itself"):
+        discrete_identifiability(bit_flip, report)
+
+
+def test_discrete_identifiability_long_witness_needs_no_cap():
+    ch = renewal_pair_channel()
+    report = decompose(ch, seed=0)
+    assert sorted(rec.dimension for rec in report.unique_enclosures) == [8, 16]
+    (pair,) = discrete_identifiability(ch, report).pairs
+    assert pair.separated and pair.witness == "word[0, 0, 0, 0, 0, 0, 0, 0]"
+    assert pair.magnitude == pytest.approx(0.0625)
+    (capped,) = discrete_identifiability(ch, report, max_len=7).pairs
+    assert not capped.separated and capped.witness == "none up to 7"
+
+
+def test_discrete_identifiability_terminates_without_cap():
+    channel = conjugated_pair_channel(np.random.default_rng(14), 12, 2)
+    report = decompose(channel, seed=0)
+    ident = discrete_identifiability(channel, report)
+    assert not ident.overall
+    (pair,) = ident.pairs
+    assert pair.witness == "none of any length"
+    assert pair.magnitude <= 1e-12
 
 
 def test_uniqueness_cross_check_contradiction_is_hard_error():
@@ -335,3 +377,80 @@ def test_uniqueness_cross_check_discrete_family_commutation():
     assert record.commutation_checked and record.commutation_residuals
     assert max(record.commutation_residuals) < 1e-8
     assert not record.converse_counterexample
+
+
+def _breadth_first_oracle(channel, report, max_len, tol=DEFAULT_TOL):
+    """The exhaustive search over all k^max_len words that the span closure
+    replaced: separated flags and canonical shortest witnesses."""
+    states = [rec.extremal_state for _, rec, _ in enumerate_minimal_enclosures(report)]
+    npairs = [(a, b) for a in range(len(states)) for b in range(a + 1, len(states))]
+    witness = {}
+    frontier = [((), states)]
+    for _ in range(max_len):
+        if len(witness) == len(npairs):
+            break
+        next_frontier = []
+        for word, mats in frontier:
+            for s, v in enumerate(channel.kraus):
+                evolved = [v @ m @ v.conj().T for m in mats]
+                traces = [np.trace(m).real for m in evolved]
+                for a, b in npairs:
+                    if (a, b) not in witness and abs(traces[a] - traces[b]) > tol.residual_tol:
+                        witness[(a, b)] = "word" + str(list(word + (s,)))
+                next_frontier.append((word + (s,), evolved))
+        frontier = next_frontier
+    return [(pair in witness, witness.get(pair)) for pair in npairs]
+
+
+def _direct_sum_channel(rng, dims, num_kraus):
+    """Kraus channel on a direct sum of random blocks, one per entry of dims."""
+    n = sum(dims)
+    kraus = np.zeros((num_kraus, n, n), dtype=complex)
+    at = 0
+    for d in dims:
+        g = rng.standard_normal((num_kraus * d, d)) + 1j * rng.standard_normal((num_kraus * d, d))
+        q, _ = np.linalg.qr(g)
+        kraus[:, at : at + d, at : at + d] = q.reshape(num_kraus, d, d)
+        at += d
+    return KrausChannel.create(list(kraus))
+
+
+def _cycle_pair_channel():
+    """Two 3-cycles emitting 0, 1, 2 and 0, 2, 1: equal symbol frequencies,
+    first told apart by word[0, 1]; word[1, 0] is the earlier separating word
+    when words are ordered by their last symbol first."""
+    kraus = np.zeros((3, 6, 6))
+    for offset, pattern in ((0, (0, 1, 2)), (3, (0, 2, 1))):
+        for i, s in enumerate(pattern):
+            kraus[s, offset + (i + 1) % 3, offset + i] = 1.0
+    return KrausChannel.create(list(kraus))
+
+
+def test_discrete_identifiability_matches_breadth_first_oracle():
+    rng = np.random.default_rng(15)
+    cases = [
+        (rotation_channel(), 6),
+        (KrausChannel.create([unit(0, 0), unit(1, 1)]), 6),
+        (_amplitude_damping_channel(0.4), 6),
+        (_conjugated_pair_channel(rng, 2, 2), 6),
+        (_conjugated_pair_channel(rng, 3, 2), 6),
+        (conjugated_pair_channel(rng, 3, 2), 6),
+        (renewal_pair_channel(), 8),
+        # symbols swapped: the witness is no longer the first word of its length
+        (KrausChannel.create(renewal_pair_channel().kraus[::-1]), 8),
+        (_cycle_pair_channel(), 4),
+    ]
+    for _ in range(6):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 4))))
+        cases.append((_direct_sum_channel(rng, dims, int(rng.integers(2, 4))), 5))
+    for channel, max_len in cases:
+        report = decompose(channel, seed=0)
+        expected = _breadth_first_oracle(channel, report, max_len)
+        ident = discrete_identifiability(channel, report, max_len=max_len)
+        got = [(p.separated, p.witness if p.separated else None) for p in ident.pairs]
+        assert got == expected
+        assert ident.overall == all(sep for sep, _ in expected)
+        for pair in ident.pairs:
+            if not pair.separated:
+                assert pair.witness == f"none up to {max_len}"
+                assert pair.magnitude <= 1e-12

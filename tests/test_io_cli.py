@@ -23,7 +23,7 @@ from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel
 
-from helpers import block_diag_model, leaky_model
+from helpers import block_diag_model, leaky_model, renewal_pair_channel
 
 
 def write_fixture(tmp_path, name):
@@ -286,6 +286,20 @@ def test_cli_identifiability_rotation_fails(tmp_path, capsys):
     assert pair["witness"] == "none up to 6"
     assert pair["magnitude"] <= 1e-12
     assert doc["uniqueness_cross_check"]["converse_counterexample"] is True
+
+
+def test_cli_identifiability_long_witness_without_cap(tmp_path, capsys):
+    channel = renewal_pair_channel()
+    doc = {
+        "mode": "kraus",
+        "dim": channel.dim,
+        "kraus": [complex_matrix_to_json(v) for v in channel.kraus],
+    }
+    path = tmp_path / "renewal-pair.json"
+    path.write_text(serialize_report(doc))
+    assert main(["identifiability", str(path), "--format", "structured"]) == 0
+    (pair,) = parse_report(capsys.readouterr().out)["identifiability"]["pairs"]
+    assert pair["witness"] == "word[0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 def test_cli_identifiability_qnd_mode(tmp_path, capsys):
