@@ -358,7 +358,9 @@ def discrete_identifiability(
     kept, and an unseparated pair without a cap is separated by no word of
     any length.
 
-    The magnitude of a pair is the largest trace gap over the tested words.
+    The magnitude of a pair, separated or not, is the largest trace gap
+    over the tested words, which are the children of kept words and not
+    every word up to the last level.
     Raises ValueError when a Kraus operator maps an enclosure of the report
     out of itself, as with a report taken from another model.
     """
@@ -435,21 +437,26 @@ def _extend_span(rows: np.ndarray, span: np.ndarray, tol: Tolerances):
     """Indices of the rows independent of ``span`` and of the rows before
     them, and ``span`` with orthonormal rows added to cover them.
 
-    Each row is projected off the orthonormal rows of ``span`` twice; an
-    unpivoted QR of the residuals in row order then measures each row
-    against those before it. Residuals already at rank_tol are left out of
-    the QR, so they add no direction to it.
+    The rows are projected off the orthonormal rows of ``span`` twice, all
+    at once. Gram-Schmidt then takes the residuals in row order: each is
+    projected twice off the residuals kept before it in this call, and is
+    kept, normalized, when its norm exceeds rank_tol times the norm of its
+    row. A residual already below that after the projection off ``span``
+    only shrinks further, so it is not visited.
     """
     scale = tol.rank_tol * np.linalg.norm(rows, axis=1)
     rest = rows - (rows @ span.T) @ span
     rest -= (rest @ span.T) @ span
-    live = np.flatnonzero(np.linalg.norm(rest, axis=1) > scale)
-    # R has a diagonal entry for the first min(rows, coordinates) residuals
-    # only; with more residuals than coordinates the rest are dependent.
-    r_diag = np.abs(np.diagonal(np.linalg.qr(rest[live].T, mode="r")))
-    head = live[: r_diag.size]
-    keep = head[r_diag > scale[head]]
-    return keep, np.vstack([span, np.linalg.qr(rest[keep].T)[0].T])
+    keep = []
+    for j in np.flatnonzero(np.linalg.norm(rest, axis=1) > scale):
+        kept, row = rest[keep], rest[j]
+        for _ in range(2):
+            row = row - (kept @ row) @ kept
+        norm = np.linalg.norm(row)
+        if norm > scale[j]:
+            rest[j] = row / norm
+            keep.append(j)
+    return keep, np.vstack([span, rest[keep]])
 
 
 @dataclass(frozen=True)

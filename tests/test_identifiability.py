@@ -10,6 +10,7 @@ from enclosure_atlas.fixtures import (
 )
 from enclosure_atlas.identifiability import (
     QndModel,
+    _extend_span,
     continuous_identifiability,
     discrete_identifiability,
     nondegeneracy_check,
@@ -426,6 +427,30 @@ def _cycle_pair_channel():
     return KrausChannel.create(list(kraus))
 
 
+def _many_diagonal_kraus_channel():
+    """Eight diagonal Kraus operators on three 1-dimensional enclosures: the
+    first six outcome distributions p_s differ only along (1, -1, 0), the
+    last two carry the direction (1, 1, -2)."""
+    t = (0.02, -0.02, 0.04, -0.04, 0.06, -0.06)
+    probs = [0.1 + ts * np.array([1.0, -1.0, 0.0]) for ts in t]
+    probs += [0.2 + sign * 0.1 * np.array([1.0, 1.0, -2.0]) for sign in (1, -1)]
+    return KrausChannel.create([np.diag(np.sqrt(p)) for p in probs])
+
+
+def test_extend_span_tests_rows_after_dependent_ones():
+    # six dependent rows, as many as there are coordinates, come before two
+    # independent ones; every row is measured against all kept before it
+    coords = np.eye(6)
+    rows = np.vstack(
+        [(1 + j) * coords[1] + 0.5 * coords[0] for j in range(6)]
+        + [coords[2], coords[3] + coords[1]]
+    )
+    keep, span = _extend_span(rows, coords[:1], DEFAULT_TOL)
+    assert list(keep) == [0, 6, 7]
+    assert np.allclose(span @ span.T, np.eye(4))
+    assert np.allclose(span, coords[:4])
+
+
 def test_discrete_identifiability_matches_breadth_first_oracle():
     rng = np.random.default_rng(15)
     cases = [
@@ -439,7 +464,10 @@ def test_discrete_identifiability_matches_breadth_first_oracle():
         # symbols swapped: the witness is no longer the first word of its length
         (KrausChannel.create(renewal_pair_channel().kraus[::-1]), 8),
         (_cycle_pair_channel(), 4),
+        (_many_diagonal_kraus_channel(), 4),
     ]
+    for num_kraus in (6, 7, 8):
+        cases.append((_direct_sum_channel(rng, (1, 2), num_kraus), 4))
     for _ in range(6):
         dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 4))))
         cases.append((_direct_sum_channel(rng, dims, int(rng.integers(2, 4))), 5))
