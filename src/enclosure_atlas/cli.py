@@ -296,10 +296,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (ModelFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValidationError, ValueError) as exc:

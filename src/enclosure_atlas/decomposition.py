@@ -223,15 +223,14 @@ def is_enclosure(
     )
 
 
-def _closure_residual(
-    fbasis: Sequence[np.ndarray], rng: np.random.Generator, max_pairs: int = 200
-) -> float:
-    """Largest projection residual of pairwise products onto the span."""
+def _closure_residual(fbasis: Sequence[np.ndarray], rng: np.random.Generator) -> float:
+    """Largest projection residual of pairwise products onto the span, over
+    at most 200 seeded pairs."""
     k = len(fbasis)
     flat = np.array([f.ravel() for f in fbasis])
     pairs = [(i, j) for i in range(k) for j in range(k)]
-    if len(pairs) > max_pairs:
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+    if len(pairs) > 200:
+        idx = rng.choice(len(pairs), size=200, replace=False)
         pairs = [pairs[i] for i in idx]
     worst = 0.0
     for i, j in pairs:
@@ -281,7 +280,6 @@ def algebra_structure(
     adjoint_kernel: np.ndarray,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    max_retries: int = 5,
 ) -> AlgebraStructure:
     """Block structure of the fixed-point algebra of the cut-off evolution.
 
@@ -295,12 +293,14 @@ def algebra_structure(
     of a Hermitian one are the minimal projections, and the corners of a
     complex one group them into blocks and give the links
     (``_link_clusters``). A sample is accepted when every link is a partial
-    isometry and Σ m_b² = dim F; otherwise up to ``max_retries`` seeded
-    samples are drawn, then an error is raised.
+    isometry and Σ m_b² = dim F; otherwise up to five seeded samples are
+    drawn, then an error is raised.
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
-    injective on ker L†. They are confirmed fixed in coefficient space.
+    injective on ker L†. They are orthonormalized first, and the cut-off
+    images of that basis confirm it fixed in coefficient space and give the
+    invariance residual.
     """
     rng = np.random.default_rng(seed)
     iso_r = _range_isometry(p_r, tol)
@@ -308,23 +308,24 @@ def algebra_structure(
     k = adjoint_kernel.shape[1]
     if k == 0:
         raise DecompositionError("algebra", "fixed-point space of the cut-off evolution is empty")
-    candidates = [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T]
-    images = np.column_stack([vec(cutoff(_embed(iso_r, c))) for c in candidates])
-    fixed = len(kernel_basis(images, tol))
+    fbasis = orthonormal_hermitian_span(
+        [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T], tol
+    )
+    images = [cutoff(_embed(iso_r, f)) for f in fbasis]
+    fixed = len(kernel_basis(np.column_stack([vec(x) for x in images]), tol))
     if fixed != k:
         raise DecompositionError(
             "algebra", f"only {fixed} of {k} compressed ker L† elements are cut-off fixed points"
         )
-    fbasis = orthonormal_hermitian_span(candidates, tol)
 
     residuals = {
-        "algebra_invariance": max(frob(cutoff(_embed(iso_r, f))) for f in fbasis),
+        "algebra_invariance": max(frob(x) for x in images),
         "algebra_unit_invariance": frob(cutoff(p_r)),
         "algebra_closure": _closure_residual(fbasis, rng),
     }
 
     stack, dim_f = np.array(fbasis), len(fbasis)
-    for _ in range(max_retries):
+    for _ in range(5):
         g = rng.standard_normal(dim_f)
         c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
         w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
@@ -336,7 +337,7 @@ def algebra_structure(
     else:
         raise DecompositionError(
             "algebra",
-            f"eigenvalue clustering stayed ambiguous after {max_retries} samples: "
+            "eigenvalue clustering stayed ambiguous after 5 samples: "
             f"the last gave Σ m_b² = {squares} against dim F = {dim_f} "
             f"(link defect {defect:.3e})",
         )
@@ -628,10 +629,8 @@ class VerificationRecord:
     ok: bool
 
 
-def _random_invariant_states(
-    report: DecompositionReport, tol: Tolerances, count: int = 3
-) -> list[np.ndarray]:
-    """Exactly invariant states: the maximal-support state plus small
+def _random_invariant_states(report: DecompositionReport, tol: Tolerances) -> list[np.ndarray]:
+    """Exactly invariant states: the maximal-support state plus three small
     kernel-space perturbations kept within its positive part."""
     rng = np.random.default_rng(report.seed + 7919)
     rho_max = report.max_support_state
@@ -644,7 +643,7 @@ def _random_invariant_states(
     lam_min = float(positive[0]) if positive.size else 0.0
     if lam_min <= 0.0:
         return states
-    for _ in range(count):
+    for _ in range(3):
         coeff = rng.standard_normal(len(basis))
         x = sum(c * f for c, f in zip(coeff, basis))
         x = x - np.trace(x).real * rho_max  # keep the perturbation traceless

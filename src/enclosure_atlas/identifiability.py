@@ -4,8 +4,12 @@ enclosure decomposition.
 Covers three regimes: nondemolition models (all operators diagonal in one
 pointer basis) with the pairwise non-degeneracy condition, continuous-time
 identifiability through jump-operator expectations, and discrete-time optimal
-identifiability through outcome-word probabilities. Separations at or below
-residual_tol count as equality; reports always carry the raw magnitudes.
+identifiability through outcome-word probabilities. Every mode builds a
+real table with one row per probe (a channel signature, a jump expectation,
+an outcome-word probability) and one column per state, and one rule reads
+the verdicts off it (``_separation``): differences at or below residual_tol
+count as equality, a pair's witness is its first probe that separates it,
+and its magnitude is its largest difference over all probes.
 
 The discrete check closes the span of the tuples (V_w rho_a V_w†)_a that
 outcome words w reach, as in the equivalence test for probabilistic automata
@@ -107,7 +111,6 @@ def qnd_diagonalize(
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 0,
     split: int | None = None,
-    max_retries: int = 5,
 ) -> QndDiagnosis:
     """Find a common eigenbasis of the Hamiltonian and all jump operators.
 
@@ -115,6 +118,7 @@ def qnd_diagonalize(
     tolerance (for normal operators pairwise commutation propagates to the
     adjoints). The diffusive/jump split is not recoverable from the
     operators, so it is taken from ``split`` and defaults to all-diffusive.
+    Up to five seeded combinations of the operators are diagonalized.
     """
     ops = [model.hamiltonian] + list(model.jumps)
     worst = 0.0
@@ -129,7 +133,7 @@ def qnd_diagonalize(
 
     rng = np.random.default_rng(seed)
     n = model.dim
-    for _ in range(max_retries):
+    for _ in range(5):
         combo = rng.standard_normal() * hermitian_part(model.hamiltonian)
         for op in model.jumps:
             combo = combo + rng.standard_normal() * (op + dagger(op))
@@ -173,40 +177,35 @@ class IdentifiabilityReport:
     policy: str = TOLERANCE_POLICY_NOTE
 
 
+def _separation(mode, labels, values, probes, none, hypothesis_violated, tol):
+    """Pair verdicts from a real table with one row per probe, in witness
+    order, and one column per label.
+
+    A pair's witness is its first probe whose values differ by more than
+    residual_tol, ``none`` without one; its magnitude is its largest
+    difference over all probes, 0.0 when there are none.
+    """
+    first, second = np.triu_indices(len(labels), 1)
+    values = np.asarray(values, dtype=float).reshape(len(probes), len(labels))
+    gaps = np.abs(values[:, first] - values[:, second])
+    pairs = []
+    for a, b, gap in zip(first, second, gaps.T):
+        hits = np.flatnonzero(gap > tol.residual_tol)
+        witness = probes[hits[0]] if hits.size else none
+        magnitude = float(gap.max(initial=0.0))
+        pairs.append(PairVerdict(int(a), int(b), bool(hits.size), witness, magnitude))
+    overall = all(p.separated for p in pairs)
+    return IdentifiabilityReport(mode, labels, tuple(pairs), overall, hypothesis_violated)
+
+
 def nondegeneracy_check(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> IdentifiabilityReport:
     """Pairwise pointer distinguishability: some diffusive channel separates
     the r signatures, or some jump channel separates the theta signatures."""
-    r = qnd.r()
-    theta = qnd.theta()
+    diffusive = np.arange(qnd.num_channels) <= qnd.split
     labels = tuple(f"pointer{a}" for a in range(qnd.num_pointers))
-    pairs = []
-    for a in range(qnd.num_pointers):
-        for b in range(a + 1, qnd.num_pointers):
-            witness = None
-            magnitude = 0.0
-            for j in range(qnd.num_channels):
-                diffusive = j <= qnd.split
-                gap = abs(r[j, a] - r[j, b]) if diffusive else abs(theta[j, a] - theta[j, b])
-                if gap > magnitude:
-                    magnitude = gap
-                if witness is None and gap > tol.residual_tol:
-                    witness = f"{'diffusive r' if diffusive else 'jump theta'}[{j}]"
-            pairs.append(
-                PairVerdict(
-                    a=a,
-                    b=b,
-                    separated=witness is not None,
-                    witness=witness,
-                    magnitude=float(magnitude),
-                )
-            )
-    return IdentifiabilityReport(
-        mode="qnd-nondegeneracy",
-        labels=labels,
-        pairs=tuple(pairs),
-        overall=all(p.separated for p in pairs),
-        hypothesis_violated=False,
-    )
+    values = np.where(diffusive[:, None], qnd.r(), qnd.theta())
+    probes = [f"{'diffusive r' if d else 'jump theta'}[{j}]" for j, d in enumerate(diffusive)]
+    return _separation("qnd-nondegeneracy", labels, values, probes, None, False, tol)
 
 
 def omega(qnd: QndModel, a: int, b: int, tol: Tolerances = DEFAULT_TOL) -> complex:
@@ -308,28 +307,11 @@ def continuous_identifiability(
     """
     enclosures = enumerate_minimal_enclosures(report)
     labels = tuple(label for label, _, _ in enclosures)
-    observables = [op + dagger(op) for op in model.jumps]
-    pairs = []
-    for a in range(len(enclosures)):
-        for b in range(a + 1, len(enclosures)):
-            rho_a = enclosures[a][1].extremal_state
-            rho_b = enclosures[b][1].extremal_state
-            witness = None
-            magnitude = 0.0
-            for j, obs in enumerate(observables):
-                gap = abs(np.trace(obs @ (rho_a - rho_b)).real)
-                if gap > magnitude:
-                    magnitude = gap
-                if witness is None and gap > tol.residual_tol:
-                    witness = f"channel[{j}]"
-            pairs.append(PairVerdict(a, b, witness is not None, witness, float(magnitude)))
-    return IdentifiabilityReport(
-        mode="continuous",
-        labels=labels,
-        pairs=tuple(pairs),
-        overall=all(p.separated for p in pairs),
-        hypothesis_violated=report.transient_dimension > 0,
-    )
+    states = [rec.extremal_state for _, rec, _ in enclosures]
+    values = [[np.trace((op + dagger(op)) @ rho).real for rho in states] for op in model.jumps]
+    probes = [f"channel[{j}]" for j in range(len(model.jumps))]
+    violated = report.transient_dimension > 0
+    return _separation("continuous", labels, values, probes, None, violated, tol)
 
 
 def discrete_identifiability(
@@ -383,49 +365,33 @@ def discrete_identifiability(
         w = dagger(u) @ kraus @ u
         blocks.append((w, w.conj().transpose(0, 2, 1)))
         level.append((dagger(u) @ rec.extremal_state @ u)[None])
-    npairs = [(a, b) for a in range(len(labels)) for b in range(a + 1, len(labels))]
-    first, second = np.array(npairs, dtype=int).reshape(-1, 2).T
-    witness: dict = {}
-    magnitude = np.zeros(len(npairs))
+    first, second = np.triu_indices(len(labels), 1)
+    separated = np.zeros(len(first), dtype=bool)
+    # Probability rows of every tested word, in shortlex order.
+    tested, rows = [], [np.empty((0, len(labels)))]
 
     words = [()]
     root = _coordinates(level)
     span = root / np.linalg.norm(root)
-    depth = 0
-    while words and len(witness) < len(npairs) and (max_len is None or depth < max_len):
-        depth += 1
+    while words and not separated.all() and (max_len is None or len(words[0]) < max_len):
         # Children parent by parent, symbol by symbol: shortlex order.
         level = [
             (w[None] @ x[:, None] @ w_dag[None]).reshape(-1, *x.shape[1:])
             for (w, w_dag), x in zip(blocks, level)
         ]
         words = [word + (s,) for word in words for s in range(len(kraus))]
-        traces = np.array([np.trace(x, axis1=1, axis2=2).real for x in level])
-        gaps = np.abs(traces[first] - traces[second])
-        magnitude = np.maximum(magnitude, gaps.max(axis=1))
-        for i, row in enumerate(gaps):
-            hits = np.flatnonzero(row > tol.residual_tol)
-            if i not in witness and hits.size:
-                witness[i] = words[hits[0]]
+        traces = np.array([np.trace(x, axis1=1, axis2=2).real for x in level]).T
+        separated |= (np.abs(traces[:, first] - traces[:, second]) > tol.residual_tol).any(axis=0)
+        tested += words
+        rows.append(traces)
         keep, span = _extend_span(_coordinates(level), span, tol)
         words = [words[j] for j in keep]
         level = [x[keep] for x in level]
 
-    pairs = []
-    for i, (a, b) in enumerate(npairs):
-        word = witness.get(i)
-        if word is not None:
-            text = "word" + str(list(word))
-        else:
-            text = f"none up to {max_len}" if max_len is not None else "none of any length"
-        pairs.append(PairVerdict(a, b, word is not None, text, float(magnitude[i])))
-    return IdentifiabilityReport(
-        mode="discrete",
-        labels=labels,
-        pairs=tuple(pairs),
-        overall=all(p.separated for p in pairs),
-        hypothesis_violated=report.transient_dimension > 0,
-    )
+    probes = ["word" + str(list(word)) for word in tested]
+    none = f"none up to {max_len}" if max_len is not None else "none of any length"
+    violated = report.transient_dimension > 0
+    return _separation("discrete", labels, np.vstack(rows), probes, none, violated, tol)
 
 
 def _coordinates(level: list) -> np.ndarray:

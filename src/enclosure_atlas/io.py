@@ -17,6 +17,7 @@ import numpy as np
 
 from .decomposition import (
     DecompositionReport,
+    EnclosureRecord,
     VerificationClause,
     VerificationRecord,
 )
@@ -47,42 +48,41 @@ def _require(doc: dict, field: str, path: str = ""):
     return doc[field]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _complex_entry(value, field: str) -> complex:
-    ok = (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    )
-    if not ok:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
         raise ModelFileError(f"field {field}: expected a [re, im] pair, got {value!r}")
     return complex(value[0], value[1])
 
 
-def parse_complex_matrix(data, field: str) -> np.ndarray:
+def _real_entry(value, field: str) -> float:
+    if not _is_number(value):
+        raise ModelFileError(f"field {field}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _parse_rows(data, field: str, what: str, entry) -> list:
+    """Rows of a rectangular nested array, each entry read by ``entry``."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ModelFileError(f"field {field}: expected a nested array of [re, im] pairs")
+        raise ModelFileError(f"field {field}: expected a nested array of {what}")
     width = len(data[0])
     rows = []
     for i, row in enumerate(data):
         if len(row) != width:
             raise ModelFileError(f"field {field}: row {i} has length {len(row)}, expected {width}")
-        rows.append([_complex_entry(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows, dtype=complex)
+        rows.append([entry(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
+    return rows
+
+
+def parse_complex_matrix(data, field: str) -> np.ndarray:
+    return np.array(_parse_rows(data, field, "[re, im] pairs", _complex_entry), dtype=complex)
 
 
 def parse_real_matrix(data, field: str) -> np.ndarray:
-    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
-        raise ModelFileError(f"field {field}: expected a nested array of numbers")
-    width = len(data[0])
-    rows = []
-    for i, row in enumerate(data):
-        if len(row) != width:
-            raise ModelFileError(f"field {field}: row {i} has length {len(row)}, expected {width}")
-        for j, v in enumerate(row):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ModelFileError(f"field {field}[{i}][{j}]: expected a number, got {v!r}")
-        rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float)
+    return np.array(_parse_rows(data, field, "numbers", _real_entry), dtype=float)
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
@@ -174,7 +174,7 @@ def parse_model_document(doc) -> ParsedModel:
             if not isinstance(energies, list) or len(energies) != dim:
                 raise ModelFileError(f"qnd.energies must be an array of length {dim}")
             for i, e in enumerate(energies):
-                if not isinstance(e, (int, float)) or isinstance(e, bool):
+                if not _is_number(e):
                     raise ModelFileError(f"qnd.energies[{i}]: expected a number, got {e!r}")
             amps_doc = _require(qnd_doc, "amplitudes", "qnd.")
             if not isinstance(amps_doc, list):
@@ -213,6 +213,14 @@ def tolerances_to_dict(tol: Tolerances) -> dict:
     return {k: float(v) for k, v in dataclasses.asdict(tol).items()}
 
 
+def _record_to_dict(rec: EnclosureRecord) -> dict:
+    return {
+        "projector": complex_matrix_to_json(rec.projector),
+        "dimension": rec.dimension,
+        "extremal_state": complex_matrix_to_json(rec.extremal_state),
+    }
+
+
 def decomposition_report_to_dict(report: DecompositionReport) -> dict:
     return {
         "kind": report.kind,
@@ -231,25 +239,11 @@ def decomposition_report_to_dict(report: DecompositionReport) -> dict:
             "dimension": report.recurrent_dimension,
         },
         "max_support_state": complex_matrix_to_json(report.max_support_state),
-        "unique_enclosures": [
-            {
-                "projector": complex_matrix_to_json(rec.projector),
-                "dimension": rec.dimension,
-                "extremal_state": complex_matrix_to_json(rec.extremal_state),
-            }
-            for rec in report.unique_enclosures
-        ],
+        "unique_enclosures": [_record_to_dict(rec) for rec in report.unique_enclosures],
         "families": [
             {
                 "block_projector": complex_matrix_to_json(fam.block_projector),
-                "members": [
-                    {
-                        "projector": complex_matrix_to_json(rec.projector),
-                        "dimension": rec.dimension,
-                        "extremal_state": complex_matrix_to_json(rec.extremal_state),
-                    }
-                    for rec in fam.members
-                ],
+                "members": [_record_to_dict(rec) for rec in fam.members],
                 "isometries": {
                     f"{a}->{b}": complex_matrix_to_json(q)
                     for (a, b), q in sorted(fam.isometries.items())

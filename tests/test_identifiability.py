@@ -25,8 +25,10 @@ from enclosure_atlas.semigroup import KrausChannel, LindbladModel, build_generat
 
 from helpers import (
     PAULI_X,
+    block_diag_model,
     conjugated_pair_channel,
     conjugated_pair_model,
+    leaky_model,
     renewal_pair_channel,
     unit,
 )
@@ -96,6 +98,11 @@ def test_nondegeneracy_jump_channel_side():
     assert nondegeneracy_check(q_jump).overall
     q_diff = QndModel.create([0.0, 0.0], [[1j, 2j]], split=0)
     assert not nondegeneracy_check(q_diff).overall
+    # diffusive channel 0 ties (r = 2 on both), jump channel 1 separates
+    q_mixed = QndModel.create([0.0, 0.0], [[1.0, 1.0 + 1j], [1j, 2j]], split=0)
+    (pair,) = nondegeneracy_check(q_mixed).pairs
+    assert pair.separated and pair.witness == "jump theta[1]"
+    assert pair.magnitude == pytest.approx(3.0)
 
 
 def test_omega_values():
@@ -185,6 +192,94 @@ def test_continuous_identifiability_two_enclosures():
     assert ident.overall and not ident.hypothesis_violated
     assert ident.pairs[0].witness == "channel[0]"
     assert ident.pairs[0].magnitude == pytest.approx(2.0)
+
+    # jump 0 = I/2 gives 1 on every state; jump 1 projects onto |0>
+    tied_first = LindbladModel.create(np.zeros((2, 2)), [0.5 * np.eye(2), unit(0, 0)])
+    report = decompose(tied_first, seed=0)
+    ident = continuous_identifiability(tied_first, report)
+    assert ident.overall
+    (pair,) = ident.pairs
+    assert pair.witness == "channel[1]"
+    assert pair.magnitude == pytest.approx(2.0)
+
+
+def _qnd_loop_verdicts(qnd, tol):
+    """The per-pair loop nondegeneracy_check used before the shared rule."""
+    r, theta = qnd.r(), qnd.theta()
+    out = []
+    for a in range(qnd.num_pointers):
+        for b in range(a + 1, qnd.num_pointers):
+            witness, magnitude = None, 0.0
+            for j in range(qnd.num_channels):
+                diffusive = j <= qnd.split
+                gap = abs(r[j, a] - r[j, b]) if diffusive else abs(theta[j, a] - theta[j, b])
+                magnitude = max(magnitude, gap)
+                if witness is None and gap > tol.residual_tol:
+                    witness = f"{'diffusive r' if diffusive else 'jump theta'}[{j}]"
+            out.append((a, b, witness is not None, witness, magnitude))
+    return out
+
+
+def _continuous_loop_verdicts(model, report, tol):
+    """The per-pair loop continuous_identifiability used before the shared rule."""
+    states = [rec.extremal_state for _, rec, _ in enumerate_minimal_enclosures(report)]
+    out = []
+    for a in range(len(states)):
+        for b in range(a + 1, len(states)):
+            witness, magnitude = None, 0.0
+            for j, op in enumerate(model.jumps):
+                gap = abs(np.trace((op + op.conj().T) @ (states[a] - states[b])).real)
+                magnitude = max(magnitude, gap)
+                if witness is None and gap > tol.residual_tol:
+                    witness = f"channel[{j}]"
+            out.append((a, b, witness is not None, witness, magnitude))
+    return out
+
+
+def _assert_same_verdicts(report, expected):
+    assert len(report.pairs) == len(expected)
+    for pair, (a, b, separated, witness, magnitude) in zip(report.pairs, expected):
+        assert (pair.a, pair.b, pair.separated, pair.witness) == (a, b, separated, witness)
+        assert abs(pair.magnitude - magnitude) <= 1e-12
+    assert report.overall == all(e[2] for e in expected)
+
+
+def test_separation_matches_per_mode_loops():
+    tol = DEFAULT_TOL
+    rng = np.random.default_rng(104729)
+    splits = set()
+    for _ in range(30):
+        q = random_qnd(rng, int(rng.integers(2, 6)), int(rng.integers(0, 5)))
+        amplitudes = q.amplitudes.copy()
+        # Tie some channels between pointers: equal entries tie both r and
+        # theta, a phase flip c -> -conj(c) ties theta only.
+        for j in range(q.num_channels):
+            a, b = rng.choice(q.num_pointers, size=2, replace=False)
+            if rng.random() < 0.5:
+                amplitudes[j, b] = amplitudes[j, a]
+            elif rng.random() < 0.5:
+                amplitudes[j, b] = -amplitudes[j, a].conj()
+        q = QndModel.create(q.energies, amplitudes, q.split)
+        splits.add(q.split)
+        _assert_same_verdicts(nondegeneracy_check(q, tol), _qnd_loop_verdicts(q, tol))
+    assert {-1, 0, 1} <= splits
+
+    models = [
+        two_enclosures_2d(),
+        zero_generator_2d(),
+        LindbladModel.create(np.zeros((2, 2)), [0.5 * np.eye(2), unit(0, 0)]),
+        conjugated_pair_model(np.random.default_rng(11), 2, 2)[0],
+        block_diag_model(np.random.default_rng(3), (2, 3), 2),
+        block_diag_model(np.random.default_rng(4), (1, 1, 2), 3),
+        leaky_model(np.random.default_rng(5), 4, 2),
+        qnd_to_model(QndModel.create([0.0, 1.0, 2.0], [[1.0, 1.0, 0.0], [0.0, 1j, 2j]], 0)),
+    ]
+    for seed, model in enumerate(models):
+        report = decompose(model, seed=seed)
+        _assert_same_verdicts(
+            continuous_identifiability(model, report, tol),
+            _continuous_loop_verdicts(model, report, tol),
+        )
 
 
 def test_continuous_identifiability_no_channels_fails():
