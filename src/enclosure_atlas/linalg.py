@@ -19,7 +19,10 @@ import numpy as np
 class Tolerances:
     """Numerical thresholds shared across the package.
 
-    rank_tol         relative singular-value / eigenvalue cutoff for rank decisions
+    rank_tol         relative singular-value / eigenvalue cutoff for rank decisions;
+                     ``null_spaces`` scales it by max(‖L‖_F, 1), the other
+                     rank decisions by their input's largest singular value
+                     or eigenvalue
     eig_cluster_tol  absolute width used to group near-degenerate eigenvalues
     residual_tol     acceptance threshold for linear identities
     psd_tol          magnitude below which negative eigenvalues count as noise
@@ -160,16 +163,96 @@ def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
     return _real_to_vec_herm(v[:, None], n).reshape((n, n), order="F")
 
 
-def _rank_cut(sigma_max: float, tol: Tolerances) -> float:
-    """Singular values above rank_tol * max(sigma_max, 1) count towards the
-    rank; the absolute floor keeps matrices that are zero up to rounding
-    noise from reporting an empty kernel."""
-    return tol.rank_tol * max(sigma_max, 1.0)
+def _rank_cut(scale: float, tol: Tolerances) -> float:
+    """Singular values above rank_tol * max(scale, 1) count towards the rank.
+
+    ``null_spaces`` takes ‖M‖_F as the scale, which needs no factorization and
+    does not depend on the basis; ``kernel_basis`` takes sigma_max. The
+    absolute floor keeps matrices that are zero up to rounding noise from
+    reporting an empty kernel."""
+    return tol.rank_tol * max(scale, 1.0)
 
 
 def _numerical_rank(s: np.ndarray, tol: Tolerances) -> int:
     """Rank from singular values in descending order, by ``_rank_cut``."""
     return int(np.count_nonzero(s > _rank_cut(float(s[0]) if s.size else 0.0, tol)))
+
+
+# Gaussian probes per certificate, and the factor of Halko, Martinsson & Tropp
+# (SIAM Rev. 53, 2011, Lemma 4.1): ‖A‖ <= 10·√(2/π)·maxᵢ ‖A ωᵢ‖ for r
+# standard normal ωᵢ, with probability at least 1 − 10⁻ʳ.
+_PROBES = 10
+_PROBE_FACTOR = 10 * np.sqrt(2 / np.pi)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over a stack of square matrices; a matrix whose LU
+    meets an exact zero pivot gets NaN, which no certificate accepts."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, np.nan)
+        return np.concatenate([_solve(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
+
+
+def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·
+    maxᵢ ‖A⁻¹ωᵢ‖), and A⁻¹b for one more Gaussian column b: one LU each."""
+    count, size, _ = a.shape
+    sol = _solve(a, rng.standard_normal((count, size, 1 + _PROBES)))
+    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol[..., 0]
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm, the largest-magnitude entry made positive."""
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v * np.sign(np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None], 1))
+
+
+def _certified_kernels(
+    s: np.ndarray, cut: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel dimension of each real square matrix in a stack, certified by LU
+    solves to be the one the SVD's rule ``σ <= cut`` gives: 0, or 1 with unit
+    kernel vectors x of s and y of sᵀ, or −1 where the certificate cannot
+    decide. Also the certified lower bound on the smallest singular value
+    kept (σ_N or σ_{N−1}; NaN where undecided).
+
+    Dimension 0 when the probe bound on σ_min(s) exceeds the cut. Otherwise
+    x = s⁻¹b and y = s⁻ᵀb′ normalized (inverse iteration), and dimension 1
+    when ‖s x‖ and ‖sᵀy‖ are at most the cut, so σ_N <= cut, and the bound
+    on σ_min of the bordered B = [[s, y], [xᵀ, 0]] exceeds it: for unit
+    z ⊥ x, ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
+    """
+    count, size, _ = s.shape
+    dim = np.full(count, -1)
+    x = y = np.empty((0, size))
+    with np.errstate(all="ignore"):
+        bound, sol = _sigma_min_bound(s, rng)
+        dim[bound > cut] = 0
+        bound[dim < 0] = np.nan
+        # an exact zero pivot or an overflow leaves no kernel vector to try
+        rest = np.flatnonzero((dim < 0) & np.isfinite(sol).all(axis=1))
+        if rest.size:
+            s = s[rest]
+            x = _unit(sol[rest])
+            y = _solve(s.transpose(0, 2, 1), rng.standard_normal((rest.size, size, 1)))
+            y = _unit(y[..., 0])
+            bordered = np.zeros((rest.size, size + 1, size + 1))
+            bordered[:, :size, :size] = s
+            bordered[:, :size, size] = y
+            bordered[:, size, :size] = x
+            residual = np.maximum(
+                np.linalg.norm(np.einsum("cij,cj->ci", s, x), axis=1),
+                np.linalg.norm(np.einsum("cji,cj->ci", s, y), axis=1),
+            )
+            kept = _sigma_min_bound(bordered, rng)[0]
+            one = (residual <= cut) & (kept > cut)
+            dim[rest[one]] = 1
+            bound[rest[one]] = kept[one]
+            x, y = x[one], y[one]
+    return dim, bound, x, y
 
 
 def _sector_roots(m: np.ndarray) -> np.ndarray:
@@ -208,13 +291,19 @@ def null_spaces(
 
     M maps each of its sectors (``_sector_roots``) to itself, so its singular
     values are the union of the sectors' and its kernels are direct sums of
-    the sectors' kernels. One real SVD per sector follows, with the sectors
-    of one size stacked into a single batched call, and M itself factored
-    when one sector spans every coordinate. The rank rule (``_rank_cut``)
-    takes sigma_max over all sectors. The trailing singular vectors of each
-    sector, embedded at its coordinates, span the numerical kernels; columns
-    come ordered by sector (smallest coordinate first), and mapped back
-    through T every basis vector is vec of a Hermitian matrix.
+    the sectors' kernels. The rank rule (``_rank_cut``) keeps singular values
+    above rank_tol · max(‖M‖_F, 1), a scale taken before any factorization
+    (‖M‖_F = ‖m‖_F in every orthonormal basis). The sectors of one size are
+    stacked, and M itself is used when one sector spans every coordinate.
+    LU solves with Gaussian probes (``_certified_kernels``) certify that a
+    sector has no kernel or a one-dimensional one, with the SVD's decision
+    and its kernel vectors; the probes come from a fixed seed, so the result
+    does not depend on any caller's seed. The sectors they cannot decide (a
+    larger kernel, a value near the cut, an exact zero pivot) are factored by
+    one batched real SVD, whose trailing singular vectors span their
+    kernels. Kernel vectors are embedded at their sector's coordinates;
+    columns come ordered by sector (smallest coordinate first), and mapped
+    back through T every basis vector is vec of a Hermitian matrix.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -245,27 +334,33 @@ def null_spaces(
         + 0.5 * np.sum((re[p] - re[q]) ** 2)
     )
     del cols, re, im
-    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, frob(real)):
+    scale = frob(real)
+    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, scale):
         raise ValueError("superoperator does not preserve Hermiticity")
+    cut = _rank_cut(scale, tol)
+    rng = np.random.default_rng(0)
     roots = _sector_roots(real)
     order = np.argsort(roots, kind="stable")
     _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
-    factors = []
+    owners, right, left = [], [], []
     for size in np.unique(sizes):
         # (sectors of this size) x size coordinates, one row per sector
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
-        factors.append((idx, *np.linalg.svd(block)))
-    cut = _rank_cut(max(float(s[:, 0].max()) for _, _, s, _ in factors), tol)
-    owners, right, left = [], [], []
-    for idx, u, s, vt in factors:
-        # Trailing singular vectors of each sector, embedded at its coordinates.
-        sector, j = np.nonzero(s <= cut)
-        at = (idx[sector], np.arange(sector.size)[:, None])
-        owners.append(idx[sector, 0])
-        for out, vecs in ((right, vt[sector, j]), (left, u[sector, :, j])):
-            out.append(np.zeros((n * n, sector.size)))
-            out[-1][at] = vecs
+        dim, _, x, y = _certified_kernels(block, cut, rng)
+        # (sector rows of idx, right and left kernel vectors), one vector a row
+        found = [(np.flatnonzero(dim == 1), x, y)]
+        undecided = np.flatnonzero(dim < 0)
+        if undecided.size:
+            u, s, vt = np.linalg.svd(block[undecided])
+            sector, j = np.nonzero(s <= cut)
+            found.append((undecided[sector], vt[sector, j], u[sector, :, j]))
+        for rows, r_vecs, l_vecs in found:
+            at = (idx[rows], np.arange(rows.size)[:, None])
+            owners.append(idx[rows, 0])
+            for out, vecs in ((right, r_vecs), (left, l_vecs)):
+                out.append(np.zeros((n * n, rows.size)))
+                out[-1][at] = vecs
     by_sector = np.argsort(np.concatenate(owners), kind="stable")
     return (
         _real_to_vec_herm(np.hstack(right)[:, by_sector], n),
@@ -276,8 +371,8 @@ def null_spaces(
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of any matrix.
 
-    Same rank rule as ``null_spaces``. A tall or square m needs only the thin
-    SVD; a wide one needs all right singular vectors.
+    Rank rule ``_rank_cut`` on the scale sigma_max. A tall or square m needs
+    only the thin SVD; a wide one needs all right singular vectors.
     """
     m = as_matrix(m)
     rows, cols = m.shape

@@ -99,6 +99,13 @@ def random_rate_matrix(rng, n, density=0.5):
     return RateMatrix.create(q)
 
 
+def random_channel(rng, n, num_kraus):
+    """Dense generic Kraus channel: the blocks of a random isometry."""
+    g = rng.standard_normal((num_kraus * n, n)) + 1j * rng.standard_normal((num_kraus * n, n))
+    q, _ = np.linalg.qr(g)
+    return KrausChannel.create([q[k * n : (k + 1) * n] for k in range(num_kraus)])
+
+
 def conjugated_pair_channel(rng, d, num_kraus):
     """Kraus channel on a dense block plus its conjugation by a random unitary:
     a degenerate family of two equivalent d-dimensional enclosures."""

@@ -1,6 +1,9 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
@@ -14,6 +17,7 @@ from enclosure_atlas.linalg import (
     support_projector,
 )
 from enclosure_atlas.semigroup import (
+    KrausChannel,
     LindbladModel,
     Superoperator,
     adjoint_generator,
@@ -37,6 +41,7 @@ from enclosure_atlas.decomposition import (
     verify_decomposition,
 )
 import enclosure_atlas.decomposition as decomposition_module
+import enclosure_atlas.linalg as linalg_module
 from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
 from enclosure_atlas.oqrw import minimal_oqrw
 from enclosure_atlas.fixtures import (
@@ -53,6 +58,7 @@ from helpers import (
     conjugated_pair_model,
     leaky_model,
     random_density,
+    random_channel,
     random_model,
     random_rate_matrix,
     unit,
@@ -149,9 +155,70 @@ def _forbid_superoperator_builds(monkeypatch):
         monkeypatch.setattr(decomposition_module, name, forbidden)
 
 
+def _factor_spy(monkeypatch):
+    """Record every factorization as (kind, shape, is_complex): "svd" for
+    np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
+    after a solve that raised LinAlgError; and ("cert", shape, dims) after
+    each stack of sectors the stage-1 certificate decided, dims holding 0, 1
+    or -1 (undecided) per sector."""
+    svd, solve = np.linalg.svd, np.linalg.solve
+    certify = linalg_module._certified_kernels
+    calls = []
+
+    def svd_spy(a, *args, **kwargs):
+        calls.append(("svd", np.shape(a), np.iscomplexobj(a)))
+        return svd(a, *args, **kwargs)
+
+    def solve_spy(a, b):
+        calls.append(("lu", np.shape(a), np.iscomplexobj(a)))
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            calls.append(("zero pivot", np.shape(a), False))
+            raise
+
+    def certify_spy(s, cut, rng):
+        out = certify(s, cut, rng)
+        calls.append(("cert", s.shape, out[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    monkeypatch.setattr(linalg_module, "_certified_kernels", certify_spy)
+    return calls
+
+
+def _sector_decisions(stage, n2):
+    """Check that one null_spaces run (its ``_factor_spy`` calls) decided
+    every sector exactly once: each stack of same-size sectors takes one LU
+    first, then at most an LU of the transposes and one of the bordered
+    matrices, and one SVD factors exactly the sectors the certificate left
+    undecided. Every factorization is real and the sectors cover n2
+    coordinates. Returns (size, decision) per sector: the certified kernel
+    dimension 0 or 1, or "svd"."""
+    assert not any(is_complex for kind, _, is_complex in stage if kind != "cert")
+    decisions, pos = [], 0
+    while pos < len(stage):
+        at = next(i for i in range(pos, len(stage)) if stage[i][0] == "cert")
+        _, (count, size, _), dims = stage[at]
+        assert {kind for kind, _, _ in stage[pos:at]} <= {"lu", "zero pivot"}
+        lus = [shape for kind, shape, _ in stage[pos:at] if kind == "lu"]
+        assert lus[0] == (count, size, size)
+        assert all(k <= count and rows == cols in (size, size + 1) for k, rows, cols in lus)
+        svds, pos = [], at + 1
+        while pos < len(stage) and stage[pos][0] == "svd":
+            svds.append(stage[pos][1])
+            pos += 1
+        undecided = int(np.count_nonzero(dims < 0))
+        assert svds == ([(undecided, size, size)] if undecided else [])
+        decisions += [(size, "svd" if d < 0 else int(d)) for d in dims]
+    assert sum(size for size, _ in decisions) == n2
+    return decisions
+
+
 def _stage_one_spy(monkeypatch, calls):
-    """Per null_spaces call, the slice of ``calls`` (an ``_svd_spy`` list)
-    that it made: the SVDs of stage 1."""
+    """Per null_spaces call, the slice of ``calls`` (a ``_factor_spy`` list)
+    that it made: the factorizations of stage 1."""
     stages = []
 
     def spy(m, tol=DEFAULT_TOL):
@@ -167,14 +234,14 @@ def _stage_one_spy(monkeypatch, calls):
 def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     model = leaky_model(np.random.default_rng(5), 4, 2)
     n2 = model.dim**2
-    calls = _svd_spy(monkeypatch)
+    calls = _factor_spy(monkeypatch)
     stages = _stage_one_spy(monkeypatch, calls)
     report = decompose(model, seed=0)
     assert report.recurrent_dimension == 3
-    # L is factored once: real square sector blocks that cover n² coordinates
-    (svds,) = stages
-    assert all(not is_complex and shape[-1] == shape[-2] for shape, is_complex, _, _ in svds)
-    assert sum(shape[0] * shape[1] for shape, _, _, _ in svds) == n2
+    # L is factored once: every real sector block is decided once, by the LU
+    # certificate or by the SVD, and the sectors cover n² coordinates
+    (stage,) = stages
+    _sector_decisions(stage, n2)
     # the report keeps ker L but not L itself
     assert not hasattr(report, "generator")
     # verification reuses the kernel stored on the report and builds no L
@@ -236,28 +303,39 @@ def _sector_models():
 
 
 def test_null_spaces_match_complex_svd_oracle(monkeypatch):
-    # Oracle: the complex SVD of L itself, with the same rank rule. The
-    # sectors' singular values together are the singular values of L.
+    # Oracle: the complex SVD of L itself, with the same rank rule on the
+    # scale ‖L‖_F = ‖M‖_F. The sector blocks' singular values together are
+    # the singular values of L, and for every sector the certificate decided,
+    # the cut and its bound bracket them: σ_N <= cut < bound <= σ_{N-1} for a
+    # one-dimensional kernel, cut < bound <= σ_N for none.
     svd = np.linalg.svd
-    real_values = []
+    certify = linalg_module._certified_kernels
+    sectors = []
 
-    def spy(a, *args, **kwargs):
-        out = svd(a, *args, **kwargs)
-        if not np.iscomplexobj(a):
-            real_values.append(np.ravel(out[1]))
+    def spy(s, cut, rng):
+        out = certify(s, cut, rng)
+        sectors.append((s.copy(), cut, out[0], out[1]))
         return out
 
+    monkeypatch.setattr(linalg_module, "_certified_kernels", spy)
     for model in (*_agreement_models(), *_sector_models()):
         gen = _generator(model, DEFAULT_TOL)
         n = gen.dim
         u, s, vh = svd(gen.matrix)
-        rank = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * max(s[0], 1.0)))
-        real_values.clear()
-        monkeypatch.setattr(np.linalg, "svd", spy)
+        cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen.matrix), 1.0)
+        rank = int(np.count_nonzero(s > cut))
+        sectors.clear()
         kern, left = null_spaces(gen.matrix)
-        monkeypatch.setattr(np.linalg, "svd", svd)
-        values = np.sort(np.concatenate(real_values))[::-1]
-        assert np.max(np.abs(values - s)) <= 1e-12 * max(s[0], 1.0)
+        values = np.sort(np.concatenate([svd(b, compute_uv=False).ravel() for b, *_ in sectors]))
+        assert np.max(np.abs(values[::-1] - s)) <= 1e-12 * max(s[0], 1.0)
+        for block, sector_cut, dims, bounds in sectors:
+            assert abs(sector_cut - cut) <= 1e-12 * cut
+            sigma = svd(block, compute_uv=False)
+            free, one = dims == 0, dims == 1
+            assert np.all((cut < bounds[free]) & (bounds[free] <= sigma[free, -1]))
+            assert np.all((sigma[one, -1] <= cut) & (cut < bounds[one]))
+            if block.shape[-1] > 1:
+                assert np.all(bounds[one] <= sigma[one, -2])
         assert kern.shape[1] == left.shape[1] == n * n - rank
         for basis, oracle in ((kern, vh[rank:].conj().T), (left, u[:, rank:])):
             assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
@@ -270,16 +348,19 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
 
 def test_null_spaces_factor_a_dense_model_as_one_sector(monkeypatch):
     model = random_model(np.random.default_rng(3), 4, 2)
-    calls = _svd_spy(monkeypatch)
+    calls = _factor_spy(monkeypatch)
     null_spaces(build_generator(model).matrix)
-    assert [c[0] for c in calls] == [(1, 16, 16)]
+    # one 16-coordinate sector with a certified one-dimensional kernel: LUs of
+    # the sector, its transpose and the bordered matrix, and no SVD
+    assert _sector_decisions(calls, 16) == [(16, 1)]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 16, 16), (1, 16, 16), (1, 17, 17)]
 
 
 def test_null_spaces_split_only_at_exact_zeros(monkeypatch):
     base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
-    calls = _svd_spy(monkeypatch)
+    calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(build_generator(base).matrix)
-    assert len(calls) > 1 and kern.shape[1] == 2
+    assert len(_sector_decisions(calls, 36)) > 1 and kern.shape[1] == 2
     # kernel columns come sector by sector, each supported in one block
     first, second = (unvec(v) for v in kern.T)
     assert np.count_nonzero(first[3:, :]) == np.count_nonzero(first[:, 3:]) == 0
@@ -289,7 +370,158 @@ def test_null_spaces_split_only_at_exact_zeros(monkeypatch):
     coupled = LindbladModel.create(h, base.jumps)
     calls.clear()
     null_spaces(build_generator(coupled).matrix)
-    assert [c[0] for c in calls] == [(1, 36, 36)]
+    # one 36-coordinate sector whose two-dimensional kernel only the SVD decides
+    assert _sector_decisions(calls, 36) == [(36, "svd")]
+
+
+def _hermitian_coordinates(n):
+    """The unitary T whose columns are vec of the orthonormal Hermitian basis:
+    diagonal units, then (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for i < j."""
+    iu = np.triu_indices(n, k=1)
+    basis = [unit(i, i, n) for i in range(n)]
+    basis += [(unit(i, j, n) + unit(j, i, n)) / np.sqrt(2) for i, j in zip(*iu)]
+    basis += [1j * (unit(i, j, n) - unit(j, i, n)) / np.sqrt(2) for i, j in zip(*iu)]
+    return np.column_stack([vec(b) for b in basis])
+
+
+def _sector_svd_oracle(mat, tol=DEFAULT_TOL):
+    """Projectors onto ker L and ker L† from one SVD per connected component
+    of the nonzero pattern of M = T† L T, with the cut rank_tol·max(‖L‖_F, 1):
+    the factorization null_spaces falls back to, written out directly."""
+    n = isqrt(mat.shape[0])
+    t = _hermitian_coordinates(n)
+    m = (t.conj().T @ mat @ t).real
+    cut = tol.rank_tol * max(np.linalg.norm(mat), 1.0)
+    count, labels = scipy.sparse.csgraph.connected_components(m != 0, directed=False)
+    right, left = np.zeros((n * n, 0)), np.zeros((n * n, 0))
+    for c in range(count):
+        at = np.flatnonzero(labels == c)
+        u, s, vt = np.linalg.svd(m[np.ix_(at, at)])
+        drop = s <= cut
+        for side, vecs in (("right", vt[drop].T), ("left", u[:, drop])):
+            embedded = np.zeros((n * n, vecs.shape[1]))
+            embedded[at] = vecs
+            if side == "right":
+                right = np.hstack([right, embedded])
+            else:
+                left = np.hstack([left, embedded])
+    return [t @ b @ (t @ b).conj().T for b in (right, left)]
+
+
+def _oracle_grid():
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 5, 8):
+        yield random_model(rng, n, 2)
+        yield leaky_model(rng, n, 2)
+        yield random_channel(rng, n, 2)
+    for dims in ((1, 2), (2, 3), (3, 3, 2), (4, 4)):
+        yield block_diag_model(rng, dims, 2)
+
+
+def _assert_matches_sector_svd_oracle(mat):
+    kern, left = null_spaces(mat)
+    oracle = _sector_svd_oracle(mat)
+    for basis, proj in zip((kern, left), oracle):
+        assert basis.shape[1] == round(np.trace(proj).real)
+        assert np.linalg.norm(basis @ basis.conj().T - proj) < 1e-10
+
+
+def test_null_spaces_match_per_sector_svd_oracle():
+    models = (*_agreement_models(), *_sector_models(), *_oracle_grid())
+    for model in models:
+        _assert_matches_sector_svd_oracle(_generator(model, DEFAULT_TOL).matrix)
+
+
+def test_null_spaces_near_threshold_falls_back_to_svd(monkeypatch):
+    # Two 3-level blocks coupled at g = 1e-4: the slow mode σ_{N-1} ~ g²
+    # lies below the cut, so the bordered bound cannot exceed it
+    base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
+    h = base.hamiltonian.copy()
+    h[0, 3] = h[3, 0] = 1e-4
+    mat = build_generator(LindbladModel.create(h, base.jumps)).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, _ = null_spaces(mat)
+    assert _sector_decisions(calls, 36) == [(36, "svd")] and kern.shape[1] == 2
+
+
+def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
+    mat = build_generator(zero_generator_2d()).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, _ = null_spaces(mat)
+    assert _sector_decisions(calls, 4) == [(1, "svd")] * 4 and kern.shape[1] == 4
+    # the stacked LU fails, then each sector's own LU
+    pivots = [c[1] for c in calls if c[0] == "zero pivot"]
+    assert pivots == [(4, 1, 1)] + [(1, 1, 1)] * 4
+
+
+def test_null_spaces_conjugated_pair_cross_sector_needs_svd(monkeypatch):
+    # the two blocks are certified one by one; the coherences between them
+    # carry the intertwiner and its adjoint, a two-dimensional kernel
+    model, _ = conjugated_pair_model(np.random.default_rng(2), 3, 2)
+    mat = build_generator(model).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, _ = null_spaces(mat)
+    assert _sector_decisions(calls, 36) == [(9, 1), (9, 1), (18, "svd")] and kern.shape[1] == 4
+
+
+def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
+    # the drained level's coherences form a sector with no kernel
+    model = leaky_model(np.random.default_rng(2), 4, 2)
+    mat = build_generator(model).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, _ = null_spaces(mat)
+    assert _sector_decisions(calls, 16) == [(6, 0), (10, 1)] and kern.shape[1] == 1
+    assert not any(kind == "svd" for kind, _, _ in calls)
+
+
+def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
+    # L dephases every coherence at rate 1 and maps populations by a real
+    # block-diagonal matrix with sectors A, B (1 x 1) and C, D (2 x 2) whose
+    # smallest singular values are cut/2, 3·cut, cut/1000 and 3·cut. Only A
+    # and C have a kernel. The certificate takes A and C; B and D, kept by a
+    # margin the probe bounds cannot show, go to the SVD. (One step of inverse
+    # iteration leaves ‖S x‖ above σ_N by a random factor, so a 2 x 2 kernel
+    # value of cut/2 may also go to the SVD.)
+    n = 6
+    cut = DEFAULT_TOL.rank_tol * np.sqrt(n * (n - 1) + 2)
+    rng = np.random.default_rng(79)
+    mat = -np.eye(n * n, dtype=complex)
+    pops = np.arange(n) * (n + 1)
+    mat[np.ix_(pops, pops)] = 0.0
+    blocks = [np.array([[cut / 2]]), np.array([[3 * cut]])]
+    for smallest in (cut / 1000, 3 * cut):
+        q1, q2 = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+        blocks.append(q1 @ np.diag([1.0, smallest]) @ q2.T)
+    mat[np.ix_(pops, pops)] = scipy.linalg.block_diag(*blocks)
+    assert abs(np.linalg.norm(mat) * DEFAULT_TOL.rank_tol / cut - 1) < 1e-12
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    decisions = _sector_decisions(calls, n * n)
+    assert decisions == [(1, 1), (1, "svd")] + [(1, 0)] * n * (n - 1) + [(2, 1), (2, "svd")]
+    assert kern.shape[1] == left.shape[1] == 2
+
+
+def test_null_spaces_kernel_dimension_is_basis_invariant():
+    # X -> U X U† is L -> (Ū ⊗ U) L (Ū ⊗ U)†, which keeps ‖L‖_F and so the
+    # cut; reordering the jump operators leaves L unchanged
+    rng = np.random.default_rng(73)
+    models = [block_diag_model(rng, (2, 3), 2), leaky_model(rng, 5, 3), random_model(rng, 4, 2)]
+    models += [conjugated_pair_model(rng, 2, 3)[0], conjugated_pair_channel(rng, 2, 3)]
+    for model in models:
+        kern, _ = null_spaces(_generator(model, DEFAULT_TOL).matrix)
+        u = random_unitary(rng, model.dim)
+        if isinstance(model, LindbladModel):
+            jumps = [u @ j @ u.conj().T for j in model.jumps][::-1]
+            moved = LindbladModel.create(u @ model.hamiltonian @ u.conj().T, jumps)
+        else:
+            moved = KrausChannel.create([u @ v @ u.conj().T for v in model.kraus][::-1])
+        moved_kern, _ = null_spaces(_generator(moved, DEFAULT_TOL).matrix)
+        assert moved_kern.shape[1] == kern.shape[1] > 0
 
 
 def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
@@ -308,23 +540,27 @@ def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch)
 
 def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
     # The algebra and the extremal states come from the kernels of stage 1;
-    # the remaining SVDs act on matrices with at most 2 dim ker L columns
-    # (coefficient spaces, Hermitian re-orthonormalization). So every SVD
-    # larger than that is a sector block of L.
+    # the remaining SVDs and LUs act on matrices with at most 2 dim ker L
+    # columns (coefficient spaces, Hermitian re-orthonormalization). So every
+    # factorization larger than that is stage 1's: an LU of sector blocks,
+    # their transposes or bordered blocks, or the SVD of undecided sectors.
     rng = np.random.default_rng(5)
     models = [leaky_model(rng, 4, 2), conjugated_pair_model(rng, 3, 2)[0]]
     models += [block_diag_model(rng, (3, 4), 2)]
-    calls = _svd_spy(monkeypatch)
+    calls = _factor_spy(monkeypatch)
     stages = _stage_one_spy(monkeypatch, calls)
     for model in models:
         calls.clear()
         stages.clear()
         report = decompose(model, seed=0)
         k = report.invariant_kernel.shape[1]
-        large = [shape for shape, _, _, _ in calls if min(shape[-2:]) > 2 * k]
-        (svds,) = stages
-        assert large == [shape for shape, _, _, _ in svds if shape[-1] > 2 * k]
-        assert sum(shape[0] * shape[1] for shape, _, _, _ in svds) == model.dim**2
+
+        def large(seq):
+            return [c for c in seq if c[0] in ("svd", "lu") and min(c[1][-2:]) > 2 * k]
+
+        (stage,) = stages
+        assert large(calls) == large(stage)
+        _sector_decisions(stage, model.dim**2)
 
 
 def _compress_superop(mat, iso):

@@ -416,3 +416,34 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_analyze_leaves_scipy_unloaded(tmp_path):
+    # Stage 1 factors with numpy alone, so analyze, not only the import,
+    # starts no scipy. The leaky model has a kernel-free sector and a
+    # certified one-dimensional kernel; the zero generator falls back to the SVD.
+    model = leaky_model(np.random.default_rng(2), 4, 2)
+    doc = {
+        "mode": "lindblad",
+        "dim": 4,
+        "hamiltonian": complex_matrix_to_json(model.hamiltonian),
+        "jumps": [complex_matrix_to_json(j) for j in model.jumps],
+    }
+    leaky = tmp_path / "leaky.json"
+    leaky.write_text(serialize_report(doc))
+    zero = write_fixture(tmp_path, "zero-generator-2d")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; from enclosure_atlas.cli import main; "
+        f"codes = [main(['analyze', p, '-o', {os.devnull!r}]) for p in sys.argv[1:]]; "
+        "print(codes, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(leaky), zero],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[0, 0] False"

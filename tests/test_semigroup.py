@@ -379,15 +379,19 @@ def test_generator_action_builds_the_drift_once_per_model(monkeypatch):
 
 def test_fixed_point_basis_takes_one_real_factorization(monkeypatch):
     # the kernel comes from the Hermitian-coordinate factorization of L: real
-    # sector SVDs only, with no complex n² x n² SVD
-    svd = np.linalg.svd
+    # sector LUs, and SVDs of the sectors they cannot decide, only, with no
+    # complex n² x n² factorization
     complex_calls = []
 
-    def spy(a, *args, **kwargs):
-        complex_calls.append(np.iscomplexobj(a))
-        return svd(a, *args, **kwargs)
+    def spy(factor):
+        def wrapped(a, *args, **kwargs):
+            complex_calls.append(np.iscomplexobj(a))
+            return factor(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
     model = leaky_model(np.random.default_rng(31), 4, 2)
     (rho,) = fixed_point_basis(build_generator(model), "generator")
     assert complex_calls and not any(complex_calls)
