@@ -65,7 +65,8 @@ class RecurrentSplit:
     dimension: int
     state: np.ndarray
     invariance_residual: float
-    # Orthonormal bases (as columns) of ker L and ker L† from one SVD of L.
+    # Orthonormal bases (as columns) of ker L and ker L† from one
+    # factorization of L (``null_spaces``).
     kernel: np.ndarray
     adjoint_kernel: np.ndarray
 
@@ -155,7 +156,7 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
     The recurrent projector is the support of the maximal-support invariant
     state E(1/n), where E is the spectral projection at eigenvalue 0: the
     projection onto ker L along ran L. With orthonormal bases K of ker L and
-    Y of ker L† from one SVD, E = K (Y†K)⁻¹ Y†. In discrete time ``gen``
+    Y of ker L† from ``null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete time ``gen``
     holds the channel matrix minus the identity, and E is the Cesàro limit
     of the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,

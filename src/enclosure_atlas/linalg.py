@@ -198,10 +198,11 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·
-    maxᵢ ‖A⁻¹ωᵢ‖), and A⁻¹b for one more Gaussian column b: one LU each."""
+    maxᵢ ‖A⁻¹ωᵢ‖), and the solutions A⁻¹[b | Ω] for one more Gaussian
+    column b: one LU each."""
     count, size, _ = a.shape
     sol = _solve(a, rng.standard_normal((count, size, 1 + _PROBES)))
-    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol[..., 0]
+    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -224,19 +225,25 @@ def _certified_kernels(
     when ‖s x‖ and ‖sᵀy‖ are at most the cut, so σ_N <= cut, and the bound
     on σ_min of the bordered B = [[s, y], [xᵀ, 0]] exceeds it: for unit
     z ⊥ x, ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
+    The probe solutions projected off x give such z; one with ‖s z‖ < cut
+    shows that the bound must fail (a larger kernel) and saves both LUs.
     """
     count, size, _ = s.shape
     dim = np.full(count, -1)
-    x = y = np.empty((0, size))
+    y = np.empty((0, size))
     with np.errstate(all="ignore"):
         bound, sol = _sigma_min_bound(s, rng)
         dim[bound > cut] = 0
         bound[dim < 0] = np.nan
         # an exact zero pivot or an overflow leaves no kernel vector to try
-        rest = np.flatnonzero((dim < 0) & np.isfinite(sol).all(axis=1))
+        rest = np.flatnonzero((dim < 0) & np.isfinite(sol).all(axis=(1, 2)))
+        s, x, w = s[rest], _unit(sol[rest, :, 0]), sol[rest, :, 1:]
+        # z = off / ‖off‖ is a unit vector ⊥ x; ‖s z‖ < cut dooms the bound
+        off = w - x[:, :, None] * np.einsum("ci,cij->cj", x, w)[:, None]
+        witness = np.linalg.norm(s @ off, axis=1) < cut * np.linalg.norm(off, axis=1)
+        keep = ~witness.any(axis=1)
+        rest, s, x = rest[keep], s[keep], x[keep]
         if rest.size:
-            s = s[rest]
-            x = _unit(sol[rest])
             y = _solve(s.transpose(0, 2, 1), rng.standard_normal((rest.size, size, 1)))
             y = _unit(y[..., 0])
             bordered = np.zeros((rest.size, size + 1, size + 1))

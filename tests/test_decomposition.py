@@ -393,19 +393,16 @@ def _sector_svd_oracle(mat, tol=DEFAULT_TOL):
     m = (t.conj().T @ mat @ t).real
     cut = tol.rank_tol * max(np.linalg.norm(mat), 1.0)
     count, labels = scipy.sparse.csgraph.connected_components(m != 0, directed=False)
-    right, left = np.zeros((n * n, 0)), np.zeros((n * n, 0))
+    kernels = [np.zeros((n * n, 0)), np.zeros((n * n, 0))]
     for c in range(count):
         at = np.flatnonzero(labels == c)
         u, s, vt = np.linalg.svd(m[np.ix_(at, at)])
         drop = s <= cut
-        for side, vecs in (("right", vt[drop].T), ("left", u[:, drop])):
+        for side, vecs in enumerate((vt[drop].T, u[:, drop])):
             embedded = np.zeros((n * n, vecs.shape[1]))
             embedded[at] = vecs
-            if side == "right":
-                right = np.hstack([right, embedded])
-            else:
-                left = np.hstack([left, embedded])
-    return [t @ b @ (t @ b).conj().T for b in (right, left)]
+            kernels[side] = np.hstack([kernels[side], embedded])
+    return [t @ b @ (t @ b).conj().T for b in kernels]
 
 
 def _oracle_grid():
@@ -458,13 +455,16 @@ def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
 
 def test_null_spaces_conjugated_pair_cross_sector_needs_svd(monkeypatch):
     # the two blocks are certified one by one; the coherences between them
-    # carry the intertwiner and its adjoint, a two-dimensional kernel
+    # carry the intertwiner and its adjoint, a two-dimensional kernel, which
+    # the first LU's probes already show: no LU of the transpose or bordered
+    # matrix follows for that sector
     model, _ = conjugated_pair_model(np.random.default_rng(2), 3, 2)
     mat = build_generator(model).matrix
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     assert _sector_decisions(calls, 36) == [(9, 1), (9, 1), (18, "svd")] and kern.shape[1] == 4
+    assert [c[1] for c in calls if c[0] == "lu" and c[1][-1] > 10] == [(1, 18, 18)]
 
 
 def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
@@ -504,6 +504,25 @@ def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
     decisions = _sector_decisions(calls, n * n)
     assert decisions == [(1, 1), (1, "svd")] + [(1, 0)] * n * (n - 1) + [(2, 1), (2, "svd")]
     assert kern.shape[1] == left.shape[1] == 2
+
+
+def test_null_spaces_bordered_bound_rules_out_a_second_small_value(monkeypatch):
+    # One dense 36-coordinate sector with singular values 1 (34 times),
+    # cut/2 and cut/1000: a two-dimensional kernel. The probes, dominated by
+    # the cut/1000 direction, show no witness z ⊥ x with ‖M z‖ < cut, so the
+    # LUs of the transpose and of the bordered matrix run, and the bordered
+    # bound, at most σ_{N-1} = cut/2, sends the sector to the SVD.
+    n = 6
+    cut = DEFAULT_TOL.rank_tol * np.sqrt(34)
+    rng = np.random.default_rng(83)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n * n, n * n)))[0] for _ in range(2))
+    t = _hermitian_coordinates(n)
+    mat = t @ (q1 * np.r_[np.ones(34), cut / 2, cut / 1000]) @ q2.T @ t.conj().T
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, _ = null_spaces(mat)
+    assert _sector_decisions(calls, n * n) == [(36, "svd")] and kern.shape[1] == 2
+    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 36, 36), (1, 36, 36), (1, 37, 37)]
 
 
 def test_null_spaces_kernel_dimension_is_basis_invariant():
