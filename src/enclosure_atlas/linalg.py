@@ -198,66 +198,56 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·
-    maxᵢ ‖A⁻¹ωᵢ‖), and the solutions A⁻¹[b | Ω] for one more Gaussian
-    column b: one LU each."""
+    maxᵢ ‖A⁻¹ωᵢ‖), and A⁻¹e for the last unit vector e: one LU each."""
     count, size, _ = a.shape
-    sol = _solve(a, rng.standard_normal((count, size, 1 + _PROBES)))
-    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit norm, the largest-magnitude entry made positive."""
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    return v * np.sign(np.take_along_axis(v, np.abs(v).argmax(axis=1)[:, None], 1))
+    rhs = np.zeros((count, size, 1 + _PROBES))
+    rhs[:, -1, 0] = 1
+    rhs[..., 1:] = rng.standard_normal((count, size, _PROBES))
+    sol = _solve(a, rhs)
+    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol[..., 0]
 
 
 def _certified_kernels(
-    s: np.ndarray, cut: float, rng: np.random.Generator
+    s: np.ndarray, y: np.ndarray, cut: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel dimension of each real square matrix in a stack, certified by LU
-    solves to be the one the SVD's rule ``σ <= cut`` gives: 0, or 1 with unit
-    kernel vectors x of s and y of sᵀ, or −1 where the certificate cannot
-    decide. Also the certified lower bound on the smallest singular value
-    kept (σ_N or σ_{N−1}; NaN where undecided).
+    """Kernel dimension of each real square matrix in a stack, certified by
+    at most one LU each to be the one the SVD's rule ``σ <= cut`` gives: 0,
+    or 1 with kernel vectors x of s and y of sᵀ, or −1 where the certificate
+    cannot decide. Also the certified lower bound on the smallest singular
+    value kept (σ_N or σ_{N−1}; NaN where undecided).
 
-    Dimension 0 when the probe bound on σ_min(s) exceeds the cut. Otherwise
-    x = s⁻¹b and y = s⁻ᵀb′ normalized (inverse iteration), and dimension 1
-    when ‖s x‖ and ‖sᵀy‖ are at most the cut, so σ_N <= cut, and the bound
-    on σ_min of the bordered B = [[s, y], [xᵀ, 0]] exceeds it: for unit
-    z ⊥ x, ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
-    The probe solutions projected off x give such z; one with ‖s z‖ < cut
-    shows that the bound must fail (a larger kernel) and saves both LUs.
+    Each row of y is the unit restriction of y₀ (1 on the diagonal
+    coordinates, 0 elsewhere) to its matrix's coordinates, or zero for a
+    coherence sector, which has no diagonal coordinate. A coherence sector
+    has dimension 0 when the probe bound on σ_min(s) exceeds the cut. A
+    trace-preserving map has sᵀy = 0; where ‖sᵀy‖ <= cut, the bordered
+    B = [[s, y], [yᵀ, 0]] is factored once, and its solve against e_{N+1}
+    gives x with s x = −μ y and yᵀx = 1, so x has positive trace. Dimension
+    1, with kernel vectors x̂ and y, when ‖s x̂‖ <= cut, so σ_N <= cut, and
+    the probe bound on σ_min(B) exceeds the cut: for unit z ⊥ y,
+    ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
     """
     count, size, _ = s.shape
     dim = np.full(count, -1)
-    y = np.empty((0, size))
+    bound = np.full(count, np.nan)
+    traced = y.any(axis=1)
     with np.errstate(all="ignore"):
-        bound, sol = _sigma_min_bound(s, rng)
-        dim[bound > cut] = 0
-        bound[dim < 0] = np.nan
-        # an exact zero pivot or an overflow leaves no kernel vector to try
-        rest = np.flatnonzero((dim < 0) & np.isfinite(sol).all(axis=(1, 2)))
-        s, x, w = s[rest], _unit(sol[rest, :, 0]), sol[rest, :, 1:]
-        # z = off / ‖off‖ is a unit vector ⊥ x; ‖s z‖ < cut dooms the bound
-        off = w - x[:, :, None] * np.einsum("ci,cij->cj", x, w)[:, None]
-        witness = np.linalg.norm(s @ off, axis=1) < cut * np.linalg.norm(off, axis=1)
-        keep = ~witness.any(axis=1)
-        rest, s, x = rest[keep], s[keep], x[keep]
+        free = np.flatnonzero(~traced)
+        if free.size:
+            kept = _sigma_min_bound(s[free], rng)[0]
+            free, kept = free[kept > cut], kept[kept > cut]
+            dim[free], bound[free] = 0, kept
+        residual = np.linalg.norm(np.einsum("cji,cj->ci", s, y), axis=1)
+        rest = np.flatnonzero(traced & (residual <= cut))
+        s, y, x = s[rest], y[rest], np.empty((0, size))
         if rest.size:
-            y = _solve(s.transpose(0, 2, 1), rng.standard_normal((rest.size, size, 1)))
-            y = _unit(y[..., 0])
             bordered = np.zeros((rest.size, size + 1, size + 1))
             bordered[:, :size, :size] = s
-            bordered[:, :size, size] = y
-            bordered[:, size, :size] = x
-            residual = np.maximum(
-                np.linalg.norm(np.einsum("cij,cj->ci", s, x), axis=1),
-                np.linalg.norm(np.einsum("cji,cj->ci", s, y), axis=1),
-            )
-            kept = _sigma_min_bound(bordered, rng)[0]
-            one = (residual <= cut) & (kept > cut)
-            dim[rest[one]] = 1
-            bound[rest[one]] = kept[one]
+            bordered[:, :size, size] = bordered[:, size, :size] = y
+            kept, x = _sigma_min_bound(bordered, rng)
+            x = x[:, :size] / np.linalg.norm(x[:, :size], axis=1, keepdims=True)
+            one = (np.linalg.norm(np.einsum("cij,cj->ci", s, x), axis=1) <= cut) & (kept > cut)
+            dim[rest[one]], bound[rest[one]] = 1, kept[one]
             x, y = x[one], y[one]
     return dim, bound, x, y
 
@@ -302,13 +292,18 @@ def null_spaces(
     above rank_tol · max(‖M‖_F, 1), a scale taken before any factorization
     (‖M‖_F = ‖m‖_F in every orthonormal basis). The sectors of one size are
     stacked, and M itself is used when one sector spans every coordinate.
-    LU solves with Gaussian probes (``_certified_kernels``) certify that a
-    sector has no kernel or a one-dimensional one, with the SVD's decision
-    and its kernel vectors; the probes come from a fixed seed, so the result
-    does not depend on any caller's seed. The sectors they cannot decide (a
-    larger kernel, a value near the cut, an exact zero pivot) are factored by
-    one batched real SVD, whose trailing singular vectors span their
-    kernels. Kernel vectors are embedded at their sector's coordinates;
+    A trace-preserving map has m†(1) = 0, so on every sector that holds a
+    diagonal coordinate the restriction of y₀ = T† vec(1) (1 on the diagonal
+    coordinates) is a left kernel vector. One LU per sector with Gaussian
+    probes (``_certified_kernels``) certifies a coherence sector kernel-free,
+    or a diagonal-bearing one, through its matrix bordered by y₀, to have a
+    one-dimensional kernel, with the SVD's decision; the left kernel vector
+    is then the normalized restriction of y₀ itself. The probes come from a
+    fixed seed, so the result does not depend on any caller's seed. The
+    sectors the certificate cannot decide (a larger kernel, a value near the
+    cut, an exact zero pivot, a map that does not preserve the trace) are
+    factored by one batched real SVD, whose trailing singular vectors span
+    their kernels. Kernel vectors are embedded at their sector's coordinates;
     columns come ordered by sector (smallest coordinate first), and mapped
     back through T every basis vector is vec of a Hermitian matrix.
     """
@@ -354,7 +349,9 @@ def null_spaces(
         # (sectors of this size) x size coordinates, one row per sector
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
-        dim, _, x, y = _certified_kernels(block, cut, rng)
+        diagonal = idx < n
+        y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
+        dim, _, x, y = _certified_kernels(block, y, cut, rng)
         # (sector rows of idx, right and left kernel vectors), one vector a row
         found = [(np.flatnonzero(dim == 1), x, y)]
         undecided = np.flatnonzero(dim < 0)

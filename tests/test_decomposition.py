@@ -158,9 +158,10 @@ def _forbid_superoperator_builds(monkeypatch):
 def _factor_spy(monkeypatch):
     """Record every factorization as (kind, shape, is_complex): "svd" for
     np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
-    after a solve that raised LinAlgError; and ("cert", shape, dims) after
-    each stack of sectors the stage-1 certificate decided, dims holding 0, 1
-    or -1 (undecided) per sector."""
+    after a solve that raised LinAlgError; and ("cert", shape, (dims, traced))
+    after each stack of sectors the stage-1 certificate decided, dims holding
+    0, 1 or -1 (undecided) and traced whether the sector has a diagonal
+    coordinate, per sector."""
     svd, solve = np.linalg.svd, np.linalg.solve
     certify = linalg_module._certified_kernels
     calls = []
@@ -177,9 +178,9 @@ def _factor_spy(monkeypatch):
             calls.append(("zero pivot", np.shape(a), False))
             raise
 
-    def certify_spy(s, cut, rng):
-        out = certify(s, cut, rng)
-        calls.append(("cert", s.shape, out[0]))
+    def certify_spy(s, y, cut, rng):
+        out = certify(s, y, cut, rng)
+        calls.append(("cert", s.shape, (out[0], y.any(axis=1))))
         return out
 
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
@@ -190,21 +191,30 @@ def _factor_spy(monkeypatch):
 
 def _sector_decisions(stage, n2):
     """Check that one null_spaces run (its ``_factor_spy`` calls) decided
-    every sector exactly once: each stack of same-size sectors takes one LU
-    first, then at most an LU of the transposes and one of the bordered
-    matrices, and one SVD factors exactly the sectors the certificate left
-    undecided. Every factorization is real and the sectors cover n2
-    coordinates. Returns (size, decision) per sector: the certified kernel
-    dimension 0 or 1, or "svd"."""
+    every sector exactly once: each stack of same-size sectors takes at most
+    one LU per sector, the sector's own LU (every coherence sector, which has
+    no diagonal coordinate) or its bordered LU (a sector with a diagonal
+    coordinate), where a stacked LU that meets a zero pivot is retried matrix
+    by matrix; then one SVD factors exactly the sectors the certificate left
+    undecided. A coherence sector is certified kernel-free or undecided, any
+    other sector one-dimensional or undecided. Every factorization is real
+    and the sectors cover n2 coordinates. Returns (size, decision) per
+    sector: the certified kernel dimension 0 or 1, or "svd"."""
     assert not any(is_complex for kind, _, is_complex in stage if kind != "cert")
     decisions, pos = [], 0
     while pos < len(stage):
         at = next(i for i in range(pos, len(stage)) if stage[i][0] == "cert")
-        _, (count, size, _), dims = stage[at]
+        _, (count, size, _), (dims, traced) = stage[at]
         assert {kind for kind, _, _ in stage[pos:at]} <= {"lu", "zero pivot"}
-        lus = [shape for kind, shape, _ in stage[pos:at] if kind == "lu"]
-        assert lus[0] == (count, size, size)
-        assert all(k <= count and rows == cols in (size, size + 1) for k, rows, cols in lus)
+        lus = [  # without the stacked LUs that met a zero pivot and were retried
+            shape
+            for (kind, shape, _), (after, _, _) in zip(stage[pos:at], stage[pos + 1 : at + 1])
+            if kind == "lu" and not (after == "zero pivot" and shape[0] > 1)
+        ]
+        assert all(rows == cols in (size, size + 1) for _, rows, cols in lus)
+        assert sum(k for k, rows, _ in lus if rows == size) == np.count_nonzero(~traced)
+        assert sum(k for k, rows, _ in lus if rows == size + 1) <= np.count_nonzero(traced)
+        assert set(dims[~traced]) <= {0, -1} and set(dims[traced]) <= {1, -1}
         svds, pos = [], at + 1
         while pos < len(stage) and stage[pos][0] == "svd":
             svds.append(stage[pos][1])
@@ -312,8 +322,8 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
     certify = linalg_module._certified_kernels
     sectors = []
 
-    def spy(s, cut, rng):
-        out = certify(s, cut, rng)
+    def spy(s, y, cut, rng):
+        out = certify(s, y, cut, rng)
         sectors.append((s.copy(), cut, out[0], out[1]))
         return out
 
@@ -350,10 +360,10 @@ def test_null_spaces_factor_a_dense_model_as_one_sector(monkeypatch):
     model = random_model(np.random.default_rng(3), 4, 2)
     calls = _factor_spy(monkeypatch)
     null_spaces(build_generator(model).matrix)
-    # one 16-coordinate sector with a certified one-dimensional kernel: LUs of
-    # the sector, its transpose and the bordered matrix, and no SVD
+    # one 16-coordinate sector with a certified one-dimensional kernel: one LU
+    # of the bordered matrix, and no SVD
     assert _sector_decisions(calls, 16) == [(16, 1)]
-    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 16, 16), (1, 16, 16), (1, 17, 17)]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 17, 17)]
 
 
 def test_null_spaces_split_only_at_exact_zeros(monkeypatch):
@@ -405,6 +415,15 @@ def _sector_svd_oracle(mat, tol=DEFAULT_TOL):
     return [t @ b @ (t @ b).conj().T for b in kernels]
 
 
+def _real_pair_model(rng, d=3, num_jumps=2):
+    """H = 0 and jumps 1₂ ⊗ A_j with real d x d A_j: L is 1 ⊗ L_A, and L_A
+    maps real matrices to real ones, so the real and the imaginary parts of
+    the coherences between the two copies form two d²-coordinate sectors,
+    each holding one of the two intertwiners of the copies' steady state."""
+    jumps = [np.kron(np.eye(2), rng.standard_normal((d, d))) for _ in range(num_jumps)]
+    return LindbladModel.create(np.zeros((2 * d, 2 * d)), jumps)
+
+
 def _oracle_grid():
     rng = np.random.default_rng(71)
     for n in (2, 3, 5, 8):
@@ -413,6 +432,7 @@ def _oracle_grid():
         yield random_channel(rng, n, 2)
     for dims in ((1, 2), (2, 3), (3, 3, 2), (4, 4)):
         yield block_diag_model(rng, dims, 2)
+    yield _real_pair_model(rng)
 
 
 def _assert_matches_sector_svd_oracle(mat):
@@ -447,24 +467,25 @@ def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
-    assert _sector_decisions(calls, 4) == [(1, "svd")] * 4 and kern.shape[1] == 4
-    # the stacked LU fails, then each sector's own LU
+    # the populations' bordered matrices [[0, 1], [1, 0]] certify them; the
+    # coherences' stacked LU fails, then each one's own LU
+    assert _sector_decisions(calls, 4) == [(1, 1), (1, 1), (1, "svd"), (1, "svd")]
+    assert kern.shape[1] == 4
     pivots = [c[1] for c in calls if c[0] == "zero pivot"]
-    assert pivots == [(4, 1, 1)] + [(1, 1, 1)] * 4
+    assert pivots == [(2, 1, 1)] + [(1, 1, 1)] * 2
 
 
 def test_null_spaces_conjugated_pair_cross_sector_needs_svd(monkeypatch):
-    # the two blocks are certified one by one; the coherences between them
-    # carry the intertwiner and its adjoint, a two-dimensional kernel, which
-    # the first LU's probes already show: no LU of the transpose or bordered
-    # matrix follows for that sector
+    # the two blocks are certified by one bordered LU each; the coherences
+    # between them carry the intertwiner and its adjoint, a two-dimensional
+    # kernel, so their one LU fails the kernel-free bound
     model, _ = conjugated_pair_model(np.random.default_rng(2), 3, 2)
     mat = build_generator(model).matrix
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     assert _sector_decisions(calls, 36) == [(9, 1), (9, 1), (18, "svd")] and kern.shape[1] == 4
-    assert [c[1] for c in calls if c[0] == "lu" and c[1][-1] > 10] == [(1, 18, 18)]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(2, 10, 10), (1, 18, 18)]
 
 
 def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
@@ -478,14 +499,58 @@ def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
     assert not any(kind == "svd" for kind, _, _ in calls)
 
 
+def test_null_spaces_coherence_sector_kernels_go_to_svd(monkeypatch):
+    # the two 9-coordinate cross-coherence sectors of the real pair model have
+    # a one-dimensional kernel but no diagonal coordinate: their one LU fails
+    # the kernel-free bound and the SVD decides them. The copies' populations
+    # are certified by their bordered LU, their imaginary parts kernel-free.
+    mat = build_generator(_real_pair_model(np.random.default_rng(97))).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    decisions = _sector_decisions(calls, 36)
+    assert decisions == [(3, 0), (3, 0), (6, 1), (6, 1), (9, "svd"), (9, "svd")]
+    assert kern.shape[1] == left.shape[1] == 4
+
+
+def test_null_spaces_certified_left_vectors_are_the_trace_functional(monkeypatch):
+    # L†(1) = 0, so on each sector of M = T† L T that holds a diagonal
+    # coordinate, the normalized restriction of y₀ = T† vec(1) is a left
+    # kernel vector: the certificate returns it exactly, and the bordered
+    # solve's yᵀx = 1 gives the right kernel vector a positive trace.
+    calls = _factor_spy(monkeypatch)
+    for model in (*_agreement_models(), *_sector_models(), *_oracle_grid()):
+        mat = _generator(model, DEFAULT_TOL).matrix
+        n = model.dim
+        calls.clear()
+        kern, left = null_spaces(mat)
+        _sector_decisions(calls, n * n)
+        # every sector with a diagonal coordinate is certified
+        certified = [out for kind, _, out in calls if kind == "cert"]
+        assert all(np.all(dims[traced] == 1) for dims, traced in certified)
+        t = _hermitian_coordinates(n)
+        labels = scipy.sparse.csgraph.connected_components(
+            (t.conj().T @ mat @ t).real != 0, directed=False
+        )[1]
+        traced = 0
+        for x, y in zip(kern.T, left.T):
+            label = labels[np.flatnonzero(linalg_module._herm_to_real(unvec(y)))[0]]
+            if label in labels[:n]:
+                diagonal = labels[:n] == label
+                assert np.array_equal(unvec(y), np.diag(diagonal / np.sqrt(diagonal.sum())))
+                assert np.trace(unvec(x)).real > 0
+                traced += 1
+        assert traced == len(set(labels[:n]))
+
+
 def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
     # L dephases every coherence at rate 1 and maps populations by a real
     # block-diagonal matrix with sectors A, B (1 x 1) and C, D (2 x 2) whose
-    # smallest singular values are cut/2, 3·cut, cut/1000 and 3·cut. Only A
-    # and C have a kernel. The certificate takes A and C; B and D, kept by a
-    # margin the probe bounds cannot show, go to the SVD. (One step of inverse
-    # iteration leaves ‖S x‖ above σ_N by a random factor, so a 2 x 2 kernel
-    # value of cut/2 may also go to the SVD.)
+    # smallest singular values are cut/2, 3·cut, cut/1000 and 3·cut. The map
+    # does not preserve the trace: in C and D the normalized y₀ = (1, 1)/√2
+    # is the left singular vector of the smallest value, so ‖Sᵀy₀‖ is that
+    # value. Only A and C have a kernel. The certificate takes A and C by
+    # their bordered LU; B and D, with ‖Sᵀy₀‖ = 3·cut, go to the SVD.
     n = 6
     cut = DEFAULT_TOL.rank_tol * np.sqrt(n * (n - 1) + 2)
     rng = np.random.default_rng(79)
@@ -493,8 +558,9 @@ def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
     pops = np.arange(n) * (n + 1)
     mat[np.ix_(pops, pops)] = 0.0
     blocks = [np.array([[cut / 2]]), np.array([[3 * cut]])]
+    q1 = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2)
     for smallest in (cut / 1000, 3 * cut):
-        q1, q2 = (np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(2))
+        q2 = np.linalg.qr(rng.standard_normal((2, 2)))[0]
         blocks.append(q1 @ np.diag([1.0, smallest]) @ q2.T)
     mat[np.ix_(pops, pops)] = scipy.linalg.block_diag(*blocks)
     assert abs(np.linalg.norm(mat) * DEFAULT_TOL.rank_tol / cut - 1) < 1e-12
@@ -506,23 +572,40 @@ def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
     assert kern.shape[1] == left.shape[1] == 2
 
 
+def test_null_spaces_left_kernel_off_the_trace_functional_needs_svd(monkeypatch):
+    # n = 2, coherences dephased at rate 1, populations mapped by
+    # diag(1, cut/1000) q2ᵀ: a one-dimensional kernel whose left vector is
+    # the second population, not y₀ = (1, 1)/√2. The map does not preserve
+    # the trace, ‖Sᵀy₀‖ ≈ 0.7 exceeds the cut, and the SVD decides the sector.
+    cut = DEFAULT_TOL.rank_tol * np.sqrt(3)
+    q2 = np.linalg.qr(np.random.default_rng(101).standard_normal((2, 2)))[0]
+    mat = -np.eye(4, dtype=complex)
+    mat[np.ix_([0, 3], [0, 3])] = np.diag([1.0, cut / 1000]) @ q2.T
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    assert _sector_decisions(calls, 4) == [(1, 0), (1, 0), (2, "svd")]
+    assert np.allclose(np.abs(unvec(left[:, 0])), unit(1, 1), atol=1e-12)
+
+
 def test_null_spaces_bordered_bound_rules_out_a_second_small_value(monkeypatch):
     # One dense 36-coordinate sector with singular values 1 (34 times),
-    # cut/2 and cut/1000: a two-dimensional kernel. The probes, dominated by
-    # the cut/1000 direction, show no witness z ⊥ x with ‖M z‖ < cut, so the
-    # LUs of the transpose and of the bordered matrix run, and the bordered
-    # bound, at most σ_{N-1} = cut/2, sends the sector to the SVD.
+    # cut/2 and cut/1000: a two-dimensional kernel. The normalized y₀ is the
+    # left singular vector of cut/1000, so ‖Mᵀy₀‖ <= cut and the bordered LU
+    # runs; its bound, at most σ_{N-1} = cut/2, sends the sector to the SVD.
     n = 6
     cut = DEFAULT_TOL.rank_tol * np.sqrt(34)
     rng = np.random.default_rng(83)
-    q1, q2 = (np.linalg.qr(rng.standard_normal((n * n, n * n)))[0] for _ in range(2))
+    y0 = np.r_[np.ones(n), np.zeros(n * n - n)] / np.sqrt(n)
+    q1 = np.linalg.qr(np.column_stack([y0, rng.standard_normal((n * n, n * n - 1))]))[0][:, ::-1]
+    q2 = np.linalg.qr(rng.standard_normal((n * n, n * n)))[0]
     t = _hermitian_coordinates(n)
     mat = t @ (q1 * np.r_[np.ones(34), cut / 2, cut / 1000]) @ q2.T @ t.conj().T
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     assert _sector_decisions(calls, n * n) == [(36, "svd")] and kern.shape[1] == 2
-    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 36, 36), (1, 36, 36), (1, 37, 37)]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 37, 37)]
 
 
 def test_null_spaces_kernel_dimension_is_basis_invariant():
@@ -543,6 +626,25 @@ def test_null_spaces_kernel_dimension_is_basis_invariant():
         assert moved_kern.shape[1] == kern.shape[1] > 0
 
 
+def test_decompose_generators_zero_up_to_roundoff():
+    # H = U(0.7·1)U† with the jump U(0.3·1)U†, and the channel with Kraus
+    # operators k, k for k = U(1/√2)U†, are the zero generator up to
+    # roundoff (‖L‖_F ~ 1e-15): every mode lies below the stage-1 cut, whose
+    # floor rank_tol·1 keeps such noise from deciding ranks. The answer is
+    # the zero generator's: one family of n one-dimensional members.
+    rng = np.random.default_rng(89)
+    for n in (2, 3, 4):
+        u = random_unitary(rng, n)
+        h, jump, k = (u @ (c * np.eye(n)) @ u.conj().T for c in (0.7, 0.3, np.sqrt(0.5)))
+        for model in (LindbladModel.create(h, [jump]), KrausChannel.create([k, k])):
+            assert 0 < np.linalg.norm(_generator(model, DEFAULT_TOL).matrix) < 1e-13
+            report = decompose(model, seed=0)
+            assert report.recurrent_dimension == n and not report.unique_enclosures
+            (family,) = report.families
+            assert [member.dimension for member in family.members] == [1] * n
+            assert verify_decomposition(report, model).ok
+
+
 def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
     # Coherences decaying at different rates: L(X)† != L(X†).
     mat = np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex)
@@ -561,8 +663,8 @@ def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
     # The algebra and the extremal states come from the kernels of stage 1;
     # the remaining SVDs and LUs act on matrices with at most 2 dim ker L
     # columns (coefficient spaces, Hermitian re-orthonormalization). So every
-    # factorization larger than that is stage 1's: an LU of sector blocks,
-    # their transposes or bordered blocks, or the SVD of undecided sectors.
+    # factorization larger than that is stage 1's: an LU of coherence sector
+    # blocks or of bordered blocks, or the SVD of undecided sectors.
     rng = np.random.default_rng(5)
     models = [leaky_model(rng, 4, 2), conjugated_pair_model(rng, 3, 2)[0]]
     models += [block_diag_model(rng, (3, 4), 2)]
