@@ -7,7 +7,8 @@ or nondemolition checks), ``examples`` (emit a built-in model file).
 Exit codes are a stable contract: 0 success, 1 file/parse error,
 2 validation failure, 3 analysis failure (including failed theorem clauses
 or failed identifiability). The seed defaults to --seed, then the model
-file's "seed", then the ENCLOSURE_ATLAS_SEED environment variable, then 0.
+file's "seed", then the ENCLOSURE_ATLAS_SEED environment variable, then 0;
+a negative seed is a validation failure.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ from .oqrw import RateMatrix, verify_oqrw_theorem
 from .semigroup import KrausChannel, LindbladModel, validate
 
 ENV_SEED = "ENCLOSURE_ATLAS_SEED"
+
+# Exit code and message prefix of each handled exception family, in the
+# order they are tried: ModelFileError and ValidationError are ValueErrors.
+_EXITS = (
+    ((ModelFileError, OSError), 1, "error"),
+    ((ValidationError, ValueError), 2, "validation error"),
+    ((DecompositionError, RuntimeError), 3, "analysis error"),
+)
+_HANDLED = tuple(t for types, _, _ in _EXITS for t in types)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and message line of a handled exception."""
+    code, prefix = next((c, p) for types, c, p in _EXITS if isinstance(exc, types))
+    return code, f"{prefix}: {exc}\n"
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
@@ -105,17 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args, parsed: ParsedModel) -> int:
-    if args.seed is not None:
-        return args.seed
-    if parsed.seed is not None:
-        return parsed.seed
     env = os.environ.get(ENV_SEED)
-    if env is not None:
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    elif parsed.seed is not None:
+        seed, source = parsed.seed, 'the model file\'s "seed"'
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), ENV_SEED
         except ValueError:
             raise ValidationError(f"{ENV_SEED}={env!r} is not an integer") from None
-    return 0
+    else:
+        return 0
+    if seed < 0:
+        raise ValidationError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_tol(args, parsed: ParsedModel):
@@ -184,12 +204,9 @@ def cmd_analyze(args) -> int:
     def run(index, path):
         try:
             return path, _analyze_one(path, args, seed_offset=index)
-        except ModelFileError as exc:
-            return path, (1, {"error": str(exc)}, f"error: {exc}\n")
-        except (ValidationError, ValueError) as exc:
-            return path, (2, {"error": str(exc)}, f"validation error: {exc}\n")
-        except (DecompositionError, RuntimeError) as exc:
-            return path, (3, {"error": str(exc)}, f"analysis error: {exc}\n")
+        except _HANDLED as exc:
+            code, message = _failure(exc)
+            return path, (code, {"error": str(exc)}, message)
 
     results = [run(index, path) for index, path in enumerate(args.paths)]
     doc = {"reports": {path: payload[1] for path, payload in results}}
@@ -296,15 +313,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelFileError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValidationError, ValueError) as exc:
-        sys.stderr.write(f"validation error: {exc}\n")
-        return 2
-    except (DecompositionError, RuntimeError) as exc:
-        sys.stderr.write(f"analysis error: {exc}\n")
-        return 3
+    except _HANDLED as exc:
+        code, message = _failure(exc)
+        sys.stderr.write(message)
+        return code
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ from .semigroup import (
     VECTORIZATION_NOTE,
     KrausChannel,
     LindbladModel,
-    Superoperator,
     build_generator,
     channel_superoperator,
     choi_min_eigenvalue,
@@ -150,22 +149,23 @@ def _embed(iso: np.ndarray, x: np.ndarray) -> np.ndarray:
     return iso @ x @ dagger(iso)
 
 
-def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
-    """Split the space into recurrent and transient parts.
+def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
+    """Split the space of a Lindblad model or Kraus channel into recurrent
+    and transient parts.
 
     The recurrent projector is the support of the maximal-support invariant
     state E(1/n), where E is the spectral projection at eigenvalue 0: the
     projection onto ker L along ran L. With orthonormal bases K of ker L and
-    Y of ker L† from ``null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete time ``gen``
-    holds the channel matrix minus the identity, and E is the Cesàro limit
-    of the channel's powers. Eigenvalue 0 is semisimple for any
-    trace-preserving semigroup or channel; a singular Y†K means it is not,
-    and raises. ``gen`` must preserve Hermiticity (``null_spaces`` raises
-    otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
-    matrix) for later stages.
+    Y of ker L† from ``null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete time L is
+    the channel matrix minus the identity, and E is the Cesàro limit of the
+    channel's powers. Eigenvalue 0 is semisimple for any trace-preserving
+    semigroup or channel; a singular Y†K means it is not, and raises. L must
+    preserve Hermiticity (``null_spaces`` raises otherwise). The split keeps
+    K and Y (as columns, each vec of a Hermitian matrix) for later stages;
+    the n² × n² matrix of L does not outlive the call.
     """
-    n = gen.dim
-    kern, left = null_spaces(gen.matrix, tol)
+    gen, n = _generator(obj, tol), obj.dim
+    kern, left = null_spaces(gen, tol)
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")
     overlap = dagger(left) @ kern
@@ -179,7 +179,7 @@ def recurrent_projector(gen: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Re
         transient=np.eye(n) - recurrent,
         dimension=int(round(np.trace(recurrent).real)),
         state=state,
-        invariance_residual=float(np.linalg.norm(gen.matrix @ vec(state))),
+        invariance_residual=float(np.linalg.norm(gen @ vec(state))),
         kernel=kern,
         adjoint_kernel=left,
     )
@@ -458,14 +458,14 @@ def _model_kind(obj) -> str:
     raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
 
 
-def _generator(obj, tol: Tolerances) -> Superoperator:
-    """L for a Lindblad model, Phi - Id for a channel (the identity taken off
-    the diagonal in place), so kernels and cut-off fixed points mean the same
-    thing in both time modes."""
+def _generator(obj, tol: Tolerances) -> np.ndarray:
+    """The n² × n² matrix of L for a Lindblad model, of Phi - Id for a channel
+    (the identity taken off the diagonal in place), so kernels and cut-off
+    fixed points mean the same thing in both time modes."""
     if _model_kind(obj) == "lindblad":
-        return build_generator(obj)
-    gen = channel_superoperator(obj, tol)
-    gen.matrix[np.diag_indices(obj.dim**2)] -= 1.0
+        return build_generator(obj).matrix
+    gen = channel_superoperator(obj, tol).matrix
+    gen[np.diag_indices(obj.dim**2)] -= 1.0
     return gen
 
 
@@ -501,7 +501,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
             raise DecompositionError(name, str(exc)) from exc
 
     # L is built inside stage 1 only: no n² x n² array outlives it.
-    split = stage("recurrent", lambda: recurrent_projector(_generator(obj, tol), tol))
+    split = stage("recurrent", lambda: recurrent_projector(obj, tol))
     cut = stage("cutoff", lambda: cutoff_generator(obj, split.recurrent))
     structure = stage(
         "algebra",

@@ -125,9 +125,10 @@ def parse_model_document(doc) -> ParsedModel:
         unknown = set(tol_doc) - known
         if unknown:
             raise ModelFileError(f"unknown tolerance keys {sorted(unknown)}")
+        values = {k: _real_entry(v, f"tolerances.{k}") for k, v in tol_doc.items()}
         try:
-            tolerances = DEFAULT_TOL.replace(**{k: float(v) for k, v in tol_doc.items()})
-        except (TypeError, ValueError) as exc:
+            tolerances = DEFAULT_TOL.replace(**values)
+        except ValueError as exc:
             raise ValidationError(f"bad tolerances: {exc}") from None
 
     seed = None

@@ -124,16 +124,9 @@ class OqrwSpec:
 
 
 def minimal_oqrw(rate: RateMatrix) -> LindbladModel:
-    """Lindblad model of the minimal walk: H = 0 and one jump per active edge."""
-    n = rate.n
-    jumps = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and rate.q[i, j] > 0:
-                op = np.zeros((n, n), dtype=complex)
-                op[j, i] = np.sqrt(rate.q[i, j])
-                jumps.append(op)
-    return LindbladModel.create(np.zeros((n, n)), jumps)
+    """Lindblad model of the minimal walk: H = 0 and one jump
+    sqrt(q_ij) |j><i| per active edge."""
+    return general_oqrw(spec_from_rate_matrix(rate))
 
 
 def _site_operator(op: np.ndarray, dest: int, src: int, num_sites: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .linalg import (
     frob,
     hermiticity_defect,
     matrix_exponential,
-    null_spaces,
     psd_project,
     require_square,
 )
@@ -209,12 +208,6 @@ def propagate(
     return psd_project(evolved, tol)
 
 
-def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix sum_j vec(V_j) vec(V_j)† in the column-stacking convention."""
-    cols = [vec(v)[:, None] for v in channel.kraus]
-    return sum(c @ dagger(c) for c in cols)
-
-
 def choi_min_eigenvalue(channel: KrausChannel) -> float:
     """Smallest eigenvalue of the Choi matrix C C†, C = [vec V_j], from the
     k × k Gram matrix C†C: C C† has rank at most k, so the value is 0 when
@@ -251,28 +244,3 @@ def validate(obj, tol: Tolerances = DEFAULT_TOL) -> ModelDiagnostics:
         ok = bool(trace_res <= 100 * tol.residual_tol and choi_min >= -tol.psd_tol)
         return ModelDiagnostics("kraus", obj.dim, 0.0, trace_res, choi_min, ok)
     raise TypeError(f"cannot validate object of type {type(obj).__name__}")
-
-
-def fixed_point_basis(
-    s: Superoperator, mode: str = "generator", tol: Tolerances = DEFAULT_TOL
-) -> list[np.ndarray]:
-    """Hermitian orthonormal basis of the fixed-point space.
-
-    mode "generator": solutions of L(A) = 0; mode "channel": solutions of
-    Phi(A) = A. The map must preserve Hermiticity; its kernel comes from
-    ``null_spaces``, whose basis is already orthonormal and Hermitian. A
-    trace-preserving map always has a fixed point in finite dimension, so an
-    empty result signals numerical failure and raises.
-    """
-    if mode == "generator":
-        target = s.matrix
-    elif mode == "channel":
-        target = s.matrix - np.eye(s.dim**2)
-    else:
-        raise ValueError(f"unknown mode {mode!r}; use 'generator' or 'channel'")
-    kernel = null_spaces(target, tol)[0]
-    if kernel.shape[1] == 0:
-        raise RuntimeError(
-            "empty fixed-point space for a trace-preserving map: numerical failure"
-        )
-    return [unvec(v) for v in kernel.T]

@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from enclosure_atlas.decomposition import recurrent_projector
 from enclosure_atlas.linalg import random_hermitian, random_unitary
 from enclosure_atlas.oqrw import RateMatrix
-from enclosure_atlas.semigroup import KrausChannel, LindbladModel
+from enclosure_atlas.semigroup import KrausChannel, LindbladModel, unvec, vec
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -15,6 +16,18 @@ def unit(i, j, n=2):
     m = np.zeros((n, n), dtype=complex)
     m[i, j] = 1.0
     return m
+
+
+def fixed_points(obj):
+    """Orthonormal Hermitian basis of ker L (ker(Phi - Id) for a channel)."""
+    return [unvec(v) for v in recurrent_projector(obj).kernel.T]
+
+
+def choi_matrix(channel):
+    """Choi matrix sum_j vec(V_j) vec(V_j)† in the column-stacking convention:
+    the dense oracle for ``choi_min_eigenvalue``."""
+    cols = [vec(v)[:, None] for v in channel.kraus]
+    return sum(c @ c.conj().T for c in cols)
 
 
 def random_density(rng, n):

@@ -37,8 +37,6 @@ from enclosure_atlas.linalg import DEFAULT_TOL
 from enclosure_atlas.oqrw import minimal_oqrw, verify_oqrw_theorem
 from enclosure_atlas.semigroup import (
     build_generator,
-    channel_superoperator,
-    fixed_point_basis,
     matrix_exponential,
     unvec,
     vec,
@@ -48,6 +46,7 @@ from helpers import (
     PAULI_Y,
     block_diag_model,
     conjugated_pair_model,
+    fixed_points,
     leaky_model,
     random_density,
     random_model,
@@ -143,7 +142,7 @@ def test_criterion_2_rotation_channel():
             )
             assert best <= 1e-9
         # invariant states are exactly the family [[1/2, ix], [-ix, 1/2]]
-        basis = fixed_point_basis(channel_superoperator(channel), "channel")
+        basis = fixed_points(channel)
         assert len(basis) == 2
         assert _span_residual(np.eye(2) / np.sqrt(2), basis) <= 1e-9
         assert _span_residual(PAULI_Y / np.sqrt(2), basis) <= 1e-9
@@ -228,10 +227,7 @@ def test_criterion_5_qnd_suite():
                         assert value.real < -1e-10
             if passes:
                 nondegenerate_seen += 1
-                basis = fixed_point_basis(
-                    build_generator(qnd_to_model(qnd)), "generator"
-                )
-                for x in basis:
+                for x in fixed_points(qnd_to_model(qnd)):
                     assert np.linalg.norm(x - np.diag(np.diag(x))) <= 1e-8
         assert nondegenerate_seen >= 10  # generic draws are rarely degenerate
 

@@ -23,6 +23,7 @@ from enclosure_atlas.semigroup import (
     adjoint_generator,
     apply,
     build_generator,
+    channel_superoperator,
     matrix_exponential,
     unvec,
     vec,
@@ -66,7 +67,7 @@ from helpers import (
 
 
 def test_recurrent_projector_faithful():
-    split = recurrent_projector(build_generator(faithful_2d()))
+    split = recurrent_projector(faithful_2d())
     assert np.allclose(split.recurrent, np.eye(2), atol=1e-10)
     assert split.dimension == 2
     assert decompose(faithful_2d()).recurrent_method == "spectral"
@@ -74,13 +75,13 @@ def test_recurrent_projector_faithful():
 
 
 def test_recurrent_projector_unfaithful():
-    split = recurrent_projector(build_generator(unfaithful_2d()))
+    split = recurrent_projector(unfaithful_2d())
     assert np.allclose(split.recurrent, np.diag([1.0, 0.0]), atol=1e-10)
     assert np.allclose(split.transient, np.diag([0.0, 1.0]), atol=1e-10)
 
 
 def test_recurrent_projector_zero_generator():
-    split = recurrent_projector(build_generator(zero_generator_2d()))
+    split = recurrent_projector(zero_generator_2d())
     assert np.allclose(split.recurrent, np.eye(2), atol=1e-12)
 
 
@@ -117,21 +118,60 @@ def _agreement_models():
 
 def test_recurrent_projector_matches_schur_sylvester_oracle():
     for model in _agreement_models():
-        gen = _generator(model, DEFAULT_TOL)
-        split = recurrent_projector(gen)
-        oracle = _schur_sylvester_state(gen.matrix)
+        split = recurrent_projector(model)
+        oracle = _schur_sylvester_state(_generator(model, DEFAULT_TOL))
         assert np.linalg.norm(split.state - oracle) < 1e-9
         assert np.linalg.norm(split.recurrent - support_projector(oracle)) < 1e-10
 
 
-def test_recurrent_projector_rejects_jordan_block_at_zero():
+def _crafted_generator(monkeypatch, mat):
+    """Make stage 1 of every Lindblad model on C^2 see the matrix ``mat``."""
+    monkeypatch.setattr(
+        decomposition_module, "build_generator", lambda model: Superoperator(dim=2, matrix=mat)
+    )
+
+
+def test_recurrent_projector_rejects_jordan_block_at_zero(monkeypatch):
     # L(E00) = 0 and L(E11) = E00, with the coherences decaying: L preserves
     # Hermiticity, and ker L lies inside ran L, so no projection onto ker L
     # along ran L exists.
     mat = np.diag([0.0, -1.0, -1.0, 0.0]).astype(complex)
     mat[0, 3] = 1.0
+    _crafted_generator(monkeypatch, mat)
     with pytest.raises(RuntimeError, match="not semisimple"):
-        recurrent_projector(Superoperator(dim=2, matrix=mat))
+        recurrent_projector(faithful_2d())
+
+
+def test_recurrent_projector_rejects_kernel_free_map(monkeypatch):
+    # L = -Id is not trace annihilating: it has no fixed point at all
+    _crafted_generator(monkeypatch, -np.eye(4, dtype=complex))
+    with pytest.raises(RuntimeError, match="no eigenvalue at zero"):
+        recurrent_projector(faithful_2d())
+
+
+def test_recurrent_projector_takes_lindblad_models_and_channels():
+    # Stage 1 on the model equals stage 1 on a hand-built L (Phi - Id with
+    # the identity subtracted out of place for a channel), bit for bit.
+    for model in _agreement_models():
+        n = model.dim
+        if isinstance(model, LindbladModel):
+            mat = build_generator(model).matrix
+        else:
+            mat = channel_superoperator(model).matrix - np.eye(n * n)
+        kern, left = null_spaces(mat)
+        overlap = left.conj().T @ kern
+        coeff = np.linalg.solve(overlap, left.conj().T @ vec(np.eye(n) / n))
+        rho = unvec(kern @ coeff)
+        state = psd_project((rho + rho.conj().T) / 2)
+        split = recurrent_projector(model)
+        assert np.array_equal(split.kernel, kern)
+        assert np.array_equal(split.adjoint_kernel, left)
+        assert np.array_equal(split.state, state)
+        assert np.array_equal(split.recurrent, support_projector(state))
+        assert split.invariance_residual == np.linalg.norm(mat @ vec(state))
+    for other in (build_generator(faithful_2d()), np.zeros((4, 4)), None):
+        with pytest.raises(TypeError, match="cannot decompose"):
+            recurrent_projector(other)
 
 
 def _svd_spy(monkeypatch):
@@ -329,13 +369,12 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "_certified_kernels", spy)
     for model in (*_agreement_models(), *_sector_models()):
-        gen = _generator(model, DEFAULT_TOL)
-        n = gen.dim
-        u, s, vh = svd(gen.matrix)
-        cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen.matrix), 1.0)
+        gen, n = _generator(model, DEFAULT_TOL), model.dim
+        u, s, vh = svd(gen)
+        cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen), 1.0)
         rank = int(np.count_nonzero(s > cut))
         sectors.clear()
-        kern, left = null_spaces(gen.matrix)
+        kern, left = null_spaces(gen)
         values = np.sort(np.concatenate([svd(b, compute_uv=False).ravel() for b, *_ in sectors]))
         assert np.max(np.abs(values[::-1] - s)) <= 1e-12 * max(s[0], 1.0)
         for block, sector_cut, dims, bounds in sectors:
@@ -446,7 +485,7 @@ def _assert_matches_sector_svd_oracle(mat):
 def test_null_spaces_match_per_sector_svd_oracle():
     models = (*_agreement_models(), *_sector_models(), *_oracle_grid())
     for model in models:
-        _assert_matches_sector_svd_oracle(_generator(model, DEFAULT_TOL).matrix)
+        _assert_matches_sector_svd_oracle(_generator(model, DEFAULT_TOL))
 
 
 def test_null_spaces_near_threshold_falls_back_to_svd(monkeypatch):
@@ -520,7 +559,7 @@ def test_null_spaces_certified_left_vectors_are_the_trace_functional(monkeypatch
     # solve's yᵀx = 1 gives the right kernel vector a positive trace.
     calls = _factor_spy(monkeypatch)
     for model in (*_agreement_models(), *_sector_models(), *_oracle_grid()):
-        mat = _generator(model, DEFAULT_TOL).matrix
+        mat = _generator(model, DEFAULT_TOL)
         n = model.dim
         calls.clear()
         kern, left = null_spaces(mat)
@@ -615,14 +654,14 @@ def test_null_spaces_kernel_dimension_is_basis_invariant():
     models = [block_diag_model(rng, (2, 3), 2), leaky_model(rng, 5, 3), random_model(rng, 4, 2)]
     models += [conjugated_pair_model(rng, 2, 3)[0], conjugated_pair_channel(rng, 2, 3)]
     for model in models:
-        kern, _ = null_spaces(_generator(model, DEFAULT_TOL).matrix)
+        kern, _ = null_spaces(_generator(model, DEFAULT_TOL))
         u = random_unitary(rng, model.dim)
         if isinstance(model, LindbladModel):
             jumps = [u @ j @ u.conj().T for j in model.jumps][::-1]
             moved = LindbladModel.create(u @ model.hamiltonian @ u.conj().T, jumps)
         else:
             moved = KrausChannel.create([u @ v @ u.conj().T for v in model.kraus][::-1])
-        moved_kern, _ = null_spaces(_generator(moved, DEFAULT_TOL).matrix)
+        moved_kern, _ = null_spaces(_generator(moved, DEFAULT_TOL))
         assert moved_kern.shape[1] == kern.shape[1] > 0
 
 
@@ -637,7 +676,7 @@ def test_decompose_generators_zero_up_to_roundoff():
         u = random_unitary(rng, n)
         h, jump, k = (u @ (c * np.eye(n)) @ u.conj().T for c in (0.7, 0.3, np.sqrt(0.5)))
         for model in (LindbladModel.create(h, [jump]), KrausChannel.create([k, k])):
-            assert 0 < np.linalg.norm(_generator(model, DEFAULT_TOL).matrix) < 1e-13
+            assert 0 < np.linalg.norm(_generator(model, DEFAULT_TOL)) < 1e-13
             report = decompose(model, seed=0)
             assert report.recurrent_dimension == n and not report.unique_enclosures
             (family,) = report.families
@@ -647,12 +686,9 @@ def test_decompose_generators_zero_up_to_roundoff():
 
 def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
     # Coherences decaying at different rates: L(X)† != L(X†).
-    mat = np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex)
+    _crafted_generator(monkeypatch, np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex))
     with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        recurrent_projector(Superoperator(dim=2, matrix=mat))
-    monkeypatch.setattr(
-        decomposition_module, "build_generator", lambda model: Superoperator(dim=2, matrix=mat)
-    )
+        recurrent_projector(faithful_2d())
     with pytest.raises(DecompositionError, match="does not preserve Hermiticity") as err:
         decompose(faithful_2d())
     assert err.value.stage == "recurrent"
@@ -699,7 +735,7 @@ def _compressed_svd_oracle(model, seed=0):
     states from SVDs of the compressed cut-off and compressed generators:
     an independent oracle for algebra_structure and extremal_state."""
     gen = _generator(model, DEFAULT_TOL)
-    split = recurrent_projector(gen)
+    split = recurrent_projector(model)
     iso = _range_of(split.recurrent)
     cut = _dense_cutoff(model, split.recurrent)
     fixed = [unvec(v) for v in kernel_basis(_compress_superop(cut.matrix, iso))]
@@ -718,7 +754,7 @@ def _compressed_svd_oracle(model, seed=0):
 
     def state(p_v):
         iso_v = _range_of(p_v)
-        (x,) = [unvec(v) for v in kernel_basis(_compress_superop(gen.matrix, iso_v))]
+        (x,) = [unvec(v) for v in kernel_basis(_compress_superop(gen, iso_v))]
         y = x / np.trace(x)
         rho = psd_project((y + y.conj().T) / 2)
         return iso_v @ rho @ iso_v.conj().T
@@ -729,7 +765,7 @@ def _compressed_svd_oracle(model, seed=0):
 def test_kernel_algebra_and_states_match_compressed_svd_oracle():
     for model in _agreement_models():
         report = decompose(model, seed=0)
-        split = recurrent_projector(_generator(model, DEFAULT_TOL))
+        split = recurrent_projector(model)
         cut = cutoff_generator(model, split.recurrent)
         structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
         span_oracle, blocks_oracle, state_oracle = _compressed_svd_oracle(model)
@@ -826,7 +862,7 @@ def test_algebra_blocks_match_central_path_oracle():
     models = [*_agreement_models(), _family_model(rng, 3, 3), _family_unique_drain_model(rng)]
     model_shapes = []
     for model in models:
-        split = recurrent_projector(_generator(model, DEFAULT_TOL))
+        split = recurrent_projector(model)
         cut = cutoff_generator(model, split.recurrent)
         structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
         oracle = _central_path_oracle(structure, split.recurrent)
@@ -855,7 +891,7 @@ def test_algebra_structure_factors_nothing_larger_than_its_inputs(monkeypatch):
     # generic elements of F need factorizations of at most max(n², k) rows.
     n = 6
     model = LindbladModel.create(np.zeros((n, n)), [])
-    split = recurrent_projector(_generator(model, DEFAULT_TOL))
+    split = recurrent_projector(model)
     cut = cutoff_generator(model, split.recurrent)
     k = split.adjoint_kernel.shape[1]
     rows = []
@@ -883,7 +919,7 @@ def test_cutoff_generator_matches_dense_oracle():
     models = [*_agreement_models(), minimal_oqrw(random_rate_matrix(np.random.default_rng(59), 6))]
     for model in models:
         n = model.dim
-        p_r = recurrent_projector(_generator(model, DEFAULT_TOL)).recurrent
+        p_r = recurrent_projector(model).recurrent
         cut = cutoff_generator(model, p_r)
         units = np.eye(n * n).reshape(n * n, n, n, order="F")
         mat = np.column_stack([vec(cut(e)) for e in units])
@@ -900,7 +936,7 @@ def test_cutoff_generator_full_projector_is_adjoint():
 
 def test_cutoff_generator_compressed_block():
     model = unfaithful_2d()
-    split = recurrent_projector(build_generator(model))
+    split = recurrent_projector(model)
     cut = _dense_cutoff(model, split.recurrent)
     # the surviving one-dimensional block is stationary
     assert np.linalg.norm(apply(cut, np.diag([1.0, 0.0]))) < 1e-12
@@ -912,22 +948,20 @@ def test_cutoff_generator_zero():
 
 
 def _context(model):
-    gen = build_generator(model)
-    split = recurrent_projector(gen)
-    cut = cutoff_generator(model, split.recurrent)
-    return gen, split, cut
+    split = recurrent_projector(model)
+    return split, cutoff_generator(model, split.recurrent)
 
 
 def test_is_enclosure_coordinate_spans():
     model = two_enclosures_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     check = is_enclosure(np.diag([1.0, 0.0]), cut, split.recurrent)
     assert check.applicable and check.enclosed and check.residual < 1e-12
 
 
 def test_is_enclosure_superposition_fails():
     model = two_enclosures_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     plus = np.full((2, 2), 0.5)
     check = is_enclosure(plus, cut, split.recurrent)
     assert check.applicable and not check.enclosed
@@ -937,7 +971,7 @@ def test_is_enclosure_superposition_fails():
 
 def test_is_enclosure_zero_generator_everything():
     model = zero_generator_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = v / np.linalg.norm(v)
@@ -947,14 +981,14 @@ def test_is_enclosure_zero_generator_everything():
 
 def test_is_enclosure_leak_not_applicable():
     model = unfaithful_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     check = is_enclosure(np.diag([0.0, 1.0]), cut, split.recurrent)
     assert not check.applicable and check.leak > 0.9
 
 
 def test_algebra_structure_two_singleton_blocks():
     model = two_enclosures_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 2
     assert structure.center_dimension == 2
@@ -963,7 +997,7 @@ def test_algebra_structure_two_singleton_blocks():
 
 def test_algebra_structure_zero_generator_factor():
     model = zero_generator_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 4
     assert structure.center_dimension == 1
@@ -973,7 +1007,7 @@ def test_algebra_structure_zero_generator_factor():
 
 def test_algebra_structure_scalar_fixed_points():
     model = faithful_2d()
-    _, split, cut = _context(model)
+    split, cut = _context(model)
     structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
     assert structure.fixed_point_dimension == 1
     (block,) = structure.blocks
@@ -982,14 +1016,14 @@ def test_algebra_structure_scalar_fixed_points():
 
 def test_extremal_state_coordinate_enclosure():
     model = two_enclosures_2d()
-    split = recurrent_projector(build_generator(model))
+    split = recurrent_projector(model)
     rho = extremal_state(np.diag([1.0, 0.0]), split.kernel)
     assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_extremal_state_faithful_block():
     model = faithful_2d()
-    split = recurrent_projector(build_generator(model))
+    split = recurrent_projector(model)
     rho = extremal_state(np.eye(2), split.kernel)
     assert np.allclose(rho, np.eye(2) / 2, atol=1e-10)
 
@@ -1007,7 +1041,7 @@ def test_extremal_state_rotation_eigenvector():
 
 def test_extremal_state_rejects_non_minimal():
     model = zero_generator_2d()
-    split = recurrent_projector(build_generator(model))
+    split = recurrent_projector(model)
     with pytest.raises(ValueError, match="kernel dimension"):
         extremal_state(np.eye(2), split.kernel)
 

@@ -21,13 +21,14 @@ from enclosure_atlas.identifiability import (
     uniqueness_cross_check,
 )
 from enclosure_atlas.linalg import DEFAULT_TOL
-from enclosure_atlas.semigroup import KrausChannel, LindbladModel, build_generator, fixed_point_basis
+from enclosure_atlas.semigroup import KrausChannel, LindbladModel
 
 from helpers import (
     PAULI_X,
     block_diag_model,
     conjugated_pair_channel,
     conjugated_pair_model,
+    fixed_points,
     leaky_model,
     renewal_pair_channel,
     unit,
@@ -179,8 +180,7 @@ def test_qnd_fixed_points_diagonal_under_nondegeneracy():
         if not nondegeneracy_check(q).overall:
             continue
         checked += 1
-        basis = fixed_point_basis(build_generator(qnd_to_model(q)), "generator")
-        for x in basis:
+        for x in fixed_points(qnd_to_model(q)):
             assert np.linalg.norm(x - np.diag(np.diag(x))) < 1e-8
     assert checked >= 5  # generic draws are almost always non-degenerate
 

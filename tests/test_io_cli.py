@@ -83,6 +83,14 @@ def test_parse_tolerances_and_seed():
     doc["tolerances"] = {"bogus": 1.0}
     with pytest.raises(ModelFileError, match="bogus"):
         parse_model_document(doc)
+    # tolerances are JSON numbers, not strings or booleans
+    for bad in ({"rank_tol": "1e-9"}, {"psd_tol": True}, {"residual_tol": None}):
+        doc["tolerances"] = bad
+        with pytest.raises(ModelFileError, match=f"tolerances.{next(iter(bad))}"):
+            parse_model_document(doc)
+    doc["tolerances"] = {"rank_tol": 2}
+    with pytest.raises(ValidationError, match="rank_tol must be < 1"):
+        parse_model_document(doc)
 
 
 def test_parse_qnd_document():
@@ -347,6 +355,39 @@ def test_cli_env_seed(tmp_path, capsys, monkeypatch):
     assert doc["decomposition"]["seed"] == 17
     monkeypatch.setenv("ENCLOSURE_ATLAS_SEED", "oops")
     assert main(["analyze", path]) == 2
+
+
+def _seed_targets(tmp_path, seed=None):
+    """(command, path) for analyze and oqrw, with ``seed`` in the files."""
+    out = []
+    for command, name in (("analyze", "two-enclosures-2d"), ("oqrw", "two-state-chain")):
+        doc = fixture_document(name)
+        if seed is not None:
+            doc["seed"] = seed
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out.append((command, str(path)))
+    return out
+
+
+def test_cli_negative_seed_flag_is_validation_error(tmp_path, capsys):
+    for command, path in _seed_targets(tmp_path):
+        assert main([command, path, "--seed", "-3"]) == 2
+        assert "validation error: --seed must be a non-negative" in capsys.readouterr().err
+
+
+def test_cli_negative_file_seed_is_validation_error(tmp_path, capsys):
+    for command, path in _seed_targets(tmp_path, seed=-1):
+        assert main([command, path]) == 2
+        assert 'validation error: the model file\'s "seed" must be' in capsys.readouterr().err
+        assert main([command, path, "--seed", "0"]) == 0  # the flag wins
+
+
+def test_cli_negative_env_seed_is_validation_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ENCLOSURE_ATLAS_SEED", "-1")
+    for command, path in _seed_targets(tmp_path):
+        assert main([command, path]) == 2
+        assert "validation error: ENCLOSURE_ATLAS_SEED must be" in capsys.readouterr().err
 
 
 def test_cli_tolerance_flags(tmp_path, capsys):

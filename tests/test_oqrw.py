@@ -10,12 +10,11 @@ from enclosure_atlas.oqrw import (
     invariant_measures,
     minimal_oqrw,
     oqrw_channel,
-    spec_from_rate_matrix,
     verify_oqrw_theorem,
 )
-from enclosure_atlas.semigroup import apply, build_generator, fixed_point_basis
+from enclosure_atlas.semigroup import LindbladModel, apply, build_generator
 
-from helpers import PAULI_X, random_rate_matrix
+from helpers import PAULI_X, fixed_points, random_rate_matrix
 
 
 TWO_STATE = [[-1.0, 1.0], [2.0, -2.0]]
@@ -33,8 +32,7 @@ def test_rate_matrix_validation():
 
 def test_minimal_oqrw_two_state_kernel():
     model = minimal_oqrw(RateMatrix.create(TWO_STATE))
-    gen = build_generator(model)
-    basis = fixed_point_basis(gen, "generator")
+    basis = fixed_points(model)
     assert len(basis) == 1
     state = basis[0] / np.trace(basis[0]).real
     assert np.allclose(state, np.diag([2.0 / 3.0, 1.0 / 3.0]), atol=1e-10)
@@ -72,10 +70,17 @@ def test_minimal_oqrw_matches_displayed_lindbladian():
 
 
 def test_general_oqrw_specializes_to_minimal():
-    rate = RateMatrix.create(TWO_STATE)
-    a = build_generator(minimal_oqrw(rate))
-    b = build_generator(general_oqrw(spec_from_rate_matrix(rate)))
-    assert np.allclose(a.matrix, b.matrix, atol=1e-12)
+    # minimal_oqrw is general_oqrw on a one-dimensional inner space; the
+    # oracle builds the walk's jumps sqrt(q_ij) |j><i| one edge at a time.
+    for rate in (RateMatrix.create(TWO_STATE), random_rate_matrix(np.random.default_rng(4), 5)):
+        n = rate.n
+        jumps = []
+        for i, j in zip(*np.nonzero(rate.q > 0)):  # off-diagonal: q_ii <= 0
+            jumps.append(np.zeros((n, n), dtype=complex))
+            jumps[-1][j, i] = np.sqrt(rate.q[i, j])
+        oracle = build_generator(LindbladModel.create(np.zeros((n, n)), jumps))
+        a = build_generator(minimal_oqrw(rate))
+        assert np.allclose(a.matrix, oracle.matrix, atol=1e-12)
 
 
 def test_general_oqrw_single_vertex_is_plain_model():

@@ -10,9 +10,7 @@ from enclosure_atlas.semigroup import (
     apply,
     build_generator,
     channel_superoperator,
-    choi_matrix,
     choi_min_eigenvalue,
-    fixed_point_basis,
     generator_action,
     matrix_exponential,
     propagate,
@@ -34,8 +32,10 @@ from helpers import (
     PAULI_Y,
     PAULI_Z,
     block_diag_model,
+    choi_matrix,
     conjugated_pair_channel,
     conjugated_pair_model,
+    fixed_points,
     leaky_model,
     random_density,
     random_model,
@@ -212,14 +212,14 @@ def test_validate_lindblad_and_kraus():
 
 def test_fixed_point_basis_unique_state():
     model = LindbladModel.create(np.zeros((2, 2)), [unit(0, 1), unit(1, 0)])
-    basis = fixed_point_basis(build_generator(model), "generator")
+    basis = fixed_points(model)
     assert len(basis) == 1
     assert np.allclose(np.abs(basis[0]), np.eye(2) / np.sqrt(2), atol=1e-10)
 
 
 def test_fixed_point_basis_two_dimensional():
     model = LindbladModel.create(np.zeros((2, 2)), [unit(0, 0)])
-    basis = fixed_point_basis(build_generator(model), "generator")
+    basis = fixed_points(model)
     assert len(basis) == 2
     for x in basis:
         assert np.linalg.norm(x - np.diag(np.diag(x))) < 1e-10
@@ -228,15 +228,12 @@ def test_fixed_point_basis_two_dimensional():
 def test_fixed_point_basis_channel_mode():
     theta = np.pi / 4
     u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    s = channel_superoperator(KrausChannel.create([u]))
-    basis = fixed_point_basis(s, "channel")
+    basis = fixed_points(KrausChannel.create([u]))
     assert len(basis) == 2
     flat = np.array([b.ravel() for b in basis])
     for target in (np.eye(2) / np.sqrt(2), PAULI_Y / np.sqrt(2)):
         t = target.ravel()
         assert np.linalg.norm(t - flat.T @ (flat.conj() @ t)) < 1e-9
-    with pytest.raises(ValueError, match="mode"):
-        fixed_point_basis(s, "bogus")
 
 
 def test_generator_properties_random_models():
@@ -261,7 +258,7 @@ def test_generator_properties_random_models():
         rhs = matrix_exponential(s * gen.matrix) @ matrix_exponential(t * gen.matrix)
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
         # fixed points are annihilated
-        for x in fixed_point_basis(gen, "generator"):
+        for x in fixed_points(model):
             assert np.linalg.norm(apply(gen, x)) <= 10 * DEFAULT_TOL.rank_tol * max(
                 1.0, np.linalg.norm(gen.matrix, 2)
             )
@@ -287,13 +284,6 @@ def test_shape_and_type_guards():
         propagate(Superoperator(2, np.zeros((4, 4))), -1.0, np.eye(2) / 2)
     with pytest.raises(TypeError):
         validate("nope")
-
-
-def test_fixed_point_basis_empty_kernel_is_error():
-    # the matrix 2*Id is not trace preserving; Phi - Id has a trivial kernel
-    s = Superoperator(2, 2.0 * np.eye(4))
-    with pytest.raises(RuntimeError, match="fixed-point"):
-        fixed_point_basis(s, "channel")
 
 
 def _sandwich_generator(model):
@@ -378,14 +368,14 @@ def test_generator_action_builds_the_drift_once_per_model(monkeypatch):
 
 
 def test_fixed_point_basis_takes_one_real_factorization(monkeypatch):
-    # the kernel comes from the Hermitian-coordinate factorization of L: real
-    # sector LUs, and SVDs of the sectors they cannot decide, only, with no
-    # complex n² x n² factorization
-    complex_calls = []
+    # ker L comes from the Hermitian-coordinate factorization of L: real
+    # sector LUs, and SVDs of the sectors they cannot decide, only. The one
+    # complex factorization is of the k x k overlap of ker L† and ker L.
+    calls = []
 
     def spy(factor):
         def wrapped(a, *args, **kwargs):
-            complex_calls.append(np.iscomplexobj(a))
+            calls.append((np.iscomplexobj(a), np.shape(a)[-1]))
             return factor(a, *args, **kwargs)
 
         return wrapped
@@ -393,8 +383,9 @@ def test_fixed_point_basis_takes_one_real_factorization(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy(np.linalg.svd))
     monkeypatch.setattr(np.linalg, "solve", spy(np.linalg.solve))
     model = leaky_model(np.random.default_rng(31), 4, 2)
-    (rho,) = fixed_point_basis(build_generator(model), "generator")
-    assert complex_calls and not any(complex_calls)
+    (rho,) = fixed_points(model)
+    assert any(not is_complex for is_complex, _ in calls)
+    assert all(size == 1 for is_complex, size in calls if is_complex)
     assert np.linalg.norm(rho - rho.conj().T) == 0.0
     assert abs(np.linalg.norm(rho) - 1.0) < 1e-12
 
