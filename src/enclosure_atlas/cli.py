@@ -147,8 +147,9 @@ def _resolve_tol(args, parsed: ParsedModel):
     return tol
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    payload = serialize_report(doc) if args.format == "structured" else text
+def _emit(args, doc: dict, text: str | None = None) -> None:
+    """Write ``doc`` through ``serialize_report``, or ``text`` in text format."""
+    payload = serialize_report(doc) if text is None or args.format == "structured" else text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -299,12 +300,7 @@ def cmd_examples(args) -> int:
         known = ", ".join(sorted(FIXTURES))
         sys.stderr.write(f"unknown example {args.name!r}; available: {known}\n")
         return 2
-    payload = serialize_report(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args, doc)
     return 0
 
 

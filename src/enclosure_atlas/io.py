@@ -2,16 +2,19 @@
 
 Model files are JSON documents with a "mode" of "lindblad", "kraus", "rates"
 or "qnd". Complex matrices are nested arrays of [re, im] pairs; rate matrices
-are plain real arrays. Reports serialize with sorted keys and plain float
-repr so identical inputs produce byte-identical documents that round-trip
-exactly.
+are plain real arrays. A report's text is exactly
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
+sorted keys and shortest-repr floats, so identical inputs produce
+byte-identical documents that round-trip exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,16 +55,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _out_of_range(field: str) -> ModelFileError:
+    return ModelFileError(f"field {field}: number out of float range")
+
+
 def _complex_entry(value, field: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
         raise ModelFileError(f"field {field}: expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        raise _out_of_range(field) from None
 
 
 def _real_entry(value, field: str) -> float:
     if not _is_number(value):
         raise ModelFileError(f"field {field}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _out_of_range(field) from None
 
 
 def _parse_rows(data, field: str, what: str, entry) -> list:
@@ -73,7 +86,13 @@ def _parse_rows(data, field: str, what: str, entry) -> list:
     for i, row in enumerate(data):
         if len(row) != width:
             raise ModelFileError(f"field {field}: row {i} has length {len(row)}, expected {width}")
-        rows.append([entry(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
+        try:
+            rows.append([entry(v, field) for v in row])
+        except ModelFileError:
+            # Read the row again, naming each entry, so the error names the bad one.
+            for j, v in enumerate(row):
+                entry(v, f"{field}[{i}][{j}]")
+            raise
     return rows
 
 
@@ -87,15 +106,15 @@ def parse_real_matrix(data, field: str) -> np.ndarray:
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def real_matrix_to_json(m: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def real_vector_to_json(v: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float)]
+    return np.asarray(v, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -174,9 +193,7 @@ def parse_model_document(doc) -> ParsedModel:
             energies = _require(qnd_doc, "energies", "qnd.")
             if not isinstance(energies, list) or len(energies) != dim:
                 raise ModelFileError(f"qnd.energies must be an array of length {dim}")
-            for i, e in enumerate(energies):
-                if not _is_number(e):
-                    raise ModelFileError(f"qnd.energies[{i}]: expected a number, got {e!r}")
+            energies = [_real_entry(e, f"qnd.energies[{i}]") for i, e in enumerate(energies)]
             amps_doc = _require(qnd_doc, "amplitudes", "qnd.")
             if not isinstance(amps_doc, list):
                 raise ModelFileError("qnd.amplitudes must be an array of channel rows")
@@ -338,9 +355,70 @@ def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
     }
 
 
+_INDENT = "  "
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
+
+
+def _float_block(value: list) -> tuple[list, list] | None:
+    """Shape and flattened leaves of a rectangular nested list of floats.
+
+    None when some level mixes types or lengths, or a leaf is not a float.
+    """
+    shape, level = [], [value]
+    while set(map(type, level)) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    return (shape, level) if set(map(type, level)) == {float} else None
+
+
+def _write_floats(shape: list, leaves: list, depth: int) -> str:
+    """A float block as the indented encoder writes it, innermost lists first."""
+    if not math.isfinite(sum(leaves)):
+        for x in leaves:
+            _encode_scalar(x)  # raises ValueError on the first NaN or infinity
+    items = list(map(float.__repr__, leaves))
+    for level in reversed(range(len(shape))):
+        inner = "\n" + _INDENT * (depth + level + 1)
+        head, sep, tail = "[" + inner, "," + inner, "\n" + _INDENT * (depth + level) + "]"
+        size = shape[level]
+        items = [head + sep.join(items[k:k + size]) + tail for k in range(0, len(items), size)]
+    return items[0]
+
+
+def _write(value, depth: int) -> str:
+    inner = "\n" + _INDENT * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {key!r}")
+        parts = [_encode_scalar(k) + ": " + _write(v, depth + 1) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        block = _float_block(value)
+        if block is not None:
+            return _write_floats(*block, depth)
+        parts = [_write(v, depth + 1) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + "]"
+    return _encode_scalar(value)
+
+
 def serialize_report(doc: dict) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline end."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic JSON text of a document with str keys.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True,
+    allow_nan=False) + "\n"``; a NaN or an infinity raises ValueError. The
+    standard encoder runs in pure Python whenever it indents, so this writer
+    indents itself and writes each rectangular block of floats (every
+    ``[re, im]`` matrix) in one pass over its leaves.
+    """
+    return _write(doc, 0) + "\n"
 
 
 def parse_report(text: str) -> dict:
