@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -220,7 +221,7 @@ def load_model_file(path: str) -> ParsedModel:
         raise ModelFileError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from None
     return parse_model_document(doc)
 
@@ -393,10 +394,11 @@ def _write(value, depth: int) -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        for key in value:
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, got {key!r}")
-        parts = [_encode_scalar(k) + ": " + _write(v, depth + 1) for k, v in sorted(value.items())]
+        # encode_basestring_ascii raises TypeError for a key that is not a str.
+        parts = [
+            encode_basestring_ascii(k) + ": " + _write(v, depth + 1)
+            for k, v in sorted(value.items())
+        ]
         return "{" + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -413,7 +415,8 @@ def serialize_report(doc: dict) -> str:
     """Deterministic JSON text of a document with str keys.
 
     The text is exactly ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"``; a NaN or an infinity raises ValueError. The
+    allow_nan=False) + "\n"``; a NaN or an infinity raises ValueError, and a
+    key that is not a str raises TypeError. The
     standard encoder runs in pure Python whenever it indents, so this writer
     indents itself and writes each rectangular block of floats (every
     ``[re, im]`` matrix) in one pass over its leaves.

@@ -1,29 +1,43 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enclosure_atlas.cli as cli
 from enclosure_atlas.cli import main
+from enclosure_atlas.decomposition import decompose, verify_decomposition
 from enclosure_atlas.fixtures import FIXTURES, fixture_document
 from enclosure_atlas.io import (
     ModelFileError,
     ValidationError,
     complex_matrix_to_json,
+    decomposition_report_to_dict,
     load_model_file,
+    model_diagnostics_to_dict,
     parse_model_document,
     parse_report,
     serialize_report,
+    verification_record_to_dict,
 )
 from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.oqrw import RateMatrix
-from enclosure_atlas.semigroup import KrausChannel, LindbladModel
+from enclosure_atlas.semigroup import KrausChannel, LindbladModel, validate
 
-from helpers import block_diag_model, leaky_model, renewal_pair_channel
+from helpers import (
+    block_diag_model,
+    conjugated_pair_model,
+    leaky_model,
+    random_channel,
+    random_model,
+    renewal_pair_channel,
+)
 
 
 def write_fixture(tmp_path, name):
@@ -488,3 +502,154 @@ def test_cli_analyze_leaves_scipy_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "[0, 0] False"
+
+
+# -- report writer against the standard encoder --------------------------------
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-5]
+)
+_scalars = st.none() | st.booleans() | st.integers() | _floats | st.text()
+
+
+@st.composite
+def _float_blocks(draw):
+    """Rectangular nested lists of floats, the writer's one-pass case."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(_floats, min_size=size, max_size=size))).reshape(shape).tolist()
+
+
+_mixed_rows = st.lists(
+    st.lists(st.integers() | _floats | st.booleans(), min_size=2, max_size=2), min_size=1, max_size=3
+)
+_documents = st.recursive(
+    _scalars | _float_blocks() | _mixed_rows,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.tuples(kids, kids)
+    | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_serialize_report_matches_the_json_oracle(doc):
+    assert serialize_report(doc) == _oracle(doc)
+
+
+_COMMANDS = {
+    "lindblad": ("analyze", "identifiability"),
+    "kraus": ("analyze", "identifiability"),
+    "rates": ("oqrw",),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_cli_structured_outputs_match_the_json_oracle(tmp_path, name):
+    model = tmp_path / "model.json"
+    assert main(["examples", name, "-o", str(model)]) == 0
+    outputs = [model]
+    for command in _COMMANDS[fixture_document(name)["mode"]]:
+        out = tmp_path / f"{command}.json"
+        main([command, str(model), "--format", "structured", "-o", str(out)])
+        outputs.append(out)
+    for out in outputs:
+        text = out.read_text()
+        assert text == _oracle(json.loads(text)), out.name
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: random_model(rng, 24, 2),
+        lambda rng: leaky_model(rng, 24, 2),
+        lambda rng: random_channel(rng, 24, 2),
+        lambda rng: conjugated_pair_model(rng, 12, 2)[0],
+    ],
+    ids=["dense", "leaky", "kraus", "conjugated-pair"],
+)
+def test_n24_reports_match_the_json_oracle(build):
+    obj = build(np.random.default_rng(24))
+    report = decompose(obj, seed=0)
+    tol = report.tolerances
+    doc = {
+        "model_diagnostics": model_diagnostics_to_dict(validate(obj, tol)),
+        "decomposition": decomposition_report_to_dict(report),
+        "verification": verification_record_to_dict(verify_decomposition(report, obj, tol)),
+    }
+    assert serialize_report(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: {"a": x},
+        lambda x: [1, x],
+        lambda x: [1.0, x],
+        lambda x: {"a": [[[0.0, 1.0]], [[x, 0.0]]]},
+        lambda x: {"a": {"b": [[0.5, "s"], [{"c": x}]]}},
+    ],
+    ids=["top", "dict", "mixed-list", "float-list", "float-block", "deep"],
+)
+def test_serialize_report_rejects_non_finite_floats(place, bad):
+    doc = place(bad)
+    with pytest.raises(ValueError):
+        _oracle(doc)
+    with pytest.raises(ValueError):
+        serialize_report(doc)
+
+
+def test_serialize_report_rejects_keys_that_are_not_str():
+    with pytest.raises(TypeError):
+        serialize_report({"a": {1: 0.5}})
+
+
+# -- integers too large for a float --------------------------------------------
+
+def _qnd_document():
+    return {
+        "mode": "qnd",
+        "dim": 2,
+        "qnd": {"energies": [0.0, 1.0], "amplitudes": [[[1.0, 0.0], [0.0, 0.0]]], "split": 0},
+    }
+
+
+@pytest.mark.parametrize(
+    "document, path, argv, field",
+    [
+        (lambda: fixture_document("unfaithful-2d"), ("hamiltonian", 0, 0, 0), ["analyze"],
+         "hamiltonian[0][0]"),
+        (lambda: fixture_document("two-state-chain"), ("rates", 0, 0), ["oqrw"], "rates[0][0]"),
+        (lambda: dict(fixture_document("two-state-chain"), tolerances={"rank_tol": 1e-10}),
+         ("tolerances", "rank_tol"), ["oqrw"], "tolerances.rank_tol"),
+        (_qnd_document, ("qnd", "energies", 1), ["identifiability", "--mode", "qnd"],
+         "qnd.energies[1]"),
+    ],
+    ids=["hamiltonian", "rate", "rank-tol", "qnd-energy"],
+)
+def test_cli_huge_integer_is_a_file_error(tmp_path, capsys, document, path, argv, field):
+    doc = document()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10**400
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    assert main([argv[0], str(model), *argv[1:]]) == 1
+    assert capsys.readouterr().err == f"error: field {field}: number out of float range\n"
+
+
+def test_cli_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):
+    # json.loads refuses integer literals longer than the interpreter's
+    # int-to-str digit limit (4300 by default) with a plain ValueError.
+    model = tmp_path / "long.json"
+    model.write_text('{"mode": "rates", "dim": 2, "rates": [[-1' + "0" * 5000 + ", 1.0], [2.0, -2.0]]}")
+    assert main(["oqrw", str(model)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
