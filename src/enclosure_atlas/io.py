@@ -78,10 +78,22 @@ def _real_entry(value, field: str) -> float:
         raise _out_of_range(field) from None
 
 
-def _parse_rows(data, field: str, what: str, entry) -> list:
-    """Rows of a rectangular nested array, each entry read by ``entry``."""
+def _parse_rows(data, field: str, pairs: bool) -> np.ndarray:
+    """A rectangular nested array of numbers, or of [re, im] pairs if
+    ``pairs``, as a float or complex array. One scan of the leaf types and
+    one np.array read a well-formed array; anything else is read entry by
+    entry, so that the error names the bad entry."""
+    what, entry = ("[re, im] pairs", _complex_entry) if pairs else ("numbers", _real_entry)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ModelFileError(f"field {field}: expected a nested array of {what}")
+    try:
+        leaves = chain.from_iterable(data)
+        if set(map(type, chain.from_iterable(leaves) if pairs else leaves)) <= {int, float}:
+            array = np.array(data, dtype=float)
+            if array.shape[2:] == (2,) * pairs:
+                return array.view(complex)[..., 0] if pairs else array
+    except (TypeError, ValueError, OverflowError):
+        pass
     width = len(data[0])
     rows = []
     for i, row in enumerate(data):
@@ -94,15 +106,15 @@ def _parse_rows(data, field: str, what: str, entry) -> list:
             for j, v in enumerate(row):
                 entry(v, f"{field}[{i}][{j}]")
             raise
-    return rows
+    return np.array(rows, dtype=complex if pairs else float)
 
 
 def parse_complex_matrix(data, field: str) -> np.ndarray:
-    return np.array(_parse_rows(data, field, "[re, im] pairs", _complex_entry), dtype=complex)
+    return _parse_rows(data, field, pairs=True)
 
 
 def parse_real_matrix(data, field: str) -> np.ndarray:
-    return np.array(_parse_rows(data, field, "numbers", _real_entry), dtype=float)
+    return _parse_rows(data, field, pairs=False)
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:

@@ -196,25 +196,26 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
 
 
-def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·
-    maxᵢ ‖A⁻¹ωᵢ‖), and A⁻¹e for the last unit vector e: one LU each."""
+def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator, width: int = 1) -> tuple:
+    """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·maxᵢ
+    ‖A⁻¹ωᵢ‖), and A⁻¹[E, Ω] for E the last ``width`` unit vectors: one LU each."""
     count, size, _ = a.shape
-    rhs = np.zeros((count, size, 1 + _PROBES))
-    rhs[:, -1, 0] = 1
-    rhs[..., 1:] = rng.standard_normal((count, size, _PROBES))
+    rhs = np.zeros((count, size, width + _PROBES))
+    rhs[:, size - width :, :width] = np.eye(width)
+    rhs[..., width:] = rng.standard_normal((count, size, _PROBES))
     sol = _solve(a, rhs)
-    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., 1:], axis=1).max(axis=1)), sol[..., 0]
+    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., width:], axis=1).max(axis=1)), sol
 
 
 def _certified_kernels(
     s: np.ndarray, y: np.ndarray, cut: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kernel dimension of each real square matrix in a stack, certified by
     at most one LU each to be the one the SVD's rule ``σ <= cut`` gives: 0,
     or 1 with kernel vectors x of s and y of sᵀ, or −1 where the certificate
     cannot decide. Also the certified lower bound on the smallest singular
-    value kept (σ_N or σ_{N−1}; NaN where undecided).
+    value kept (σ_N or σ_{N−1}; NaN where undecided), and the sketch s⁻¹Ω of
+    each undecided matrix: from its kernel-free LU, else from one more LU.
 
     Each row of y is the unit restriction of y₀ (1 on the diagonal
     coordinates, 0 elsewhere) to its matrix's coordinates, or zero for a
@@ -228,28 +229,61 @@ def _certified_kernels(
     ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
     """
     count, size, _ = s.shape
-    dim = np.full(count, -1)
-    bound = np.full(count, np.nan)
+    dim, bound = np.full(count, -1), np.full(count, np.nan)
+    sketch = np.zeros((count, size, _PROBES))
     traced = y.any(axis=1)
     with np.errstate(all="ignore"):
         free = np.flatnonzero(~traced)
         if free.size:
-            kept = _sigma_min_bound(s[free], rng)[0]
+            kept, sol = _sigma_min_bound(s[free], rng)
+            sketch[free] = sol[..., 1:]
             free, kept = free[kept > cut], kept[kept > cut]
             dim[free], bound[free] = 0, kept
         residual = np.linalg.norm(np.einsum("cji,cj->ci", s, y), axis=1)
         rest = np.flatnonzero(traced & (residual <= cut))
-        s, y, x = s[rest], y[rest], np.empty((0, size))
+        y, x = y[rest], np.empty((0, size))
         if rest.size:
             bordered = np.zeros((rest.size, size + 1, size + 1))
-            bordered[:, :size, :size] = s
+            bordered[:, :size, :size] = s[rest]
             bordered[:, :size, size] = bordered[:, size, :size] = y
             kept, x = _sigma_min_bound(bordered, rng)
-            x = x[:, :size] / np.linalg.norm(x[:, :size], axis=1, keepdims=True)
-            one = (np.linalg.norm(np.einsum("cij,cj->ci", s, x), axis=1) <= cut) & (kept > cut)
+            x = x[:, :size, 0] / np.linalg.norm(x[:, :size, 0], axis=1, keepdims=True)
+            one = (np.linalg.norm(s[rest] @ x[..., None], axis=(1, 2)) <= cut) & (kept > cut)
             dim[rest[one]], bound[rest[one]] = 1, kept[one]
             x, y = x[one], y[one]
-    return dim, bound, x, y
+        again = np.flatnonzero(traced & (dim < 0))
+        if again.size:
+            sketch[again] = _solve(s[again], rng.standard_normal((again.size, size, _PROBES)))
+    return dim, bound, x, y, sketch
+
+
+def _sketched_kernels(
+    s: np.ndarray, w: np.ndarray, cut: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Kernel dimension d of each real square matrix S in a stack (how many
+    directions X̂ of its sketch W = S⁻¹Ω grew past 1/cut; 0 if W is not
+    finite), whether d is certified, and (stack index, X_o, Y_o) groups, one
+    vector a row. For 0 < d < 10, one stacked solve of B = [[S, X̂], [X̂ᵀ, 0]]
+    and Bᵀ against [0; I_d] gives X and Y; X_o, Y_o are orthonormal bases of
+    them. d is the SVD's when ‖S X_o‖₂, ‖Sᵀ Y_o‖₂ <= cut < the probe bound on
+    σ_min(B) <= σ_{N−d}(S). B is singular unless ker S ∩ ran S = 0.
+    """
+    q, r = np.linalg.qr(np.where(np.isfinite(w), w, 0))
+    u, sigma, _ = np.linalg.svd(r)
+    dim = np.count_nonzero(sigma > 1 / cut, axis=1)
+    certified, found = np.zeros(len(s), bool), []
+    for d in np.unique(dim[(dim > 0) & (dim < _PROBES)]):
+        at = np.flatnonzero(dim == d)
+        xh = q[at] @ u[at, :, :d]
+        b = np.block([[s[at], xh], [xh.transpose(0, 2, 1), np.zeros((at.size, d, d))]])
+        pair = np.concatenate([b, b.transpose(0, 2, 1)])
+        kept, sol = _sigma_min_bound(pair, rng, d)
+        basis = np.linalg.qr(np.where(np.isfinite(sol), sol, 0)[:, :-d, :d])[0]
+        ok = (np.linalg.norm(pair[:, :-d, :-d] @ basis, 2, axis=(1, 2)) <= cut) & (kept > cut)
+        certified[at] = ok = ok.reshape(2, -1).all(axis=0)
+        vecs = basis.reshape(2, at.size, -1, d)[:, ok].transpose(0, 1, 3, 2)
+        found.append((np.repeat(at[ok], d), *vecs.reshape(2, -1, vecs.shape[-1])))
+    return dim, certified, found
 
 
 def _sector_roots(m: np.ndarray) -> np.ndarray:
@@ -298,10 +332,12 @@ def null_spaces(
     probes (``_certified_kernels``) certifies a coherence sector kernel-free,
     or a diagonal-bearing one, through its matrix bordered by y₀, to have a
     one-dimensional kernel, with the SVD's decision; the left kernel vector
-    is then the normalized restriction of y₀ itself. The probes come from a
-    fixed seed, so the result does not depend on any caller's seed. The
-    sectors the certificate cannot decide (a larger kernel, a value near the
-    cut, an exact zero pivot, a map that does not preserve the trace) are
+    is then the normalized restriction of y₀ itself. An undecided sector gets
+    d kernel directions from its probe solves, and one LU of its matrix
+    bordered by them and one of the transpose certify a d-dimensional kernel
+    (``_sketched_kernels``). The probes come from a fixed seed, so the result
+    does not depend on any caller's seed. The other sectors (a value near the
+    cut, an exact zero pivot, ten kernel directions, a Jordan block at 0) are
     factored by one batched real SVD, whose trailing singular vectors span
     their kernels. Kernel vectors are embedded at their sector's coordinates;
     columns come ordered by sector (smallest coordinate first), and mapped
@@ -351,10 +387,14 @@ def null_spaces(
         block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
         diagonal = idx < n
         y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
-        dim, _, x, y = _certified_kernels(block, y, cut, rng)
+        dim, _, x, y, sketch = _certified_kernels(block, y, cut, rng)
         # (sector rows of idx, right and left kernel vectors), one vector a row
         found = [(np.flatnonzero(dim == 1), x, y)]
         undecided = np.flatnonzero(dim < 0)
+        if undecided.size:
+            _, certified, groups = _sketched_kernels(block[undecided], sketch[undecided], cut, rng)
+            found += [(undecided[rows], x, y) for rows, x, y in groups]
+            undecided = undecided[~certified]
         if undecided.size:
             u, s, vt = np.linalg.svd(block[undecided])
             sector, j = np.nonzero(s <= cut)

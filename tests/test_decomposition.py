@@ -142,6 +142,26 @@ def test_recurrent_projector_rejects_jordan_block_at_zero(monkeypatch):
         recurrent_projector(faithful_2d())
 
 
+def test_recurrent_projector_rejects_a_rotated_jordan_block(monkeypatch):
+    # M = P (J ⊕ A) Pᵀ with the Jordan block J = [[0, 1], [0, 0]], a random
+    # A and a random rotation P: one dense sector whose kernel lies in its
+    # range. Its sketch finds the kernel direction, but the border by a
+    # vector of ran S is singular, so the certificate rejects it; the SVD
+    # finds a one-dimensional kernel and Y†K = 0.
+    rng = np.random.default_rng(1)
+    core = scipy.linalg.block_diag([[0.0, 1.0], [0.0, 0.0]], rng.standard_normal((2, 2)))
+    p = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    t = _hermitian_coordinates(2)
+    _crafted_generator(monkeypatch, t @ p @ core @ p.T @ t.conj().T)
+    calls = _factor_spy(monkeypatch)
+    with pytest.raises(RuntimeError, match="not semisimple"):
+        recurrent_projector(faithful_2d())
+    # stage 1 ends with the SVD after the rank-d certificate
+    (sketched,) = [i for i, c in enumerate(calls) if c[0] == "sketch"]
+    assert _sector_decisions(calls[: sketched + 2], 4) == [(4, "svd")]
+    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [1]
+
+
 def test_recurrent_projector_rejects_kernel_free_map(monkeypatch):
     # L = -Id is not trace annihilating: it has no fixed point at all
     _crafted_generator(monkeypatch, -np.eye(4, dtype=complex))
@@ -198,12 +218,14 @@ def _forbid_superoperator_builds(monkeypatch):
 def _factor_spy(monkeypatch):
     """Record every factorization as (kind, shape, is_complex): "svd" for
     np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
-    after a solve that raised LinAlgError; and ("cert", shape, (dims, traced))
-    after each stack of sectors the stage-1 certificate decided, dims holding
-    0, 1 or -1 (undecided) and traced whether the sector has a diagonal
-    coordinate, per sector."""
+    after a solve that raised LinAlgError. After each stack of sectors the
+    one-LU certificate decided, ("cert", shape, (dims, traced)): dims holds 0,
+    1 or -1 (undecided) and traced whether the sector has a diagonal
+    coordinate, per sector. After the rank-d certificate of its undecided
+    sectors, ("sketch", shape, (dims, certified)): the sketch's kernel
+    dimension and whether the border certified it, per undecided sector."""
     svd, solve = np.linalg.svd, np.linalg.solve
-    certify = linalg_module._certified_kernels
+    certify, sketched = linalg_module._certified_kernels, linalg_module._sketched_kernels
     calls = []
 
     def svd_spy(a, *args, **kwargs):
@@ -223,45 +245,76 @@ def _factor_spy(monkeypatch):
         calls.append(("cert", s.shape, (out[0], y.any(axis=1))))
         return out
 
+    def sketched_spy(s, w, cut, rng):
+        out = sketched(s, w, cut, rng)
+        calls.append(("sketch", s.shape, out[:2]))
+        return out
+
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     monkeypatch.setattr(linalg_module, "_certified_kernels", certify_spy)
+    monkeypatch.setattr(linalg_module, "_sketched_kernels", sketched_spy)
     return calls
+
+
+def _lu_sizes(records):
+    """The size of every matrix that ``_factor_spy`` records show factored by
+    LU, in call order: a stacked LU that met a zero pivot is retried matrix
+    by matrix, and only the retries count."""
+    assert {kind for kind, _, _ in records} <= {"lu", "zero pivot"}
+    sizes = []
+    for (kind, shape, _), (after, _, _) in zip(records, [*records[1:], ("", (), False)]):
+        if kind == "lu" and not (after == "zero pivot" and shape[0] > 1):
+            assert shape[1] == shape[2]
+            sizes += [shape[1]] * shape[0]
+    return sizes
 
 
 def _sector_decisions(stage, n2):
     """Check that one null_spaces run (its ``_factor_spy`` calls) decided
-    every sector exactly once: each stack of same-size sectors takes at most
-    one LU per sector, the sector's own LU (every coherence sector, which has
-    no diagonal coordinate) or its bordered LU (a sector with a diagonal
-    coordinate), where a stacked LU that meets a zero pivot is retried matrix
-    by matrix; then one SVD factors exactly the sectors the certificate left
-    undecided. A coherence sector is certified kernel-free or undecided, any
-    other sector one-dimensional or undecided. Every factorization is real
-    and the sectors cover n2 coordinates. Returns (size, decision) per
-    sector: the certified kernel dimension 0 or 1, or "svd"."""
-    assert not any(is_complex for kind, _, is_complex in stage if kind != "cert")
+    every sector exactly once. Per stack of same-size sectors, the one-LU
+    certificate takes, in order, one LU of each coherence sector (no
+    diagonal coordinate), at most one bordered LU of each other sector, and
+    one LU of each of those it left undecided. It certifies a coherence
+    sector kernel-free or leaves it undecided, any other sector
+    one-dimensional or undecided. The undecided sectors' sketches then take
+    one small SVD, and each sector whose sketch finds 0 < d < 10 kernel
+    directions one LU of its rank-d border and one of its transpose, stacked
+    by d. One SVD factors exactly the sectors that border did not certify.
+    Every factorization is real and the sectors cover n2 coordinates.
+    Returns (size, decision) per sector: 0 or 1 from the one-LU certificate,
+    ("sketch", d) from the rank-d certificate, or "svd"."""
+    probes = linalg_module._PROBES
+    assert not any(c[2] for c in stage if c[0] in ("svd", "lu"))
     decisions, pos = [], 0
     while pos < len(stage):
         at = next(i for i in range(pos, len(stage)) if stage[i][0] == "cert")
         _, (count, size, _), (dims, traced) = stage[at]
-        assert {kind for kind, _, _ in stage[pos:at]} <= {"lu", "zero pivot"}
-        lus = [  # without the stacked LUs that met a zero pivot and were retried
-            shape
-            for (kind, shape, _), (after, _, _) in zip(stage[pos:at], stage[pos + 1 : at + 1])
-            if kind == "lu" and not (after == "zero pivot" and shape[0] > 1)
-        ]
-        assert all(rows == cols in (size, size + 1) for _, rows, cols in lus)
-        assert sum(k for k, rows, _ in lus if rows == size) == np.count_nonzero(~traced)
-        assert sum(k for k, rows, _ in lus if rows == size + 1) <= np.count_nonzero(traced)
         assert set(dims[~traced]) <= {0, -1} and set(dims[traced]) <= {1, -1}
-        svds, pos = [], at + 1
+        lus = _lu_sizes(stage[pos:at])
+        bordered = lus.count(size + 1)
+        assert np.count_nonzero(dims[traced] == 1) <= bordered <= np.count_nonzero(traced)
+        again = np.count_nonzero(traced & (dims < 0))
+        assert lus == [size] * np.count_nonzero(~traced) + [size + 1] * bordered + [size] * again
+        decided = [int(d) if d >= 0 else "svd" for d in dims]
+        undecided, pos = np.flatnonzero(dims < 0), at + 1
+        if undecided.size:
+            end = next(i for i in range(pos, len(stage)) if stage[i][0] == "sketch")
+            _, shape, (widths, certified) = stage[end]
+            assert shape == (undecided.size, size, size)
+            assert stage[pos][:2] == ("svd", (undecided.size, min(size, probes), probes))
+            tried = sorted(int(w) for w in widths if 0 < w < probes)
+            assert _lu_sizes(stage[pos + 1 : end]) == [size + w for w in tried for _ in "BT"]
+            assert np.all((widths[certified] > 0) & (widths[certified] < probes))
+            for i, w in zip(undecided[certified], widths[certified]):
+                decided[i] = ("sketch", int(w))
+            undecided, pos = undecided[~certified], end + 1
+        svds = []
         while pos < len(stage) and stage[pos][0] == "svd":
             svds.append(stage[pos][1])
             pos += 1
-        undecided = int(np.count_nonzero(dims < 0))
-        assert svds == ([(undecided, size, size)] if undecided else [])
-        decisions += [(size, "svd" if d < 0 else int(d)) for d in dims]
+        assert svds == ([(undecided.size, size, size)] if undecided.size else [])
+        decisions += [(size, d) for d in decided]
     assert sum(size for size, _ in decisions) == n2
     return decisions
 
@@ -419,8 +472,9 @@ def test_null_spaces_split_only_at_exact_zeros(monkeypatch):
     coupled = LindbladModel.create(h, base.jumps)
     calls.clear()
     null_spaces(build_generator(coupled).matrix)
-    # one 36-coordinate sector whose two-dimensional kernel only the SVD decides
-    assert _sector_decisions(calls, 36) == [(36, "svd")]
+    # one 36-coordinate sector whose two-dimensional kernel only the rank-d
+    # certificate decides
+    assert _sector_decisions(calls, 36) == [(36, ("sketch", 2))]
 
 
 def _hermitian_coordinates(n):
@@ -490,7 +544,9 @@ def test_null_spaces_match_per_sector_svd_oracle():
 
 def test_null_spaces_near_threshold_falls_back_to_svd(monkeypatch):
     # Two 3-level blocks coupled at g = 1e-4: the slow mode σ_{N-1} ~ g²
-    # lies below the cut, so the bordered bound cannot exceed it
+    # lies below the cut, so the bordered bound cannot exceed it. The LU of
+    # the sector for its sketch meets an exact zero pivot, so no rank-d
+    # border is tried and the SVD decides.
     base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
     h = base.hamiltonian.copy()
     h[0, 3] = h[3, 0] = 1e-4
@@ -499,6 +555,7 @@ def test_null_spaces_near_threshold_falls_back_to_svd(monkeypatch):
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     assert _sector_decisions(calls, 36) == [(36, "svd")] and kern.shape[1] == 2
+    assert [c[1] for c in calls if c[0] == "zero pivot"] == [(1, 36, 36)]
 
 
 def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
@@ -507,7 +564,8 @@ def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     # the populations' bordered matrices [[0, 1], [1, 0]] certify them; the
-    # coherences' stacked LU fails, then each one's own LU
+    # coherences' stacked LU fails, then each one's own LU, so their sketches
+    # are not finite and the SVD decides them
     assert _sector_decisions(calls, 4) == [(1, 1), (1, 1), (1, "svd"), (1, "svd")]
     assert kern.shape[1] == 4
     pivots = [c[1] for c in calls if c[0] == "zero pivot"]
@@ -517,14 +575,18 @@ def test_null_spaces_zero_generator_meets_exact_zero_pivots(monkeypatch):
 def test_null_spaces_conjugated_pair_cross_sector_needs_svd(monkeypatch):
     # the two blocks are certified by one bordered LU each; the coherences
     # between them carry the intertwiner and its adjoint, a two-dimensional
-    # kernel, so their one LU fails the kernel-free bound
+    # kernel, so their one LU fails the kernel-free bound. Its probe solves
+    # find two directions, and the border by them and its transpose, one
+    # stacked LU pair, certify that kernel without an SVD of the sector.
     model, _ = conjugated_pair_model(np.random.default_rng(2), 3, 2)
     mat = build_generator(model).matrix
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
-    assert _sector_decisions(calls, 36) == [(9, 1), (9, 1), (18, "svd")] and kern.shape[1] == 4
-    assert [c[1] for c in calls if c[0] == "lu"] == [(2, 10, 10), (1, 18, 18)]
+    decisions = _sector_decisions(calls, 36)
+    assert decisions == [(9, 1), (9, 1), (18, ("sketch", 2))] and kern.shape[1] == 4
+    assert [c[1] for c in calls if c[0] == "lu"] == [(2, 10, 10), (1, 18, 18), (2, 20, 20)]
+    assert not any(c[0] == "svd" and c[1][-1] == 18 for c in calls)
 
 
 def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
@@ -540,9 +602,11 @@ def test_null_spaces_leaky_coherences_certified_kernel_free(monkeypatch):
 
 def test_null_spaces_coherence_sector_kernels_go_to_svd(monkeypatch):
     # the two 9-coordinate cross-coherence sectors of the real pair model have
-    # a one-dimensional kernel but no diagonal coordinate: their one LU fails
-    # the kernel-free bound and the SVD decides them. The copies' populations
-    # are certified by their bordered LU, their imaginary parts kernel-free.
+    # a one-dimensional kernel but no diagonal coordinate: their one LU meets
+    # an exact zero pivot at this seed, so it gives no finite sketch and the
+    # SVD decides them (``test_null_spaces_certify_the_real_pair_coherences``
+    # has a seed without one). The copies' populations are certified by their
+    # bordered LU, their imaginary parts kernel-free.
     mat = build_generator(_real_pair_model(np.random.default_rng(97))).matrix
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
@@ -550,6 +614,7 @@ def test_null_spaces_coherence_sector_kernels_go_to_svd(monkeypatch):
     decisions = _sector_decisions(calls, 36)
     assert decisions == [(3, 0), (3, 0), (6, 1), (6, 1), (9, "svd"), (9, "svd")]
     assert kern.shape[1] == left.shape[1] == 4
+    assert [c[1] for c in calls if c[0] == "zero pivot"] == [(2, 9, 9)] + [(1, 9, 9)] * 2
 
 
 def test_null_spaces_certified_left_vectors_are_the_trace_functional(monkeypatch):
@@ -589,7 +654,9 @@ def test_null_spaces_decide_values_next_to_the_cut(monkeypatch):
     # does not preserve the trace: in C and D the normalized y₀ = (1, 1)/√2
     # is the left singular vector of the smallest value, so ‖Sᵀy₀‖ is that
     # value. Only A and C have a kernel. The certificate takes A and C by
-    # their bordered LU; B and D, with ‖Sᵀy₀‖ = 3·cut, go to the SVD.
+    # their bordered LU. B and D, with ‖Sᵀy₀‖ = 3·cut, get a sketch LU; a
+    # border by the direction of 3·cut, if their sketch finds it, has
+    # ‖S x‖ = 3·cut, so they go to the SVD.
     n = 6
     cut = DEFAULT_TOL.rank_tol * np.sqrt(n * (n - 1) + 2)
     rng = np.random.default_rng(79)
@@ -615,7 +682,10 @@ def test_null_spaces_left_kernel_off_the_trace_functional_needs_svd(monkeypatch)
     # n = 2, coherences dephased at rate 1, populations mapped by
     # diag(1, cut/1000) q2ᵀ: a one-dimensional kernel whose left vector is
     # the second population, not y₀ = (1, 1)/√2. The map does not preserve
-    # the trace, ‖Sᵀy₀‖ ≈ 0.7 exceeds the cut, and the SVD decides the sector.
+    # the trace and ‖Sᵀy₀‖ ≈ 0.7 exceeds the cut, so no bordered LU by y₀
+    # runs. The sector's sketch LU finds one direction, and the rank-1 border
+    # and its transpose certify the kernel, with the second population as its
+    # left vector.
     cut = DEFAULT_TOL.rank_tol * np.sqrt(3)
     q2 = np.linalg.qr(np.random.default_rng(101).standard_normal((2, 2)))[0]
     mat = -np.eye(4, dtype=complex)
@@ -623,7 +693,8 @@ def test_null_spaces_left_kernel_off_the_trace_functional_needs_svd(monkeypatch)
     _assert_matches_sector_svd_oracle(mat)
     calls = _factor_spy(monkeypatch)
     kern, left = null_spaces(mat)
-    assert _sector_decisions(calls, 4) == [(1, 0), (1, 0), (2, "svd")]
+    assert _sector_decisions(calls, 4) == [(1, 0), (1, 0), (2, ("sketch", 1))]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(2, 1, 1), (1, 2, 2), (2, 3, 3)]
     assert np.allclose(np.abs(unvec(left[:, 0])), unit(1, 1), atol=1e-12)
 
 
@@ -631,7 +702,10 @@ def test_null_spaces_bordered_bound_rules_out_a_second_small_value(monkeypatch):
     # One dense 36-coordinate sector with singular values 1 (34 times),
     # cut/2 and cut/1000: a two-dimensional kernel. The normalized y₀ is the
     # left singular vector of cut/1000, so ‖Mᵀy₀‖ <= cut and the bordered LU
-    # runs; its bound, at most σ_{N-1} = cut/2, sends the sector to the SVD.
+    # runs; its bound, at most σ_{N-1} = cut/2, leaves the sector undecided.
+    # The sketch LU finds both small directions. The right and left kernels
+    # are far from parallel, so the rank-2 border's solve meets S X = −X̂Λ
+    # with ‖Λ‖ several times cut/2, above the cut: the SVD decides.
     n = 6
     cut = DEFAULT_TOL.rank_tol * np.sqrt(34)
     rng = np.random.default_rng(83)
@@ -644,7 +718,91 @@ def test_null_spaces_bordered_bound_rules_out_a_second_small_value(monkeypatch):
     calls = _factor_spy(monkeypatch)
     kern, _ = null_spaces(mat)
     assert _sector_decisions(calls, n * n) == [(36, "svd")] and kern.shape[1] == 2
-    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 37, 37)]
+    assert [c[1] for c in calls if c[0] == "lu"] == [(1, 37, 37), (1, 36, 36), (2, 38, 38)]
+
+
+def _rotated(model, u):
+    """The Lindblad model conjugated by the unitary u."""
+    jumps = [u @ j @ u.conj().T for j in model.jumps]
+    return LindbladModel.create(u @ model.hamiltonian @ u.conj().T, jumps)
+
+
+def test_null_spaces_certify_several_enclosures_in_a_generic_basis(monkeypatch):
+    # In a random basis, two enclosures and a conjugated pair (one family of
+    # two) fill one sector each, with kernels of dimension 2 and 4. The
+    # bordered LU by y₀ cannot certify them. The sector's sketch LU finds d
+    # directions, and one stacked LU of the rank-d border and its transpose
+    # certifies the kernel: no SVD of an N x N matrix.
+    rng = np.random.default_rng(107)
+    calls = _factor_spy(monkeypatch)
+    for model, d in ((block_diag_model(rng, (2, 3), 2), 2), (conjugated_pair_model(rng, 3, 2)[0], 4)):
+        size = model.dim**2
+        mat = build_generator(_rotated(model, random_unitary(rng, model.dim))).matrix
+        _assert_matches_sector_svd_oracle(mat)
+        calls.clear()
+        kern, left = null_spaces(mat)
+        assert _sector_decisions(calls, size) == [(size, ("sketch", d))]
+        assert kern.shape[1] == left.shape[1] == d
+        assert [c[1] for c in calls if c[0] in ("lu", "svd")] == [
+            (1, size + 1, size + 1), (1, size, size), (1, 10, 10), (2, size + d, size + d)
+        ]
+
+
+def test_null_spaces_certify_the_real_pair_coherences(monkeypatch):
+    # the real pair model's 9-coordinate cross-coherence sectors, each with a
+    # one-dimensional kernel and no diagonal coordinate: the probe solves of
+    # their kernel-free LU are their sketches, and the rank-1 border and its
+    # transpose certify both, stacked in one LU call
+    mat = build_generator(_real_pair_model(np.random.default_rng(3))).matrix
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    decisions = _sector_decisions(calls, 36)
+    assert decisions == [(3, 0), (3, 0), (6, 1), (6, 1)] + [(9, ("sketch", 1))] * 2
+    assert kern.shape[1] == left.shape[1] == 4
+    assert not any(kind == "svd" and shape[-1] == 9 for kind, shape, _ in calls)
+    assert [c[1] for c in calls if c[0] == "lu" and c[1][-1] >= 9] == [(2, 9, 9), (4, 10, 10)]
+
+
+def _dense_sector_generator(values, rng, n=6):
+    """A superoperator on C^n whose M = T† L T is one dense sector with the
+    given singular values, ascending at the end, and random singular vectors."""
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n * n, n * n)))[0] for _ in range(2))
+    t = _hermitian_coordinates(n)
+    return t @ (q1 * values) @ q2.T @ t.conj().T
+
+
+def test_null_spaces_sketch_that_counts_a_value_above_the_cut_needs_svd(monkeypatch):
+    # singular values 1 (34 times), 1.2·cut and cut/1000: a one-dimensional
+    # kernel. The sketch grows past 1/cut along both small directions, so it
+    # finds d = 2, and the rank-2 border's ‖S X‖ is about 1.2·cut: the
+    # certificate rejects d and the SVD gives its answer, one dimension. The
+    # kernel lies 1.2·cut from the next singular vector, so rank_tol = 1e-4
+    # keeps its roundoff below the oracle's 1e-10.
+    tol = DEFAULT_TOL.replace(rank_tol=1e-4)
+    cut = tol.rank_tol * np.sqrt(34)
+    mat = _dense_sector_generator(np.r_[np.ones(34), 1.2 * cut, cut / 1000], np.random.default_rng(109))
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat, tol)
+    assert _sector_decisions(calls, 36) == [(36, "svd")]
+    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [2]
+    for basis, proj in zip((kern, left), _sector_svd_oracle(mat, tol)):
+        assert basis.shape[1] == round(np.trace(proj).real) == 1
+        assert np.linalg.norm(basis @ basis.conj().T - proj) < 1e-10
+
+
+def test_null_spaces_kernel_of_ten_dimensions_needs_svd(monkeypatch):
+    # ten singular values cut/1000 and 26 of size 1: all ten sketch
+    # directions grow past 1/cut, so the sketch cannot see the whole kernel
+    # and the SVD decides
+    cut = DEFAULT_TOL.rank_tol * np.sqrt(26)
+    mat = _dense_sector_generator(np.r_[np.ones(26), np.full(10, cut / 1000)], np.random.default_rng(113))
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    assert _sector_decisions(calls, 36) == [(36, "svd")]
+    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [10]
+    assert kern.shape[1] == left.shape[1] == 10
 
 
 def test_null_spaces_kernel_dimension_is_basis_invariant():
@@ -699,8 +857,9 @@ def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
     # The algebra and the extremal states come from the kernels of stage 1;
     # the remaining SVDs and LUs act on matrices with at most 2 dim ker L
     # columns (coefficient spaces, Hermitian re-orthonormalization). So every
-    # factorization larger than that is stage 1's: an LU of coherence sector
-    # blocks or of bordered blocks, or the SVD of undecided sectors.
+    # factorization larger than that is stage 1's: an LU of sector blocks or
+    # of blocks bordered by y₀ or by sketch directions, or the SVD of the
+    # sectors neither certificate decided.
     rng = np.random.default_rng(5)
     models = [leaky_model(rng, 4, 2), conjugated_pair_model(rng, 3, 2)[0]]
     models += [block_diag_model(rng, (3, 4), 2)]

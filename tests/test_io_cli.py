@@ -21,7 +21,9 @@ from enclosure_atlas.io import (
     decomposition_report_to_dict,
     load_model_file,
     model_diagnostics_to_dict,
+    parse_complex_matrix,
     parse_model_document,
+    parse_real_matrix,
     parse_report,
     serialize_report,
     verification_record_to_dict,
@@ -58,6 +60,32 @@ def test_parse_rejects_malformed_complex_pair():
     doc["jumps"][0][0][1] = [1]
     with pytest.raises(ModelFileError, match=r"jumps\[0\]\[0\]\[1\]"):
         parse_model_document(doc)
+
+
+def test_parse_names_a_bad_entry_behind_a_well_formed_array():
+    # a bool, a string or a too-short pair passes np.array's float conversion
+    # or shape, but not the leaf-type scan: the error names the entry
+    for bad, what in (([True, 0.0], "pair"), (["1", 0.0], "pair"), ([1.0], "pair")):
+        doc = fixture_document("unfaithful-2d")
+        doc["hamiltonian"][1][0] = bad
+        with pytest.raises(ModelFileError, match=rf"field hamiltonian\[1\]\[0\]: expected a \[re, im\] {what}"):
+            parse_model_document(doc)
+    doc = fixture_document("two-state-chain")
+    doc["rates"][0][1] = True
+    with pytest.raises(ModelFileError, match=r"field rates\[0\]\[1\]: expected a number, got True"):
+        parse_model_document(doc)
+
+
+def test_parse_reads_the_same_values_as_entry_by_entry():
+    rng = np.random.default_rng(131)
+    rows = [[[float(v) for v in rng.standard_normal(2)] for _ in range(3)] for _ in range(3)]
+    rows[0][0] = [-0.0, 2**53 + 1]
+    rows[1][2] = [3, -(10**300)]
+    expected = np.array([[complex(*pair) for pair in row] for row in rows])
+    parsed = parse_complex_matrix(rows, "m")
+    assert parsed.dtype == complex and parsed.view(float).tobytes() == expected.view(float).tobytes()
+    reals = [[0.5, -0.0], [2**63, 7]]
+    assert parse_real_matrix(reals, "q").tobytes() == np.array(reals, dtype=float).tobytes()
 
 
 def test_parse_rejects_unknown_mode_and_missing_fields():
