@@ -9,6 +9,9 @@ Exit codes are a stable contract: 0 success, 1 file/parse error,
 or failed identifiability). The seed defaults to --seed, then the model
 file's "seed", then the ENCLOSURE_ATLAS_SEED environment variable, then 0;
 a negative seed is a validation failure.
+
+The module loads only what ``analyze`` runs; the other subcommands import
+their modules when they are called.
 """
 
 from __future__ import annotations
@@ -18,13 +21,6 @@ import os
 import sys
 
 from .decomposition import DecompositionError, decompose, verify_decomposition
-from .fixtures import FIXTURES, fixture_document
-from .identifiability import (
-    QndModel,
-    nondegeneracy_check,
-    qnd_uniqueness,
-    uniqueness_cross_check,
-)
 from .io import (
     ModelFileError,
     ParsedModel,
@@ -40,7 +36,6 @@ from .io import (
     tolerances_to_dict,
     verification_record_to_dict,
 )
-from .oqrw import RateMatrix, verify_oqrw_theorem
 from .semigroup import KrausChannel, LindbladModel, validate
 
 ENV_SEED = "ENCLOSURE_ATLAS_SEED"
@@ -219,6 +214,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oqrw(args) -> int:
+    from .oqrw import RateMatrix, verify_oqrw_theorem
+
     parsed = load_model_file(args.path)
     if parsed.mode != "rates":
         raise ValidationError(f"oqrw expects a rates model, got {parsed.mode!r}")
@@ -257,6 +254,13 @@ def _identifiability_text(doc: dict) -> str:
 
 
 def cmd_identifiability(args) -> int:
+    from .identifiability import (
+        QndModel,
+        nondegeneracy_check,
+        qnd_uniqueness,
+        uniqueness_cross_check,
+    )
+
     parsed = load_model_file(args.path)
     mode = args.mode
     if mode == "auto":
@@ -294,6 +298,8 @@ def cmd_identifiability(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .fixtures import FIXTURES, fixture_document
+
     try:
         doc = fixture_document(args.name)
     except KeyError:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,15 +26,12 @@ from .decomposition import (
     VerificationClause,
     VerificationRecord,
 )
-from .identifiability import (
-    IdentifiabilityReport,
-    QndModel,
-    QndUniquenessRecord,
-    UniquenessCrossCheck,
-)
 from .linalg import DEFAULT_TOL, Tolerances
-from .oqrw import OqrwTheoremRecord, RateMatrix
 from .semigroup import KrausChannel, LindbladModel, ModelDiagnostics
+
+if TYPE_CHECKING:  # analyze loads neither module; the parse branches import what they build
+    from .identifiability import IdentifiabilityReport, QndUniquenessRecord, UniquenessCrossCheck
+    from .oqrw import OqrwTheoremRecord
 
 MODES = ("lindblad", "kraus", "rates", "qnd")
 
@@ -195,11 +193,15 @@ def parse_model_document(doc) -> ParsedModel:
             ]
             obj = KrausChannel.create(kraus, tolerances)
         elif mode == "rates":
+            from .oqrw import RateMatrix
+
             q = parse_real_matrix(_require(doc, "rates"), "rates")
             if q.shape != (dim, dim):
                 raise ValidationError(f"rates has shape {q.shape}, expected {(dim, dim)}")
             obj = RateMatrix.create(q, tolerances)
         else:
+            from .identifiability import QndModel
+
             qnd_doc = _require(doc, "qnd")
             if not isinstance(qnd_doc, dict):
                 raise ModelFileError("qnd must be an object")

@@ -272,7 +272,8 @@ def _sketched_kernels(
     u, sigma, _ = np.linalg.svd(r)
     dim = np.count_nonzero(sigma > 1 / cut, axis=1)
     certified, found = np.zeros(len(s), bool), []
-    for d in np.unique(dim[(dim > 0) & (dim < _PROBES)]):
+    # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
+    for d in sorted(set(dim[(dim > 0) & (dim < _PROBES)].tolist())):
         at = np.flatnonzero(dim == d)
         xh = q[at] @ u[at, :, :d]
         b = np.block([[s[at], xh], [xh.transpose(0, 2, 1), np.zeros((at.size, d, d))]])
@@ -381,7 +382,7 @@ def null_spaces(
     order = np.argsort(roots, kind="stable")
     _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
     owners, right, left = [], [], []
-    for size in np.unique(sizes):
+    for size in sorted(set(sizes.tolist())):
         # (sectors of this size) x size coordinates, one row per sector
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
