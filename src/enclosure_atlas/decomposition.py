@@ -26,13 +26,14 @@ from .linalg import (
     dagger,
     fix_phase,
     frob,
+    gather_real,
     hermitian_part,
     hs_inner,
     kernel_basis,
     lex_key,
-    null_spaces,
     orthonormal_hermitian_span,
     psd_project,
+    real_null_spaces,
     require_square,
     support_projector,
 )
@@ -161,11 +162,13 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     channel's powers. Eigenvalue 0 is semisimple for any trace-preserving
     semigroup or channel; a singular Y†K means it is not, and raises. L must
     preserve Hermiticity (``null_spaces`` raises otherwise). The split keeps
-    K and Y (as columns, each vec of a Hermitian matrix) for later stages;
-    the n² × n² matrix of L does not outlive the call.
+    K and Y (as columns, each vec of a Hermitian matrix) for later stages.
+    The complex n² × n² matrix of L lives only while ``gather_real`` reads
+    it: the factorization works on the real M alone, and ‖L(ρ)‖_F of the
+    state is applied from the model (``generator_action``).
     """
-    gen, n = _generator(obj, tol), obj.dim
-    kern, left = null_spaces(gen, tol)
+    kern, left = real_null_spaces(*gather_real(_generator(obj, tol), tol), tol)
+    n = obj.dim
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")
     overlap = dagger(left) @ kern
@@ -179,7 +182,7 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
         transient=np.eye(n) - recurrent,
         dimension=int(round(np.trace(recurrent).real)),
         state=state,
-        invariance_residual=float(np.linalg.norm(gen @ vec(state))),
+        invariance_residual=frob(generator_action(obj, state)),
         kernel=kern,
         adjoint_kernel=left,
     )

@@ -55,7 +55,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -244,11 +244,14 @@ def _certified_kernels(
         y, x = y[rest], np.empty((0, size))
         if rest.size:
             bordered = np.zeros((rest.size, size + 1, size + 1))
-            bordered[:, :size, :size] = s[rest]
+            inner = bordered[:, :size, :size]
+            # Each of these sectors holds a diagonal coordinate: at most n.
+            for to, sector in enumerate(rest):
+                inner[to] = s[sector]
             bordered[:, :size, size] = bordered[:, size, :size] = y
             kept, x = _sigma_min_bound(bordered, rng)
             x = x[:, :size, 0] / np.linalg.norm(x[:, :size, 0], axis=1, keepdims=True)
-            one = (np.linalg.norm(s[rest] @ x[..., None], axis=(1, 2)) <= cut) & (kept > cut)
+            one = (np.linalg.norm(inner @ x[..., None], axis=(1, 2)) <= cut) & (kept > cut)
             dim[rest[one]], bound[rest[one]] = 1, kept[one]
             x, y = x[one], y[one]
         again = np.flatnonzero(traced & (dim < 0))
@@ -309,17 +312,80 @@ def _sector_roots(m: np.ndarray) -> np.ndarray:
         labels = nearest
 
 
-def null_spaces(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of the null spaces of a
-    Hermiticity-preserving superoperator m and of m†.
+# Bytes of complex rows that the stage-1 gather handles at a time: the p and q
+# rows of one block of pairs, sized to stay in cache.
+_GATHER_BYTES = 1 << 18
 
-    m acts on column-stacked n × n operators. With T the unitary whose
+
+def _times_t(rows: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
+    """rows · T for rows of a superoperator m: column blocks m[:, diag],
+    (m[:, p] + m[:, q]) r and i (m[:, p] − m[:, q]) r, with perm the column
+    order (diag, p, q) and r = 1/√2."""
+    k, r = (perm.size - n) // 2, np.sqrt(0.5)
+    sym, anti = slice(n, n + k), slice(n + k, None)
+    cols = rows.take(perm, axis=1)
+    diff = cols[:, anti] - cols[:, sym]
+    cols[:, sym] += cols[:, anti]
+    cols[:, sym] *= r
+    np.multiply(diff, -1j * r, out=cols[:, anti])
+    return cols
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """The sum of the squared entries, as one dot product."""
+    flat = x.ravel()
+    return float(flat @ flat)
+
+
+def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """The real matrix M = T† m T of a Hermiticity-preserving superoperator
+    m, and its scale ‖M‖_F = ‖m‖_F.
+
+    m acts on column-stacked n × n operators, and T is the unitary whose
     columns are vec of the orthonormal Hermitian basis of ``_herm_to_real``
-    (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2), M = T† m T is real
-    and has the singular values of m. M is gathered from index pairs; its
-    imaginary part must vanish within residual_tol, else ValueError.
+    (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2). M is gathered in
+    row blocks of ``_GATHER_BYTES``: the diagonal rows of m, then the p and
+    q rows of each block of pairs, each times T (``_times_t``), combined and
+    scaled into rows of M while in cache. Only these blocks and M are
+    allocated, and no entry of M depends on the block size. The imaginary part of T† m T must vanish within
+    residual_tol, else ValueError.
+    """
+    m = require_square(m)
+    n = isqrt(m.shape[0])
+    if n * n != m.shape[0]:
+        raise ValueError(f"{m.shape} is not the shape of a superoperator")
+    diag, p, q = _hermitian_pairs(n)
+    k, r = p.size, np.sqrt(0.5)
+    perm = np.concatenate([diag, p, q])
+    step = max(1, _GATHER_BYTES // (32 * n * n))
+    real = np.empty(m.shape)
+    imag_sq = 0.0
+    for lo in range(0, n, step):
+        cols = _times_t(m[diag[lo : lo + step]], perm, n)
+        real[lo : lo + len(cols)] = cols.real
+        imag_sq += _sum_sq(cols.imag)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        cols = _times_t(m[np.concatenate([p[lo:hi], q[lo:hi]])], perm, n)
+        at_p, at_q = cols[: hi - lo], cols[hi - lo :]
+        sym, anti = real[n + lo : n + hi], real[n + k + lo : n + k + hi]
+        np.add(at_p.real, at_q.real, out=sym)
+        sym *= r
+        np.subtract(at_p.imag, at_q.imag, out=anti)
+        anti *= r
+        imag_sq += 0.5 * _sum_sq(at_p.imag + at_q.imag) + 0.5 * _sum_sq(at_p.real - at_q.real)
+    scale = frob(real)
+    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, scale):
+        raise ValueError("superoperator does not preserve Hermiticity")
+    return real, scale
+
+
+def real_null_spaces(
+    real: np.ndarray, scale: float, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the null spaces of m and m†, from
+    the real M = T† m T and scale ‖M‖_F of ``gather_real``; M has the
+    singular values of m.
 
     M maps each of its sectors (``_sector_roots``) to itself, so its singular
     values are the union of the sectors' and its kernels are direct sums of
@@ -344,38 +410,7 @@ def null_spaces(
     columns come ordered by sector (smallest coordinate first), and mapped
     back through T every basis vector is vec of a Hermitian matrix.
     """
-    m = require_square(m)
-    n = isqrt(m.shape[0])
-    if n * n != m.shape[0]:
-        raise ValueError(f"{m.shape} is not the shape of a superoperator")
-    diag, p, q = _hermitian_pairs(n)
-    k, r = p.size, np.sqrt(0.5)
-    sym, anti = slice(n, n + k), slice(n + k, None)
-    # m T, column blocks: m[:, diag], (m[:, p] + m[:, q]) r, i (m[:, p] − m[:, q]) r.
-    cols = np.empty_like(m)
-    cols[:, :n] = m[:, diag]
-    cols[:, sym] = m[:, p]
-    cols[:, anti] = m[:, q]
-    cols[:, anti] -= cols[:, sym]
-    cols[:, anti] *= -1j * r
-    cols[:, sym] += m[:, q]
-    cols[:, sym] *= r
-    # T† (m T), row blocks in the same order, split into real and imaginary parts.
-    re, im = cols.real, cols.imag
-    real = np.empty(m.shape)
-    real[:n] = re[diag]
-    np.add(re[p], re[q], out=real[sym])
-    np.subtract(im[p], im[q], out=real[anti])
-    real[n:] *= r
-    imag_sq = (
-        np.sum(im[diag] ** 2)
-        + 0.5 * np.sum((im[p] + im[q]) ** 2)
-        + 0.5 * np.sum((re[p] - re[q]) ** 2)
-    )
-    del cols, re, im
-    scale = frob(real)
-    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, scale):
-        raise ValueError("superoperator does not preserve Hermiticity")
+    n = isqrt(real.shape[0])
     cut = _rank_cut(scale, tol)
     rng = np.random.default_rng(0)
     roots = _sector_roots(real)
@@ -411,6 +446,15 @@ def null_spaces(
         _real_to_vec_herm(np.hstack(right)[:, by_sector], n),
         _real_to_vec_herm(np.hstack(left)[:, by_sector], n),
     )
+
+
+def null_spaces(
+    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the null spaces of a
+    Hermiticity-preserving superoperator m and of m†: ``real_null_spaces``
+    of ``gather_real``. A caller that owns m can drop it between the two."""
+    return real_null_spaces(*gather_real(m, tol), tol)
 
 
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

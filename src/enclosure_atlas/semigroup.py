@@ -122,17 +122,20 @@ def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sandwich_sum(stack: np.ndarray) -> np.ndarray:
-    """sum_a conj(A_a) ⊗ A_a, the matrix of Y -> sum_a A_a Y A_a†, as one GEMM
-    over the k × n × n stack of the A_a.
+    """sum_a conj(A_a) ⊗ A_a, the matrix of Y -> sum_a A_a Y A_a†, written
+    into its n² × n² output one row index i at a time.
 
-    With X the k × n² stack of the row-major A_a, (X†X)[(i, j), (k, l)] is
-    sum_a conj(A_a[i, j]) A_a[k, l]: the Kronecker entry [(i, k), (j, l)].
-    An entry is an exact zero wherever every term is.
+    Entry [(i, k), (j, l)] is sum_a conj(A_a[i, j]) A_a[k, l]. With X the
+    k × n² stack of the row-major A_a, the n × n² GEMM conj(A[:, i, :])ᵀ X
+    holds these sums at [j, (k, l)], the rows (i, ·) once k and j swap. An
+    entry is an exact zero wherever every term is.
     """
     k, n, _ = stack.shape
     x = stack.reshape(k, n * n)
-    quad = (dagger(x) @ x).reshape(n, n, n, n)
-    return quad.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    out = np.empty((n, n, n, n), dtype=complex)
+    for i in range(n):
+        out[i] = (dagger(stack[:, i, :]) @ x).reshape(n, n, n).transpose(1, 0, 2)
+    return out.reshape(n * n, n * n)
 
 
 def build_generator(model: LindbladModel) -> Superoperator:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from enclosure_atlas.decomposition import recurrent_projector
-from enclosure_atlas.linalg import random_hermitian, random_unitary
+from enclosure_atlas.linalg import _hermitian_pairs, random_hermitian, random_unitary
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel, unvec, vec
 
@@ -21,6 +21,36 @@ def unit(i, j, n=2):
 def fixed_points(obj):
     """Orthonormal Hermitian basis of ker L (ker(Phi - Id) for a channel)."""
     return [unvec(v) for v in recurrent_projector(obj).kernel.T]
+
+
+def unblocked_gather(m):
+    """(M, ‖Im T† m T‖_F): the stage-1 gather of a superoperator in one pass
+    over whole arrays, through the complex n² × n² product m T. The
+    reference for ``gather_real``, which must give the same M bit for bit."""
+    n = int(round(np.sqrt(m.shape[0])))
+    diag, p, q = _hermitian_pairs(n)
+    k, r = p.size, np.sqrt(0.5)
+    sym, anti = slice(n, n + k), slice(n + k, None)
+    cols = np.empty_like(m)
+    cols[:, :n] = m[:, diag]
+    cols[:, sym] = m[:, p]
+    cols[:, anti] = m[:, q]
+    cols[:, anti] -= cols[:, sym]
+    cols[:, anti] *= -1j * r
+    cols[:, sym] += m[:, q]
+    cols[:, sym] *= r
+    re, im = cols.real, cols.imag
+    real = np.empty(m.shape)
+    real[:n] = re[diag]
+    np.add(re[p], re[q], out=real[sym])
+    np.subtract(im[p], im[q], out=real[anti])
+    real[n:] *= r
+    imag_sq = (
+        np.sum(im[diag] ** 2)
+        + 0.5 * np.sum((im[p] + im[q]) ** 2)
+        + 0.5 * np.sum((re[p] - re[q]) ** 2)
+    )
+    return real, float(np.sqrt(imag_sq))
 
 
 def choi_matrix(channel):

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse.csgraph
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     cluster_sorted_values,
+    frob,
     kernel_basis,
     null_spaces,
     orthonormal_hermitian_span,
@@ -24,6 +26,7 @@ from enclosure_atlas.semigroup import (
     apply,
     build_generator,
     channel_superoperator,
+    generator_action,
     matrix_exponential,
     unvec,
     vec,
@@ -188,7 +191,7 @@ def test_recurrent_projector_takes_lindblad_models_and_channels():
         assert np.array_equal(split.adjoint_kernel, left)
         assert np.array_equal(split.state, state)
         assert np.array_equal(split.recurrent, support_projector(state))
-        assert split.invariance_residual == np.linalg.norm(mat @ vec(state))
+        assert split.invariance_residual == frob(generator_action(model, state))
     for other in (build_generator(faithful_2d()), np.zeros((4, 4)), None):
         with pytest.raises(TypeError, match="cannot decompose"):
             recurrent_projector(other)
@@ -320,17 +323,19 @@ def _sector_decisions(stage, n2):
 
 
 def _stage_one_spy(monkeypatch, calls):
-    """Per null_spaces call, the slice of ``calls`` (a ``_factor_spy`` list)
-    that it made: the factorizations of stage 1."""
+    """Per stage-1 factorization (the ``real_null_spaces`` half of
+    ``null_spaces`` that ``recurrent_projector`` calls), the slice of
+    ``calls`` (a ``_factor_spy`` list) that it made."""
     stages = []
+    factor = linalg_module.real_null_spaces
 
-    def spy(m, tol=DEFAULT_TOL):
+    def spy(real, scale, tol=DEFAULT_TOL):
         start = len(calls)
-        out = null_spaces(m, tol)
+        out = factor(real, scale, tol)
         stages.append(calls[start:])
         return out
 
-    monkeypatch.setattr(decomposition_module, "null_spaces", spy)
+    monkeypatch.setattr(decomposition_module, "real_null_spaces", spy)
     return stages
 
 
@@ -371,6 +376,27 @@ def test_decompose_builds_one_superoperator(monkeypatch):
         report = decompose(model, seed=0)
         assert report.unique_enclosures or report.families
         assert built == [model.dim]
+
+
+def test_decompose_holds_one_complex_superoperator_at_a_time():
+    # Stage 1's working set at n = 24: the complex n² x n² L (16 n⁴ bytes)
+    # only while the gather reads it, next to the real M (8 n⁴) and the
+    # gather's cache-sized row blocks; then M and its bordered copy for the
+    # LU (LAPACK's work copy is allocated outside tracemalloc's view). L is
+    # freed when the gather returns, so the traced peak of decompose stays
+    # within two complex superoperators; holding L through the LU, as before,
+    # traced about three.
+    n = 24
+    rng = np.random.default_rng(97)
+    for model in (random_model(rng, n, 2), random_channel(rng, n, 2)):
+        tracemalloc.start()
+        try:
+            report = decompose(model, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.recurrent_dimension == n and report.is_unique
+        assert peak <= 2 * 16 * n**4
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):

@@ -1,18 +1,44 @@
 import numpy as np
 import pytest
 
+import enclosure_atlas.linalg as linalg_module
+from enclosure_atlas.decomposition import _generator
+from enclosure_atlas.fixtures import (
+    faithful_2d,
+    rotation_channel,
+    two_enclosures_2d,
+    unfaithful_2d,
+    zero_generator_2d,
+)
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    frob,
+    gather_real,
     hermitian_basis,
     hermitian_part,
     kernel_basis,
     matrix_exponential,
+    null_spaces,
     psd_project,
     support_projector,
 )
+from enclosure_atlas.oqrw import minimal_oqrw
 
-from helpers import PAULI_X, PAULI_Y, unit
+from helpers import (
+    PAULI_X,
+    PAULI_Y,
+    block_diag_model,
+    conjugated_pair_channel,
+    conjugated_pair_model,
+    leaky_model,
+    random_channel,
+    random_model,
+    random_rate_matrix,
+    renewal_pair_channel,
+    unblocked_gather,
+    unit,
+)
 
 
 def test_tolerances_validation():
@@ -192,3 +218,54 @@ def test_hermitian_part_is_projection():
     h = hermitian_part(x)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(hermitian_part(h), h)
+
+
+def _gather_models():
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 3, 7, 24):
+        yield random_model(rng, n, 2)
+        yield random_channel(rng, n, 2)
+    yield from (faithful_2d(), unfaithful_2d(), two_enclosures_2d(), zero_generator_2d())
+    yield rotation_channel()
+    yield leaky_model(rng, 5, 2)
+    yield block_diag_model(rng, (2, 3, 1), 2)
+    yield conjugated_pair_model(rng, 3, 2)[0]
+    yield conjugated_pair_channel(rng, 3, 2)
+    yield renewal_pair_channel()
+    yield minimal_oqrw(random_rate_matrix(rng, 7, density=0.9))
+
+
+def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
+    # M must not depend on the row blocks: one pair per block, four pairs per
+    # block (the last block is short at n = 3 and 7, with 3 and 21 pairs),
+    # and the default size, which at n = 24 splits 276 pairs into 19 blocks
+    # of 14 and one of 10.
+    default = linalg_module._GATHER_BYTES
+    many_jumps = 0
+    for model in _gather_models():
+        m = _generator(model, DEFAULT_TOL)
+        n2 = m.shape[0]
+        ref, imag = unblocked_gather(m)
+        assert imag <= DEFAULT_TOL.residual_tol * max(1.0, frob(ref))
+        many_jumps = max(many_jumps, len(getattr(model, "jumps", ())))
+        for gather_bytes in (32 * n2, 4 * 32 * n2, default):
+            monkeypatch.setattr(linalg_module, "_GATHER_BYTES", gather_bytes)
+            real, scale = gather_real(m)
+            assert real.dtype == np.float64 and real.shape == m.shape
+            assert real.tobytes() == ref.tobytes()
+            assert np.array_equal(real != 0, ref != 0)
+            assert scale == frob(ref)
+    assert many_jumps >= 20
+
+
+def test_gather_real_rejects_maps_that_do_not_preserve_hermiticity():
+    rng = np.random.default_rng(89)
+    good = _generator(random_model(rng, 4, 2), DEFAULT_TOL)
+    noise = rng.standard_normal(good.shape) + 1j * rng.standard_normal(good.shape)
+    for m in (1j * good, noise, good + 1e-6 * noise):
+        assert unblocked_gather(m)[1] > DEFAULT_TOL.residual_tol * frob(m)
+        for fn in (gather_real, null_spaces):
+            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+                fn(m)
+    # noise below residual_tol relative to the scale is accepted
+    gather_real(good + 1e-12 * noise)
