@@ -6,9 +6,8 @@ or nondemolition checks), ``examples`` (emit a built-in model file).
 
 Exit codes are a stable contract: 0 success, 1 file/parse error,
 2 validation failure, 3 analysis failure (including failed theorem clauses
-or failed identifiability). The seed defaults to --seed, then the model
-file's "seed", then the ENCLOSURE_ATLAS_SEED environment variable, then 0;
-a negative seed is a validation failure.
+or failed identifiability). Reports take no seed: identical inputs give
+byte-identical structured reports under one BLAS thread setting.
 
 The module loads only what ``analyze`` runs; the other subcommands import
 their modules when they are called.
@@ -17,7 +16,6 @@ their modules when they are called.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .decomposition import DecompositionError, decompose, verify_decomposition
@@ -38,8 +36,6 @@ from .io import (
 )
 from .semigroup import KrausChannel, LindbladModel, validate
 
-ENV_SEED = "ENCLOSURE_ATLAS_SEED"
-
 # Exit code and message prefix of each handled exception family, in the
 # order they are tried: ModelFileError and ValidationError are ValueErrors.
 _EXITS = (
@@ -57,7 +53,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="seed for generic sampling")
+    # Ignored and hidden: accepted so that older command lines still parse.
+    parser.add_argument("--seed", help=argparse.SUPPRESS)
     parser.add_argument("--tol-rank", type=float, default=None, help="override rank_tol")
     parser.add_argument(
         "--tol-residual", type=float, default=None, help="override residual_tol"
@@ -81,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decompose a lindblad or kraus model file")
     p.add_argument("paths", nargs="+", metavar="MODEL")
-    p.add_argument(
-        "--batch", action="store_true", help="process several files in turn (file k: seed + k)"
-    )
+    p.add_argument("--batch", action="store_true", help="process several files in turn")
     _add_common_flags(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -113,24 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_examples)
     return parser
-
-
-def _resolve_seed(args, parsed: ParsedModel) -> int:
-    env = os.environ.get(ENV_SEED)
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    elif parsed.seed is not None:
-        seed, source = parsed.seed, 'the model file\'s "seed"'
-    elif env is not None:
-        try:
-            seed, source = int(env), ENV_SEED
-        except ValueError:
-            raise ValidationError(f"{ENV_SEED}={env!r} is not an integer") from None
-    else:
-        return 0
-    if seed < 0:
-        raise ValidationError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
 
 
 def _resolve_tol(args, parsed: ParsedModel):
@@ -164,14 +141,13 @@ def _shape_line(report_dict: dict) -> str:
     return f"H({report_dict['dim']}) = " + " (+) ".join(parts)
 
 
-def _analyze_one(path: str, args, seed_offset: int = 0) -> tuple[int, dict, str]:
+def _analyze_one(path: str, args) -> tuple[int, dict, str]:
     parsed = load_model_file(path)
     if parsed.mode not in ("lindblad", "kraus"):
         raise ValidationError(f"analyze expects a lindblad or kraus model, got {parsed.mode!r}")
     tol = _resolve_tol(args, parsed)
-    seed = _resolve_seed(args, parsed) + seed_offset
     diagnostics = validate(parsed.obj, tol)
-    report = decompose(parsed.obj, seed=seed, tol=tol)
+    report = decompose(parsed.obj, tol=tol)
     verification = verify_decomposition(report, parsed.obj, tol)
     doc = {
         "model_diagnostics": model_diagnostics_to_dict(diagnostics),
@@ -179,7 +155,7 @@ def _analyze_one(path: str, args, seed_offset: int = 0) -> tuple[int, dict, str]
         "verification": verification_record_to_dict(verification),
     }
     lines = [
-        f"model: {parsed.mode} dim={report.dim} seed={seed}",
+        f"model: {parsed.mode} dim={report.dim}",
         "decomposition: " + _shape_line(doc["decomposition"]),
         f"recurrent method: {report.recurrent_method}",
         f"unique decomposition: {report.is_unique}",
@@ -197,18 +173,16 @@ def cmd_analyze(args) -> int:
         _emit(args, doc, text)
         return code
 
-    def run(index, path):
+    def run(path):
         try:
-            return path, _analyze_one(path, args, seed_offset=index)
+            return _analyze_one(path, args)
         except _HANDLED as exc:
             code, message = _failure(exc)
-            return path, (code, {"error": str(exc)}, message)
+            return code, {"error": str(exc)}, message
 
-    results = [run(index, path) for index, path in enumerate(args.paths)]
+    results = [(path, run(path)) for path in args.paths]
     doc = {"reports": {path: payload[1] for path, payload in results}}
-    text = "".join(
-        f"== {path} ==\n{payload[2]}" for path, payload in results
-    )
+    text = "".join(f"== {path} ==\n{payload[2]}" for path, payload in results)
     _emit(args, doc, text)
     return max(payload[0] for _, payload in results)
 
@@ -221,8 +195,7 @@ def cmd_oqrw(args) -> int:
         raise ValidationError(f"oqrw expects a rates model, got {parsed.mode!r}")
     assert isinstance(parsed.obj, RateMatrix)
     tol = _resolve_tol(args, parsed)
-    seed = _resolve_seed(args, parsed)
-    record = verify_oqrw_theorem(parsed.obj, seed=seed, tol=tol)
+    record = verify_oqrw_theorem(parsed.obj, tol=tol)
     doc = {"oqrw": oqrw_record_to_dict(record), "tolerances": tolerances_to_dict(tol)}
     lines = [
         f"closed classes: {[list(c) for c in record.classes]}",
@@ -268,13 +241,12 @@ def cmd_identifiability(args) -> int:
         if mode is None:
             raise ValidationError(f"no identifiability mode for a {parsed.mode!r} model")
     tol = _resolve_tol(args, parsed)
-    seed = _resolve_seed(args, parsed)
 
     if mode == "qnd":
         if not isinstance(parsed.obj, QndModel):
             raise ValidationError("qnd identifiability expects a qnd model file")
         report = nondegeneracy_check(parsed.obj, tol)
-        record = qnd_uniqueness(parsed.obj, tol, seed)
+        record = qnd_uniqueness(parsed.obj, tol)
         doc = {
             "identifiability": identifiability_report_to_dict(report),
             "qnd_uniqueness": qnd_uniqueness_to_dict(record),
@@ -288,7 +260,7 @@ def cmd_identifiability(args) -> int:
         raise ValidationError("discrete identifiability expects a kraus model file")
     # The cross-check picks the search from the model type, which the checks
     # above tie to the mode.
-    cross = uniqueness_cross_check(parsed.obj, seed=seed, tol=tol, max_len=args.max_len)
+    cross = uniqueness_cross_check(parsed.obj, tol=tol, max_len=args.max_len)
     doc = {
         "identifiability": identifiability_report_to_dict(cross.identifiability),
         "uniqueness_cross_check": cross_check_to_dict(cross),

@@ -5,10 +5,11 @@ enclosures.
 The pipeline: the maximal-support invariant state gives the recurrent
 projector; the Heisenberg generator compressed to the recurrent subspace (the
 cut-off generator) has a fixed-point set that is a unital †-closed algebra F;
-the eigenspaces of one generic Hermitian element of F are its minimal
-projections, the minimal enclosures, and the corners of one generic element
-group them into blocks of equivalent enclosures and give the partial
-isometries (matrix units) linking them.
+the eigenspaces of the Hermitian element E_F(D), the projection of
+D = diag(0, 1, …, n−1) onto F, are its minimal projections, the minimal
+enclosures, and the corners of one generic element group them into blocks of
+equivalent enclosures and give the partial isometries (matrix units) linking
+them.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class RecurrentSplit:
     state: np.ndarray
     invariance_residual: float
     # Orthonormal bases (as columns) of ker L and ker L† from one
-    # factorization of L (``null_spaces``).
+    # factorization of L (``real_null_spaces``).
     kernel: np.ndarray
     adjoint_kernel: np.ndarray
 
@@ -117,7 +118,6 @@ class DegenerateFamily:
 class DecompositionReport:
     kind: str
     dim: int
-    seed: int
     tolerances: Tolerances
     recurrent: np.ndarray
     transient: np.ndarray
@@ -157,15 +157,16 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     The recurrent projector is the support of the maximal-support invariant
     state E(1/n), where E is the spectral projection at eigenvalue 0: the
     projection onto ker L along ran L. With orthonormal bases K of ker L and
-    Y of ker L† from ``null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete time L is
-    the channel matrix minus the identity, and E is the Cesàro limit of the
-    channel's powers. Eigenvalue 0 is semisimple for any trace-preserving
-    semigroup or channel; a singular Y†K means it is not, and raises. L must
-    preserve Hermiticity (``null_spaces`` raises otherwise). The split keeps
-    K and Y (as columns, each vec of a Hermitian matrix) for later stages.
-    The complex n² × n² matrix of L lives only while ``gather_real`` reads
-    it: the factorization works on the real M alone, and ‖L(ρ)‖_F of the
-    state is applied from the model (``generator_action``).
+    Y of ker L† from ``real_null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete
+    time L is the channel matrix minus the identity, and E is the Cesàro
+    limit of the channel's powers. Eigenvalue 0 is semisimple for any
+    trace-preserving semigroup or channel; a singular Y†K means it is not,
+    and raises. L must preserve Hermiticity (``gather_real`` raises
+    otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
+    matrix) for later stages. The complex n² × n² matrix of L lives only
+    while ``gather_real`` reads it: the factorization works on the real M
+    alone, and ‖L(ρ)‖_F of the state is applied from the model
+    (``generator_action``).
     """
     kern, left = real_null_spaces(*gather_real(_generator(obj, tol), tol), tol)
     n = obj.dim
@@ -227,9 +228,10 @@ def is_enclosure(
     )
 
 
-def _closure_residual(fbasis: Sequence[np.ndarray], rng: np.random.Generator) -> float:
+def _closure_residual(fbasis: Sequence[np.ndarray]) -> float:
     """Largest projection residual of pairwise products onto the span, over
-    at most 200 seeded pairs."""
+    at most 200 pairs drawn by a fixed generator."""
+    rng = np.random.default_rng(0)
     k = len(fbasis)
     flat = np.array([f.ravel() for f in fbasis])
     pairs = [(i, j) for i in range(k) for j in range(k)]
@@ -282,7 +284,6 @@ def algebra_structure(
     cutoff: Callable[[np.ndarray], np.ndarray],
     p_r: np.ndarray,
     adjoint_kernel: np.ndarray,
-    seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> AlgebraStructure:
     """Block structure of the fixed-point algebra of the cut-off evolution.
@@ -292,13 +293,17 @@ def algebra_structure(
     unique minimal enclosure; blocks with m >= 2 hold a degenerate family of
     m equivalent enclosures of dimension d, linked by matrix units.
 
-    One sample reads it all off two generic elements of F (Murota, Kanno,
-    Kojima & Kojima, Japan J. Indust. Appl. Math. 27, 2010): the eigenspaces
-    of a Hermitian one are the minimal projections, and the corners of a
+    One sample reads it all off two elements of F (Murota, Kanno, Kojima &
+    Kojima, Japan J. Indust. Appl. Math. 27, 2010): the eigenspaces of a
+    Hermitian one are the minimal projections, and the corners of a generic
     complex one group them into blocks and give the links
-    (``_link_clusters``). A sample is accepted when every link is a partial
-    isometry and Σ m_b² = dim F; otherwise up to five seeded samples are
-    drawn, then an error is raised.
+    (``_link_clusters``). The first Hermitian one is E_F(D), the HS
+    projection of D = diag(0, 1, …, n−1) onto F: A_b ⊗ 1_d on block b, with
+    A_b generically nondegenerate, so the members depend only on the
+    dynamics and the input basis. A sample is accepted when every link is a
+    partial isometry and Σ m_b² = dim F; otherwise up to four samples with a
+    generic Hermitian element from a fixed generator follow, then an error
+    is raised.
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
@@ -306,7 +311,7 @@ def algebra_structure(
     images of that basis confirm it fixed in coefficient space and give the
     invariance residual.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     iso_r = _range_isometry(p_r, tol)
     r = iso_r.shape[1]
     k = adjoint_kernel.shape[1]
@@ -325,12 +330,14 @@ def algebra_structure(
     residuals = {
         "algebra_invariance": max(frob(x) for x in images),
         "algebra_unit_invariance": frob(cutoff(p_r)),
-        "algebra_closure": _closure_residual(fbasis, rng),
+        "algebra_closure": _closure_residual(fbasis),
     }
 
     stack, dim_f = np.array(fbasis), len(fbasis)
+    # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis
+    d_r = dagger(iso_r) @ (np.arange(len(p_r))[:, None] * iso_r)
+    g = np.tensordot(stack.conj(), d_r, axes=2).real
     for _ in range(5):
-        g = rng.standard_normal(dim_f)
         c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
         w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
         x = dagger(u) @ np.tensordot(c, stack, axes=1) @ u
@@ -338,6 +345,7 @@ def algebra_structure(
         squares = sum(len(group) ** 2 for group in groups)
         if defect <= 100 * tol.residual_tol and squares == dim_f:
             break
+        g = rng.standard_normal(dim_f)
     else:
         raise DecompositionError(
             "algebra",
@@ -482,12 +490,14 @@ def _validate_input(obj, tol: Tolerances):
             raise ValueError(f"channel is not completely positive: Choi eigenvalue {choi_min:.3e}")
 
 
-def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
+def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     """Full decomposition of a Lindblad model or Kraus channel.
 
     Returns the transient/recurrent projectors, unique minimal enclosures
     with their extremal invariant states, and degenerate families with the
-    partial isometries linking their members. Deterministic for a fixed seed.
+    partial isometries linking their members. Identical inputs give
+    byte-identical reports under one BLAS thread setting; family members are
+    the eigenprojections of E_F(D) (``algebra_structure``).
     ``recurrent_method`` names the limit that defines the maximal-support
     state: "spectral" (t -> infinity of the semigroup) for Lindblad models,
     "cesaro" (average of the channel's powers) for Kraus channels.
@@ -508,7 +518,7 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
     cut = stage("cutoff", lambda: cutoff_generator(obj, split.recurrent))
     structure = stage(
         "algebra",
-        lambda: algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed, tol),
+        lambda: algebra_structure(cut, split.recurrent, split.adjoint_kernel, tol),
     )
 
     unique: list[EnclosureRecord] = []
@@ -602,7 +612,6 @@ def decompose(obj, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> Decompositio
     return DecompositionReport(
         kind=kind,
         dim=n,
-        seed=seed,
         tolerances=tol,
         recurrent=split.recurrent,
         transient=split.transient,
@@ -636,7 +645,7 @@ class VerificationRecord:
 def _random_invariant_states(report: DecompositionReport, tol: Tolerances) -> list[np.ndarray]:
     """Exactly invariant states: the maximal-support state plus three small
     kernel-space perturbations kept within its positive part."""
-    rng = np.random.default_rng(report.seed + 7919)
+    rng = np.random.default_rng(0)
     rho_max = report.max_support_state
     basis = [unvec(v) for v in report.invariant_kernel.T]
     states = [rho_max]

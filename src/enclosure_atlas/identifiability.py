@@ -107,10 +107,7 @@ class QndDiagnosis:
 
 
 def qnd_diagonalize(
-    model: LindbladModel,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    split: int | None = None,
+    model: LindbladModel, tol: Tolerances = DEFAULT_TOL, split: int | None = None
 ) -> QndDiagnosis:
     """Find a common eigenbasis of the Hamiltonian and all jump operators.
 
@@ -118,7 +115,8 @@ def qnd_diagonalize(
     tolerance (for normal operators pairwise commutation propagates to the
     adjoints). The diffusive/jump split is not recoverable from the
     operators, so it is taken from ``split`` and defaults to all-diffusive.
-    Up to five seeded combinations of the operators are diagonalized.
+    Up to five combinations of the operators, drawn by a fixed generator,
+    are diagonalized.
     """
     ops = [model.hamiltonian] + list(model.jumps)
     worst = 0.0
@@ -131,7 +129,7 @@ def qnd_diagonalize(
     if worst > tol.residual_tol:
         return QndDiagnosis(False, worst, None, None)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = model.dim
     for _ in range(5):
         combo = rng.standard_normal() * hermitian_part(model.hamiltonian)
@@ -239,9 +237,7 @@ class QndUniquenessRecord:
     consistent: bool
 
 
-def qnd_uniqueness(
-    qnd: QndModel, tol: Tolerances = DEFAULT_TOL, seed: int = 0
-) -> QndUniquenessRecord:
+def qnd_uniqueness(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> QndUniquenessRecord:
     """Check that non-degeneracy forces a unique decomposition.
 
     Under non-degeneracy every Re omega(a, b) must be strictly negative, the
@@ -265,7 +261,7 @@ def qnd_uniqueness(
         )
 
     model = qnd_to_model(qnd)
-    report = decompose(model, seed=seed, tol=tol)
+    report = decompose(model, tol=tol)
     basis = [unvec(v) for v in report.invariant_kernel.T]
     diag_residual = max(
         (frob(x - np.diag(np.diag(x))) for x in basis), default=0.0
@@ -439,7 +435,6 @@ class UniquenessCrossCheck:
 
 def uniqueness_cross_check(
     obj,
-    seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
     max_len: int | None = None,
     report: DecompositionReport | None = None,
@@ -454,7 +449,7 @@ def uniqueness_cross_check(
     failing identifiability) is recorded, not an error.
     """
     if report is None:
-        report = decompose(obj, seed=seed, tol=tol)
+        report = decompose(obj, tol=tol)
     if isinstance(obj, LindbladModel):
         ident = continuous_identifiability(obj, report, tol)
         unraveling = list(obj.jumps)

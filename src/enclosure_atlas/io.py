@@ -133,7 +133,6 @@ class ParsedModel:
     mode: str
     obj: object
     tolerances: Tolerances
-    seed: int | None
 
 
 def parse_model_document(doc) -> ParsedModel:
@@ -160,12 +159,6 @@ def parse_model_document(doc) -> ParsedModel:
             tolerances = DEFAULT_TOL.replace(**values)
         except ValueError as exc:
             raise ValidationError(f"bad tolerances: {exc}") from None
-
-    seed = None
-    if "seed" in doc:
-        seed = doc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ModelFileError(f"seed must be an integer, got {seed!r}")
 
     def check_dim(mat, field, n):
         if mat.shape != (n, n):
@@ -224,7 +217,7 @@ def parse_model_document(doc) -> ParsedModel:
         raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    return ParsedModel(mode=mode, obj=obj, tolerances=tolerances, seed=seed)
+    return ParsedModel(mode=mode, obj=obj, tolerances=tolerances)
 
 
 def load_model_file(path: str) -> ParsedModel:
@@ -258,7 +251,6 @@ def decomposition_report_to_dict(report: DecompositionReport) -> dict:
     return {
         "kind": report.kind,
         "dim": report.dim,
-        "seed": report.seed,
         "tolerances": tolerances_to_dict(report.tolerances),
         "conventions": dict(report.conventions),
         "recurrent_method": report.recurrent_method,
@@ -360,7 +352,6 @@ def cross_check_to_dict(record: UniquenessCrossCheck) -> dict:
 
 def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
     return {
-        "seed": record.seed,
         "convention": record.convention,
         "classes": [list(c) for c in record.classes],
         "invariant_measures": [real_vector_to_json(m) for m in record.measures],

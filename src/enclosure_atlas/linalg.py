@@ -261,26 +261,32 @@ def _certified_kernels(
 
 
 def _sketched_kernels(
-    s: np.ndarray, w: np.ndarray, cut: float, rng: np.random.Generator
+    s: np.ndarray, sectors: np.ndarray, w: np.ndarray, cut: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Kernel dimension d of each real square matrix S in a stack (how many
-    directions X̂ of its sketch W = S⁻¹Ω grew past 1/cut; 0 if W is not
-    finite), whether d is certified, and (stack index, X_o, Y_o) groups, one
-    vector a row. For 0 < d < 10, one stacked solve of B = [[S, X̂], [X̂ᵀ, 0]]
-    and Bᵀ against [0; I_d] gives X and Y; X_o, Y_o are orthonormal bases of
-    them. d is the SVD's when ‖S X_o‖₂, ‖Sᵀ Y_o‖₂ <= cut < the probe bound on
+    """Kernel dimension d of each real square matrix S = s[k], k in
+    ``sectors`` (how many directions X̂ of its sketch W = S⁻¹Ω grew past
+    1/cut; 0 if W is not finite), whether d is certified, and (index into
+    ``sectors``, X_o, Y_o) groups, one vector a row. For 0 < d < 10, one
+    stacked solve of B = [[S, X̂], [X̂ᵀ, 0]] and Bᵀ, filled in place from s,
+    against [0; I_d] gives X and Y; X_o, Y_o are orthonormal bases of them.
+    d is the SVD's when ‖S X_o‖₂, ‖Sᵀ Y_o‖₂ <= cut < the probe bound on
     σ_min(B) <= σ_{N−d}(S). B is singular unless ker S ∩ ran S = 0.
     """
+    size = s.shape[1]
     q, r = np.linalg.qr(np.where(np.isfinite(w), w, 0))
     u, sigma, _ = np.linalg.svd(r)
     dim = np.count_nonzero(sigma > 1 / cut, axis=1)
-    certified, found = np.zeros(len(s), bool), []
+    certified, found = np.zeros(len(sectors), bool), []
     # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
     for d in sorted(set(dim[(dim > 0) & (dim < _PROBES)].tolist())):
         at = np.flatnonzero(dim == d)
         xh = q[at] @ u[at, :, :d]
-        b = np.block([[s[at], xh], [xh.transpose(0, 2, 1), np.zeros((at.size, d, d))]])
-        pair = np.concatenate([b, b.transpose(0, 2, 1)])
+        pair = np.zeros((2, at.size, size + d, size + d))  # B, then Bᵀ: one border
+        for to, sector in enumerate(sectors[at]):
+            pair[0, to, :size, :size] = s[sector]
+            pair[1, to, :size, :size] = s[sector].T
+        pair[..., :size, size:], pair[..., size:, :size] = xh, xh.transpose(0, 2, 1)
+        pair = pair.reshape(2 * at.size, size + d, size + d)
         kept, sol = _sigma_min_bound(pair, rng, d)
         basis = np.linalg.qr(np.where(np.isfinite(sol), sol, 0)[:, :-d, :d])[0]
         ok = (np.linalg.norm(pair[:, :-d, :-d] @ basis, 2, axis=(1, 2)) <= cut) & (kept > cut)
@@ -347,8 +353,8 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarra
     row blocks of ``_GATHER_BYTES``: the diagonal rows of m, then the p and
     q rows of each block of pairs, each times T (``_times_t``), combined and
     scaled into rows of M while in cache. Only these blocks and M are
-    allocated, and no entry of M depends on the block size. The imaginary part of T† m T must vanish within
-    residual_tol, else ValueError.
+    allocated, and no entry of M depends on the block size. The imaginary
+    part of T† m T must vanish within residual_tol, else ValueError.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -402,13 +408,13 @@ def real_null_spaces(
     is then the normalized restriction of y₀ itself. An undecided sector gets
     d kernel directions from its probe solves, and one LU of its matrix
     bordered by them and one of the transpose certify a d-dimensional kernel
-    (``_sketched_kernels``). The probes come from a fixed seed, so the result
-    does not depend on any caller's seed. The other sectors (a value near the
-    cut, an exact zero pivot, ten kernel directions, a Jordan block at 0) are
-    factored by one batched real SVD, whose trailing singular vectors span
-    their kernels. Kernel vectors are embedded at their sector's coordinates;
-    columns come ordered by sector (smallest coordinate first), and mapped
-    back through T every basis vector is vec of a Hermitian matrix.
+    (``_sketched_kernels``). The probes come from a generator fixed here.
+    The other sectors (a value near the cut, an exact zero pivot, ten kernel
+    directions, a Jordan block at 0) are factored by one batched real SVD,
+    whose trailing singular vectors span their kernels. Kernel vectors are
+    embedded at their sector's coordinates; columns come ordered by sector
+    (smallest coordinate first), and mapped back through T every basis
+    vector is vec of a Hermitian matrix.
     """
     n = isqrt(real.shape[0])
     cut = _rank_cut(scale, tol)
@@ -428,7 +434,7 @@ def real_null_spaces(
         found = [(np.flatnonzero(dim == 1), x, y)]
         undecided = np.flatnonzero(dim < 0)
         if undecided.size:
-            _, certified, groups = _sketched_kernels(block[undecided], sketch[undecided], cut, rng)
+            _, certified, groups = _sketched_kernels(block, undecided, sketch[undecided], cut, rng)
             found += [(undecided[rows], x, y) for rows, x, y in groups]
             undecided = undecided[~certified]
         if undecided.size:

@@ -231,12 +231,9 @@ class OqrwTheoremRecord:
     clauses: tuple[VerificationClause, ...]
     passed: bool
     convention: str
-    seed: int
 
 
-def verify_oqrw_theorem(
-    rate: RateMatrix, seed: int = 0, tol: Tolerances = DEFAULT_TOL
-) -> OqrwTheoremRecord:
+def verify_oqrw_theorem(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> OqrwTheoremRecord:
     """Cross-validate the walk's decomposition against the classical chain.
 
     Checks that each minimal enclosure is the coordinate span of exactly one
@@ -247,7 +244,7 @@ def verify_oqrw_theorem(
     """
     classes = closed_classes(rate)
     measures = invariant_measures(rate, tol)
-    report = decompose(minimal_oqrw(rate), seed=seed, tol=tol)
+    report = decompose(minimal_oqrw(rate), tol=tol)
     enclosures = enumerate_minimal_enclosures(report)
     clauses: list[VerificationClause] = []
 
@@ -290,5 +287,4 @@ def verify_oqrw_theorem(
         clauses=tuple(clauses),
         passed=all(c.ok for c in clauses),
         convention=OQRW_CONVENTION_NOTE,
-        seed=seed,
     )

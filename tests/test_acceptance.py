@@ -78,7 +78,7 @@ def _span_residual(target, basis):
 
 def test_criterion_1a_faithful():
     with criterion("1a", 1.0):
-        report = decompose(faithful_2d(), seed=0)
+        report = decompose(faithful_2d())
         assert np.linalg.norm(report.recurrent - np.eye(2)) <= 1e-9
         assert report.is_unique and len(report.unique_enclosures) == 1
         rec = report.unique_enclosures[0]
@@ -88,7 +88,7 @@ def test_criterion_1a_faithful():
 
 def test_criterion_1b_unfaithful():
     with criterion("1b", 1.0):
-        report = decompose(unfaithful_2d(), seed=0)
+        report = decompose(unfaithful_2d())
         assert np.linalg.norm(report.transient - np.diag([0.0, 1.0])) <= 1e-9
         assert report.is_unique and len(report.unique_enclosures) == 1
         rec = report.unique_enclosures[0]
@@ -97,7 +97,7 @@ def test_criterion_1b_unfaithful():
 
 def test_criterion_1c_two_enclosures():
     with criterion("1c", 1.0):
-        report = decompose(two_enclosures_2d(), seed=0)
+        report = decompose(two_enclosures_2d())
         assert report.is_unique and len(report.unique_enclosures) == 2
         targets = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         for target in targets:
@@ -111,7 +111,7 @@ def test_criterion_1c_two_enclosures():
 def test_criterion_1d_zero_generator_family():
     with criterion("1d", 1.0):
         model = zero_generator_2d()
-        report = decompose(model, seed=0)
+        report = decompose(model)
         assert not report.is_unique
         assert len(report.families) == 1 and not report.unique_enclosures
         fam = report.families[0]
@@ -130,7 +130,7 @@ def test_criterion_1d_zero_generator_family():
 def test_criterion_2_rotation_channel():
     with criterion("2", 5.0):
         channel = rotation_channel()
-        report = decompose(channel, seed=0)
+        report = decompose(channel)
         assert report.is_unique and len(report.unique_enclosures) == 2
         psi_a = np.array([1.0, 1j]) / np.sqrt(2)
         psi_b = np.array([1.0, -1j]) / np.sqrt(2)
@@ -163,12 +163,12 @@ def test_criterion_3_oqrw_oracle_equivalence():
         for case in range(50):
             n = 2 + case % 5
             rate = random_rate_matrix(rng, n, density=densities[case % 4])
-            record = verify_oqrw_theorem(rate, seed=case)
+            record = verify_oqrw_theorem(rate)
             assert record.passed, (case, [c.name for c in record.clauses if not c.ok])
             for clause in record.clauses:
                 assert clause.residual <= 1e-8, (case, clause.name, clause.residual)
             # enclosure/class counts agree exactly
-            report = decompose(minimal_oqrw(rate), seed=case)
+            report = decompose(minimal_oqrw(rate))
             assert len(enumerate_minimal_enclosures(report)) == len(record.classes)
 
 
@@ -178,11 +178,11 @@ def test_criterion_4_forced_degenerate_family():
         model, _ = conjugated_pair_model(rng, 3, 2)
         # the base block must itself be irreducible for the family to be forced
         base = random_model(np.random.default_rng(4242), 3, 2)
-        base_report = decompose(base, seed=0)
+        base_report = decompose(base)
         assert base_report.is_unique and len(base_report.unique_enclosures) == 1
         assert base_report.unique_enclosures[0].dimension == 3
 
-        report = decompose(model, seed=0)
+        report = decompose(model)
         assert len(report.families) == 1 and not report.unique_enclosures
         fam = report.families[0]
         assert len(fam.members) == 2
@@ -251,8 +251,7 @@ def test_criterion_6_structural_properties():
         for case in range(25):
             model = _structural_model(rng, case)
             n = model.dim
-            seed = 1000 + case
-            report = decompose(model, seed=seed)
+            report = decompose(model)
             gen = build_generator(model)
 
             assert np.linalg.norm(report.transient + report.recurrent - np.eye(n)) <= 1e-8
@@ -281,10 +280,10 @@ def test_criterion_6_structural_properties():
                     rhs = unvec(prop @ vec(projectors[i] @ r_state @ projectors[j]))
                     assert np.linalg.norm(lhs - rhs) <= 1e-7
 
-            # bit-identical rerun with the same seed
+            # bit-identical rerun
             first = serialize_report(decomposition_report_to_dict(report))
             second = serialize_report(
-                decomposition_report_to_dict(decompose(model, seed=seed))
+                decomposition_report_to_dict(decompose(model))
             )
             assert first == second
 
@@ -312,10 +311,10 @@ def test_criterion_7_uniqueness_consistency_sweep():
             models.append(_structural_model(structural_rng, case))
 
         applicable = 0
-        for k, model in enumerate(models):
+        for model in models:
             # raises if identifiability passes on a transient-free model whose
             # decomposition is not unique
-            record = uniqueness_cross_check(model, seed=k, tol=DEFAULT_TOL)
+            record = uniqueness_cross_check(model, tol=DEFAULT_TOL)
             if record.theorem_applicable:
                 applicable += 1
                 assert record.is_unique

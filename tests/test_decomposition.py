@@ -248,9 +248,9 @@ def _factor_spy(monkeypatch):
         calls.append(("cert", s.shape, (out[0], y.any(axis=1))))
         return out
 
-    def sketched_spy(s, w, cut, rng):
-        out = sketched(s, w, cut, rng)
-        calls.append(("sketch", s.shape, out[:2]))
+    def sketched_spy(s, sectors, w, cut, rng):
+        out = sketched(s, sectors, w, cut, rng)
+        calls.append(("sketch", (len(sectors), *s.shape[1:]), out[:2]))
         return out
 
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
@@ -344,7 +344,7 @@ def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     n2 = model.dim**2
     calls = _factor_spy(monkeypatch)
     stages = _stage_one_spy(monkeypatch, calls)
-    report = decompose(model, seed=0)
+    report = decompose(model)
     assert report.recurrent_dimension == 3
     # L is factored once: every real sector block is decided once, by the LU
     # certificate or by the SVD, and the sectors cover n² coordinates
@@ -373,7 +373,7 @@ def test_decompose_builds_one_superoperator(monkeypatch):
     rng = np.random.default_rng(61)
     for model in (leaky_model(rng, 4, 2), conjugated_pair_channel(rng, 2, 2)):
         built.clear()
-        report = decompose(model, seed=0)
+        report = decompose(model)
         assert report.unique_enclosures or report.families
         assert built == [model.dim]
 
@@ -385,23 +385,30 @@ def test_decompose_holds_one_complex_superoperator_at_a_time():
     # LU (LAPACK's work copy is allocated outside tracemalloc's view). L is
     # freed when the gather returns, so the traced peak of decompose stays
     # within two complex superoperators; holding L through the LU, as before,
-    # traced about three.
+    # traced about three. In a random basis, two enclosures and a conjugated
+    # pair leave their one sector to the rank-d certificate, whose stack of
+    # B and Bᵀ is filled in place from M: copying the sector, then B, then the
+    # pair traced about 2.6 times.
     n = 24
     rng = np.random.default_rng(97)
-    for model in (random_model(rng, n, 2), random_channel(rng, n, 2)):
+    models = [(random_model(rng, n, 2), 1), (random_channel(rng, n, 2), 1)]
+    rotated = (block_diag_model(rng, (12, 12), 2), conjugated_pair_model(rng, 12, 2)[0])
+    models += [(_rotated(model, random_unitary(rng, n)), 2) for model in rotated]
+    for model, count in models:
         tracemalloc.start()
         try:
-            report = decompose(model, seed=0)
+            report = decompose(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.recurrent_dimension == n and report.is_unique
+        assert report.recurrent_dimension == n
+        assert len(enumerate_minimal_enclosures(report)) == count
         assert peak <= 2 * 16 * n**4
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):
     channel = conjugated_pair_channel(np.random.default_rng(5), 2, 2)
-    report = decompose(channel, seed=0)
+    report = decompose(channel)
     _forbid_superoperator_builds(monkeypatch)
     assert verify_decomposition(report, channel).ok
     with pytest.raises(ValueError, match="does not match"):
@@ -417,7 +424,7 @@ def test_no_full_svd_of_a_tall_matrix_after_stage_one(monkeypatch):
     models += [block_diag_model(rng, (2, 3), 2), conjugated_pair_channel(rng, 3, 2)]
     calls = _svd_spy(monkeypatch)
     for model in models:
-        report = decompose(model, seed=0)
+        report = decompose(model)
         verify_decomposition(report, model)
     full_tall = [shape for shape, _, full, uv in calls if full and uv and shape[-2] > shape[-1]]
     assert full_tall == []
@@ -861,7 +868,7 @@ def test_decompose_generators_zero_up_to_roundoff():
         h, jump, k = (u @ (c * np.eye(n)) @ u.conj().T for c in (0.7, 0.3, np.sqrt(0.5)))
         for model in (LindbladModel.create(h, [jump]), KrausChannel.create([k, k])):
             assert 0 < np.linalg.norm(_generator(model, DEFAULT_TOL)) < 1e-13
-            report = decompose(model, seed=0)
+            report = decompose(model)
             assert report.recurrent_dimension == n and not report.unique_enclosures
             (family,) = report.families
             assert [member.dimension for member in family.members] == [1] * n
@@ -894,7 +901,7 @@ def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
     for model in models:
         calls.clear()
         stages.clear()
-        report = decompose(model, seed=0)
+        report = decompose(model)
         k = report.invariant_kernel.shape[1]
 
         def large(seq):
@@ -949,10 +956,10 @@ def _compressed_svd_oracle(model, seed=0):
 
 def test_kernel_algebra_and_states_match_compressed_svd_oracle():
     for model in _agreement_models():
-        report = decompose(model, seed=0)
+        report = decompose(model)
         split = recurrent_projector(model)
         cut = cutoff_generator(model, split.recurrent)
-        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
         span_oracle, blocks_oracle, state_oracle = _compressed_svd_oracle(model)
 
         span = np.column_stack([vec(f) for f in structure.fixed_point_basis])
@@ -1049,7 +1056,7 @@ def test_algebra_blocks_match_central_path_oracle():
     for model in models:
         split = recurrent_projector(model)
         cut = cutoff_generator(model, split.recurrent)
-        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
         oracle = _central_path_oracle(structure, split.recurrent)
         shapes = sorted((b.multiplicity, b.inner_dimension) for b in structure.blocks)
         assert shapes == sorted((m, d) for m, d, _, _ in oracle)
@@ -1086,7 +1093,7 @@ def test_algebra_structure_factors_nothing_larger_than_its_inputs(monkeypatch):
             return _factor(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
     (block,) = structure.blocks
     assert (block.multiplicity, block.inner_dimension) == (n, 1)
     assert rows and max(rows) <= max(n * n, k)
@@ -1174,7 +1181,7 @@ def test_is_enclosure_leak_not_applicable():
 def test_algebra_structure_two_singleton_blocks():
     model = two_enclosures_2d()
     split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
     assert structure.fixed_point_dimension == 2
     assert structure.center_dimension == 2
     assert all(b.multiplicity == 1 and b.inner_dimension == 1 for b in structure.blocks)
@@ -1183,7 +1190,7 @@ def test_algebra_structure_two_singleton_blocks():
 def test_algebra_structure_zero_generator_factor():
     model = zero_generator_2d()
     split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
     assert structure.fixed_point_dimension == 4
     assert structure.center_dimension == 1
     (block,) = structure.blocks
@@ -1193,7 +1200,7 @@ def test_algebra_structure_zero_generator_factor():
 def test_algebra_structure_scalar_fixed_points():
     model = faithful_2d()
     split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel, seed=0)
+    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
     assert structure.fixed_point_dimension == 1
     (block,) = structure.blocks
     assert block.multiplicity == 1 and block.inner_dimension == 2
@@ -1215,7 +1222,7 @@ def test_extremal_state_faithful_block():
 
 def test_extremal_state_rotation_eigenvector():
     ch = rotation_channel()
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     psi = np.array([1.0, 1j]) / np.sqrt(2)
     target = np.outer(psi, psi.conj())
     best = min(
@@ -1243,7 +1250,7 @@ def test_family_projector_endpoints_and_midpoint():
 
 
 def test_decompose_unfaithful_golden():
-    report = decompose(unfaithful_2d(), seed=0)
+    report = decompose(unfaithful_2d())
     assert report.transient_dimension == 1
     assert np.allclose(report.transient, np.diag([0.0, 1.0]), atol=1e-10)
     assert len(report.unique_enclosures) == 1 and report.is_unique
@@ -1251,7 +1258,7 @@ def test_decompose_unfaithful_golden():
 
 
 def test_decompose_two_enclosures_golden():
-    report = decompose(two_enclosures_2d(), seed=0)
+    report = decompose(two_enclosures_2d())
     assert report.transient_dimension == 0
     assert len(report.unique_enclosures) == 2 and report.is_unique
     projs = sorted(
@@ -1264,7 +1271,7 @@ def test_decompose_two_enclosures_golden():
 
 
 def test_decompose_zero_generator_golden():
-    report = decompose(zero_generator_2d(), seed=0)
+    report = decompose(zero_generator_2d())
     assert not report.is_unique
     assert len(report.families) == 1
     fam = report.families[0]
@@ -1273,11 +1280,17 @@ def test_decompose_zero_generator_golden():
     q = fam.isometries[(0, 1)]
     assert np.linalg.norm(q.conj().T @ q - fam.members[0].projector) < 1e-10
     assert np.linalg.norm(q @ q.conj().T - fam.members[1].projector) < 1e-10
+    # canonical members: the eigenprojections of E_F(D) = D = diag(0, 1),
+    # in lex order, linked by the matrix units
+    assert np.linalg.norm(fam.members[0].projector - np.diag([0.0, 1.0])) < 1e-12
+    assert np.linalg.norm(fam.members[1].projector - np.diag([1.0, 0.0])) < 1e-12
+    assert np.linalg.norm(fam.isometries[(1, 0)] - unit(1, 0)) < 1e-12
+    assert np.linalg.norm(q - unit(0, 1)) < 1e-12
 
 
 def test_decompose_family_projector_continuum_is_enclosed():
     model = zero_generator_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     cut = cutoff_generator(model, report.recurrent)
     fam = report.families[0]
     q = fam.isometries[(0, 1)]
@@ -1292,7 +1305,7 @@ def test_decompose_family_projector_continuum_is_enclosed():
 def test_decompose_reports_every_enclosure_enclosed():
     rng = np.random.default_rng(17)
     model = block_diag_model(rng, (2, 3), 2)
-    report = decompose(model, seed=5)
+    report = decompose(model)
     cut = cutoff_generator(model, report.recurrent)
     for label, rec, _ in enumerate_minimal_enclosures(report):
         check = is_enclosure(rec.projector, cut, report.recurrent)
@@ -1303,7 +1316,7 @@ def test_decompose_projector_algebra_invariants():
     rng = np.random.default_rng(40)
     for trial in range(4):
         model = block_diag_model(rng, (2, 2), 2) if trial % 2 else random_model(rng, 4, 2)
-        report = decompose(model, seed=trial)
+        report = decompose(model)
         assert np.allclose(report.transient + report.recurrent, np.eye(4), atol=1e-12)
         projs = [rec.projector for _, rec, _ in enumerate_minimal_enclosures(report)]
         total = sum(projs)
@@ -1316,7 +1329,7 @@ def test_decompose_projector_algebra_invariants():
 def test_decompose_distinct_supports():
     rng = np.random.default_rng(41)
     model = block_diag_model(rng, (2, 2), 2)
-    report = decompose(model, seed=1)
+    report = decompose(model)
     encl = enumerate_minimal_enclosures(report)
     assert len(encl) == 2
     from enclosure_atlas.linalg import support_projector
@@ -1328,7 +1341,7 @@ def test_decompose_distinct_supports():
 def test_decompose_block_by_block_action():
     rng = np.random.default_rng(42)
     model = block_diag_model(rng, (2, 2), 2)
-    report = decompose(model, seed=1)
+    report = decompose(model)
     gen = build_generator(model)
     pairs = enumerate_minimal_enclosures(report)
     iso = report.recurrent  # full recurrent here
@@ -1351,7 +1364,7 @@ def test_decompose_block_by_block_action():
 def test_decompose_degenerate_pair_model():
     rng = np.random.default_rng(43)
     model, w = conjugated_pair_model(rng, 2, 2)
-    report = decompose(model, seed=9)
+    report = decompose(model)
     assert not report.is_unique and len(report.families) == 1
     fam = report.families[0]
     assert len(fam.members) == 2
@@ -1363,11 +1376,81 @@ def test_decompose_degenerate_pair_model():
         assert np.linalg.norm(q @ op - op @ q) < 1e-8
 
 
+def _canonical_members_oracle(model, m):
+    """The m members of the one family of a transient-free model whose
+    family block is the whole space, without ``algebra_structure``: ker L†
+    from a dense complex SVD of the adjoint of ``_kron_generator``, E_F(D)
+    as the orthogonal projection of vec(D), D = diag(0, 1, …, n−1), onto it,
+    and the eigenprojections of E_F(D), taken d = n/m eigenvalues at a time."""
+    n = model.dim
+    _, s, vh = np.linalg.svd(_kron_generator(model).conj().T)
+    null = vh[s <= 1e-9 * max(s[0], 1.0)].conj().T
+    e_d = unvec(null @ (null.conj().T @ vec(np.diag(np.arange(n, dtype=complex)))))
+    w, u = np.linalg.eigh((e_d + e_d.conj().T) / 2)
+    d = n // m
+    groups = w.reshape(m, d)
+    # E_F(D) is A ⊗ 1_d on the block, and A is nondegenerate
+    assert np.ptp(groups, axis=1).max() < 1e-9 and np.diff(groups[:, 0]).min() > 1e-3
+    return [u[:, k * d : (k + 1) * d] @ u[:, k * d : (k + 1) * d].conj().T for k in range(m)]
+
+
+def test_family_members_match_canonical_oracle():
+    # the members are the eigenprojections of E_F(D): they depend on the
+    # dynamics and the input basis alone
+    rng = np.random.default_rng(83)
+    models = [conjugated_pair_model(rng, d, 2)[0] for d in (2, 3, 5)]
+    models += [conjugated_pair_channel(rng, d, 2) for d in (2, 4)]
+    models.append(_family_model(rng, 3, 2))
+    for model in models:
+        (fam,) = decompose(model).families
+        assert np.linalg.norm(fam.block_projector - np.eye(model.dim)) < 1e-9
+        oracle = _canonical_members_oracle(model, len(fam.members))
+        for rec in fam.members:
+            assert min(np.linalg.norm(rec.projector - p) for p in oracle) < 1e-8
+
+
+def _report_operators(report):
+    """Every projector, extremal state and isometry of a report, in report order."""
+    out = [report.recurrent]
+    for rec in report.unique_enclosures:
+        out += [rec.projector, rec.extremal_state]
+    for fam in report.families:
+        out.append(fam.block_projector)
+        for rec in fam.members:
+            out += [rec.projector, rec.extremal_state]
+        out += [fam.isometries[key] for key in sorted(fam.isometries)]
+    return out
+
+
+def test_reports_do_not_depend_on_jump_order_or_splitting():
+    # Permuting the jumps (Kraus operators), or splitting one A into
+    # (A/√2, A/√2), leaves the dynamics unchanged, and so every projector and
+    # isometry of the report, family members included.
+    rng = np.random.default_rng(29)
+    models = [conjugated_pair_model(rng, d, 3)[0] for d in (2, 3)]
+    models += [conjugated_pair_channel(rng, d, 3) for d in (2, 3)]
+    models.append(block_diag_model(rng, (2, 3), 3))
+    for model in models:
+        lindblad = isinstance(model, LindbladModel)
+        ops = list(model.jumps if lindblad else model.kraus)
+        base = _report_operators(decompose(model))
+        r = np.sqrt(0.5)
+        for variant in (ops[::-1], [ops[1], ops[2], ops[0]], [r * ops[0], r * ops[0], *ops[1:]]):
+            if lindblad:
+                variant = LindbladModel.create(model.hamiltonian, variant)
+            else:
+                variant = KrausChannel.create(variant)
+            other = _report_operators(decompose(variant))
+            assert len(other) == len(base)
+            for a, b in zip(base, other):
+                assert np.linalg.norm(a - b) <= 1e-9
+
+
 def test_decompose_three_member_family():
     # null generator on C^3: every one-dimensional subspace is an enclosure,
     # realized as a single family of three equivalent members
     model = LindbladModel.create(np.zeros((3, 3)), [])
-    report = decompose(model, seed=2)
+    report = decompose(model)
     assert not report.is_unique
     (fam,) = report.families
     assert len(fam.members) == 3
@@ -1398,7 +1481,7 @@ def test_decompose_family_with_transient_part():
     jumps.append(drain)
     model = LindbladModel.create(h, jumps)
 
-    report = decompose(model, seed=11)
+    report = decompose(model)
     assert report.transient_dimension == 1
     assert len(report.families) == 1 and not report.unique_enclosures
     assert all(rec.dimension == 2 for rec in report.families[0].members)
@@ -1412,7 +1495,7 @@ def test_decompose_transient_feeding_two_blocks():
         return m
 
     model = LindbladModel.create(np.zeros((3, 3)), [e(0, 0), e(0, 2), e(1, 2)])
-    report = decompose(model, seed=0)
+    report = decompose(model)
     assert report.transient_dimension == 1
     assert [rec.dimension for rec in report.unique_enclosures] == [1, 1]
     assert report.is_unique
@@ -1421,7 +1504,7 @@ def test_decompose_transient_feeding_two_blocks():
 
 def test_decompose_one_dimensional_space():
     model = LindbladModel.create(np.array([[0.5]]), [np.array([[1.0]])])
-    report = decompose(model, seed=0)
+    report = decompose(model)
     assert report.is_unique and report.transient_dimension == 0
     assert len(report.unique_enclosures) == 1
     assert np.allclose(report.unique_enclosures[0].extremal_state, [[1.0]])
@@ -1430,7 +1513,7 @@ def test_decompose_one_dimensional_space():
 def test_reported_isometries_have_canonical_phase():
     rng = np.random.default_rng(45)
     model, _ = conjugated_pair_model(rng, 3, 2)
-    report = decompose(model, seed=9)
+    report = decompose(model)
     for fam in report.families:
         for q in fam.isometries.values():
             pivot = q.ravel()[np.argmax(np.abs(q.ravel()))]
@@ -1441,8 +1524,8 @@ def test_reported_isometries_have_canonical_phase():
 def test_decompose_is_deterministic():
     rng = np.random.default_rng(44)
     model = block_diag_model(rng, (2, 2), 2)
-    a = serialize_report(decomposition_report_to_dict(decompose(model, seed=3)))
-    b = serialize_report(decomposition_report_to_dict(decompose(model, seed=3)))
+    a = serialize_report(decomposition_report_to_dict(decompose(model)))
+    b = serialize_report(decomposition_report_to_dict(decompose(model)))
     assert a == b
 
 
@@ -1465,7 +1548,7 @@ def test_decompose_ambiguous_clustering_is_an_error():
     # blocks indistinguishable; after the retry budget this must fail loudly
     coarse = Tolerances(eig_cluster_tol=1e6)
     with pytest.raises(DecompositionError, match="ambiguous") as excinfo:
-        decompose(two_enclosures_2d(), seed=0, tol=coarse)
+        decompose(two_enclosures_2d(), tol=coarse)
     assert excinfo.value.stage == "algebra"
 
 
@@ -1475,7 +1558,7 @@ def test_decompose_ambiguous_clustering_reports_the_dimension_count():
     # one cluster spans both blocks: one group of one member against dim F = 2
     coarse = Tolerances(eig_cluster_tol=1e6)
     with pytest.raises(DecompositionError, match="Σ m_b² = 1 against dim F = 2"):
-        decompose(two_enclosures_2d(), seed=0, tol=coarse)
+        decompose(two_enclosures_2d(), tol=coarse)
 
 
 def test_cutoff_generator_dimension_mismatch():
@@ -1485,7 +1568,7 @@ def test_cutoff_generator_dimension_mismatch():
 
 def test_verify_decomposition_two_enclosures():
     model = two_enclosures_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     record = verify_decomposition(report, model)
     assert record.ok and record.max_residual < 1e-10
 
@@ -1494,7 +1577,7 @@ def test_verify_decomposition_family_offdiagonal():
     # every state of the null generator is invariant; the plus state has
     # nonzero off-diagonal blocks yet satisfies the family proportionality
     model = zero_generator_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     record = verify_decomposition(report, model)
     assert record.ok
     fam = report.families[0]
@@ -1509,7 +1592,7 @@ def test_verify_decomposition_family_offdiagonal():
 
 def test_verify_decomposition_single_enclosure_vacuous():
     model = faithful_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     record = verify_decomposition(report, model)
     assert record.ok
     assert not any("cross" in c.name for c in record.clauses)
@@ -1530,7 +1613,7 @@ def test_extremal_invariance_matches_dense_generator():
     # verify and decompose apply L to each extremal state from the model;
     # the residuals agree with the dense L applied to vec(rho).
     for model in (*_agreement_models(), *_sector_models()):
-        report = decompose(model, seed=0)
+        report = decompose(model)
         mat = _kron_generator(model)
         scale = 1e-12 * max(1.0, np.linalg.norm(mat))
         clauses = {c.name: c.residual for c in verify_decomposition(report, model).clauses}
@@ -1542,13 +1625,13 @@ def test_extremal_invariance_matches_dense_generator():
 
 
 def test_verify_decomposition_kind_mismatch():
-    report = decompose(faithful_2d(), seed=0)
+    report = decompose(faithful_2d())
     with pytest.raises(ValueError, match="kind"):
         verify_decomposition(report, rotation_channel())
 
 
 def test_decompose_rotation_channel():
-    report = decompose(rotation_channel(), seed=0)
+    report = decompose(rotation_channel())
     assert report.kind == "kraus" and report.is_unique
     assert report.recurrent_dimension == 2
     assert len(report.unique_enclosures) == 2

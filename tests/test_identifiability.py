@@ -144,7 +144,7 @@ def test_omega_real_part_nonpositive():
 
 def test_qnd_uniqueness_nondegenerate():
     q = QndModel.create([0.0, 0.0], [[1.0, 0.0]], split=0)
-    record = qnd_uniqueness(q, seed=1)
+    record = qnd_uniqueness(q)
     assert record.nondegenerate and record.omega_all_negative
     assert record.decomposition_unique and record.pointer_enclosures
     assert record.consistent
@@ -154,7 +154,7 @@ def test_qnd_uniqueness_rotating_coherence():
     # identical amplitude rows but distinct energies: omega purely imaginary,
     # decomposition still unique, non-degeneracy fails
     q = QndModel.create([1.0, 0.0], [[0.5, 0.5]], split=0)
-    record = qnd_uniqueness(q, seed=1)
+    record = qnd_uniqueness(q)
     assert not record.nondegenerate
     assert not record.omega_all_negative
     assert record.decomposition_unique
@@ -164,10 +164,10 @@ def test_qnd_uniqueness_rotating_coherence():
 def test_qnd_uniqueness_degenerate_pair():
     # identical rows and equal energies: the pointer pair forms a family
     q = QndModel.create([1.0, 1.0, 0.0], [[0.5, 0.5, 2.0]], split=0)
-    record = qnd_uniqueness(q, seed=1)
+    record = qnd_uniqueness(q)
     assert not record.nondegenerate
     assert not record.decomposition_unique
-    report = decompose(qnd_to_model(q), seed=1)
+    report = decompose(qnd_to_model(q))
     assert len(report.families) == 1
     assert len(report.families[0].members) == 2
 
@@ -187,7 +187,7 @@ def test_qnd_fixed_points_diagonal_under_nondegeneracy():
 
 def test_continuous_identifiability_two_enclosures():
     model = two_enclosures_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     ident = continuous_identifiability(model, report)
     assert ident.overall and not ident.hypothesis_violated
     assert ident.pairs[0].witness == "channel[0]"
@@ -195,7 +195,7 @@ def test_continuous_identifiability_two_enclosures():
 
     # jump 0 = I/2 gives 1 on every state; jump 1 projects onto |0>
     tied_first = LindbladModel.create(np.zeros((2, 2)), [0.5 * np.eye(2), unit(0, 0)])
-    report = decompose(tied_first, seed=0)
+    report = decompose(tied_first)
     ident = continuous_identifiability(tied_first, report)
     assert ident.overall
     (pair,) = ident.pairs
@@ -274,8 +274,8 @@ def test_separation_matches_per_mode_loops():
         leaky_model(np.random.default_rng(5), 4, 2),
         qnd_to_model(QndModel.create([0.0, 1.0, 2.0], [[1.0, 1.0, 0.0], [0.0, 1j, 2j]], 0)),
     ]
-    for seed, model in enumerate(models):
-        report = decompose(model, seed=seed)
+    for model in models:
+        report = decompose(model)
         _assert_same_verdicts(
             continuous_identifiability(model, report, tol),
             _continuous_loop_verdicts(model, report, tol),
@@ -284,7 +284,7 @@ def test_separation_matches_per_mode_loops():
 
 def test_continuous_identifiability_no_channels_fails():
     model = zero_generator_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     ident = continuous_identifiability(model, report)
     assert not ident.overall
     assert ident.pairs[0].magnitude == 0.0
@@ -293,7 +293,7 @@ def test_continuous_identifiability_no_channels_fails():
 def test_continuous_identifiability_degenerate_family_fails():
     rng = np.random.default_rng(11)
     model, _ = conjugated_pair_model(rng, 2, 2)
-    report = decompose(model, seed=2)
+    report = decompose(model)
     assert not report.is_unique
     ident = continuous_identifiability(model, report)
     # family members are statistically indistinguishable
@@ -307,7 +307,7 @@ def test_continuous_identifiability_hypothesis_flag():
     from enclosure_atlas.fixtures import unfaithful_2d
 
     model = unfaithful_2d()
-    report = decompose(model, seed=0)
+    report = decompose(model)
     ident = continuous_identifiability(model, report)
     assert ident.hypothesis_violated  # transient part present
     assert ident.overall  # vacuous: single enclosure
@@ -315,7 +315,7 @@ def test_continuous_identifiability_hypothesis_flag():
 
 def test_discrete_identifiability_rotation_counterexample():
     ch = rotation_channel()
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     for max_len in (1, 3, 6):
         ident = discrete_identifiability(ch, report, max_len=max_len)
         assert not ident.overall
@@ -326,7 +326,7 @@ def test_discrete_identifiability_rotation_counterexample():
 
 def test_discrete_identifiability_dephasing_witness():
     ch = KrausChannel.create([unit(0, 0), unit(1, 1)])
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     ident = discrete_identifiability(ch, report, max_len=4)
     assert ident.overall
     (pair,) = ident.pairs
@@ -336,7 +336,7 @@ def test_discrete_identifiability_dephasing_witness():
 
 def test_discrete_identifiability_monotone_in_max_len():
     ch = KrausChannel.create([unit(0, 0), unit(1, 1)])
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     first = discrete_identifiability(ch, report, max_len=1)
     later = discrete_identifiability(ch, report, max_len=3)
     assert first.overall and later.overall
@@ -352,7 +352,7 @@ def _amplitude_damping_channel(p):
 def test_discrete_identifiability_single_enclosure_vacuous():
     # amplitude damping: unique one-dimensional enclosure, transient level
     ch = _amplitude_damping_channel(0.4)
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     assert len(report.unique_enclosures) == 1
     assert report.transient_dimension == 1
     ident = discrete_identifiability(ch, report, max_len=3)
@@ -363,7 +363,7 @@ def test_discrete_identifiability_single_enclosure_vacuous():
 def test_discrete_identifiability_word_guard():
     # 2^25 words of length 25: closing the span needs no guard on that count
     ch = KrausChannel.create([unit(0, 0), unit(1, 1)])
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     capped = discrete_identifiability(ch, report, max_len=25)
     uncapped = discrete_identifiability(ch, report)
     assert capped.overall == uncapped.overall
@@ -372,7 +372,7 @@ def test_discrete_identifiability_word_guard():
 
 def test_discrete_identifiability_rejects_a_report_of_another_model():
     # the bit flip mixes the two enclosures of the dephasing channel
-    report = decompose(KrausChannel.create([unit(0, 0), unit(1, 1)]), seed=0)
+    report = decompose(KrausChannel.create([unit(0, 0), unit(1, 1)]))
     bit_flip = KrausChannel.create([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * PAULI_X])
     with pytest.raises(ValueError, match="out of itself"):
         discrete_identifiability(bit_flip, report)
@@ -380,7 +380,7 @@ def test_discrete_identifiability_rejects_a_report_of_another_model():
 
 def test_discrete_identifiability_long_witness_needs_no_cap():
     ch = renewal_pair_channel()
-    report = decompose(ch, seed=0)
+    report = decompose(ch)
     assert sorted(rec.dimension for rec in report.unique_enclosures) == [8, 16]
     (pair,) = discrete_identifiability(ch, report).pairs
     assert pair.separated and pair.witness == "word[0, 0, 0, 0, 0, 0, 0, 0]"
@@ -391,7 +391,7 @@ def test_discrete_identifiability_long_witness_needs_no_cap():
 
 def test_discrete_identifiability_terminates_without_cap():
     channel = conjugated_pair_channel(np.random.default_rng(14), 12, 2)
-    report = decompose(channel, seed=0)
+    report = decompose(channel)
     ident = discrete_identifiability(channel, report)
     assert not ident.overall
     (pair,) = ident.pairs
@@ -402,9 +402,9 @@ def test_discrete_identifiability_terminates_without_cap():
 def test_uniqueness_cross_check_contradiction_is_hard_error():
     # a mismatched report (degenerate family) paired with a model whose
     # channels separate the reported states must trip the consistency check
-    report = decompose(zero_generator_2d(), seed=0)
+    report = decompose(zero_generator_2d())
     with pytest.raises(RuntimeError, match="contradicts"):
-        uniqueness_cross_check(two_enclosures_2d(), seed=0, report=report)
+        uniqueness_cross_check(two_enclosures_2d(), report=report)
 
 
 def test_uniqueness_cross_check_rejects_unknown_type():
@@ -413,13 +413,13 @@ def test_uniqueness_cross_check_rejects_unknown_type():
 
 
 def test_uniqueness_cross_check_two_enclosures():
-    record = uniqueness_cross_check(two_enclosures_2d(), seed=0)
+    record = uniqueness_cross_check(two_enclosures_2d())
     assert record.theorem_applicable and record.is_unique
     assert not record.converse_counterexample
 
 
 def test_uniqueness_cross_check_zero_generator():
-    record = uniqueness_cross_check(zero_generator_2d(), seed=0)
+    record = uniqueness_cross_check(zero_generator_2d())
     assert not record.identifiability.overall
     assert not record.is_unique
     assert record.commutation_checked
@@ -427,7 +427,7 @@ def test_uniqueness_cross_check_zero_generator():
 
 
 def test_uniqueness_cross_check_rotation_converse():
-    record = uniqueness_cross_check(rotation_channel(), seed=0)
+    record = uniqueness_cross_check(rotation_channel())
     assert record.is_unique and not record.identifiability.overall
     assert record.converse_counterexample
     assert not record.theorem_applicable
@@ -436,7 +436,7 @@ def test_uniqueness_cross_check_rotation_converse():
 def test_uniqueness_cross_check_family_commutation():
     rng = np.random.default_rng(12)
     model, _ = conjugated_pair_model(rng, 3, 2)
-    record = uniqueness_cross_check(model, seed=4)
+    record = uniqueness_cross_check(model)
     assert not record.is_unique
     assert record.commutation_checked and record.commutation_residuals
     assert max(record.commutation_residuals) < 1e-8
@@ -464,12 +464,12 @@ def _conjugated_pair_channel(rng, d, num_kraus):
 def test_uniqueness_cross_check_discrete_family_commutation():
     rng = np.random.default_rng(13)
     channel = _conjugated_pair_channel(rng, 2, 2)
-    report = decompose(channel, seed=6)
+    report = decompose(channel)
     assert not report.is_unique and len(report.families) == 1
     assert all(rec.dimension == 2 for rec in report.families[0].members)
     ident = discrete_identifiability(channel, report, max_len=4)
     assert not ident.overall  # equivalent enclosures cannot be told apart
-    record = uniqueness_cross_check(channel, seed=6, report=report)
+    record = uniqueness_cross_check(channel, report=report)
     assert record.commutation_checked and record.commutation_residuals
     assert max(record.commutation_residuals) < 1e-8
     assert not record.converse_counterexample
@@ -567,7 +567,7 @@ def test_discrete_identifiability_matches_breadth_first_oracle():
         dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 4))))
         cases.append((_direct_sum_channel(rng, dims, int(rng.integers(2, 4))), 5))
     for channel, max_len in cases:
-        report = decompose(channel, seed=0)
+        report = decompose(channel)
         expected = _breadth_first_oracle(channel, report, max_len)
         ident = discrete_identifiability(channel, report, max_len=max_len)
         got = [(p.separated, p.witness if p.separated else None) for p in ident.pairs]

@@ -40,7 +40,7 @@ def test_minimal_oqrw_two_state_kernel():
 
 def test_minimal_oqrw_absorbing_state():
     model = minimal_oqrw(RateMatrix.create(ABSORBING))
-    report = decompose(model, seed=0)
+    report = decompose(model)
     assert np.allclose(report.recurrent, np.diag([1.0, 0.0]), atol=1e-10)
 
 
@@ -215,12 +215,12 @@ def test_invariant_measures_properties():
 
 
 def test_verify_oqrw_theorem_golden():
-    record = verify_oqrw_theorem(RateMatrix.create(TWO_STATE), seed=0)
+    record = verify_oqrw_theorem(RateMatrix.create(TWO_STATE))
     assert record.passed
     assert record.classes == ((0, 1),)
     assert np.allclose(record.measures[0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-10)
 
-    record = verify_oqrw_theorem(RateMatrix.create(ABSORBING), seed=0)
+    record = verify_oqrw_theorem(RateMatrix.create(ABSORBING))
     assert record.passed
     assert record.zero_diagonal_states == (0,)
 
@@ -229,7 +229,7 @@ def test_verify_oqrw_theorem_golden():
     q[2, 3] = 0.5
     q[3, 2] = 2.0
     np.fill_diagonal(q, -q.sum(axis=1))
-    record = verify_oqrw_theorem(RateMatrix.create(q), seed=0)
+    record = verify_oqrw_theorem(RateMatrix.create(q))
     assert record.passed and len(record.classes) == 2
 
 
@@ -237,7 +237,7 @@ def test_verify_oqrw_theorem_random_chains():
     rng = np.random.default_rng(57)
     for trial in range(10):
         rate = random_rate_matrix(rng, int(rng.integers(2, 6)), density=rng.uniform(0.25, 0.9))
-        record = verify_oqrw_theorem(rate, seed=trial)
+        record = verify_oqrw_theorem(rate)
         failures = [c.name for c in record.clauses if not c.ok]
         assert record.passed, (trial, failures)
         assert all(c.residual <= 1e-8 or not c.ok for c in record.clauses)
