@@ -3,13 +3,17 @@ into unique minimal enclosures and degenerate families of equivalent
 enclosures.
 
 The pipeline: the maximal-support invariant state gives the recurrent
-projector; the Heisenberg generator compressed to the recurrent subspace (the
-cut-off generator) has a fixed-point set that is a unital †-closed algebra F;
+projector P_R; with a faithful state on R, the fixed points of the evolution
+compressed to R form the commutant F of the model's operators compressed to
+R (Frigerio, Commun. Math. Phys. 63, 1978), checked on the compressed ker L†;
 the eigenspaces of the Hermitian element E_F(D), the projection of
 D = diag(0, 1, …, n−1) onto F, are its minimal projections, the minimal
 enclosures, and the corners of one generic element group them into blocks of
 equivalent enclosures and give the partial isometries (matrix units) linking
-them.
+them. A projector P is an enclosure exactly when P⊥ A P = 0 for every
+operator A of the model (Baumgartner & Narnhofer, J. Phys. A 41, 2008). Both
+checks weigh the operators so that their residuals do not depend on the time
+unit or on how the operators are listed (``_weighted_operators``).
 """
 
 from __future__ import annotations
@@ -74,10 +78,8 @@ class RecurrentSplit:
 
 @dataclass(frozen=True)
 class EnclosureCheck:
-    applicable: bool
     enclosed: bool
-    residual: float | None
-    leak: float
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,8 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
 
     Its kernel, restricted to operators supported in the recurrent subspace,
     is the fixed-point set of the compressed Heisenberg evolution. In
-    discrete time L* is the adjoint channel minus the identity.
+    discrete time L* is the adjoint channel minus the identity. ``decompose``
+    does not call it: ``algebra_structure`` decides F from the operators.
     """
     _model_kind(obj)
     p_r = require_square(p_r)
@@ -204,28 +207,38 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return lambda a: p_r @ generator_action(obj, p_r @ a @ p_r, adjoint=True) @ p_r
 
 
-def is_enclosure(
-    p_v: np.ndarray,
-    cutoff: Callable[[np.ndarray], np.ndarray],
-    recurrent: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> EnclosureCheck:
-    """Check whether a projector inside R projects onto an enclosure.
+def _scale(obj) -> float:
+    """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F for a Lindblad model, 1 for a
+    channel: L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
+    return 1.0 if _model_kind(obj) == "kraus" else frob(obj._drift) + frob(obj._stack) ** 2
 
-    Subspaces leaking outside the recurrent part are reported as not
-    applicable rather than judged.
+
+def _weighted_operators(obj) -> np.ndarray:
+    """The model's operators as one stack, weighted so that no residual built
+    from it depends on scale: K/s and (g/s)·L_j for a Lindblad model (all
+    zero for the zero generator, s = 0), or V_i/√n for a channel. The
+    Frobenius norm of any stack X A Y over the weighted A is unchanged by
+    L → cL and by reordering, splitting or unitarily mixing the jumps or
+    Kraus operators."""
+    if _model_kind(obj) == "kraus":
+        return obj._stack / np.sqrt(obj.dim)
+    s = _scale(obj)
+    stack = np.concatenate([obj._drift[None], frob(obj._stack) * obj._stack])
+    return stack / s if s > 0 else stack
+
+
+def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> EnclosureCheck:
+    """Check whether a projector P projects onto an enclosure of a model:
+    P⊥ K P = 0 and P⊥ L_j P = 0 for a Lindblad model, P⊥ V_i P = 0 for a
+    channel. The residual δ is the Frobenius norm of the weighted stack of
+    these leaks (``_weighted_operators``), so it reads the same at every
+    time scale; P is enclosed when δ <= residual_tol.
     """
     p_v = require_square(p_v)
-    leak = frob((np.eye(len(recurrent)) - recurrent) @ p_v)
-    if leak > tol.residual_tol:
-        return EnclosureCheck(applicable=False, enclosed=False, residual=None, leak=leak)
-    residual = frob(cutoff(p_v))
-    return EnclosureCheck(
-        applicable=True,
-        enclosed=bool(residual <= tol.residual_tol),
-        residual=residual,
-        leak=leak,
-    )
+    if p_v.shape != (obj.dim, obj.dim):
+        raise ValueError("projector dimension does not match the model")
+    residual = frob((np.eye(obj.dim) - p_v) @ _weighted_operators(obj) @ p_v)
+    return EnclosureCheck(enclosed=bool(residual <= tol.residual_tol), residual=residual)
 
 
 def _closure_residual(fbasis: Sequence[np.ndarray]) -> float:
@@ -238,12 +251,8 @@ def _closure_residual(fbasis: Sequence[np.ndarray]) -> float:
     if len(pairs) > 200:
         idx = rng.choice(len(pairs), size=200, replace=False)
         pairs = [pairs[i] for i in idx]
-    worst = 0.0
-    for i, j in pairs:
-        prod = (fbasis[i] @ fbasis[j]).ravel()
-        residual = float(np.linalg.norm(prod - flat.T @ (flat.conj() @ prod)))
-        worst = max(worst, residual)
-    return worst
+    prods = [(fbasis[i] @ fbasis[j]).ravel() for i, j in pairs]
+    return max(float(np.linalg.norm(p - flat.T @ (flat.conj() @ p))) for p in prods)
 
 
 def _link_clusters(
@@ -281,12 +290,10 @@ def _link_clusters(
 
 
 def algebra_structure(
-    cutoff: Callable[[np.ndarray], np.ndarray],
-    p_r: np.ndarray,
-    adjoint_kernel: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
+    obj, p_r: np.ndarray, adjoint_kernel: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> AlgebraStructure:
-    """Block structure of the fixed-point algebra of the cut-off evolution.
+    """Block structure of the fixed-point algebra of a model on its recurrent
+    subspace.
 
     Restricted to the recurrent subspace, the fixed-point set is a unital
     †-closed algebra F ≅ ⊕_b M_{m_b} ⊗ 1_{d_b}. Blocks with m = 1 hold a
@@ -307,33 +314,42 @@ def algebra_structure(
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
-    injective on ker L†. They are orthonormalized first, and the cut-off
-    images of that basis confirm it fixed in coefficient space and give the
-    invariance residual.
+    injective on ker L†. R carries a faithful invariant state, so F is the
+    commutant of the compressed operators A_R (Frigerio, Commun. Math. Phys.
+    63, 1978). The weighted commutators [A_R, f] (``_weighted_operators``) of
+    an orthonormal Hermitian basis, one column per f, are folded one operator
+    at a time into a dim F × dim F triangular factor whose kernel
+    (``kernel_basis``) must be all of F; its norm ε_F is the
+    ``algebra_commutant`` residual.
     """
     rng = np.random.default_rng(0)
     iso_r = _range_isometry(p_r, tol)
     r = iso_r.shape[1]
     k = adjoint_kernel.shape[1]
     if k == 0:
-        raise DecompositionError("algebra", "fixed-point space of the cut-off evolution is empty")
+        raise DecompositionError("algebra", "the fixed-point space is empty")
     fbasis = orthonormal_hermitian_span(
         [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T], tol
     )
-    images = [cutoff(_embed(iso_r, f)) for f in fbasis]
-    fixed = len(kernel_basis(np.column_stack([vec(x) for x in images]), tol))
+    stack, dim_f = np.array(fbasis), len(fbasis)
+    tri = np.zeros((0, dim_f))
+    for a in dagger(iso_r) @ _weighted_operators(obj) @ iso_r:
+        block = (a @ stack - stack @ a).reshape(dim_f, r * r).T
+        tri = np.linalg.qr(np.vstack([tri, block]), mode="r")
+    fixed, commutant = len(kernel_basis(tri, tol)), frob(tri)
     if fixed != k:
         raise DecompositionError(
-            "algebra", f"only {fixed} of {k} compressed ker L† elements are cut-off fixed points"
+            "algebra",
+            f"only {fixed} of {k} compressed ker L† elements commute with the model's "
+            f"operators (ε_F = {commutant:.3e})",
         )
 
     residuals = {
-        "algebra_invariance": max(frob(x) for x in images),
-        "algebra_unit_invariance": frob(cutoff(p_r)),
+        "algebra_commutant": commutant,
+        "recurrent_enclosure": is_enclosure(p_r, obj, tol).residual,
         "algebra_closure": _closure_residual(fbasis),
     }
 
-    stack, dim_f = np.array(fbasis), len(fbasis)
     # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis
     d_r = dagger(iso_r) @ (np.arange(len(p_r))[:, None] * iso_r)
     g = np.tensordot(stack.conj(), d_r, axes=2).real
@@ -373,11 +389,10 @@ def algebra_structure(
             )
         )
 
-    unit_defects = []
-    for block in blocks:
-        for w in block.links[1:]:
-            unit_defects.append(frob(dagger(w) @ w - block.member_projectors[0]))
-    residuals["algebra_matrix_units"] = max(unit_defects, default=0.0)
+    residuals["algebra_matrix_units"] = max(
+        (frob(dagger(w) @ w - b.member_projectors[0]) for b in blocks for w in b.links[1:]),
+        default=0.0,
+    )
 
     return AlgebraStructure(
         recurrent_dimension=r,
@@ -471,8 +486,8 @@ def _model_kind(obj) -> str:
 
 def _generator(obj, tol: Tolerances) -> np.ndarray:
     """The n² × n² matrix of L for a Lindblad model, of Phi - Id for a channel
-    (the identity taken off the diagonal in place), so kernels and cut-off
-    fixed points mean the same thing in both time modes."""
+    (the identity taken off the diagonal in place), so that ker L holds the
+    invariant states and ker L† the fixed points in both time modes."""
     if _model_kind(obj) == "lindblad":
         return build_generator(obj).matrix
     gen = channel_superoperator(obj, tol).matrix
@@ -515,10 +530,8 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
 
     # L is built inside stage 1 only: no n² x n² array outlives it.
     split = stage("recurrent", lambda: recurrent_projector(obj, tol))
-    cut = stage("cutoff", lambda: cutoff_generator(obj, split.recurrent))
     structure = stage(
-        "algebra",
-        lambda: algebra_structure(cut, split.recurrent, split.adjoint_kernel, tol),
+        "algebra", lambda: algebra_structure(obj, split.recurrent, split.adjoint_kernel, tol)
     )
 
     unique: list[EnclosureRecord] = []
@@ -528,11 +541,10 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
 
     def build_record(projector):
         state = extremal_state(projector, split.kernel, tol)
-        check = is_enclosure(projector, cut, split.recurrent, tol)
-        if not (check.applicable and check.enclosed):
+        check = is_enclosure(projector, obj, tol)
+        if not check.enclosed:
             raise ValueError(
-                f"reported projector failed the enclosure check "
-                f"(residual {check.residual}, leak {check.leak:.3e})"
+                f"reported projector failed the enclosure check (δ = {check.residual:.3e})"
             )
         enclosure_residuals.append(check.residual)
         extremal_residuals.append(frob(generator_action(obj, state)))
@@ -551,36 +563,26 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
             order = sorted(range(len(records)), key=lambda i: lex_key(records[i].projector))
             records = [records[i] for i in order]
             links = [block.links[i] for i in order]
-            isometries = {}
-            for a in range(len(records)):
-                for b in range(len(records)):
-                    if a == b:
-                        continue
-                    isometries[(a, b)] = fix_phase(links[b] @ dagger(links[a]))
-            families.append(
-                DegenerateFamily(
-                    members=tuple(records),
-                    isometries=isometries,
-                    block_projector=block.projector,
-                )
-            )
+            isometries = {
+                (a, b): fix_phase(links[b] @ dagger(links[a]))
+                for a in range(len(records))
+                for b in range(len(records))
+                if a != b
+            }
+            families.append(DegenerateFamily(tuple(records), isometries, block.projector))
 
     stage("enclosures", build_all)
 
     unique.sort(key=lambda rec: (-rec.dimension, lex_key(rec.projector)))
-    families.sort(
-        key=lambda fam: (-fam.members[0].dimension, lex_key(fam.block_projector))
-    )
+    families.sort(key=lambda fam: (-fam.members[0].dimension, lex_key(fam.block_projector)))
 
     def assemble():
         minimal = [rec.projector for rec in unique]
-        for fam in families:
-            minimal.extend(rec.projector for rec in fam.members)
+        minimal += [rec.projector for fam in families for rec in fam.members]
         total = sum(minimal) if minimal else np.zeros((n, n))
-        ortho = 0.0
-        for i in range(len(minimal)):
-            for j in range(i + 1, len(minimal)):
-                ortho = max(ortho, frob(minimal[i] @ minimal[j]))
+        ortho = max(
+            (frob(p @ q) for i, p in enumerate(minimal) for q in minimal[i + 1 :]), default=0.0
+        )
         transport = 0.0
         isometry_defect = 0.0
         for fam in families:
@@ -593,19 +595,16 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
                     frob(dagger(q) @ q - fam.members[a].projector),
                     frob(q @ dagger(q) - fam.members[b].projector),
                 )
-        residuals = dict(structure.residuals)
-        residuals.update(
-            {
-                "recurrent_invariance": split.invariance_residual,
-                "projector_sum": frob(total - split.recurrent),
-                "orthogonality": ortho,
-                "enclosure_invariance": max(enclosure_residuals, default=0.0),
-                "extremal_invariance": max(extremal_residuals, default=0.0),
-                "family_state_transport": transport,
-                "family_isometry": isometry_defect,
-            }
-        )
-        return residuals
+        return {
+            **structure.residuals,
+            "recurrent_invariance": split.invariance_residual,
+            "projector_sum": frob(total - split.recurrent),
+            "orthogonality": ortho,
+            "enclosure_invariance": max(enclosure_residuals, default=0.0),
+            "extremal_invariance": max(extremal_residuals, default=0.0),
+            "family_state_transport": transport,
+            "family_isometry": isometry_defect,
+        }
 
     residuals = stage("report", assemble)
 
@@ -678,7 +677,9 @@ def verify_decomposition(
     the off-diagonal block composed with the partial isometry is proportional
     to the extremal state. Each extremal state's invariance residual is
     ‖L(ρ)‖_F applied from the model itself (``generator_action``), so no
-    superoperator is built. Diagnostics only; never raises on failed clauses.
+    superoperator is built, and it passes below residual_tol · s
+    (``_scale``), a bound that follows the time unit. Diagnostics only; never
+    raises on failed clauses.
     """
     kind = _model_kind(obj)
     if kind != report.kind:
@@ -687,15 +688,14 @@ def verify_decomposition(
     states = _random_invariant_states(report, tol)
     clauses: list[VerificationClause] = []
 
-    def add(name, residual):
+    def add(name, residual, bound=tol.residual_tol):
         clauses.append(
-            VerificationClause(
-                name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
-            )
+            VerificationClause(name=name, residual=float(residual), ok=bool(residual <= bound))
         )
 
+    bound = tol.residual_tol * _scale(obj)  # ‖L(ρ)‖_F grows with the time unit
     for label, rec, _ in enclosures:
-        add(f"extremal_invariance:{label}", frob(generator_action(obj, rec.extremal_state)))
+        add(f"extremal_invariance:{label}", frob(generator_action(obj, rec.extremal_state)), bound)
         add(
             f"extremal_support:{label}",
             frob((np.eye(report.dim) - rec.projector) @ rec.extremal_state),

@@ -20,9 +20,9 @@ class Tolerances:
     """Numerical thresholds shared across the package.
 
     rank_tol         relative singular-value / eigenvalue cutoff for rank decisions;
-                     ``null_spaces`` scales it by max(‖L‖_F, 1), the other
-                     rank decisions by their input's largest singular value
-                     or eigenvalue
+                     ``real_null_spaces`` scales it by max(‖M‖_F, 1), the
+                     other rank decisions by their input's largest singular
+                     value or eigenvalue
     eig_cluster_tol  absolute width used to group near-degenerate eigenvalues
     residual_tol     acceptance threshold for linear identities
     psd_tol          magnitude below which negative eigenvalues count as noise
@@ -166,7 +166,7 @@ def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
 def _rank_cut(scale: float, tol: Tolerances) -> float:
     """Singular values above rank_tol * max(scale, 1) count towards the rank.
 
-    ``null_spaces`` takes ‖M‖_F as the scale, which needs no factorization and
+    ``real_null_spaces`` takes ‖M‖_F as the scale, which needs no factorization and
     does not depend on the basis; ``kernel_basis`` takes sigma_max. The
     absolute floor keeps matrices that are zero up to rounding noise from
     reporting an empty kernel."""
@@ -454,15 +454,6 @@ def real_null_spaces(
     )
 
 
-def null_spaces(
-    m: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of the null spaces of a
-    Hermiticity-preserving superoperator m and of m†: ``real_null_spaces``
-    of ``gather_real``. A caller that owns m can drop it between the two."""
-    return real_null_spaces(*gather_real(m, tol), tol)
-
-
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of any matrix.
 
@@ -572,17 +563,6 @@ def cluster_sorted_values(values: np.ndarray, width: float) -> list[slice]:
             edges.append(i)
     edges.append(values.size)
     return [slice(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return hermitian_part(g)
-
-
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def lex_key(m: np.ndarray, decimals: int = 12) -> tuple:

@@ -3,13 +3,37 @@
 import numpy as np
 
 from enclosure_atlas.decomposition import recurrent_projector
-from enclosure_atlas.linalg import _hermitian_pairs, random_hermitian, random_unitary
+from enclosure_atlas.linalg import (
+    DEFAULT_TOL,
+    _hermitian_pairs,
+    gather_real,
+    hermitian_part,
+    real_null_spaces,
+)
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel, unvec, vec
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return hermitian_part(g)
+
+
+def random_unitary(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def null_spaces(m, tol=DEFAULT_TOL):
+    """Orthonormal bases (as columns) of the null spaces of a
+    Hermiticity-preserving superoperator m and of m†: stage 1's
+    ``real_null_spaces`` of ``gather_real``, from an n² × n² matrix."""
+    return real_null_spaces(*gather_real(m, tol), tol)
 
 
 def unit(i, j, n=2):

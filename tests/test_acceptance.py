@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from enclosure_atlas.decomposition import (
-    cutoff_generator,
     decompose,
     enumerate_minimal_enclosures,
     family_projector,
@@ -117,13 +116,12 @@ def test_criterion_1d_zero_generator_family():
         fam = report.families[0]
         assert len(fam.members) == 2
         assert all(rec.dimension == 1 for rec in fam.members)
-        cut = cutoff_generator(model, report.recurrent)
         q = fam.isometries[(0, 1)]
         for theta in (0.0, np.pi / 6, np.pi / 4, np.pi / 2):
             p_theta = family_projector(
                 q, fam.members[0].projector, fam.members[1].projector, theta
             )
-            check = is_enclosure(p_theta, cut, report.recurrent)
+            check = is_enclosure(p_theta, model)
             assert check.enclosed and check.residual <= 1e-9
 
 

@@ -4,6 +4,8 @@ from math import isqrt
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse.csgraph
 
 from enclosure_atlas.linalg import (
@@ -11,11 +13,8 @@ from enclosure_atlas.linalg import (
     cluster_sorted_values,
     frob,
     kernel_basis,
-    null_spaces,
     orthonormal_hermitian_span,
     psd_project,
-    random_hermitian,
-    random_unitary,
     support_projector,
 )
 from enclosure_atlas.semigroup import (
@@ -34,6 +33,7 @@ from enclosure_atlas.semigroup import (
 from enclosure_atlas.decomposition import (
     DecompositionError,
     _generator,
+    _weighted_operators,
     algebra_structure,
     cutoff_generator,
     decompose,
@@ -61,10 +61,13 @@ from helpers import (
     conjugated_pair_channel,
     conjugated_pair_model,
     leaky_model,
-    random_density,
+    null_spaces,
     random_channel,
+    random_density,
+    random_hermitian,
     random_model,
     random_rate_matrix,
+    random_unitary,
     unit,
 )
 
@@ -958,8 +961,7 @@ def test_kernel_algebra_and_states_match_compressed_svd_oracle():
     for model in _agreement_models():
         report = decompose(model)
         split = recurrent_projector(model)
-        cut = cutoff_generator(model, split.recurrent)
-        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
+        structure = algebra_structure(model, split.recurrent, split.adjoint_kernel)
         span_oracle, blocks_oracle, state_oracle = _compressed_svd_oracle(model)
 
         span = np.column_stack([vec(f) for f in structure.fixed_point_basis])
@@ -1055,8 +1057,7 @@ def test_algebra_blocks_match_central_path_oracle():
     model_shapes = []
     for model in models:
         split = recurrent_projector(model)
-        cut = cutoff_generator(model, split.recurrent)
-        structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
+        structure = algebra_structure(model, split.recurrent, split.adjoint_kernel)
         oracle = _central_path_oracle(structure, split.recurrent)
         shapes = sorted((b.multiplicity, b.inner_dimension) for b in structure.blocks)
         assert shapes == sorted((m, d) for m, d, _, _ in oracle)
@@ -1080,23 +1081,28 @@ def test_algebra_blocks_match_central_path_oracle():
 
 def test_algebra_structure_factors_nothing_larger_than_its_inputs(monkeypatch):
     # The center of F needed an SVD of a 2 k r² x k commutator matrix; two
-    # generic elements of F need factorizations of at most max(n², k) rows.
+    # generic elements of F need factorizations of at most max(n², k) rows,
+    # and the commutator stack is folded one operator's r² x k block at a time.
     n = 6
-    model = LindbladModel.create(np.zeros((n, n)), [])
-    split = recurrent_projector(model)
-    cut = cutoff_generator(model, split.recurrent)
-    k = split.adjoint_kernel.shape[1]
-    rows = []
-    for name in ("svd", "eigh"):
-        def spy(a, *args, _factor=getattr(np.linalg, name), **kwargs):
-            rows.append(np.shape(a)[-2])
+    pair, _ = conjugated_pair_model(np.random.default_rng(3), n // 2, 2)
+    models = [(LindbladModel.create(np.zeros((n, n)), []), (n, 1)), (pair, (2, n // 2))]
+    rows = {"svd": [], "eigh": [], "qr": []}
+    for name in ("svd", "eigh", "qr"):
+        def spy(a, *args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
+            rows[_name].append(np.shape(a)[-2])
             return _factor(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
-    (block,) = structure.blocks
-    assert (block.multiplicity, block.inner_dimension) == (n, 1)
-    assert rows and max(rows) <= max(n * n, k)
+    for model, shape in models:
+        split = recurrent_projector(model)
+        k = split.adjoint_kernel.shape[1]
+        rows.update(svd=[], eigh=[], qr=[])
+        structure = algebra_structure(model, split.recurrent, split.adjoint_kernel)
+        (block,) = structure.blocks
+        assert (block.multiplicity, block.inner_dimension) == shape
+        assert rows["svd"] and max(rows["svd"] + rows["eigh"]) <= max(n * n, k)
+        assert len(rows["qr"]) == 1 + len(model.jumps)
+        assert max(rows["qr"]) <= n * n + k
 
 
 def _dense_cutoff(model, p_r):
@@ -1139,58 +1145,48 @@ def test_cutoff_generator_zero():
     assert np.allclose(cut.matrix, 0.0)
 
 
-def _context(model):
-    split = recurrent_projector(model)
-    return split, cutoff_generator(model, split.recurrent)
-
-
 def test_is_enclosure_coordinate_spans():
-    model = two_enclosures_2d()
-    split, cut = _context(model)
-    check = is_enclosure(np.diag([1.0, 0.0]), cut, split.recurrent)
-    assert check.applicable and check.enclosed and check.residual < 1e-12
+    check = is_enclosure(np.diag([1.0, 0.0]), two_enclosures_2d())
+    assert check.enclosed and check.residual < 1e-12
 
 
 def test_is_enclosure_superposition_fails():
-    model = two_enclosures_2d()
-    split, cut = _context(model)
     plus = np.full((2, 2), 0.5)
-    check = is_enclosure(plus, cut, split.recurrent)
-    assert check.applicable and not check.enclosed
-    # the stationary defect is exactly the off-diagonal dephasing of the projector
-    assert abs(check.residual - np.sqrt(2) / 4) < 1e-12
+    check = is_enclosure(plus, two_enclosures_2d())
+    assert not check.enclosed
+    # K = -|0><0|/2 and L = |0><0| leak 1/4 and 1/2 out of |+>; s = 3/2, g = 1
+    assert abs(check.residual - np.sqrt(5) / 6) < 1e-12
 
 
 def test_is_enclosure_zero_generator_everything():
-    model = zero_generator_2d()
-    split, cut = _context(model)
     rng = np.random.default_rng(6)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = v / np.linalg.norm(v)
-    check = is_enclosure(np.outer(v, v.conj()), cut, split.recurrent)
+    check = is_enclosure(np.outer(v, v.conj()), zero_generator_2d())
     assert check.enclosed
 
 
-def test_is_enclosure_leak_not_applicable():
-    model = unfaithful_2d()
-    split, cut = _context(model)
-    check = is_enclosure(np.diag([0.0, 1.0]), cut, split.recurrent)
-    assert not check.applicable and check.leak > 0.9
+def test_is_enclosure_transient_level_is_not_enclosed():
+    # L = |0><1| takes the transient level |1> to |0>: leak 1, weight g/s = 2/3
+    check = is_enclosure(np.diag([0.0, 1.0]), unfaithful_2d())
+    assert not check.enclosed
+    assert abs(check.residual - 2 / 3) < 1e-12
+
+
+def _algebra(model):
+    split = recurrent_projector(model)
+    return algebra_structure(model, split.recurrent, split.adjoint_kernel)
 
 
 def test_algebra_structure_two_singleton_blocks():
-    model = two_enclosures_2d()
-    split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
+    structure = _algebra(two_enclosures_2d())
     assert structure.fixed_point_dimension == 2
     assert structure.center_dimension == 2
     assert all(b.multiplicity == 1 and b.inner_dimension == 1 for b in structure.blocks)
 
 
 def test_algebra_structure_zero_generator_factor():
-    model = zero_generator_2d()
-    split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
+    structure = _algebra(zero_generator_2d())
     assert structure.fixed_point_dimension == 4
     assert structure.center_dimension == 1
     (block,) = structure.blocks
@@ -1198,9 +1194,7 @@ def test_algebra_structure_zero_generator_factor():
 
 
 def test_algebra_structure_scalar_fixed_points():
-    model = faithful_2d()
-    split, cut = _context(model)
-    structure = algebra_structure(cut, split.recurrent, split.adjoint_kernel)
+    structure = _algebra(faithful_2d())
     assert structure.fixed_point_dimension == 1
     (block,) = structure.blocks
     assert block.multiplicity == 1 and block.inner_dimension == 2
@@ -1291,14 +1285,13 @@ def test_decompose_zero_generator_golden():
 def test_decompose_family_projector_continuum_is_enclosed():
     model = zero_generator_2d()
     report = decompose(model)
-    cut = cutoff_generator(model, report.recurrent)
     fam = report.families[0]
     q = fam.isometries[(0, 1)]
     for theta in (0.0, np.pi / 6, np.pi / 4, np.pi / 2, 1.1):
         p_theta = family_projector(
             q, fam.members[0].projector, fam.members[1].projector, theta
         )
-        check = is_enclosure(p_theta, cut, report.recurrent)
+        check = is_enclosure(p_theta, model)
         assert check.enclosed and check.residual < 1e-9
 
 
@@ -1306,9 +1299,8 @@ def test_decompose_reports_every_enclosure_enclosed():
     rng = np.random.default_rng(17)
     model = block_diag_model(rng, (2, 3), 2)
     report = decompose(model)
-    cut = cutoff_generator(model, report.recurrent)
     for label, rec, _ in enumerate_minimal_enclosures(report):
-        check = is_enclosure(rec.projector, cut, report.recurrent)
+        check = is_enclosure(rec.projector, model)
         assert check.enclosed, label
 
 
@@ -1446,6 +1438,75 @@ def test_reports_do_not_depend_on_jump_order_or_splitting():
                 assert np.linalg.norm(a - b) <= 1e-9
 
 
+# Changes of a model that leave its dynamics unchanged up to the time unit:
+# H -> cH with L_j -> √c L_j (Lindblad models only), the operators reversed,
+# one operator A split into (A/√2, A/√2), or the operators mixed by a unitary.
+_LOG_SCALES = st.floats(-8.0, 4.0).map(lambda e: ("scale", 10.0**e))
+_RELABELINGS = st.tuples(st.sampled_from(["reverse", "split", "mix"]), st.integers(0, 2**16))
+
+
+def _relabeled(model, change):
+    kind, arg = change
+    lindblad = isinstance(model, LindbladModel)
+    h, ops = (model.hamiltonian, list(model.jumps)) if lindblad else (None, list(model.kraus))
+    if kind == "scale":
+        h, ops = arg * h, [np.sqrt(arg) * a for a in ops]
+    elif kind == "reverse":
+        ops = ops[::-1]
+    elif kind == "split":
+        i = arg % len(ops)
+        ops = [*ops[:i], ops[i] / np.sqrt(2), ops[i] / np.sqrt(2), *ops[i + 1 :]]
+    else:
+        ops = list(np.tensordot(random_unitary(np.random.default_rng(arg), len(ops)), ops, 1))
+    return LindbladModel.create(h, ops) if lindblad else KrausChannel.create(ops)
+
+
+def _weighted_commutator(model, f):
+    ops = _weighted_operators(model)
+    return np.linalg.norm(ops @ f - f @ ops)
+
+
+_SCALE_FREE_RNG = np.random.default_rng(83)
+_SCALE_FREE_MODELS = [
+    leaky_model(_SCALE_FREE_RNG, 5, 3),
+    random_channel(_SCALE_FREE_RNG, 4, 3),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(st.just(0), st.one_of(_LOG_SCALES, _RELABELINGS)),
+        st.tuples(st.just(1), _RELABELINGS),
+    )
+)
+def test_enclosure_leak_and_commutator_norms_do_not_depend_on_time_unit_or_labels(case):
+    # A fixed projector that is not an enclosure and a fixed Hermitian f.
+    model, change = _SCALE_FREE_MODELS[case[0]], case[1]
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((model.dim, 2)) + 1j * rng.standard_normal((model.dim, 2))
+    iso = np.linalg.qr(g)[0]
+    p, f = iso @ iso.conj().T, random_hermitian(rng, model.dim)
+    other = _relabeled(model, change)
+    base, moved = is_enclosure(p, model), is_enclosure(p, other)
+    assert not base.enclosed
+    assert abs(moved.residual - base.residual) <= 1e-9 * base.residual
+    a, b = _weighted_commutator(model, f), _weighted_commutator(other, f)
+    assert a > 0.1 and abs(b - a) <= 1e-9 * a
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(_LOG_SCALES, _RELABELINGS))
+def test_weakly_coupled_blocks_fail_the_commutant_check_under_every_relabeling(change):
+    # The ε_F that the error reports comes from stage 1's near-threshold
+    # kernel basis and moves with the change; only the stage is pinned.
+    base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
+    h = base.hamiltonian.copy()
+    h[0, 3] = h[3, 0] = 1e-4
+    with pytest.raises(DecompositionError, match=r"^\[algebra\] .*ε_F"):
+        decompose(_relabeled(LindbladModel.create(h, base.jumps), change))
+
+
 def test_decompose_three_member_family():
     # null generator on C^3: every one-dimensional subspace is an enclosure,
     # realized as a single family of three equivalent members
@@ -1465,7 +1526,7 @@ def test_decompose_three_member_family():
 
 def test_decompose_family_with_transient_part():
     # degenerate pair plus a draining level: the family must still be found
-    # from the cut-off fixed points, not from the plain adjoint kernel
+    # from the fixed points compressed to R, not from the plain adjoint kernel
     rng = np.random.default_rng(99)
     core, _ = conjugated_pair_model(rng, 2, 2)
     n = 5

@@ -30,6 +30,7 @@ from helpers import (
     conjugated_pair_model,
     fixed_points,
     leaky_model,
+    random_unitary,
     renewal_pair_channel,
     unit,
 )
@@ -445,8 +446,6 @@ def test_uniqueness_cross_check_family_commutation():
 def _conjugated_pair_channel(rng, d, num_kraus):
     """Kraus channel that is a direct sum of an irreducible block and its
     conjugation by a random unitary: forces a degenerate family."""
-    from enclosure_atlas.linalg import random_unitary
-
     raw = [
         rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         for _ in range(num_kraus)

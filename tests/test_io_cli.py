@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import enclosure_atlas.cli as cli
 from enclosure_atlas.cli import main
 from enclosure_atlas.decomposition import decompose, verify_decomposition
-from enclosure_atlas.fixtures import FIXTURES, fixture_document
+from enclosure_atlas.fixtures import (
+    FIXTURES,
+    faithful_2d,
+    fixture_document,
+    two_enclosures_2d,
+    unfaithful_2d,
+)
 from enclosure_atlas.io import (
     ModelFileError,
     ValidationError,
@@ -287,6 +293,87 @@ def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     assert [rec["dimension"] for rec in dec["unique_enclosures"]] == [4]
     assert dec["families"] == []
     assert report["verification"]["ok"] is True
+
+
+def _coupled_blocks(g):
+    """Two 3-level blocks joined by a Hamiltonian coupling g."""
+    base = block_diag_model(np.random.default_rng(1), (3, 3), 2)
+    h = base.hamiltonian.copy()
+    h[0, 3] = h[3, 0] = g
+    return LindbladModel.create(h, base.jumps)
+
+
+TIME_SCALE_MODELS = {
+    "faithful-2d": faithful_2d,
+    "unfaithful-2d": unfaithful_2d,
+    "two-enclosures-2d": two_enclosures_2d,
+    "leaky-5": lambda: leaky_model(np.random.default_rng(1), 5, 2),
+    "coupled-1e-6": lambda: _coupled_blocks(1e-6),
+}
+# The analysis of these verifies at the unit time scale; that of the
+# coupled blocks is an [algebra] error there.
+VERIFIED_AT_UNIT_SCALE = ["faithful-2d", "unfaithful-2d", "two-enclosures-2d", "leaky-5"]
+
+
+def _analyze_time_scaled(tmp_path, capsys, model, c):
+    """``analyze`` of the model with H -> cH and L_j -> √c L_j: (exit code,
+    structured report or None, stderr)."""
+    doc = {
+        "mode": "lindblad",
+        "dim": model.dim,
+        "hamiltonian": complex_matrix_to_json(c * model.hamiltonian),
+        "jumps": [complex_matrix_to_json(np.sqrt(c) * j) for j in model.jumps],
+    }
+    path = tmp_path / f"scaled-{c:g}.json"
+    path.write_text(serialize_report(doc))
+    code = main(["analyze", str(path), "--format", "structured"])
+    out, err = capsys.readouterr()
+    return code, parse_report(out) if out else None, err
+
+
+def _shape(report):
+    dec = report["decomposition"]
+    return (
+        dec["transient"]["dimension"],
+        [rec["dimension"] for rec in dec["unique_enclosures"]],
+        [[m["dimension"] for m in fam["members"]] for fam in dec["families"]],
+    )
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10])
+@pytest.mark.parametrize("name", list(TIME_SCALE_MODELS))
+def test_cli_slowed_time_scale_is_an_algebra_error(tmp_path, capsys, name, c):
+    # Stage 1's rank cut keeps the absolute floor max(‖M‖_F, 1), so the
+    # slowed generator's kernel comes out too large; the compressed ker L†
+    # elements it gives do not commute with the model's operators.
+    model = TIME_SCALE_MODELS[name]()
+    code, report, err = _analyze_time_scaled(tmp_path, capsys, model, c)
+    assert code == 3 and report is None
+    assert "[algebra]" in err and "ε_F" in err
+
+
+@pytest.mark.parametrize("c", [1e6, 1e8])
+@pytest.mark.parametrize("name", VERIFIED_AT_UNIT_SCALE)
+def test_cli_sped_up_time_scale_gives_the_unit_scale_report(tmp_path, capsys, name, c):
+    model = TIME_SCALE_MODELS[name]()
+    code, unit_report, _ = _analyze_time_scaled(tmp_path, capsys, model, 1.0)
+    assert code == 0
+    code, report, _ = _analyze_time_scaled(tmp_path, capsys, model, c)
+    assert code == 0
+    assert _shape(report) == _shape(unit_report)
+    assert report["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
+def test_cli_weakly_coupled_blocks_are_an_algebra_error_at_every_time_scale(
+    tmp_path, capsys, c
+):
+    # At g = 1e-6 stage 1 counts two fixed points, but the second misses
+    # commuting with the coupled Hamiltonian by ε_F ≈ 1.1e-7 at every scale.
+    model = TIME_SCALE_MODELS["coupled-1e-6"]()
+    code, report, err = _analyze_time_scaled(tmp_path, capsys, model, c)
+    assert code == 3 and report is None
+    assert "[algebra]" in err and "ε_F" in err
 
 
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):

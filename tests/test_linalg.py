@@ -19,7 +19,6 @@ from enclosure_atlas.linalg import (
     hermitian_part,
     kernel_basis,
     matrix_exponential,
-    null_spaces,
     psd_project,
     support_projector,
 )
@@ -32,6 +31,7 @@ from helpers import (
     conjugated_pair_channel,
     conjugated_pair_model,
     leaky_model,
+    null_spaces,
     random_channel,
     random_model,
     random_rate_matrix,
