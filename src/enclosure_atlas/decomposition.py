@@ -69,7 +69,6 @@ class RecurrentSplit:
     transient: np.ndarray
     dimension: int
     state: np.ndarray
-    invariance_residual: float
     # Orthonormal bases (as columns) of ker L and ker L† from one
     # factorization of L (``real_null_spaces``).
     kernel: np.ndarray
@@ -167,8 +166,7 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
     matrix) for later stages. The complex n² × n² matrix of L lives only
     while ``gather_real`` reads it: the factorization works on the real M
-    alone, and ‖L(ρ)‖_F of the state is applied from the model
-    (``generator_action``).
+    alone.
     """
     kern, left = real_null_spaces(*gather_real(_generator(obj, tol), tol), tol)
     n = obj.dim
@@ -185,7 +183,6 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
         transient=np.eye(n) - recurrent,
         dimension=int(round(np.trace(recurrent).real)),
         state=state,
-        invariance_residual=frob(generator_action(obj, state)),
         kernel=kern,
         adjoint_kernel=left,
     )
@@ -314,11 +311,13 @@ def algebra_structure(
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
-    injective on ker L†. R carries a faithful invariant state, so F is the
-    commutant of the compressed operators A_R (Frigerio, Commun. Math. Phys.
-    63, 1978). The weighted commutators [A_R, f] (``_weighted_operators``) of
-    an orthonormal Hermitian basis, one column per f, are folded one operator
-    at a time into a dim F × dim F triangular factor whose kernel
+    injective on ker L†; when it is not (dim F < dim ker L†, a stage-1 kernel
+    that is too large), the stage raises before forming any commutator. R
+    carries a faithful invariant state, so F is the commutant of the
+    compressed operators A_R (Frigerio, Commun. Math. Phys. 63, 1978). The
+    weighted commutators [A_R, f] (``_weighted_operators``) of an orthonormal
+    Hermitian basis, one column per f, are folded one operator at a time
+    into a dim F × dim F triangular factor whose kernel
     (``kernel_basis``) must be all of F; its norm ε_F is the
     ``algebra_commutant`` residual.
     """
@@ -332,6 +331,11 @@ def algebra_structure(
         [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T], tol
     )
     stack, dim_f = np.array(fbasis), len(fbasis)
+    if dim_f != k:
+        raise DecompositionError(
+            "algebra",
+            f"compression to R is not injective on ker L†: dim F = {dim_f} < dim ker L† = {k}",
+        )
     tri = np.zeros((0, dim_f))
     for a in dagger(iso_r) @ _weighted_operators(obj) @ iso_r:
         block = (a @ stack - stack @ a).reshape(dim_f, r * r).T
@@ -344,11 +348,7 @@ def algebra_structure(
             f"operators (ε_F = {commutant:.3e})",
         )
 
-    residuals = {
-        "algebra_commutant": commutant,
-        "recurrent_enclosure": is_enclosure(p_r, obj, tol).residual,
-        "algebra_closure": _closure_residual(fbasis),
-    }
+    residuals = {"algebra_commutant": commutant, "algebra_closure": _closure_residual(fbasis)}
 
     # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis
     d_r = dagger(iso_r) @ (np.arange(len(p_r))[:, None] * iso_r)
@@ -452,13 +452,16 @@ def family_projector(
     return p_theta
 
 
-def _prop_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Distance of a from the complex line spanned by b."""
+def _prop_residual(stack: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of the distances of a stack of matrices from the complex
+    line spanned by b. The stack may also come as its matrices' rows, one
+    after another (k·n × n for n × n matrices)."""
+    stack = stack.reshape(-1, *b.shape)
     denom = hs_inner(b, b).real
     if denom == 0.0:
-        return frob(a)
-    c = hs_inner(b, a) / denom
-    return frob(a - c * b)
+        return frob(stack)
+    coeff = np.tensordot(stack, b.conj(), axes=2) / denom
+    return frob(stack - coeff[:, None, None] * b)
 
 
 def enumerate_minimal_enclosures(report: DecompositionReport) -> list[tuple]:
@@ -536,8 +539,6 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
 
     unique: list[EnclosureRecord] = []
     families: list[DegenerateFamily] = []
-    enclosure_residuals = []
-    extremal_residuals = []
 
     def build_record(projector):
         state = extremal_state(projector, split.kernel, tol)
@@ -546,8 +547,6 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
             raise ValueError(
                 f"reported projector failed the enclosure check (δ = {check.residual:.3e})"
             )
-        enclosure_residuals.append(check.residual)
-        extremal_residuals.append(frob(generator_action(obj, state)))
         return EnclosureRecord(
             projector=projector,
             dimension=check_projector(projector, tol),
@@ -576,38 +575,6 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     unique.sort(key=lambda rec: (-rec.dimension, lex_key(rec.projector)))
     families.sort(key=lambda fam: (-fam.members[0].dimension, lex_key(fam.block_projector)))
 
-    def assemble():
-        minimal = [rec.projector for rec in unique]
-        minimal += [rec.projector for fam in families for rec in fam.members]
-        total = sum(minimal) if minimal else np.zeros((n, n))
-        ortho = max(
-            (frob(p @ q) for i, p in enumerate(minimal) for q in minimal[i + 1 :]), default=0.0
-        )
-        transport = 0.0
-        isometry_defect = 0.0
-        for fam in families:
-            for (a, b), q in fam.isometries.items():
-                rho_a = fam.members[a].extremal_state
-                rho_b = fam.members[b].extremal_state
-                transport = max(transport, frob(q @ rho_a @ dagger(q) - rho_b))
-                isometry_defect = max(
-                    isometry_defect,
-                    frob(dagger(q) @ q - fam.members[a].projector),
-                    frob(q @ dagger(q) - fam.members[b].projector),
-                )
-        return {
-            **structure.residuals,
-            "recurrent_invariance": split.invariance_residual,
-            "projector_sum": frob(total - split.recurrent),
-            "orthogonality": ortho,
-            "enclosure_invariance": max(enclosure_residuals, default=0.0),
-            "extremal_invariance": max(extremal_residuals, default=0.0),
-            "family_state_transport": transport,
-            "family_isometry": isometry_defect,
-        }
-
-    residuals = stage("report", assemble)
-
     return DecompositionReport(
         kind=kind,
         dim=n,
@@ -621,7 +588,7 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
         unique_enclosures=tuple(unique),
         families=tuple(families),
         is_unique=not families,
-        residuals=residuals,
+        residuals=structure.residuals,
         conventions={"vectorization": VECTORIZATION_NOTE},
         invariant_kernel=split.kernel,
     )
@@ -641,85 +608,79 @@ class VerificationRecord:
     ok: bool
 
 
-def _random_invariant_states(report: DecompositionReport, tol: Tolerances) -> list[np.ndarray]:
-    """Exactly invariant states: the maximal-support state plus three small
-    kernel-space perturbations kept within its positive part."""
-    rng = np.random.default_rng(0)
-    rho_max = report.max_support_state
-    basis = [unvec(v) for v in report.invariant_kernel.T]
-    states = [rho_max]
-    if len(basis) <= 1:
-        return states
-    w = np.linalg.eigvalsh(rho_max)
-    positive = w[w > tol.rank_tol * max(w[-1], tol.psd_tol)]
-    lam_min = float(positive[0]) if positive.size else 0.0
-    if lam_min <= 0.0:
-        return states
-    for _ in range(3):
-        coeff = rng.standard_normal(len(basis))
-        x = sum(c * f for c, f in zip(coeff, basis))
-        x = x - np.trace(x).real * rho_max  # keep the perturbation traceless
-        scale = float(np.linalg.norm(x, 2))
-        if scale == 0.0:
-            continue
-        states.append(rho_max + (0.45 * lam_min / scale) * x)
-    return states
-
-
 def verify_decomposition(
     report: DecompositionReport, obj, tol: Tolerances = DEFAULT_TOL
 ) -> VerificationRecord:
-    """Numerically check the block structure of invariant states.
+    """Re-check a report against its model; every clause passes at
+    residual_tol. Diagnostics only: never raises on failed clauses.
 
-    On the maximal-support invariant state and random invariant states:
-    diagonal blocks are proportional to the extremal states, cross blocks
-    between distinct enclosure groups vanish, and within a degenerate family
-    the off-diagonal block composed with the partial isometry is proportional
-    to the extremal state. Each extremal state's invariance residual is
-    ‖L(ρ)‖_F applied from the model itself (``generator_action``), so no
-    superoperator is built, and it passes below residual_tol · s
-    (``_scale``), a bound that follows the time unit. Diagnostics only; never
-    raises on failed clauses.
+    From the model's operators, in O(k n³) per clause and with no
+    superoperator: the maximal-support and extremal states are invariant,
+    ‖L(ρ)‖_F / s (``_scale``; L(ρ) = 0 exactly when s = 0), and R and each
+    enclosure are enclosures, δ (``is_enclosure``). From the report: the
+    minimal projectors are orthogonal and sum to P_R, each extremal state
+    lies in its enclosure, and each family isometry is a partial isometry
+    between its members that carries one extremal state to the other.
+
+    Every invariant state lies in R, its diagonal blocks are proportional
+    to the extremal states, its cross blocks between groups vanish, and in a
+    family its off-diagonal block composed with the isometry is proportional
+    to an extremal state (Baumgartner & Narnhofer, J. Phys. A 41, 2008;
+    Carbone & Pautrat, Ann. Henri Poincaré 17, 2016). These conditions are
+    linear and ker L is spanned by invariant states, so each is one clause:
+    the Frobenius norm of its stack over the orthonormal Hermitian basis
+    ``report.invariant_kernel``, the same for every orthonormal basis.
     """
     kind = _model_kind(obj)
     if kind != report.kind:
         raise ValueError(f"report kind {report.kind!r} does not match object kind {kind!r}")
+    n, s = report.dim, _scale(obj)
     enclosures = enumerate_minimal_enclosures(report)
-    states = _random_invariant_states(report, tol)
+    minimal = [rec.projector for _, rec, _ in enclosures]
+    basis = np.array([unvec(x) for x in report.invariant_kernel.T])
     clauses: list[VerificationClause] = []
 
-    def add(name, residual, bound=tol.residual_tol):
+    def add(name, residual):
         clauses.append(
-            VerificationClause(name=name, residual=float(residual), ok=bool(residual <= bound))
+            VerificationClause(
+                name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
+            )
         )
 
-    bound = tol.residual_tol * _scale(obj)  # ‖L(ρ)‖_F grows with the time unit
+    def invariance(rho):
+        return frob(generator_action(obj, rho)) / (s or 1.0)
+
+    add("recurrent_invariance", invariance(report.max_support_state))
+    add("recurrent_enclosure", is_enclosure(report.recurrent, obj, tol).residual)
+    add("projector_sum", frob(sum(minimal, np.zeros((n, n))) - report.recurrent))
+    add(
+        "orthogonality",
+        max((frob(p @ q) for i, p in enumerate(minimal) for q in minimal[i + 1 :]), default=0.0),
+    )
+    add("recurrent_support", frob(report.transient @ basis))
     for label, rec, _ in enclosures:
-        add(f"extremal_invariance:{label}", frob(generator_action(obj, rec.extremal_state)), bound)
-        add(
-            f"extremal_support:{label}",
-            frob((np.eye(report.dim) - rec.projector) @ rec.extremal_state),
-        )
-
-    for i, sigma in enumerate(states):
-        add(f"state{i}:recurrent_support", frob(report.transient @ sigma))
-        for label, rec, _ in enclosures:
-            block = rec.projector @ sigma @ rec.projector
-            add(f"state{i}:diag:{label}", _prop_residual(block, rec.extremal_state))
-        for a in range(len(enclosures)):
-            for b in range(a + 1, len(enclosures)):
-                la, ra, ga = enclosures[a]
-                lb, rb, gb = enclosures[b]
-                if ga == gb:
+        p, rho = rec.projector, rec.extremal_state
+        add(f"extremal_invariance:{label}", invariance(rho))
+        add(f"extremal_support:{label}", frob((np.eye(n) - p) @ rho))
+        add(f"enclosure:{label}", is_enclosure(p, obj, tol).residual)
+        add(f"diag:{label}", _prop_residual(p @ basis @ p, rho))
+    for i, (la, ra, ga) in enumerate(enclosures):
+        for lb, rb, gb in enclosures[i + 1 :]:
+            if ga != gb:
+                add(f"cross:{la}|{lb}", frob(ra.projector @ basis @ rb.projector))
+    for fb, fam in enumerate(report.families):
+        for a, rec_a in enumerate(fam.members):
+            p_a, rho_a = rec_a.projector, rec_a.extremal_state
+            left = (p_a @ basis).reshape(-1, n)  # P_a X for every X, one row block each
+            for b, rec_b in enumerate(fam.members):
+                if b == a:
                     continue
-                add(f"state{i}:cross:{la}|{lb}", frob(ra.projector @ sigma @ rb.projector))
-        for fb, fam in enumerate(report.families):
-            for (a, b), q in fam.isometries.items():
-                block = fam.members[a].projector @ sigma @ fam.members[b].projector @ q
-                add(
-                    f"state{i}:family{fb}:offdiag:{a}->{b}",
-                    _prop_residual(block, fam.members[a].extremal_state),
-                )
+                q, p_b = fam.isometries[(a, b)], rec_b.projector
+                name = f"family{fb}:{{}}:{a}->{b}"
+                defect = max(frob(dagger(q) @ q - p_a), frob(q @ dagger(q) - p_b))
+                add(name.format("isometry"), defect)
+                add(name.format("transport"), frob(q @ rho_a @ dagger(q) - rec_b.extremal_state))
+                add(name.format("offdiag"), _prop_residual(left @ (p_b @ q), rho_a))
 
     worst = max((c.residual for c in clauses), default=0.0)
     return VerificationRecord(

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from math import isqrt
 
@@ -33,6 +34,7 @@ from enclosure_atlas.semigroup import (
 from enclosure_atlas.decomposition import (
     DecompositionError,
     _generator,
+    _scale,
     _weighted_operators,
     algebra_structure,
     cutoff_generator,
@@ -194,7 +196,12 @@ def test_recurrent_projector_takes_lindblad_models_and_channels():
         assert np.array_equal(split.adjoint_kernel, left)
         assert np.array_equal(split.state, state)
         assert np.array_equal(split.recurrent, support_projector(state))
-        assert split.invariance_residual == frob(generator_action(model, state))
+        # ‖L(ρ)‖_F / s of the state, the verification clause (s = 0 only for
+        # the zero generator, whose L(ρ) is exactly 0)
+        s, residual = _scale(model), frob(generator_action(model, state))
+        record = verify_decomposition(decompose(model), model)
+        clauses = {c.name: c.residual for c in record.clauses}
+        assert clauses["recurrent_invariance"] == (residual / s if s else residual)
     for other in (build_generator(faithful_2d()), np.zeros((4, 4)), None):
         with pytest.raises(TypeError, match="cannot decompose"):
             recurrent_projector(other)
@@ -1671,24 +1678,141 @@ def _kron_generator(model):
 
 
 def test_extremal_invariance_matches_dense_generator():
-    # verify and decompose apply L to each extremal state from the model;
-    # the residuals agree with the dense L applied to vec(rho).
+    # verify applies L to each extremal state from the model; the relative
+    # residual ‖L(ρ)‖_F / s agrees with the dense L applied to vec(rho).
     for model in (*_agreement_models(), *_sector_models()):
         report = decompose(model)
         mat = _kron_generator(model)
         scale = 1e-12 * max(1.0, np.linalg.norm(mat))
+        s = _scale(model) or 1.0  # s = 0 only for the zero generator, mat = 0
         clauses = {c.name: c.residual for c in verify_decomposition(report, model).clauses}
-        expected = []
         for label, rec, _ in enumerate_minimal_enclosures(report):
-            expected.append(np.linalg.norm(mat @ vec(rec.extremal_state)))
-            assert abs(clauses[f"extremal_invariance:{label}"] - expected[-1]) <= scale
-        assert abs(report.residuals["extremal_invariance"] - max(expected)) <= scale
+            expected = np.linalg.norm(mat @ vec(rec.extremal_state))
+            assert abs(clauses[f"extremal_invariance:{label}"] - expected / s) <= scale / s
 
 
 def test_verify_decomposition_kind_mismatch():
     report = decompose(faithful_2d())
     with pytest.raises(ValueError, match="kind"):
         verify_decomposition(report, rotation_channel())
+
+
+def test_verification_clauses_and_report_residuals_of_one_enclosure():
+    # decompose keeps only the algebra's own margins; every re-check of the
+    # report is a verification clause, one per condition, none per state.
+    model = faithful_2d()
+    report = decompose(model)
+    assert set(report.residuals) == {"algebra_commutant", "algebra_closure", "algebra_matrix_units"}
+    assert [c.name for c in verify_decomposition(report, model).clauses] == [
+        "recurrent_invariance",
+        "recurrent_enclosure",
+        "projector_sum",
+        "orthogonality",
+        "recurrent_support",
+        "extremal_invariance:alpha0",
+        "extremal_support:alpha0",
+        "enclosure:alpha0",
+        "diag:alpha0",
+    ]
+
+
+def _failed_clauses(report, model):
+    return {c.name for c in verify_decomposition(report, model).clauses if not c.ok}
+
+
+def test_verification_fails_an_enclosure_that_swallows_the_transient_level():
+    model = unfaithful_2d()
+    report = decompose(model)
+    (rec,) = report.unique_enclosures
+    swallowed = dataclasses.replace(rec, projector=np.eye(2))
+    tampered = dataclasses.replace(report, unique_enclosures=(swallowed,))
+    assert _failed_clauses(tampered, model) == {"projector_sum"}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [zero_generator_2d, lambda: conjugated_pair_model(np.random.default_rng(11), 2, 2)[0]],
+    ids=["zero-generator-2d", "pair"],
+)
+def test_verification_fails_scaled_family_isometries(make):
+    # 2Q is no partial isometry and carries ρ_a to 4ρ_b; the off-diagonal
+    # blocks stay proportional, so only these two clauses can see it.
+    model = make()
+    report = decompose(model)
+    families = tuple(
+        dataclasses.replace(fam, isometries={k: 2 * q for k, q in fam.isometries.items()})
+        for fam in report.families
+    )
+    expected = {
+        f"family{b}:{kind}:{i}->{j}"
+        for b, fam in enumerate(report.families)
+        for i, j in fam.isometries
+        for kind in ("isometry", "transport")
+    }
+    assert _failed_clauses(dataclasses.replace(report, families=families), model) == expected
+
+
+def test_verification_fails_swapped_extremal_states():
+    model = two_enclosures_2d()
+    report = decompose(model)
+    a, b = report.unique_enclosures
+    swapped = (
+        dataclasses.replace(a, extremal_state=b.extremal_state),
+        dataclasses.replace(b, extremal_state=a.extremal_state),
+    )
+    tampered = dataclasses.replace(report, unique_enclosures=swapped)
+    assert _failed_clauses(tampered, model) == {
+        "extremal_support:alpha0",
+        "extremal_support:alpha1",
+        "diag:alpha0",
+        "diag:alpha1",
+    }
+
+
+_VERIFY_RNG = np.random.default_rng(29)
+_TIME_UNIT_MODELS = [
+    leaky_model(_VERIFY_RNG, 5, 2),
+    block_diag_model(_VERIFY_RNG, (2, 3, 3), 2),
+    conjugated_pair_model(_VERIFY_RNG, 3, 2)[0],
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, len(_TIME_UNIT_MODELS) - 1), _LOG_SCALES)
+def test_verification_reads_the_same_at_every_time_unit(index, change):
+    # L -> cL, c in [1e-8, 1e4]: same clauses, every one passing.
+    model = _TIME_UNIT_MODELS[index]
+    scaled = _relabeled(model, change)
+    base = verify_decomposition(decompose(model), model)
+    record = verify_decomposition(decompose(scaled), scaled)
+    assert [c.name for c in record.clauses] == [c.name for c in base.clauses]
+    assert record.ok and record.max_residual <= 1e-12
+
+
+_KERNEL_BASIS_MODELS = [
+    zero_generator_2d(),
+    two_enclosures_2d(),
+    LindbladModel.create(np.zeros((4, 4)), []),
+    _TIME_UNIT_MODELS[1],
+    _TIME_UNIT_MODELS[2],
+    conjugated_pair_channel(_VERIFY_RNG, 3, 2),
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, len(_KERNEL_BASIS_MODELS) - 1), st.integers(0, 2**16))
+def test_verification_does_not_depend_on_the_kernel_basis(index, seed):
+    # The stacked clauses are norms of linear maps over an orthonormal basis
+    # of ker L: K -> K O for a real orthogonal O leaves them unchanged.
+    model = _KERNEL_BASIS_MODELS[index]
+    report = decompose(model)
+    kern = report.invariant_kernel
+    o = np.linalg.qr(np.random.default_rng(seed).standard_normal((kern.shape[1],) * 2))[0]
+    rotated = dataclasses.replace(report, invariant_kernel=kern @ o)
+    base = verify_decomposition(report, model).clauses
+    moved = verify_decomposition(rotated, model).clauses
+    assert [c.name for c in moved] == [c.name for c in base]
+    assert max(abs(c.residual - d.residual) for c, d in zip(base, moved)) <= 1e-13
 
 
 def test_decompose_rotation_channel():

@@ -352,6 +352,16 @@ def test_cli_slowed_time_scale_is_an_algebra_error(tmp_path, capsys, name, c):
     assert "[algebra]" in err and "ε_F" in err
 
 
+def test_cli_compression_that_loses_fixed_points_is_an_algebra_error(tmp_path, capsys):
+    # unfaithful-2d slowed to c = 1e-9: stage 1 gives dim ker L† = 3, but R
+    # is one-dimensional, so compression to R keeps dim F = 1. That is named
+    # before any commutator is formed, not as a failed commutant with ε_F = 0.
+    code, report, err = _analyze_time_scaled(tmp_path, capsys, unfaithful_2d(), 1e-9)
+    assert code == 3 and report is None
+    assert "[algebra]" in err and "dim F = 1 < dim ker L† = 3" in err
+    assert "ε_F = 0.000e+00" not in err
+
+
 @pytest.mark.parametrize("c", [1e6, 1e8])
 @pytest.mark.parametrize("name", VERIFIED_AT_UNIT_SCALE)
 def test_cli_sped_up_time_scale_gives_the_unit_scale_report(tmp_path, capsys, name, c):
