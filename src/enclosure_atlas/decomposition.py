@@ -19,6 +19,7 @@ unit or on how the operators are listed (``_weighted_operators``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,18 +138,16 @@ class DecompositionReport:
     invariant_kernel: np.ndarray
 
 
-def _range_isometry(p: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Columns form an orthonormal basis of the range of a projector."""
-    rank = check_projector(p, tol)
-    w, u = np.linalg.eigh(hermitian_part(p))
-    cols = u[:, w > 0.5]
-    if cols.shape[1] != rank:
-        raise ValueError("projector eigenvalues are not cleanly split at 1/2")
-    return cols
+def _leading_isometry(p: np.ndarray, rank: int) -> np.ndarray:
+    """Eigenvectors of the ``rank`` largest eigenvalues of p's Hermitian part:
+    the range isometry of a rank-``rank`` projector, defined for any p."""
+    return np.linalg.eigh(hermitian_part(p))[1][:, max(len(p) - rank, 0) :]
 
 
-def _embed(iso: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return iso @ x @ dagger(iso)
+def _kernel_stack(kernel: np.ndarray) -> np.ndarray:
+    """A basis of ker L as columns, each vec of an n × n matrix, as a stack."""
+    n = int(round(np.sqrt(kernel.shape[0])))
+    return kernel.T.reshape(-1, n, n).swapaxes(1, 2)
 
 
 def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
@@ -322,14 +321,13 @@ def algebra_structure(
     ``algebra_commutant`` residual.
     """
     rng = np.random.default_rng(0)
-    iso_r = _range_isometry(p_r, tol)
+    iso_r = _leading_isometry(p_r, check_projector(p_r, tol))
     r = iso_r.shape[1]
     k = adjoint_kernel.shape[1]
     if k == 0:
         raise DecompositionError("algebra", "the fixed-point space is empty")
-    fbasis = orthonormal_hermitian_span(
-        [dagger(iso_r) @ unvec(y) @ iso_r for y in adjoint_kernel.T], tol
-    )
+    compressed = dagger(iso_r) @ _kernel_stack(adjoint_kernel) @ iso_r
+    fbasis = orthonormal_hermitian_span(list(compressed), tol)
     stack, dim_f = np.array(fbasis), len(fbasis)
     if dim_f != k:
         raise DecompositionError(
@@ -399,7 +397,7 @@ def algebra_structure(
         fixed_point_dimension=dim_f,
         center_dimension=len(blocks),
         blocks=tuple(blocks),
-        fixed_point_basis=tuple(_embed(iso_r, f) for f in fbasis),
+        fixed_point_basis=tuple(iso_r @ f @ dagger(iso_r) for f in fbasis),
         residuals=residuals,
     )
 
@@ -409,23 +407,25 @@ def extremal_state(
 ) -> np.ndarray:
     """Unique invariant state supported in a minimal enclosure.
 
-    Finds ker L ∩ B(V) from the basis ``kernel`` (columns) of ker L; a
-    dimension other than one signals that V is not a minimal enclosure.
+    Reads the basis ``kernel`` (columns) of ker L through the range isometry
+    U of V: for a minimal enclosure, U† X U ∝ U† ρ_V U for every X in ker L
+    (Baumgartner & Narnhofer, J. Phys. A 41, 2008), so the compressed basis
+    has rank one; another rank signals that V is not a minimal enclosure.
+    ρ_V is the compression of Π P_V, the projection of P_V onto ker L, whose
+    trace ‖Π P_V‖² is at least 1/‖ρ_V‖² >= 1.
     """
-    iso = _range_isometry(p_v, tol)
-    p_v = iso @ dagger(iso)
-    outside = np.column_stack([x - vec(p_v @ unvec(x) @ p_v) for x in kernel.T])
-    coeffs = kernel_basis(outside, tol)
-    if len(coeffs) != 1:
-        raise ValueError(
-            f"kernel dimension {len(coeffs)} != 1: subspace is not a minimal enclosure"
-        )
-    x = unvec(kernel @ coeffs[0])
-    trace = np.trace(x)
-    if abs(trace) < 1e-6:
-        raise ValueError("kernel element has near-zero trace; cannot normalize to a state")
-    rho_block = psd_project(hermitian_part(dagger(iso) @ (x / trace) @ iso), tol)
-    return _embed(iso, rho_block)
+    iso = _leading_isometry(p_v, check_projector(p_v, tol))
+    blocks = dagger(iso) @ _kernel_stack(kernel) @ iso
+    flat = blocks.reshape(len(blocks), -1)
+    # the square triangular factor of its tall side has the basis's singular values
+    tri = np.linalg.qr(flat if flat.shape[0] >= flat.shape[1] else flat.T, mode="r")
+    rank = len(tri) - len(kernel_basis(tri, tol))
+    if rank != 1:
+        raise ValueError(f"compressed kernel dimension {rank} != 1: not a minimal enclosure")
+    # Π P_V = Σ_i ⟨X_i, P_V⟩ X_i with ⟨X_i, P_V⟩ = conj(tr U† X_i U)
+    weights = np.trace(blocks, axis1=1, axis2=2).conj()
+    rho = psd_project(hermitian_part(np.tensordot(weights, blocks, axes=1)), tol)
+    return iso @ rho @ dagger(iso)
 
 
 def family_projector(
@@ -452,16 +452,19 @@ def family_projector(
     return p_theta
 
 
-def _prop_residual(stack: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the distances of a stack of matrices from the complex
-    line spanned by b. The stack may also come as its matrices' rows, one
-    after another (k·n × n for n × n matrices)."""
-    stack = stack.reshape(-1, *b.shape)
-    denom = hs_inner(b, b).real
+def _prop_residual(
+    blocks: np.ndarray, rho: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> float:
+    """Frobenius norm of the distances of the matrices U B W† (B in a stack of
+    blocks, U = ``left`` and W = ``right`` isometries) from the complex line
+    spanned by rho: only U† rho W and the norm of rho's rest enter."""
+    b = dagger(left) @ rho @ right
+    rest = frob(rho - left @ b @ dagger(right))
+    denom = hs_inner(b, b).real + rest**2
     if denom == 0.0:
-        return frob(stack)
-    coeff = np.tensordot(stack, b.conj(), axes=2) / denom
-    return frob(stack - coeff[:, None, None] * b)
+        return frob(blocks)
+    coeff = np.tensordot(blocks, b.conj(), axes=2) / denom
+    return float(np.hypot(frob(blocks - coeff[:, None, None] * b), rest * frob(coeff)))
 
 
 def enumerate_minimal_enclosures(report: DecompositionReport) -> list[tuple]:
@@ -470,12 +473,9 @@ def enumerate_minimal_enclosures(report: DecompositionReport) -> list[tuple]:
     Two records share a group exactly when they belong to the same degenerate
     family; cross-group blocks of invariant states vanish.
     """
-    out = []
-    for i, rec in enumerate(report.unique_enclosures):
-        out.append((f"alpha{i}", rec, ("alpha", i)))
+    out = [(f"alpha{i}", rec, ("alpha", i)) for i, rec in enumerate(report.unique_enclosures)]
     for b, fam in enumerate(report.families):
-        for g, rec in enumerate(fam.members):
-            out.append((f"beta{b}.{g}", rec, ("beta", b)))
+        out += [(f"beta{b}.{g}", rec, ("beta", b)) for g, rec in enumerate(fam.members)]
     return out
 
 
@@ -564,9 +564,7 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
             links = [block.links[i] for i in order]
             isometries = {
                 (a, b): fix_phase(links[b] @ dagger(links[a]))
-                for a in range(len(records))
-                for b in range(len(records))
-                if a != b
+                for a, b in permutations(range(len(records)), 2)
             }
             families.append(DegenerateFamily(tuple(records), isometries, block.projector))
 
@@ -629,7 +627,8 @@ def verify_decomposition(
     Carbone & Pautrat, Ann. Henri Poincaré 17, 2016). These conditions are
     linear and ker L is spanned by invariant states, so each is one clause:
     the Frobenius norm of its stack over the orthonormal Hermitian basis
-    ``report.invariant_kernel``, the same for every orthonormal basis.
+    ``report.invariant_kernel``, the same for every orthonormal basis, read
+    through each enclosure's range isometry U_a (U_a† X formed once).
     """
     kind = _model_kind(obj)
     if kind != report.kind:
@@ -637,7 +636,10 @@ def verify_decomposition(
     n, s = report.dim, _scale(obj)
     enclosures = enumerate_minimal_enclosures(report)
     minimal = [rec.projector for _, rec, _ in enclosures]
-    basis = np.array([unvec(x) for x in report.invariant_kernel.T])
+    basis = _kernel_stack(report.invariant_kernel)
+    # U_a, the range isometry of enclosure a, and U_a† X for every X
+    isos = {label: _leading_isometry(rec.projector, rec.dimension) for label, rec, _ in enclosures}
+    rows = {label: dagger(u) @ basis for label, u in isos.items()}
     clauses: list[VerificationClause] = []
 
     def add(name, residual):
@@ -659,28 +661,25 @@ def verify_decomposition(
     )
     add("recurrent_support", frob(report.transient @ basis))
     for label, rec, _ in enclosures:
-        p, rho = rec.projector, rec.extremal_state
+        p, rho, u = rec.projector, rec.extremal_state, isos[label]
         add(f"extremal_invariance:{label}", invariance(rho))
         add(f"extremal_support:{label}", frob((np.eye(n) - p) @ rho))
         add(f"enclosure:{label}", is_enclosure(p, obj, tol).residual)
-        add(f"diag:{label}", _prop_residual(p @ basis @ p, rho))
-    for i, (la, ra, ga) in enumerate(enclosures):
-        for lb, rb, gb in enclosures[i + 1 :]:
+        add(f"diag:{label}", _prop_residual(rows[label] @ u, rho, u, u))
+    for i, (la, _, ga) in enumerate(enclosures):
+        for lb, _, gb in enclosures[i + 1 :]:
             if ga != gb:
-                add(f"cross:{la}|{lb}", frob(ra.projector @ basis @ rb.projector))
+                add(f"cross:{la}|{lb}", frob(rows[la] @ isos[lb]))
     for fb, fam in enumerate(report.families):
-        for a, rec_a in enumerate(fam.members):
-            p_a, rho_a = rec_a.projector, rec_a.extremal_state
-            left = (p_a @ basis).reshape(-1, n)  # P_a X for every X, one row block each
-            for b, rec_b in enumerate(fam.members):
-                if b == a:
-                    continue
-                q, p_b = fam.isometries[(a, b)], rec_b.projector
-                name = f"family{fb}:{{}}:{a}->{b}"
-                defect = max(frob(dagger(q) @ q - p_a), frob(q @ dagger(q) - p_b))
-                add(name.format("isometry"), defect)
-                add(name.format("transport"), frob(q @ rho_a @ dagger(q) - rec_b.extremal_state))
-                add(name.format("offdiag"), _prop_residual(left @ (p_b @ q), rho_a))
+        for a, b in permutations(range(len(fam.members)), 2):
+            rec_a, rec_b, q = fam.members[a], fam.members[b], fam.isometries[(a, b)]
+            p_a, p_b, rho_a = rec_a.projector, rec_b.projector, rec_a.extremal_state
+            la, lb, name = f"beta{fb}.{a}", f"beta{fb}.{b}", f"family{fb}:{{}}:{a}->{b}"
+            add(name.format("isometry"), max(frob(dagger(q) @ q - p_a), frob(q @ dagger(q) - p_b)))
+            add(name.format("transport"), frob(q @ rho_a @ dagger(q) - rec_b.extremal_state))
+            # P_a X P_b Q = U_a (U_a† X U_b)(U_b† Q)
+            offdiag = rows[la] @ isos[lb] @ (dagger(isos[lb]) @ q)
+            add(name.format("offdiag"), _prop_residual(offdiag, rho_a, isos[la], np.eye(n)))
 
     worst = max((c.residual for c in clauses), default=0.0)
     return VerificationRecord(

@@ -23,6 +23,7 @@ lexicographically first separating word, and the search ends after at most
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -247,14 +248,11 @@ def qnd_uniqueness(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> QndUniquenes
     nondeg = nondegeneracy_check(qnd, tol)
     re_omega = {}
     all_negative = True
-    for a in range(qnd.num_pointers):
-        for b in range(qnd.num_pointers):
-            if a == b:
-                continue
-            value = omega(qnd, a, b, tol)
-            re_omega[(a, b)] = float(value.real)
-            if value.real >= -tol.residual_tol:
-                all_negative = False
+    for a, b in permutations(range(qnd.num_pointers), 2):
+        re_omega[(a, b)] = float(omega(qnd, a, b, tol).real)
+        # Re ω = −½ Σ_j |c_ja − c_jb|² < 0 exactly when the columns differ
+        if not np.any(qnd.amplitudes[:, a] != qnd.amplitudes[:, b]):
+            all_negative = False
     if nondeg.overall and not all_negative:
         raise RuntimeError(
             "non-degeneracy holds but some Re(omega) is not strictly negative"

@@ -19,6 +19,7 @@ from .linalg import (
     as_matrix,
     dagger,
     frob,
+    hermitian_part,
     hermiticity_defect,
     matrix_exponential,
     psd_project,
@@ -114,11 +115,12 @@ def _stacked(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
 
 
 def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
-    """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, so that the generator
-    is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
+    """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, H the Hermitian part of
+    the Hamiltonian (``create`` accepts a small anti-Hermitian part), so that
+    the generator is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
     n = model.dim
     gram = sum((dagger(op) @ op for op in model.jumps), np.zeros((n, n), dtype=complex))
-    return -1j * model.hamiltonian - 0.5 * gram, gram
+    return -1j * hermitian_part(model.hamiltonian) - 0.5 * gram, gram
 
 
 def _sandwich_sum(stack: np.ndarray) -> np.ndarray:

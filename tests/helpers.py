@@ -203,3 +203,19 @@ def renewal_pair_channel():
     v1[y[0], y[-1]] = -r
     v1[z[0], z[-1]] = 1.0
     return KrausChannel.create([v0, v1])
+
+
+def tilted_hamiltonian_model(eps):
+    """(model, hermitian_model): an n = 4 model whose Hamiltonian is
+    h + eps·‖h‖_F·a/‖a‖_F with a real antisymmetric (anti-Hermitian) a, and
+    the same model with h. ``LindbladModel.create`` accepts the first for
+    eps up to about 1e-6."""
+    rng = np.random.default_rng(1)
+    n = 4
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    a = a - a.T
+    jump = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2
+    tilted = h + eps * np.linalg.norm(h) * a / np.linalg.norm(a)
+    return LindbladModel.create(tilted, [jump]), LindbladModel.create(h, [jump])

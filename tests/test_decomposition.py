@@ -70,6 +70,7 @@ from helpers import (
     random_model,
     random_rate_matrix,
     random_unitary,
+    tilted_hamiltonian_model,
     unit,
 )
 
@@ -1828,3 +1829,121 @@ def test_decompose_rotation_channel():
             np.linalg.norm(rec.projector - target) for rec in report.unique_enclosures
         )
         assert best < 1e-9
+
+
+def test_extremal_state_reads_ker_l_through_the_isometry(monkeypatch):
+    # The rank-one test sees ker L compressed to V, d² rows, and no n² × dim
+    # ker L leak stack; the state equals the report's.
+    rows = []
+
+    def spy(m, tol=DEFAULT_TOL):
+        rows.append(np.shape(m)[0])
+        return kernel_basis(m, tol)
+
+    rng = np.random.default_rng(3)
+    models = (
+        block_diag_model(rng, (2, 3, 3), 2),
+        conjugated_pair_model(rng, 3, 2)[0],
+        LindbladModel.create(np.zeros((4, 4)), []),
+    )
+    reports = [decompose(model) for model in models]
+    monkeypatch.setattr(decomposition_module, "kernel_basis", spy)
+    for report in reports:
+        for _, rec, _ in enumerate_minimal_enclosures(report):
+            rows.clear()
+            rho = extremal_state(rec.projector, report.invariant_kernel)
+            assert rows and max(rows) <= rec.dimension**2
+            assert np.linalg.norm(rho - rec.extremal_state) <= 1e-12
+
+
+def test_verification_reads_a_halved_projector_without_raising():
+    # P/2 is no projector; its leading eigenvectors still span P's range.
+    model = two_enclosures_2d()
+    report = decompose(model)
+    a, b = report.unique_enclosures
+    halved = (dataclasses.replace(a, projector=a.projector / 2), b)
+    tampered = dataclasses.replace(report, unique_enclosures=halved)
+    assert _failed_clauses(tampered, model) == {"projector_sum", "extremal_support:alpha0"}
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 5e-7])
+def test_only_the_hermitian_part_of_the_hamiltonian_drives_the_dynamics(eps):
+    # create accepts an anti-Hermitian part up to 100·residual_tol·‖H‖_F;
+    # the dynamics, and so the report, are those of the Hermitian part.
+    model, hermitian = tilted_hamiltonian_model(eps)
+    report = decompose(model)
+    assert verify_decomposition(report, model).ok
+    assert report.transient_dimension == 0 and report.is_unique
+    assert [rec.dimension for rec in report.unique_enclosures] == [4]
+    assert np.array_equal(report.max_support_state, decompose(hermitian).max_support_state)
+
+
+def _sorted_shape(report):
+    return (
+        report.recurrent_dimension,
+        sorted(rec.dimension for rec in report.unique_enclosures),
+        sorted((len(fam.members), fam.members[0].dimension) for fam in report.families),
+    )
+
+
+def _assert_same_projectors(report, other, conj=lambda p: p):
+    # recurrent, unique-enclosure and family-block projectors, matched up to
+    # the report's lexicographic order
+    assert _sorted_shape(other) == _sorted_shape(report)
+    assert np.linalg.norm(other.recurrent - conj(report.recurrent)) <= 1e-9
+    for get in (
+        lambda r: [rec.projector for rec in r.unique_enclosures],
+        lambda r: [fam.block_projector for fam in r.families],
+    ):
+        moved = get(other)
+        for p in get(report):
+            assert min(np.linalg.norm(q - conj(p)) for q in moved) <= 1e-9
+
+
+_COVARIANCE_RNG = np.random.default_rng(47)
+_GAUGE_MODELS = [
+    leaky_model(_COVARIANCE_RNG, 5, 2),
+    block_diag_model(_COVARIANCE_RNG, (2, 3), 2),
+    conjugated_pair_model(_COVARIANCE_RNG, 2, 2)[0],
+    random_model(_COVARIANCE_RNG, 4, 2),
+]
+_COVARIANCE_MODELS = [
+    *_GAUGE_MODELS,
+    random_channel(_COVARIANCE_RNG, 3, 2),
+    conjugated_pair_channel(_COVARIANCE_RNG, 2, 2),
+]
+
+
+@settings(max_examples=96, deadline=None, derandomize=True)
+@given(st.integers(0, len(_GAUGE_MODELS) - 1), st.integers(0, 2**16), st.floats(0.0, 3.0))
+def test_reports_do_not_depend_on_the_lindblad_gauge(index, seed, size):
+    # L_j -> L_j + a_j·1 with H -> H − (i/2) Σ_j (ā_j L_j − a_j L_j†) leaves
+    # the generator unchanged (Breuer & Petruccione, §3.2).
+    model = _GAUGE_MODELS[index]
+    rng, k = np.random.default_rng(seed), len(model.jumps)
+    shifts = size * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    eye = np.eye(model.dim)
+    h = model.hamiltonian - 0.5j * sum(
+        np.conj(a) * op - a * op.conj().T for a, op in zip(shifts, model.jumps)
+    )
+    shifted = LindbladModel.create(h, [op + a * eye for a, op in zip(shifts, model.jumps)])
+    report = decompose(shifted)
+    assert verify_decomposition(report, shifted).ok
+    _assert_same_projectors(decompose(model), report)
+
+
+@settings(max_examples=48, deadline=None, derandomize=True)
+@given(st.integers(0, len(_COVARIANCE_MODELS) - 1), st.integers(0, 2**16))
+def test_reports_are_covariant_under_a_change_of_basis(index, seed):
+    # L -> U L U†: every projector moves to U P U†. Family members are tied to
+    # the input basis through E_F(D), so they are not compared.
+    model = _COVARIANCE_MODELS[index]
+    u = random_unitary(np.random.default_rng(seed), model.dim)
+    conj = lambda a: u @ a @ u.conj().T  # noqa: E731
+    if isinstance(model, LindbladModel):
+        rotated = _rotated(model, u)
+    else:
+        rotated = KrausChannel.create([conj(v) for v in model.kraus])
+    report = decompose(rotated)
+    assert verify_decomposition(report, rotated).ok
+    _assert_same_projectors(decompose(model), report, conj)

@@ -151,6 +151,16 @@ def test_qnd_uniqueness_nondegenerate():
     assert record.consistent
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_qnd_uniqueness_small_amplitude_gaps(gap):
+    # Re ω = −gap²/2 lies above −residual_tol, yet the columns differ, so it
+    # is strictly negative and the model is consistent, not an error.
+    q = QndModel.create([0.0, 0.0], [[0.5, 0.5 + gap]], split=0)
+    record = qnd_uniqueness(q)
+    assert record.nondegenerate and record.omega_all_negative and record.consistent
+    assert record.re_omega[(0, 1)] == pytest.approx(-0.5 * gap**2, rel=1e-6)
+
+
 def test_qnd_uniqueness_rotating_coherence():
     # identical amplitude rows but distinct energies: omega purely imaginary,
     # decomposition still unique, non-degeneracy fails

@@ -45,6 +45,7 @@ from helpers import (
     random_channel,
     random_model,
     renewal_pair_channel,
+    tilted_hamiltonian_model,
 )
 
 
@@ -273,9 +274,9 @@ def test_cli_analyze_weak_block_coupling_never_exits_0_unverified(tmp_path, caps
 def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     # A 4-level generic block drained from a fifth level at rate 1e-6. Stage
     # 1 factors the drained level's coherences as a sector of their own, and
-    # the kernel vector from the remaining sector leaks 4.6e-10 outside the
-    # enclosure: below extremal_state's absolute 1e-9 cut, which the kernel
-    # vector from one SVD of all of L crossed (1.2e-9, exit 3).
+    # the kernel vector from the remaining sector leaks about 3e-10 into the
+    # transient level: verification's recurrent_support clause, well inside
+    # residual_tol. extremal_state reads ker L compressed to the enclosure.
     base = leaky_model(np.random.default_rng(1), 5, 2)
     jumps = [*base.jumps[:-1], 1e-3 * base.jumps[-1]]
     doc = {
@@ -466,6 +467,38 @@ def test_cli_identifiability_qnd_mode(tmp_path, capsys):
     assert out["identifiability"]["mode"] == "qnd-nondegeneracy"
     assert out["identifiability"]["overall"] is False
     assert out["qnd_uniqueness"]["decomposition_unique"] is True
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_cli_identifiability_qnd_small_amplitude_gap(tmp_path, capsys, gap):
+    doc = {
+        "mode": "qnd",
+        "dim": 2,
+        "qnd": {"energies": [0, 0], "amplitudes": [[[0.5, 0], [0.5 + gap, 0]]], "split": 0},
+    }
+    path = tmp_path / "qnd-gap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["identifiability", str(path), "--format", "structured"]) == 0
+    out = parse_report(capsys.readouterr().out)
+    assert out["qnd_uniqueness"]["consistent"] is True
+    assert out["qnd_uniqueness"]["omega_all_negative"] is True
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 5e-7])
+def test_cli_analyze_hamiltonian_with_a_small_anti_hermitian_part(tmp_path, capsys, eps):
+    model, _ = tilted_hamiltonian_model(eps)
+    doc = {
+        "mode": "lindblad",
+        "dim": model.dim,
+        "hamiltonian": complex_matrix_to_json(model.hamiltonian),
+        "jumps": [complex_matrix_to_json(j) for j in model.jumps],
+    }
+    path = tmp_path / "tilted.json"
+    path.write_text(serialize_report(doc))
+    assert main(["analyze", str(path), "--format", "structured"]) == 0
+    report = parse_report(capsys.readouterr().out)
+    assert report["verification"]["ok"] is True
+    assert _shape(report) == (0, [4], [])
 
 
 def test_cli_batch_analyze(tmp_path, capsys):

@@ -40,6 +40,7 @@ from helpers import (
     random_density,
     random_model,
     random_rate_matrix,
+    tilted_hamiltonian_model,
     unit,
 )
 
@@ -403,3 +404,13 @@ def test_choi_min_eigenvalue_matches_choi_spectrum():
         assert validate(channel).choi_min_eigenvalue == choi_min_eigenvalue(channel)
     assert len(wide.kraus) >= wide.dim**2
     assert choi_min_eigenvalue(wide) > 1e-3
+
+
+def test_validate_reports_the_hamiltonian_defect_but_not_as_lost_trace():
+    # The dynamics use the Hermitian part of H, so L*(1) = 0 up to roundoff;
+    # the Hermiticity residual is still H's own.
+    model, _ = tilted_hamiltonian_model(1e-8)
+    diag = validate(model)
+    defect = np.linalg.norm(model.hamiltonian - model.hamiltonian.conj().T)
+    assert defect > 1e-8 and diag.hermiticity_residual == defect
+    assert diag.trace_residual <= 1e-14 and diag.ok
