@@ -237,52 +237,45 @@ def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> Enclosu
     return EnclosureCheck(enclosed=bool(residual <= tol.residual_tol), residual=residual)
 
 
-def _closure_residual(fbasis: Sequence[np.ndarray]) -> float:
-    """Largest projection residual of pairwise products onto the span, over
-    at most 200 pairs drawn by a fixed generator."""
-    rng = np.random.default_rng(0)
-    k = len(fbasis)
-    flat = np.array([f.ravel() for f in fbasis])
-    pairs = [(i, j) for i in range(k) for j in range(k)]
-    if len(pairs) > 200:
-        idx = rng.choice(len(pairs), size=200, replace=False)
-        pairs = [pairs[i] for i in idx]
-    prods = [(fbasis[i] @ fbasis[j]).ravel() for i, j in pairs]
-    return max(float(np.linalg.norm(p - flat.T @ (flat.conj() @ p))) for p in prods)
-
-
 def _link_clusters(
     x: np.ndarray, parts: Sequence[slice], tol: Tolerances
-) -> tuple[list[list[tuple[slice, np.ndarray]]], float]:
+) -> list[list[tuple[slice, np.ndarray]]]:
     """Group eigenvalue clusters into the blocks of the algebra.
 
     ``x`` is a generic algebra element in the eigenbasis of a generic
     Hermitian one, whose clusters ``parts`` are minimal projections. A
     corner x[q, p] is zero between blocks and a nonzero multiple of the
     matrix unit p -> q inside one, so each cluster joins the first group
-    whose head it links to, with the normalized corner as its link (the
-    head's link is the identity), or starts a new group. Returns the groups
-    and the largest partial-isometry defect of the links.
+    whose head has its dimension and links to it, with the normalized
+    corner as its link (the head's link is the identity), or starts a new
+    group. A corner left between groups shows in ``_block_form_distance``.
     """
     groups: list[list[tuple[slice, np.ndarray]]] = []
-    defect = 0.0
     for part in parts:
         for group in groups:
             head = group[0][0]
             corner = x[part, head]
             scale = frob(corner) / np.sqrt(head.stop - head.start)
-            if scale > tol.eig_cluster_tol:
-                w = corner / scale
-                defect = max(
-                    defect,
-                    frob(dagger(w) @ w - np.eye(w.shape[1])),
-                    frob(w @ dagger(w) - np.eye(w.shape[0])),
-                )
-                group.append((part, w))
+            if corner.shape[0] == corner.shape[1] and scale > tol.eig_cluster_tol:
+                group.append((part, corner / scale))
                 break
         else:
             groups.append([(part, np.eye(part.stop - part.start))])
-    return groups, defect
+    return groups
+
+
+def _block_form_distance(stack: np.ndarray, layout: Sequence[tuple[int, int]]) -> float:
+    """Frobenius distance of a stack of r × r matrices from the algebra
+    ⊕_b M_{m_b} ⊗ 1_{d_b}, its blocks laid along the diagonal in the order of
+    ``layout`` = [(m_b, d_b)]: each d × d block of a group is replaced by
+    (trace / d)·1_d and each block between groups by 0."""
+    rest, start = stack.copy(), 0
+    for m, d in layout:
+        g = slice(start, start + m * d)
+        traces = np.trace(rest[:, g, g].reshape(-1, m, d, m, d), axis1=2, axis2=4)
+        rest[:, g, g] -= np.kron(traces / d, np.eye(d))
+        start += m * d
+    return frob(rest)
 
 
 def algebra_structure(
@@ -303,10 +296,16 @@ def algebra_structure(
     (``_link_clusters``). The first Hermitian one is E_F(D), the HS
     projection of D = diag(0, 1, …, n−1) onto F: A_b ⊗ 1_d on block b, with
     A_b generically nondegenerate, so the members depend only on the
-    dynamics and the input basis. A sample is accepted when every link is a
-    partial isometry and Σ m_b² = dim F; otherwise up to four samples with a
-    generic Hermitian element from a fixed generator follow, then an error
-    is raised.
+    dynamics and the input basis. Each member's eigenvectors turned by its
+    link form a basis V in which the sample claims F = ⊕_b M_{m_b} ⊗ 1_{d_b},
+    block by block. The ``algebra_closure`` residual is the distance of
+    V† f V from that form over the orthonormal basis of F
+    (``_block_form_distance``): it is 0 exactly when F lies in the claimed
+    algebra, and since 1_R is in F and ‖link‖_F = √d, only when every link
+    is unitary. A sample is accepted when Σ m_b² = dim F and the closure is
+    at most residual_tol, which proves F equal to the claimed algebra;
+    otherwise up to four samples with a generic Hermitian element from a
+    fixed generator follow, then an error is raised.
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
@@ -346,8 +345,6 @@ def algebra_structure(
             f"operators (ε_F = {commutant:.3e})",
         )
 
-    residuals = {"algebra_commutant": commutant, "algebra_closure": _closure_residual(fbasis)}
-
     # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis
     d_r = dagger(iso_r) @ (np.arange(len(p_r))[:, None] * iso_r)
     g = np.tensordot(stack.conj(), d_r, axes=2).real
@@ -355,9 +352,13 @@ def algebra_structure(
         c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
         w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
         x = dagger(u) @ np.tensordot(c, stack, axes=1) @ u
-        groups, defect = _link_clusters(x, cluster_sorted_values(w, tol.eig_cluster_tol), tol)
-        squares = sum(len(group) ** 2 for group in groups)
-        if defect <= 100 * tol.residual_tol and squares == dim_f:
+        groups = _link_clusters(x, cluster_sorted_values(w, tol.eig_cluster_tol), tol)
+        # each member's eigenvectors turned by its link: F's claimed form in this basis
+        v = np.hstack([u[:, part] @ link for group in groups for part, link in group])
+        layout = [(len(group), group[0][0].stop - group[0][0].start) for group in groups]
+        closure = _block_form_distance(dagger(v) @ stack @ v, layout)
+        squares = sum(m * m for m, _ in layout)
+        if squares == dim_f and closure <= tol.residual_tol:
             break
         g = rng.standard_normal(dim_f)
     else:
@@ -365,7 +366,7 @@ def algebra_structure(
             "algebra",
             "eigenvalue clustering stayed ambiguous after 5 samples: "
             f"the last gave Σ m_b² = {squares} against dim F = {dim_f} "
-            f"(link defect {defect:.3e})",
+            f"(closure {closure:.3e})",
         )
 
     blocks = []
@@ -381,16 +382,12 @@ def algebra_structure(
                 multiplicity=m,
                 inner_dimension=d,
                 member_projectors=tuple(members),
+                # the turned lifts' products lift_a lift_0† (the head's link is 1)
                 links=tuple(
                     lift @ link @ dagger(lifts[0]) for lift, (_, link) in zip(lifts, group)
                 ),
             )
         )
-
-    residuals["algebra_matrix_units"] = max(
-        (frob(dagger(w) @ w - b.member_projectors[0]) for b in blocks for w in b.links[1:]),
-        default=0.0,
-    )
 
     return AlgebraStructure(
         recurrent_dimension=r,
@@ -398,7 +395,7 @@ def algebra_structure(
         center_dimension=len(blocks),
         blocks=tuple(blocks),
         fixed_point_basis=tuple(iso_r @ f @ dagger(iso_r) for f in fbasis),
-        residuals=residuals,
+        residuals={"algebra_commutant": commutant, "algebra_closure": closure},
     )
 
 

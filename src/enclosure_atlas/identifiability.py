@@ -37,8 +37,10 @@ from .linalg import (
 from .semigroup import KrausChannel, LindbladModel, unvec
 from .decomposition import (
     DecompositionReport,
+    _leading_isometry,
     decompose,
     enumerate_minimal_enclosures,
+    is_enclosure,
 )
 
 TOLERANCE_POLICY_NOTE = "separations at or below residual_tol count as equality"
@@ -338,7 +340,8 @@ def discrete_identifiability(
     over the tested words, which are the children of kept words and not
     every word up to the last level.
     Raises ValueError when a Kraus operator maps an enclosure of the report
-    out of itself, as with a report taken from another model.
+    out of itself (``is_enclosure``), as with a report taken from another
+    model.
     """
     if max_len is not None and max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -347,15 +350,14 @@ def discrete_identifiability(
     kraus = channel._stack
     blocks, level = [], []
     for label, rec, _ in enclosures:
-        p = rec.projector
-        leak = np.linalg.norm(kraus @ p - p @ kraus @ p, axis=(1, 2)).max()
-        if leak > tol.residual_tol:
+        check = is_enclosure(rec.projector, channel, tol)
+        if not check.enclosed:
             raise ValueError(
                 f"a Kraus operator maps enclosure {label} out of itself "
-                f"(leak {leak:.3e}); is the report from another model?"
+                f"(δ = {check.residual:.3e}); is the report from another model?"
             )
         # Each enclosure evolves on its own range, so compress to it.
-        u = np.linalg.eigh(p)[1][:, -rec.dimension:]
+        u = _leading_isometry(rec.projector, rec.dimension)
         w = dagger(u) @ kraus @ u
         blocks.append((w, w.conj().transpose(0, 2, 1)))
         level.append((dagger(u) @ rec.extremal_state @ u)[None])

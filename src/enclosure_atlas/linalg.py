@@ -557,12 +557,8 @@ def cluster_sorted_values(values: np.ndarray, width: float) -> list[slice]:
     """Group an ascending 1-d array into clusters split at gaps > width."""
     if values.size == 0:
         return []
-    edges = [0]
-    for i in range(1, values.size):
-        if values[i] - values[i - 1] > width:
-            edges.append(i)
-    edges.append(values.size)
-    return [slice(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    edges = [0, *(np.flatnonzero(np.diff(values) > width) + 1).tolist(), values.size]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 def lex_key(m: np.ndarray, decimals: int = 12) -> tuple:

@@ -1208,6 +1208,37 @@ def test_algebra_structure_scalar_fixed_points():
     assert block.multiplicity == 1 and block.inner_dimension == 2
 
 
+def test_block_form_distance_is_the_distance_to_the_matrix_units():
+    # An orthonormal Hermitian basis of M_2 ⊗ 1_2 ⊕ M_1 ⊗ 1_1 on C^5 in block
+    # form lies in the algebra; rotated by exp(iθG) with a G that mixes the
+    # blocks, its distance is the least-squares distance to the matrix units.
+    layout = [(2, 2), (1, 1)]
+    units = []
+    for a in range(2):
+        for b in range(2):
+            unit_ab = np.zeros((5, 5), dtype=complex)
+            unit_ab[2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = np.eye(2)
+            units.append(unit_ab)
+    units.append(np.diag([0, 0, 0, 0, 1.0]).astype(complex))
+    e00, e01, e10, e11, e22 = units
+    basis = np.array(
+        [e00 / np.sqrt(2), e11 / np.sqrt(2), (e01 + e10) / 2, 1j * (e01 - e10) / 2, e22]
+    )
+    gram = np.tensordot(basis.conj(), basis, axes=([1, 2], [1, 2]))
+    assert np.allclose(gram, np.eye(5), atol=1e-15)
+    assert decomposition_module._block_form_distance(basis, layout) <= 1e-14
+
+    theta = 1e-3
+    rot = scipy.linalg.expm(1j * theta * random_hermitian(np.random.default_rng(0), 5))
+    rotated = rot @ basis @ rot.conj().T
+    span = np.array([u.ravel() for u in units]).T
+    coeffs = np.linalg.lstsq(span, rotated.reshape(5, -1).T, rcond=None)[0]
+    oracle = np.linalg.norm(rotated.reshape(5, -1).T - span @ coeffs)
+    value = decomposition_module._block_form_distance(rotated, layout)
+    assert abs(value - oracle) <= 1e-12
+    assert value >= theta / 10
+
+
 def test_extremal_state_coordinate_enclosure():
     model = two_enclosures_2d()
     split = recurrent_projector(model)
@@ -1430,12 +1461,16 @@ def test_reports_do_not_depend_on_jump_order_or_splitting():
     models = [conjugated_pair_model(rng, d, 3)[0] for d in (2, 3)]
     models += [conjugated_pair_channel(rng, d, 3) for d in (2, 3)]
     models.append(block_diag_model(rng, (2, 3), 3))
+    models += [random_model(rng, n, 3) for n in (3, 5)]
+    models += [leaky_model(rng, n, 3) for n in (4, 5)]
+    models += [random_channel(rng, n, 3) for n in (3, 4)]
+    models += [minimal_oqrw(random_rate_matrix(rng, n)) for n in (6, 8)]
     for model in models:
         lindblad = isinstance(model, LindbladModel)
         ops = list(model.jumps if lindblad else model.kraus)
         base = _report_operators(decompose(model))
         r = np.sqrt(0.5)
-        for variant in (ops[::-1], [ops[1], ops[2], ops[0]], [r * ops[0], r * ops[0], *ops[1:]]):
+        for variant in (ops[::-1], ops[1:] + ops[:1], [r * ops[0], r * ops[0], *ops[1:]]):
             if lindblad:
                 variant = LindbladModel.create(model.hamiltonian, variant)
             else:
@@ -1703,7 +1738,7 @@ def test_verification_clauses_and_report_residuals_of_one_enclosure():
     # report is a verification clause, one per condition, none per state.
     model = faithful_2d()
     report = decompose(model)
-    assert set(report.residuals) == {"algebra_commutant", "algebra_closure", "algebra_matrix_units"}
+    assert set(report.residuals) == {"algebra_commutant", "algebra_closure"}
     assert [c.name for c in verify_decomposition(report, model).clauses] == [
         "recurrent_invariance",
         "recurrent_enclosure",

@@ -13,6 +13,7 @@ from enclosure_atlas.fixtures import (
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     Tolerances,
+    cluster_sorted_values,
     frob,
     gather_real,
     hermitian_basis,
@@ -49,6 +50,20 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(residual_tol=-1e-9)
     assert Tolerances().replace(rank_tol=1e-6).rank_tol == 1e-6
+
+
+def test_cluster_sorted_values_splits_at_gaps_wider_than_the_width():
+    assert cluster_sorted_values(np.array([]), 0.1) == []
+    assert cluster_sorted_values(np.array([1.0]), 0.1) == [slice(0, 1)]
+    values = np.array([0.0, 0.05, 0.1, 0.3, 0.3, 1.0])
+    assert cluster_sorted_values(values, 0.1) == [slice(0, 3), slice(3, 5), slice(5, 6)]
+    # the same slices as a loop over neighbouring gaps
+    rng = np.random.default_rng(0)
+    for size in range(1, 30):
+        values = np.sort(rng.standard_normal(size))
+        edges = [0] + [i for i in range(1, size) if values[i] - values[i - 1] > 0.1] + [size]
+        expected = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        assert cluster_sorted_values(values, 0.1) == expected
 
 
 def test_support_projector_faithful_state():
