@@ -48,7 +48,6 @@ from .semigroup import (
     KrausChannel,
     LindbladModel,
     build_generator,
-    channel_superoperator,
     choi_min_eigenvalue,
     generator_action,
     unvec,
@@ -132,8 +131,8 @@ class DecompositionReport:
     is_unique: bool
     residuals: dict
     conventions: dict
-    # Orthonormal basis (as columns) of ker L (Phi - Id for channels), each
-    # vec of a Hermitian matrix; verification reuses it, so one analyze
+    # Orthonormal basis (as columns) of ker L (L = Phi - Id for a channel),
+    # each vec of a Hermitian matrix; verification reuses it, so one analyze
     # factors L once. Not serialized.
     invariant_kernel: np.ndarray
 
@@ -157,9 +156,10 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     The recurrent projector is the support of the maximal-support invariant
     state E(1/n), where E is the spectral projection at eigenvalue 0: the
     projection onto ker L along ran L. With orthonormal bases K of ker L and
-    Y of ker L† from ``real_null_spaces``, E = K (Y†K)⁻¹ Y†. In discrete
-    time L is the channel matrix minus the identity, and E is the Cesàro
-    limit of the channel's powers. Eigenvalue 0 is semisimple for any
+    Y of ker L† from ``real_null_spaces``, E = K (Y†K)⁻¹ Y†. A channel is
+    the generator with H = 0, K = -½·1 and jumps V_i, so L = Phi - Id (the
+    ``build_generator`` matrix of either kind), and E is the Cesàro limit of
+    the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,
     and raises. L must preserve Hermiticity (``gather_real`` raises
     otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
@@ -167,7 +167,8 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     while ``gather_real`` reads it: the factorization works on the real M
     alone.
     """
-    kern, left = real_null_spaces(*gather_real(_generator(obj, tol), tol), tol)
+    _model_kind(obj)
+    kern, left = real_null_spaces(*gather_real(build_generator(obj).matrix, tol), tol)
     n = obj.dim
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")
@@ -192,9 +193,9 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     operators (``generator_action`` in the Heisenberg picture) in O(k n³).
 
     Its kernel, restricted to operators supported in the recurrent subspace,
-    is the fixed-point set of the compressed Heisenberg evolution. In
-    discrete time L* is the adjoint channel minus the identity. ``decompose``
-    does not call it: ``algebra_structure`` decides F from the operators.
+    is the fixed-point set of the compressed Heisenberg evolution; for a
+    channel L* = Phi* - Id. ``decompose`` does not call it:
+    ``algebra_structure`` decides F from the operators.
     """
     _model_kind(obj)
     p_r = require_square(p_r)
@@ -204,20 +205,17 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
 
 
 def _scale(obj) -> float:
-    """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F for a Lindblad model, 1 for a
-    channel: L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
-    return 1.0 if _model_kind(obj) == "kraus" else frob(obj._drift) + frob(obj._stack) ** 2
+    """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F (s = ½√n + n for a channel):
+    L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
+    return frob(obj._drift) + frob(obj._stack) ** 2
 
 
 def _weighted_operators(obj) -> np.ndarray:
     """The model's operators as one stack, weighted so that no residual built
-    from it depends on scale: K/s and (g/s)·L_j for a Lindblad model (all
-    zero for the zero generator, s = 0), or V_i/√n for a channel. The
-    Frobenius norm of any stack X A Y over the weighted A is unchanged by
-    L → cL and by reordering, splitting or unitarily mixing the jumps or
-    Kraus operators."""
-    if _model_kind(obj) == "kraus":
-        return obj._stack / np.sqrt(obj.dim)
+    from it depends on scale: K/s and (g/s)·L_j (all zero for the zero
+    generator, s = 0; K = -½·1 and L_j = V_j for a channel). The Frobenius
+    norm of any stack X A Y over the weighted A is unchanged by L → cL and by
+    reordering, splitting or unitarily mixing the jumps or Kraus operators."""
     s = _scale(obj)
     stack = np.concatenate([obj._drift[None], frob(obj._stack) * obj._stack])
     return stack / s if s > 0 else stack
@@ -225,8 +223,8 @@ def _weighted_operators(obj) -> np.ndarray:
 
 def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> EnclosureCheck:
     """Check whether a projector P projects onto an enclosure of a model:
-    P⊥ K P = 0 and P⊥ L_j P = 0 for a Lindblad model, P⊥ V_i P = 0 for a
-    channel. The residual δ is the Frobenius norm of the weighted stack of
+    P⊥ K P = 0 and P⊥ L_j P = 0 (P⊥ V_i P = 0 for a channel, whose K is
+    -½·1). The residual δ is the Frobenius norm of the weighted stack of
     these leaks (``_weighted_operators``), so it reads the same at every
     time scale; P is enclosed when δ <= residual_tol.
     """
@@ -482,17 +480,6 @@ def _model_kind(obj) -> str:
     if isinstance(obj, KrausChannel):
         return "kraus"
     raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
-
-
-def _generator(obj, tol: Tolerances) -> np.ndarray:
-    """The n² × n² matrix of L for a Lindblad model, of Phi - Id for a channel
-    (the identity taken off the diagonal in place), so that ker L holds the
-    invariant states and ker L† the fixed points in both time modes."""
-    if _model_kind(obj) == "lindblad":
-        return build_generator(obj).matrix
-    gen = channel_superoperator(obj, tol).matrix
-    gen[np.diag_indices(obj.dim**2)] -= 1.0
-    return gen
 
 
 def _validate_input(obj, tol: Tolerances):

@@ -90,6 +90,12 @@ class KrausChannel:
         return cls(dim=n, kraus=ops)
 
     @cached_property
+    def _drift(self) -> np.ndarray:
+        # Phi - Id is the generator with H = 0, jumps V_i and K = -½·1: exactly
+        # that, not -½ Σ V_i†V_i, whose roundoff would fill zeros of Phi - Id.
+        return -0.5 * np.eye(self.dim)
+
+    @cached_property
     def _stack(self) -> np.ndarray:
         return _stacked(self.kraus, self.dim)
 
@@ -140,9 +146,10 @@ def _sandwich_sum(stack: np.ndarray) -> np.ndarray:
     return out.reshape(n * n, n * n)
 
 
-def build_generator(model: LindbladModel) -> Superoperator:
+def build_generator(model: LindbladModel | KrausChannel) -> Superoperator:
     """Schrödinger-picture generator rho -> -i[H,rho] + sum_j D[L_j](rho),
-    assembled as 1 ⊗ K + conj(K) ⊗ 1 + sum_j conj(L_j) ⊗ L_j."""
+    assembled as 1 ⊗ K + conj(K) ⊗ 1 + sum_j conj(L_j) ⊗ L_j; for a channel
+    (K = -½·1, jumps V_i) this is Phi - Id."""
     n, drift = model.dim, model._drift
     mat = _sandwich_sum(model._stack)
     # Entry [(i, k), (j, l)] of the (n, n, n, n) view: 1 ⊗ K fills i = j,
@@ -153,7 +160,7 @@ def build_generator(model: LindbladModel) -> Superoperator:
     return Superoperator(dim=n, matrix=mat)
 
 
-def adjoint_generator(model: LindbladModel) -> Superoperator:
+def adjoint_generator(model: LindbladModel | KrausChannel) -> Superoperator:
     """Heisenberg-picture generator A -> i[H,A] + sum_j (L_j† A L_j - ½{L_j†L_j, A}),
     the Hilbert-Schmidt adjoint of ``build_generator``."""
     return Superoperator(dim=model.dim, matrix=dagger(build_generator(model).matrix))
@@ -169,22 +176,19 @@ def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) 
 
 
 def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """The generator-like map of a model applied to one operator, in
-    O(k n³) and without a superoperator: K x + x K† + sum_j L_j x L_j† (that
-    is L(x)) for a Lindblad model, sum_j V_j x V_j† − x for a channel. With
-    ``adjoint`` the Heisenberg picture L*(x): K† x + x K + sum_j L_j† x L_j,
-    or sum_j V_j† x V_j − x.
+    """The generator of a model applied to one operator, in O(k n³) and
+    without a superoperator: L(x) = K x + x K† + sum_j L_j x L_j†, or with
+    ``adjoint`` the Heisenberg picture L*(x) = K† x + x K + sum_j L_j† x L_j.
+    For a channel (K = -½·1, jumps V_j) these are Phi(x) − x and
+    Phi*(x) − x.
 
     K and the k × n × n stack of operators are computed once per model; the
     sum over operators is two GEMMs: the stacked A_j x, then its contraction
     with the stacked A_j†."""
-    if isinstance(obj, LindbladModel):
-        drift = dagger(obj._drift) if adjoint else obj._drift
-        out = drift @ x + x @ dagger(drift)
-    elif isinstance(obj, KrausChannel):
-        out = -np.asarray(x, dtype=complex)
-    else:
+    if not isinstance(obj, (LindbladModel, KrausChannel)):
         raise TypeError(f"cannot apply object of type {type(obj).__name__}")
+    drift = dagger(obj._drift) if adjoint else obj._drift
+    out = drift @ x + x @ dagger(drift)
     ops = obj._stack.conj().transpose(0, 2, 1) if adjoint else obj._stack
     left = (ops.reshape(-1, obj.dim) @ x).reshape(ops.shape)
     return out + np.tensordot(left, ops.conj(), axes=([0, 2], [0, 2]))

@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse.csgraph
 
@@ -33,7 +33,6 @@ from enclosure_atlas.semigroup import (
 )
 from enclosure_atlas.decomposition import (
     DecompositionError,
-    _generator,
     _scale,
     _weighted_operators,
     algebra_structure,
@@ -47,6 +46,7 @@ from enclosure_atlas.decomposition import (
     verify_decomposition,
 )
 import enclosure_atlas.decomposition as decomposition_module
+import enclosure_atlas.semigroup as semigroup_module
 import enclosure_atlas.linalg as linalg_module
 from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
 from enclosure_atlas.oqrw import minimal_oqrw
@@ -70,6 +70,7 @@ from helpers import (
     random_model,
     random_rate_matrix,
     random_unitary,
+    renewal_pair_channel,
     tilted_hamiltonian_model,
     unit,
 )
@@ -128,7 +129,7 @@ def _agreement_models():
 def test_recurrent_projector_matches_schur_sylvester_oracle():
     for model in _agreement_models():
         split = recurrent_projector(model)
-        oracle = _schur_sylvester_state(_generator(model, DEFAULT_TOL))
+        oracle = _schur_sylvester_state(build_generator(model).matrix)
         assert np.linalg.norm(split.state - oracle) < 1e-9
         assert np.linalg.norm(split.recurrent - support_projector(oracle)) < 1e-10
 
@@ -179,15 +180,11 @@ def test_recurrent_projector_rejects_kernel_free_map(monkeypatch):
 
 
 def test_recurrent_projector_takes_lindblad_models_and_channels():
-    # Stage 1 on the model equals stage 1 on a hand-built L (Phi - Id with
-    # the identity subtracted out of place for a channel), bit for bit.
+    # Stage 1 on the model equals stage 1 on its generator matrix, bit for
+    # bit; a channel's is that of H = 0, K = -½·1 and jumps V_i.
     for model in _agreement_models():
         n = model.dim
-        if isinstance(model, LindbladModel):
-            mat = build_generator(model).matrix
-        else:
-            mat = channel_superoperator(model).matrix - np.eye(n * n)
-        kern, left = null_spaces(mat)
+        kern, left = null_spaces(build_generator(model).matrix)
         overlap = left.conj().T @ kern
         coeff = np.linalg.solve(overlap, left.conj().T @ vec(np.eye(n) / n))
         rho = unvec(kern @ coeff)
@@ -197,6 +194,13 @@ def test_recurrent_projector_takes_lindblad_models_and_channels():
         assert np.array_equal(split.adjoint_kernel, left)
         assert np.array_equal(split.state, state)
         assert np.array_equal(split.recurrent, support_projector(state))
+        if isinstance(model, KrausChannel):
+            # The independent oracle Phi - Id spans the same kernels; their
+            # bases may rotate inside a degenerate kernel, so compare K K†.
+            oracle = null_spaces(channel_superoperator(model).matrix - np.eye(n * n))
+            for ours, theirs in zip((kern, left), oracle):
+                assert ours.shape == theirs.shape
+                assert np.linalg.norm(ours @ ours.conj().T - theirs @ theirs.conj().T) <= 1e-13
         # ‖L(ρ)‖_F / s of the state, the verification clause (s = 0 only for
         # the zero generator, whose L(ρ) is exactly 0)
         s, residual = _scale(model), frob(generator_action(model, state))
@@ -206,6 +210,37 @@ def test_recurrent_projector_takes_lindblad_models_and_channels():
     for other in (build_generator(faithful_2d()), np.zeros((4, 4)), None):
         with pytest.raises(TypeError, match="cannot decompose"):
             recurrent_projector(other)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.tuples(
+        st.sampled_from([random_channel, conjugated_pair_channel]),
+        st.integers(2, 4),
+        st.integers(0, 2**16),
+    )
+)
+@example(rotation_channel())
+@example(renewal_pair_channel())
+def test_a_channel_decomposes_as_its_generator_and_as_its_lazy_channel(case):
+    # Phi - Id is the generator with H = 0, K = -½ Σ V†V and jumps V_i, and
+    # the lazy channel {V_i/√2, 1/√2} has the generator ½(Phi - Id): all
+    # three have the same invariant states, enclosures and isometries.
+    if isinstance(case, KrausChannel):
+        channel = case
+    else:
+        make, size, seed = case
+        channel = make(np.random.default_rng(seed), size, 2)
+    n = channel.dim
+    base = decompose(channel)
+    assert verify_decomposition(base, channel).ok
+    lazy = [v / np.sqrt(2) for v in channel.kraus] + [np.eye(n) / np.sqrt(2)]
+    for model in (LindbladModel.create(np.zeros((n, n)), channel.kraus), KrausChannel.create(lazy)):
+        report = decompose(model)
+        assert _sorted_shape(report) == _sorted_shape(base)
+        assert verify_decomposition(report, model).ok
+        for a, b in zip(_report_operators(base), _report_operators(report), strict=True):
+            assert np.abs(a - b).max() <= 1e-12
 
 
 def _svd_spy(monkeypatch):
@@ -222,11 +257,14 @@ def _svd_spy(monkeypatch):
 
 
 def _forbid_superoperator_builds(monkeypatch):
+    """Make every n² × n² build fail: the generator as ``decomposition`` binds
+    it, and every builder in ``semigroup``, down to their shared sum."""
     def forbidden(*args, **kwargs):
         raise AssertionError("superoperator rebuilt")
 
-    for name in ("build_generator", "channel_superoperator"):
-        monkeypatch.setattr(decomposition_module, name, forbidden)
+    monkeypatch.setattr(decomposition_module, "build_generator", forbidden)
+    for name in ("build_generator", "adjoint_generator", "channel_superoperator", "_sandwich_sum"):
+        monkeypatch.setattr(semigroup_module, name, forbidden)
 
 
 def _factor_spy(monkeypatch):
@@ -466,7 +504,7 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "_certified_kernels", spy)
     for model in (*_agreement_models(), *_sector_models()):
-        gen, n = _generator(model, DEFAULT_TOL), model.dim
+        gen, n = build_generator(model).matrix, model.dim
         u, s, vh = svd(gen)
         cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen), 1.0)
         rank = int(np.count_nonzero(s > cut))
@@ -583,7 +621,7 @@ def _assert_matches_sector_svd_oracle(mat):
 def test_null_spaces_match_per_sector_svd_oracle():
     models = (*_agreement_models(), *_sector_models(), *_oracle_grid())
     for model in models:
-        _assert_matches_sector_svd_oracle(_generator(model, DEFAULT_TOL))
+        _assert_matches_sector_svd_oracle(build_generator(model).matrix)
 
 
 def test_null_spaces_near_threshold_falls_back_to_svd(monkeypatch):
@@ -668,7 +706,7 @@ def test_null_spaces_certified_left_vectors_are_the_trace_functional(monkeypatch
     # solve's yᵀx = 1 gives the right kernel vector a positive trace.
     calls = _factor_spy(monkeypatch)
     for model in (*_agreement_models(), *_sector_models(), *_oracle_grid()):
-        mat = _generator(model, DEFAULT_TOL)
+        mat = build_generator(model).matrix
         n = model.dim
         calls.clear()
         kern, left = null_spaces(mat)
@@ -856,14 +894,14 @@ def test_null_spaces_kernel_dimension_is_basis_invariant():
     models = [block_diag_model(rng, (2, 3), 2), leaky_model(rng, 5, 3), random_model(rng, 4, 2)]
     models += [conjugated_pair_model(rng, 2, 3)[0], conjugated_pair_channel(rng, 2, 3)]
     for model in models:
-        kern, _ = null_spaces(_generator(model, DEFAULT_TOL))
+        kern, _ = null_spaces(build_generator(model).matrix)
         u = random_unitary(rng, model.dim)
         if isinstance(model, LindbladModel):
             jumps = [u @ j @ u.conj().T for j in model.jumps][::-1]
             moved = LindbladModel.create(u @ model.hamiltonian @ u.conj().T, jumps)
         else:
             moved = KrausChannel.create([u @ v @ u.conj().T for v in model.kraus][::-1])
-        moved_kern, _ = null_spaces(_generator(moved, DEFAULT_TOL))
+        moved_kern, _ = null_spaces(build_generator(moved).matrix)
         assert moved_kern.shape[1] == kern.shape[1] > 0
 
 
@@ -878,7 +916,7 @@ def test_decompose_generators_zero_up_to_roundoff():
         u = random_unitary(rng, n)
         h, jump, k = (u @ (c * np.eye(n)) @ u.conj().T for c in (0.7, 0.3, np.sqrt(0.5)))
         for model in (LindbladModel.create(h, [jump]), KrausChannel.create([k, k])):
-            assert 0 < np.linalg.norm(_generator(model, DEFAULT_TOL)) < 1e-13
+            assert 0 < np.linalg.norm(build_generator(model).matrix) < 1e-13
             report = decompose(model)
             assert report.recurrent_dimension == n and not report.unique_enclosures
             (family,) = report.families
@@ -937,7 +975,7 @@ def _compressed_svd_oracle(model, seed=0):
     """Fixed-point span projector, central-block projectors and extremal
     states from SVDs of the compressed cut-off and compressed generators:
     an independent oracle for algebra_structure and extremal_state."""
-    gen = _generator(model, DEFAULT_TOL)
+    gen = build_generator(model).matrix
     split = recurrent_projector(model)
     iso = _range_of(split.recurrent)
     cut = _dense_cutoff(model, split.recurrent)

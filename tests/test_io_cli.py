@@ -271,19 +271,24 @@ def test_cli_analyze_weak_block_coupling_never_exits_0_unverified(tmp_path, caps
     assert "verification: ok" not in out
 
 
+def _weak_drain(amplitude):
+    """leaky-5 with its drain jump scaled by ``amplitude``: drain rate amplitude²."""
+    base = leaky_model(np.random.default_rng(1), 5, 2)
+    return LindbladModel.create(base.hamiltonian, [*base.jumps[:-1], amplitude * base.jumps[-1]])
+
+
 def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     # A 4-level generic block drained from a fifth level at rate 1e-6. Stage
     # 1 factors the drained level's coherences as a sector of their own, and
     # the kernel vector from the remaining sector leaks about 3e-10 into the
     # transient level: verification's recurrent_support clause, well inside
     # residual_tol. extremal_state reads ker L compressed to the enclosure.
-    base = leaky_model(np.random.default_rng(1), 5, 2)
-    jumps = [*base.jumps[:-1], 1e-3 * base.jumps[-1]]
+    model = _weak_drain(1e-3)
     doc = {
         "mode": "lindblad",
         "dim": 5,
-        "hamiltonian": complex_matrix_to_json(base.hamiltonian),
-        "jumps": [complex_matrix_to_json(j) for j in jumps],
+        "hamiltonian": complex_matrix_to_json(model.hamiltonian),
+        "jumps": [complex_matrix_to_json(j) for j in model.jumps],
     }
     path = tmp_path / "weak-drain.json"
     path.write_text(serialize_report(doc))
@@ -314,6 +319,13 @@ TIME_SCALE_MODELS = {
 # The analysis of these verifies at the unit time scale; that of the
 # coupled blocks is an [algebra] error there.
 VERIFIED_AT_UNIT_SCALE = ["faithful-2d", "unfaithful-2d", "two-enclosures-2d", "leaky-5"]
+# Ill-conditioned at every time scale: the weak coupling g or drain rate puts
+# a second singular value of L, second order in it, under stage 1's cut.
+ILL_CONDITIONED_MODELS = {
+    "coupled-1e-6": TIME_SCALE_MODELS["coupled-1e-6"],
+    "coupled-1e-8": lambda: _coupled_blocks(1e-8),
+    "drain-1e-8": lambda: _weak_drain(1e-4),
+}
 
 
 def _analyze_time_scaled(tmp_path, capsys, model, c):
@@ -379,12 +391,13 @@ def test_cli_sped_up_time_scale_gives_the_unit_scale_report(tmp_path, capsys, na
 def test_cli_weakly_coupled_blocks_are_an_algebra_error_at_every_time_scale(
     tmp_path, capsys, c
 ):
-    # At g = 1e-6 stage 1 counts two fixed points, but the second misses
-    # commuting with the coupled Hamiltonian by ε_F ≈ 1.1e-7 at every scale.
-    model = TIME_SCALE_MODELS["coupled-1e-6"]()
-    code, report, err = _analyze_time_scaled(tmp_path, capsys, model, c)
-    assert code == 3 and report is None
-    assert "[algebra]" in err and "ε_F" in err
+    # Stage 1 counts two fixed points, but the second misses commuting with
+    # the model's operators by ε_F ≈ 1.1e-7 at g = 1e-6, 1.1e-9 at g = 1e-8
+    # and 1.2e-5 at drain rate 1e-8, at every scale.
+    for name, make in ILL_CONDITIONED_MODELS.items():
+        code, report, err = _analyze_time_scaled(tmp_path, capsys, make(), c)
+        assert code == 3 and report is None, name
+        assert "[algebra]" in err and "ε_F" in err, name
 
 
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):

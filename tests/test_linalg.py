@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import enclosure_atlas.linalg as linalg_module
-from enclosure_atlas.decomposition import _generator
 from enclosure_atlas.fixtures import (
     faithful_2d,
     rotation_channel,
@@ -24,6 +23,7 @@ from enclosure_atlas.linalg import (
     support_projector,
 )
 from enclosure_atlas.oqrw import minimal_oqrw
+from enclosure_atlas.semigroup import build_generator
 
 from helpers import (
     PAULI_X,
@@ -258,7 +258,7 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
     default = linalg_module._GATHER_BYTES
     many_jumps = 0
     for model in _gather_models():
-        m = _generator(model, DEFAULT_TOL)
+        m = build_generator(model).matrix
         n2 = m.shape[0]
         ref, imag = unblocked_gather(m)
         assert imag <= DEFAULT_TOL.residual_tol * max(1.0, frob(ref))
@@ -275,7 +275,7 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
 
 def test_gather_real_rejects_maps_that_do_not_preserve_hermiticity():
     rng = np.random.default_rng(89)
-    good = _generator(random_model(rng, 4, 2), DEFAULT_TOL)
+    good = build_generator(random_model(rng, 4, 2)).matrix
     noise = rng.standard_normal(good.shape) + 1j * rng.standard_normal(good.shape)
     for m in (1j * good, noise, good + 1e-6 * noise):
         assert unblocked_gather(m)[1] > DEFAULT_TOL.residual_tol * frob(m)
