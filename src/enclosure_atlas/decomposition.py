@@ -162,13 +162,14 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,
     and raises. L must preserve Hermiticity (``gather_real`` raises
-    otherwise). The split keeps K and Y (as columns, each vec of a Hermitian
-    matrix) for later stages. The complex n² × n² matrix of L lives only
-    while ``gather_real`` reads it: the factorization works on the real M
-    alone.
+    otherwise). Its rank cut is rank_tol · s on the operators' scale
+    (``_scale``), so L → cL gives the same split at every c. The split keeps
+    K and Y (as columns, each vec of a Hermitian matrix) for later stages.
+    The complex n² × n² matrix of L lives only while ``gather_real`` reads
+    it: the factorization works on the real M alone.
     """
     _model_kind(obj)
-    kern, left = real_null_spaces(*gather_real(build_generator(obj).matrix, tol), tol)
+    kern, left = real_null_spaces(gather_real(build_generator(obj).matrix, tol), _scale(obj), tol)
     n = obj.dim
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")
@@ -307,15 +308,15 @@ def algebra_structure(
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
-    injective on ker L†; when it is not (dim F < dim ker L†, a stage-1 kernel
-    that is too large), the stage raises before forming any commutator. R
-    carries a faithful invariant state, so F is the commutant of the
-    compressed operators A_R (Frigerio, Commun. Math. Phys. 63, 1978). The
-    weighted commutators [A_R, f] (``_weighted_operators``) of an orthonormal
-    Hermitian basis, one column per f, are folded one operator at a time
-    into a dim F × dim F triangular factor whose kernel
-    (``kernel_basis``) must be all of F; its norm ε_F is the
-    ``algebra_commutant`` residual.
+    injective on ker L†. R carries a faithful invariant state, so F is the
+    commutant of the compressed operators A_R (Frigerio, Commun. Math. Phys.
+    63, 1978). The weighted commutators [A_R, f] (``_weighted_operators``)
+    of an orthonormal Hermitian basis, one column per f, are folded one
+    operator at a time into a dim F × dim F triangular factor whose kernel
+    (``kernel_basis``) must have dimension dim ker L†; its norm ε_F is the
+    ``algebra_commutant`` residual. At most dim F columns lie in that
+    kernel, so a compression that is not injective (a stage-1 kernel that
+    is too large) fails the same count, with dim F in its message.
     """
     rng = np.random.default_rng(0)
     iso_r = _leading_isometry(p_r, check_projector(p_r, tol))
@@ -326,11 +327,6 @@ def algebra_structure(
     compressed = dagger(iso_r) @ _kernel_stack(adjoint_kernel) @ iso_r
     fbasis = orthonormal_hermitian_span(list(compressed), tol)
     stack, dim_f = np.array(fbasis), len(fbasis)
-    if dim_f != k:
-        raise DecompositionError(
-            "algebra",
-            f"compression to R is not injective on ker L†: dim F = {dim_f} < dim ker L† = {k}",
-        )
     tri = np.zeros((0, dim_f))
     for a in dagger(iso_r) @ _weighted_operators(obj) @ iso_r:
         block = (a @ stack - stack @ a).reshape(dim_f, r * r).T
@@ -340,7 +336,7 @@ def algebra_structure(
         raise DecompositionError(
             "algebra",
             f"only {fixed} of {k} compressed ker L† elements commute with the model's "
-            f"operators (ε_F = {commutant:.3e})",
+            f"operators (dim F = {dim_f}, ε_F = {commutant:.3e})",
         )
 
     # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis

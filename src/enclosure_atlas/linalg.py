@@ -19,10 +19,9 @@ import numpy as np
 class Tolerances:
     """Numerical thresholds shared across the package.
 
-    rank_tol         relative singular-value / eigenvalue cutoff for rank decisions;
-                     ``real_null_spaces`` scales it by max(‖M‖_F, 1), the
-                     other rank decisions by their input's largest singular
-                     value or eigenvalue
+    rank_tol         relative singular-value / eigenvalue cutoff for rank decisions,
+                     scaled by the operators' scale s in stage 1 and by the
+                     input's largest singular value or eigenvalue elsewhere
     eig_cluster_tol  absolute width used to group near-degenerate eigenvalues
     residual_tol     acceptance threshold for linear identities
     psd_tol          magnitude below which negative eigenvalues count as noise
@@ -163,19 +162,11 @@ def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
     return _real_to_vec_herm(v[:, None], n).reshape((n, n), order="F")
 
 
-def _rank_cut(scale: float, tol: Tolerances) -> float:
-    """Singular values above rank_tol * max(scale, 1) count towards the rank.
-
-    ``real_null_spaces`` takes ‖M‖_F as the scale, which needs no factorization and
-    does not depend on the basis; ``kernel_basis`` takes sigma_max. The
-    absolute floor keeps matrices that are zero up to rounding noise from
-    reporting an empty kernel."""
-    return tol.rank_tol * max(scale, 1.0)
-
-
 def _numerical_rank(s: np.ndarray, tol: Tolerances) -> int:
-    """Rank from singular values in descending order, by ``_rank_cut``."""
-    return int(np.count_nonzero(s > _rank_cut(float(s[0]) if s.size else 0.0, tol)))
+    """Rank from singular values: those above rank_tol · max(sigma_max, 1)
+    count, so a unit-scale matrix that is zero up to rounding noise has a
+    full kernel."""
+    return int(np.count_nonzero(s > tol.rank_tol * s.max(initial=1.0)))
 
 
 # Gaussian probes per certificate, and the factor of Halko, Martinsson & Tropp
@@ -343,9 +334,8 @@ def _sum_sq(x: np.ndarray) -> float:
     return float(flat @ flat)
 
 
-def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """The real matrix M = T† m T of a Hermiticity-preserving superoperator
-    m, and its scale ‖M‖_F = ‖m‖_F.
+def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The real matrix M = T† m T of a Hermiticity-preserving superoperator m.
 
     m acts on column-stacked n × n operators, and T is the unitary whose
     columns are vec of the orthonormal Hermitian basis of ``_herm_to_real``
@@ -354,7 +344,8 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarra
     q rows of each block of pairs, each times T (``_times_t``), combined and
     scaled into rows of M while in cache. Only these blocks and M are
     allocated, and no entry of M depends on the block size. The imaginary
-    part of T† m T must vanish within residual_tol, else ValueError.
+    part of T† m T must vanish within residual_tol · max(‖M‖_F, 1), else
+    ValueError.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -380,25 +371,25 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarra
         np.subtract(at_p.imag, at_q.imag, out=anti)
         anti *= r
         imag_sq += 0.5 * _sum_sq(at_p.imag + at_q.imag) + 0.5 * _sum_sq(at_p.real - at_q.real)
-    scale = frob(real)
-    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, scale):
+    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, frob(real)):
         raise ValueError("superoperator does not preserve Hermiticity")
-    return real, scale
+    return real
 
 
 def real_null_spaces(
     real: np.ndarray, scale: float, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (as columns) of the null spaces of m and m†, from
-    the real M = T† m T and scale ‖M‖_F of ``gather_real``; M has the
-    singular values of m.
+    the real M = T† m T of ``gather_real``; M has the singular values of m.
 
     M maps each of its sectors (``_sector_roots``) to itself, so its singular
     values are the union of the sectors' and its kernels are direct sums of
-    the sectors' kernels. The rank rule (``_rank_cut``) keeps singular values
-    above rank_tol · max(‖M‖_F, 1), a scale taken before any factorization
-    (‖M‖_F = ‖m‖_F in every orthonormal basis). The sectors of one size are
-    stacked, and M itself is used when one sector spans every coordinate.
+    the sectors' kernels. The rank rule keeps singular values above
+    rank_tol · ``scale``, a scale the caller takes before any factorization
+    (stage 1: the operators' scale s, which L → cL multiplies by c), and at
+    least the smallest normal float, so the zero map's cut is positive. The
+    sectors of one size are stacked, and M itself is used when one sector
+    spans every coordinate.
     A trace-preserving map has m†(1) = 0, so on every sector that holds a
     diagonal coordinate the restriction of y₀ = T† vec(1) (1 on the diagonal
     coordinates) is a left kernel vector. One LU per sector with Gaussian
@@ -417,7 +408,7 @@ def real_null_spaces(
     vector is vec of a Hermitian matrix.
     """
     n = isqrt(real.shape[0])
-    cut = _rank_cut(scale, tol)
+    cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
     roots = _sector_roots(real)
     order = np.argsort(roots, kind="stable")
@@ -457,8 +448,9 @@ def real_null_spaces(
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Orthonormal basis of the numerical null space of any matrix.
 
-    Rank rule ``_rank_cut`` on the scale sigma_max. A tall or square m needs
-    only the thin SVD; a wide one needs all right singular vectors.
+    Rank rule ``_numerical_rank``, for an m already on unit scale (every
+    caller weighs or normalizes it). A tall or square m needs only the thin
+    SVD; a wide one needs all right singular vectors.
     """
     m = as_matrix(m)
     rows, cols = m.shape

@@ -28,7 +28,8 @@ OQRW_CONVENTION_NOTE = (
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Generator of a continuous-time Markov chain (rows sum to zero)."""
+    """Generator of a continuous-time Markov chain: row i sums to zero
+    within residual_tol · |q_ii|, in every time unit."""
 
     q: np.ndarray
 
@@ -51,7 +52,7 @@ class RateMatrix:
             if q[i, i] > tol.residual_tol:
                 raise ValueError(f"rates[{i}][{i}] = {q[i, i]} must be nonpositive")
             row_sum = float(q[i].sum())
-            if abs(row_sum) > tol.residual_tol:
+            if abs(row_sum) > tol.residual_tol * abs(q[i, i]):
                 raise ValueError(f"row {i} sums to {row_sum}, expected 0")
         return cls(q=q)
 
@@ -198,13 +199,14 @@ def invariant_measures(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> list[
 
     Solves pi Q = 0 restricted to the class (the chain is irreducible there,
     so the solution is unique up to scale), normalized to a probability
-    vector supported on the class.
+    vector supported on the class. The kernel is decided on the class block
+    divided by its largest rate, on unit scale in every time unit.
     """
     measures = []
     for cls in closed_classes(rate):
         sub = rate.q[np.ix_(cls, cls)]
-        # pi sub = 0  <=>  sub^T pi^T = 0
-        null = kernel_basis(sub.T, tol)
+        # pi sub = 0  <=>  sub^T pi^T = 0; an absorbing state's block is 0
+        null = kernel_basis(sub.T / (np.abs(sub).max() or 1.0), tol)
         if len(null) != 1:
             raise ValueError(
                 f"class {cls} yields a {len(null)}-dimensional balance kernel; "

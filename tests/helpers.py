@@ -32,8 +32,11 @@ def random_unitary(rng, n):
 def null_spaces(m, tol=DEFAULT_TOL):
     """Orthonormal bases (as columns) of the null spaces of a
     Hermiticity-preserving superoperator m and of m†: stage 1's
-    ``real_null_spaces`` of ``gather_real``, from an n² × n² matrix."""
-    return real_null_spaces(*gather_real(m, tol), tol)
+    ``real_null_spaces`` of ``gather_real``, from an n² × n² matrix. A raw
+    matrix has no model to take the operators' scale from, so the cut is
+    rank_tol · max(‖M‖_F, 1)."""
+    real = gather_real(m, tol)
+    return real_null_spaces(real, max(np.linalg.norm(real), 1.0), tol)
 
 
 def unit(i, j, n=2):

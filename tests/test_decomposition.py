@@ -908,9 +908,10 @@ def test_null_spaces_kernel_dimension_is_basis_invariant():
 def test_decompose_generators_zero_up_to_roundoff():
     # H = U(0.7·1)U† with the jump U(0.3·1)U†, and the channel with Kraus
     # operators k, k for k = U(1/√2)U†, are the zero generator up to
-    # roundoff (‖L‖_F ~ 1e-15): every mode lies below the stage-1 cut, whose
-    # floor rank_tol·1 keeps such noise from deciding ranks. The answer is
-    # the zero generator's: one family of n one-dimensional members.
+    # roundoff (‖L‖_F ~ 1e-15): every mode lies below the stage-1 cut
+    # rank_tol · s, for operators whose scale s is of order one, so such
+    # noise does not decide ranks. The answer is the zero generator's: one
+    # family of n one-dimensional members.
     rng = np.random.default_rng(89)
     for n in (2, 3, 4):
         u = random_unitary(rng, n)
@@ -1246,6 +1247,20 @@ def test_algebra_structure_scalar_fixed_points():
     assert block.multiplicity == 1 and block.inner_dimension == 2
 
 
+def test_algebra_structure_names_dim_f_when_compression_to_r_loses_fixed_points():
+    # ker L† = span{1} padded with σ_z/√2 and σ_x/√2, as a stage-1 kernel that
+    # is too large would give: R = span{e0} is one-dimensional, so
+    # compression to R keeps dim F = 1 of the three, and the commutant count
+    # names it.
+    model = unfaithful_2d()
+    split = recurrent_projector(model)
+    extra = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    padded = np.column_stack([split.adjoint_kernel, *(vec(x / np.sqrt(2)) for x in extra)])
+    assert np.allclose(padded.conj().T @ padded, np.eye(3), atol=1e-14)
+    with pytest.raises(DecompositionError, match=r"^\[algebra\] only 1 of 3 .*\(dim F = 1, ε_F"):
+        algebra_structure(model, split.recurrent, padded)
+
+
 def test_block_form_distance_is_the_distance_to_the_matrix_units():
     # An orthonormal Hermitian basis of M_2 ⊗ 1_2 ⊕ M_1 ⊗ 1_1 on C^5 in block
     # form lies in the algebra; rotated by exp(iθG) with a G that mixes the
@@ -1522,7 +1537,7 @@ def test_reports_do_not_depend_on_jump_order_or_splitting():
 # Changes of a model that leave its dynamics unchanged up to the time unit:
 # H -> cH with L_j -> √c L_j (Lindblad models only), the operators reversed,
 # one operator A split into (A/√2, A/√2), or the operators mixed by a unitary.
-_LOG_SCALES = st.floats(-8.0, 4.0).map(lambda e: ("scale", 10.0**e))
+_LOG_SCALES = st.floats(-14.0, 8.0).map(lambda e: ("scale", 10.0**e))
 _RELABELINGS = st.tuples(st.sampled_from(["reverse", "split", "mix"]), st.integers(0, 2**16))
 
 
@@ -1854,13 +1869,15 @@ _TIME_UNIT_MODELS = [
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, len(_TIME_UNIT_MODELS) - 1), _LOG_SCALES)
 def test_verification_reads_the_same_at_every_time_unit(index, change):
-    # L -> cL, c in [1e-8, 1e4]: same clauses, every one passing.
+    # L -> cL, c in [1e-14, 1e8]: the same projectors and clauses, every one
+    # passing.
     model = _TIME_UNIT_MODELS[index]
     scaled = _relabeled(model, change)
-    base = verify_decomposition(decompose(model), model)
-    record = verify_decomposition(decompose(scaled), scaled)
+    unit, report = decompose(model), decompose(scaled)
+    base, record = verify_decomposition(unit, model), verify_decomposition(report, scaled)
     assert [c.name for c in record.clauses] == [c.name for c in base.clauses]
     assert record.ok and record.max_residual <= 1e-12
+    _assert_same_projectors(unit, report)
 
 
 _KERNEL_BASIS_MODELS = [

@@ -265,11 +265,10 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
         many_jumps = max(many_jumps, len(getattr(model, "jumps", ())))
         for gather_bytes in (32 * n2, 4 * 32 * n2, default):
             monkeypatch.setattr(linalg_module, "_GATHER_BYTES", gather_bytes)
-            real, scale = gather_real(m)
+            real = gather_real(m)
             assert real.dtype == np.float64 and real.shape == m.shape
             assert real.tobytes() == ref.tobytes()
             assert np.array_equal(real != 0, ref != 0)
-            assert scale == frob(ref)
     assert many_jumps >= 20
 
 

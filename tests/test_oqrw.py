@@ -26,6 +26,9 @@ def test_rate_matrix_validation():
         RateMatrix.create([[1.0, -1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="row 0"):
         RateMatrix.create([[-1.0, 2.0], [0.0, 0.0]])
+    # row sums are judged against |q_ii|: 1e-12 is too much for rates of 1e-6
+    with pytest.raises(ValueError, match="row 0"):
+        RateMatrix.create([[-1e-6, 1e-6 + 1e-12], [0.0, 0.0]])
     with pytest.raises(ValueError, match="square"):
         RateMatrix.create([[0.0, 0.0]])
 
@@ -241,3 +244,17 @@ def test_verify_oqrw_theorem_random_chains():
         failures = [c.name for c in record.clauses if not c.ok]
         assert record.passed, (trial, failures)
         assert all(c.residual <= 1e-8 or not c.ok for c in record.clauses)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e8, 1e10])
+def test_verify_oqrw_theorem_reads_the_same_in_every_time_unit(c):
+    # Q -> cQ: the row-sum rule, the balance kernels and the decomposition
+    # all decide on the chain's own scale, so the classes and measures of
+    # c = 1 pass again.
+    rate = random_rate_matrix(np.random.default_rng(1), 8, 0.3)
+    unit = verify_oqrw_theorem(rate)
+    record = verify_oqrw_theorem(RateMatrix.create(c * rate.q))
+    assert unit.passed and record.passed
+    assert record.classes == unit.classes and len(record.classes) > 1
+    for pi, base in zip(record.measures, unit.measures):
+        assert np.linalg.norm(pi - base) <= 1e-10
