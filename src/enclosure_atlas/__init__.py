@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     "semigroup": (
         "KrausChannel", "LindbladModel", "Superoperator", "adjoint_generator", "apply",
-        "build_generator", "channel_superoperator", "propagate", "validate",
+        "build_generator", "channel_superoperator", "validate",
     ),
     "decomposition": (
         "DecompositionError", "DecompositionReport", "DegenerateFamily", "EnclosureRecord",

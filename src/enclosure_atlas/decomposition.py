@@ -47,8 +47,9 @@ from .semigroup import (
     VECTORIZATION_NOTE,
     KrausChannel,
     LindbladModel,
+    _require,
+    _scale,
     build_generator,
-    choi_min_eigenvalue,
     generator_action,
     unvec,
     vec,
@@ -203,12 +204,6 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     if p_r.shape != (obj.dim, obj.dim):
         raise ValueError("projector dimension does not match the model")
     return lambda a: p_r @ generator_action(obj, p_r @ a @ p_r, adjoint=True) @ p_r
-
-
-def _scale(obj) -> float:
-    """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F (s = ½√n + n for a channel):
-    L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
-    return frob(obj._drift) + frob(obj._stack) ** 2
 
 
 def _weighted_operators(obj) -> np.ndarray:
@@ -478,16 +473,6 @@ def _model_kind(obj) -> str:
     raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
 
 
-def _validate_input(obj, tol: Tolerances):
-    if _model_kind(obj) == "lindblad":
-        LindbladModel.create(obj.hamiltonian, obj.jumps, tol)
-    else:
-        KrausChannel.create(obj.kraus, tol)
-        choi_min = choi_min_eigenvalue(obj)
-        if choi_min < -tol.psd_tol:
-            raise ValueError(f"channel is not completely positive: Choi eigenvalue {choi_min:.3e}")
-
-
 def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     """Full decomposition of a Lindblad model or Kraus channel.
 
@@ -500,8 +485,8 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     state: "spectral" (t -> infinity of the semigroup) for Lindblad models,
     "cesaro" (average of the channel's powers) for Kraus channels.
     """
-    _validate_input(obj, tol)
     kind, n = _model_kind(obj), obj.dim
+    _require(obj, tol)  # the model's input rule, under these tolerances
 
     def stage(name, fn):
         try:

@@ -119,16 +119,18 @@ def qnd_diagonalize(
     adjoints). The diffusive/jump split is not recoverable from the
     operators, so it is taken from ``split`` and defaults to all-diffusive.
     Up to five combinations of the operators, drawn by a fixed generator,
-    are diagonalized.
+    are diagonalized. A commutator [A, B] is read against ‖A‖_F ‖B‖_F and an
+    off-diagonal part against ‖A‖_F, so scaling an operator keeps the verdict.
     """
     ops = [model.hamiltonian] + list(model.jumps)
+    norms = [frob(a) for a in ops]
     worst = 0.0
-    for a in ops:
-        worst = max(worst, frob(a @ dagger(a) - dagger(a) @ a) / max(1.0, frob(a) ** 2))
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            scale = max(1.0, frob(ops[i]) * frob(ops[j]))
-            worst = max(worst, frob(ops[i] @ ops[j] - ops[j] @ ops[i]) / scale)
+    for i, a in enumerate(ops):
+        for j in range(i, len(ops)):
+            # j = i: normality, [A, A†]; j > i: commutation, [A, B]. A zero
+            # operator has a zero norm and commutes exactly.
+            b = dagger(a) if j == i else ops[j]
+            worst = max(worst, frob(a @ b - b @ a) / (norms[i] * norms[j] or 1.0))
     if worst > tol.residual_tol:
         return QndDiagnosis(False, worst, None, None)
 
@@ -140,18 +142,11 @@ def qnd_diagonalize(
             combo = combo + rng.standard_normal() * (op + dagger(op))
             combo = combo + rng.standard_normal() * ((op - dagger(op)) / 1j)
         _, u = np.linalg.eigh(combo)
-        off = 0.0
-        for a in ops:
-            rotated = dagger(u) @ a @ u
-            off = max(
-                off,
-                frob(rotated - np.diag(np.diag(rotated))) / max(1.0, frob(a)),
-            )
+        rotated = [dagger(u) @ a @ u for a in ops]
+        off = max(frob(r - np.diag(np.diag(r))) / (x or 1.0) for r, x in zip(rotated, norms))
         if off <= 100 * tol.residual_tol:
-            energies = np.diag(dagger(u) @ model.hamiltonian @ u).real
-            amplitudes = np.array(
-                [np.diag(dagger(u) @ op @ u) for op in model.jumps]
-            ).reshape(len(model.jumps), n)
+            energies = np.diag(rotated[0]).real
+            amplitudes = np.array([np.diag(r) for r in rotated[1:]]).reshape(len(model.jumps), n)
             if split is None:
                 split = len(model.jumps) - 1
             qnd = QndModel.create(energies, amplitudes, split)
@@ -209,24 +204,19 @@ def nondegeneracy_check(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> Identif
     return _separation("qnd-nondegeneracy", labels, values, probes, None, False, tol)
 
 
-def omega(qnd: QndModel, a: int, b: int, tol: Tolerances = DEFAULT_TOL) -> complex:
+def omega(qnd: QndModel, a: int, b: int) -> complex:
     """Decay/rotation coefficient of the (a, b) pointer coherence.
 
     omega = i (e_a - e_b) + sum_j (c_ja conj(c_jb) - theta_ja/2 - theta_jb/2).
-    Its real part equals minus half the squared distance of the amplitude
-    rows, which is verified internally on every call.
+    Re omega is taken in its sum-of-squares form -1/2 sum_j |c_ja - c_jb|²,
+    free of cancellation in every time unit: 0 exactly for equal columns.
     """
     if a == b:
         raise ValueError("omega is defined for distinct pointers")
     c = qnd.amplitudes
-    value = 1j * (qnd.energies[a] - qnd.energies[b])
-    value += np.sum(c[:, a] * c[:, b].conj() - 0.5 * np.abs(c[:, a]) ** 2 - 0.5 * np.abs(c[:, b]) ** 2)
-    expected_real = -0.5 * float(np.sum(np.abs(c[:, a] - c[:, b]) ** 2))
-    if abs(value.real - expected_real) > tol.residual_tol * max(1.0, abs(expected_real)):
-        raise RuntimeError(
-            "internal identity violated: Re(omega) does not match the sum-of-squares form"
-        )
-    return complex(value)
+    re = -0.5 * float(np.sum(np.abs(c[:, a] - c[:, b]) ** 2))
+    im = qnd.energies[a] - qnd.energies[b] + np.sum(c[:, a] * c[:, b].conj()).imag
+    return complex(re, im)
 
 
 @dataclass(frozen=True)
@@ -243,22 +233,14 @@ class QndUniquenessRecord:
 def qnd_uniqueness(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> QndUniquenessRecord:
     """Check that non-degeneracy forces a unique decomposition.
 
-    Under non-degeneracy every Re omega(a, b) must be strictly negative, the
-    reconstructed model must decompose uniquely into the pointer spans, and
-    every fixed point must be diagonal in the pointer basis.
+    Under non-degeneracy every Re omega(a, b) is strictly negative (a
+    separated pair has differing columns), the reconstructed model must
+    decompose uniquely into the pointer spans, and every fixed point must be
+    diagonal in the pointer basis.
     """
     nondeg = nondegeneracy_check(qnd, tol)
-    re_omega = {}
-    all_negative = True
-    for a, b in permutations(range(qnd.num_pointers), 2):
-        re_omega[(a, b)] = float(omega(qnd, a, b, tol).real)
-        # Re ω = −½ Σ_j |c_ja − c_jb|² < 0 exactly when the columns differ
-        if not np.any(qnd.amplitudes[:, a] != qnd.amplitudes[:, b]):
-            all_negative = False
-    if nondeg.overall and not all_negative:
-        raise RuntimeError(
-            "non-degeneracy holds but some Re(omega) is not strictly negative"
-        )
+    re_omega = {(a, b): omega(qnd, a, b).real for a, b in permutations(range(qnd.num_pointers), 2)}
+    all_negative = all(value < 0 for value in re_omega.values())
 
     model = qnd_to_model(qnd)
     report = decompose(model, tol=tol)

@@ -21,9 +21,11 @@ class Tolerances:
 
     rank_tol         relative singular-value / eigenvalue cutoff for rank decisions,
                      scaled by the operators' scale s in stage 1 and by the
-                     input's largest singular value or eigenvalue elsewhere
+                     input's largest singular value or eigenvalue elsewhere;
+                     rank_tol · s bounds a channel's trace defect, too
     eig_cluster_tol  absolute width used to group near-degenerate eigenvalues
-    residual_tol     acceptance threshold for linear identities
+    residual_tol     acceptance threshold for linear identities, each on its
+                     own object's scale (100 · residual_tol · ‖H‖_F for H)
     psd_tol          magnitude below which negative eigenvalues count as noise
     """
 
@@ -110,10 +112,11 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     """Orthogonal projector onto the numerical range of a PSD Hermitian matrix.
 
     Keeps eigenvectors with eigenvalue > rank_tol * lambda_max; the zero
-    matrix maps to the zero projector.
+    matrix maps to the zero projector. The input must be Hermitian within
+    100 · residual_tol · ‖a‖_F.
     """
     a = require_square(a)
-    if hermiticity_defect(a) > 100 * tol.residual_tol * max(1.0, frob(a)):
+    if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("support_projector requires a Hermitian input")
     w, u = np.linalg.eigh(hermitian_part(a))
     lam_max = float(w[-1]) if w.size else 0.0
@@ -344,8 +347,8 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q rows of each block of pairs, each times T (``_times_t``), combined and
     scaled into rows of M while in cache. Only these blocks and M are
     allocated, and no entry of M depends on the block size. The imaginary
-    part of T† m T must vanish within residual_tol · max(‖M‖_F, 1), else
-    ValueError.
+    part of T† m T must vanish within residual_tol · ‖M‖_F, on the scale of
+    m itself (the zero map passes), else ValueError.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -371,7 +374,7 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         np.subtract(at_p.imag, at_q.imag, out=anti)
         anti *= r
         imag_sq += 0.5 * _sum_sq(at_p.imag + at_q.imag) + 0.5 * _sum_sq(at_p.real - at_q.real)
-    if np.sqrt(imag_sq) > tol.residual_tol * max(1.0, frob(real)):
+    if np.sqrt(imag_sq) > tol.residual_tol * frob(real):
         raise ValueError("superoperator does not preserve Hermiticity")
     return real
 
@@ -478,7 +481,8 @@ def hermitian_basis(
 ) -> list[np.ndarray]:
     """HS-orthonormal Hermitian basis of a †-closed matrix span.
 
-    The input span must be closed under the adjoint (checked); the output is
+    The input span must be closed under the adjoint: each X† must lie in it
+    within residual_tol · ‖X‖_F (checked). The output is
     built from the Hermitian and anti-Hermitian parts of the inputs followed
     by re-orthonormalization, and spans the same space over the complex field.
     """
@@ -497,7 +501,7 @@ def hermitian_basis(
     for x in mats:
         target = dagger(x).ravel()
         residual = float(np.linalg.norm(target - basis.T @ (basis.conj() @ target)))
-        if residual > tol.residual_tol * max(1.0, frob(x)):
+        if residual > tol.residual_tol * frob(x):
             raise ValueError(
                 f"span is not closed under the adjoint: projection residual {residual:.3e}"
             )
@@ -515,7 +519,8 @@ def hermitian_basis(
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) for a square complex matrix (scaling-and-squaring Pade).
 
-    scipy is imported here, its only use, so the CLI starts without it."""
+    No command calls it; ``perfbench/spans.py`` wraps it by name. scipy is
+    imported here, its only use, so the CLI starts without it."""
     import scipy.linalg
 
     return scipy.linalg.expm(require_square(m))
@@ -526,10 +531,11 @@ def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Eigenvalues below psd_tol are zeroed; an error is raised when the clipped
     mass exceeds 1% of the trace, which signals the input was not close to a
-    density matrix, or when the trace is too small to normalize.
+    density matrix, or when the trace is too small to normalize. The input
+    must be Hermitian within 100 · residual_tol · ‖a‖_F.
     """
     a = require_square(a)
-    if hermiticity_defect(a) > 100 * tol.residual_tol * max(1.0, frob(a)):
+    if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("psd_project requires a Hermitian input")
     w, u = np.linalg.eigh(hermitian_part(a))
     trace = float(w.sum())

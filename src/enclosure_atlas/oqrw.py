@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decomposition import VerificationClause, decompose, enumerate_minimal_enclosures
-from .linalg import DEFAULT_TOL, Tolerances, dagger, frob, hermiticity_defect, kernel_basis
-from .semigroup import KrausChannel, LindbladModel
+from .linalg import DEFAULT_TOL, Tolerances, frob, kernel_basis
+from .semigroup import KrausChannel, LindbladModel, _hermiticity_rule
 
 OQRW_CONVENTION_NOTE = (
     "jump from i to j at rate q[i][j]; operator sqrt(q[i][j]) |j><i| (row convention pi Q = 0)"
@@ -28,8 +28,8 @@ OQRW_CONVENTION_NOTE = (
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Generator of a continuous-time Markov chain: row i sums to zero
-    within residual_tol · |q_ii|, in every time unit."""
+    """Generator of a continuous-time Markov chain: rates q_ij >= 0, q_ii <= 0
+    and row sums within residual_tol · |q_ii|, the same in every time unit."""
 
     q: np.ndarray
 
@@ -49,7 +49,7 @@ class RateMatrix:
             for j in range(n):
                 if i != j and q[i, j] < 0:
                     raise ValueError(f"rates[{i}][{j}] = {q[i, j]} must be nonnegative")
-            if q[i, i] > tol.residual_tol:
+            if q[i, i] > 0:
                 raise ValueError(f"rates[{i}][{i}] = {q[i, i]} must be nonpositive")
             row_sum = float(q[i].sum())
             if abs(row_sum) > tol.residual_tol * abs(q[i, i]):
@@ -63,8 +63,9 @@ class OqrwSpec:
 
     transition_ops maps (destination, source) vertex pairs to operators on
     the inner space. In discrete time each source column must satisfy the
-    Kraus normalization sum_dest B†B = 1; in continuous time the entries are
-    rate amplitudes and no normalization is imposed.
+    Kraus normalization sum_dest B†B = 1, the trace rule of the channel they
+    form (``oqrw_channel``); in continuous time the entries are rate
+    amplitudes and no normalization is imposed.
     """
 
     num_sites: int
@@ -103,25 +104,19 @@ class OqrwSpec:
         for i, h in enumerate(hams):
             if h.shape != (inner_dim, inner_dim):
                 raise ValueError(f"local Hamiltonian {i} has shape {h.shape}")
-            if hermiticity_defect(h) > 100 * tol.residual_tol * max(1.0, frob(h)):
-                raise ValueError(f"local Hamiltonian {i} is not Hermitian")
-        if time_mode == "discrete":
-            for src in range(num_sites):
-                total = sum(
-                    dagger(op) @ op for (dest, s), op in ops.items() if s == src
-                )
-                defect = frob(np.asarray(total) - np.eye(inner_dim))
-                if defect > 100 * tol.residual_tol:
-                    raise ValueError(
-                        f"column {src} violates Kraus normalization: defect {defect:.3e}"
-                    )
-        return cls(
+            defect, bound = _hermiticity_rule(h, tol)
+            if defect > bound:
+                raise ValueError(f"local Hamiltonian {i} is not Hermitian: ‖H − H†‖_F = {defect:.3e}")
+        spec = cls(
             num_sites=num_sites,
             inner_dim=inner_dim,
             transition_ops=ops,
             local_hamiltonians=hams,
             time_mode=time_mode,
         )
+        if time_mode == "discrete":
+            oqrw_channel(spec, tol)
+        return spec
 
 
 def minimal_oqrw(rate: RateMatrix) -> LindbladModel:

@@ -21,8 +21,6 @@ from .linalg import (
     frob,
     hermitian_part,
     hermiticity_defect,
-    matrix_exponential,
-    psd_project,
     require_square,
 )
 
@@ -49,15 +47,14 @@ class LindbladModel:
 
     @classmethod
     def create(cls, hamiltonian, jumps=(), tol: Tolerances = DEFAULT_TOL) -> "LindbladModel":
+        """The model; ValueError unless H is Hermitian (``_input_rule``)."""
         h = require_square(hamiltonian)
         n = h.shape[0]
         ops = tuple(require_square(j) for j in jumps)
         for k, op in enumerate(ops):
             if op.shape != (n, n):
                 raise ValueError(f"jump operator {k} has shape {op.shape}, expected {(n, n)}")
-        if hermiticity_defect(h) > 100 * tol.residual_tol * max(1.0, frob(h)):
-            raise ValueError("hamiltonian is not Hermitian within tolerance")
-        return cls(dim=n, hamiltonian=h, jumps=ops)
+        return _require(cls(dim=n, hamiltonian=h, jumps=ops), tol)
 
     @cached_property
     def _drift(self) -> np.ndarray:
@@ -77,6 +74,7 @@ class KrausChannel:
 
     @classmethod
     def create(cls, kraus: Sequence, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
+        """The channel; ValueError unless it preserves trace (``_input_rule``)."""
         ops = tuple(require_square(v) for v in kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -84,10 +82,7 @@ class KrausChannel:
         for k, op in enumerate(ops):
             if op.shape != (n, n):
                 raise ValueError(f"Kraus operator {k} has shape {op.shape}, expected {(n, n)}")
-        defect = frob(sum(dagger(v) @ v for v in ops) - np.eye(n))
-        if defect > 100 * tol.residual_tol:
-            raise ValueError(f"Kraus operators are not trace preserving: defect {defect:.3e}")
-        return cls(dim=n, kraus=ops)
+        return _require(cls(dim=n, kraus=ops), tol)
 
     @cached_property
     def _drift(self) -> np.ndarray:
@@ -120,13 +115,62 @@ def _stacked(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.array(ops, dtype=complex).reshape(len(ops), n, n)
 
 
+def _gram(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """sum_j A_j†A_j over n × n operators."""
+    return sum((dagger(op) @ op for op in ops), np.zeros((n, n), dtype=complex))
+
+
 def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, H the Hermitian part of
     the Hamiltonian (``create`` accepts a small anti-Hermitian part), so that
     the generator is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
-    n = model.dim
-    gram = sum((dagger(op) @ op for op in model.jumps), np.zeros((n, n), dtype=complex))
+    gram = _gram(model.jumps, model.dim)
     return -1j * hermitian_part(model.hamiltonian) - 0.5 * gram, gram
+
+
+def _scale(obj) -> float:
+    """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F (s = ½√n + n for a channel):
+    L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
+    return frob(obj._drift) + frob(obj._stack) ** 2
+
+
+def _trace_defect(obj) -> float:
+    """‖L*(1)‖_F = ‖K + K† + Σ_j A_j†A_j‖_F, the rate at which L takes trace
+    from states: ‖Σ_i V_i†V_i − 1‖_F for a channel (K = −½·1), and roundoff
+    for a Lindblad model, whose K is built to make it zero."""
+    ops = obj.jumps if isinstance(obj, LindbladModel) else obj.kraus
+    return frob(obj._drift + dagger(obj._drift) + _gram(ops, obj.dim))
+
+
+def _hermiticity_rule(h: np.ndarray, tol: Tolerances) -> tuple[float, float]:
+    """(‖H − H†‖_F, 100 · residual_tol · ‖H‖_F): on H's own scale (H = 0 passes)."""
+    return hermiticity_defect(h), 100 * tol.residual_tol * frob(h)
+
+
+def _input_rule(obj, tol: Tolerances) -> tuple[float, float, str]:
+    """(residual, bound, message) of a model's one input rule, which holds
+    when residual <= bound: ``create`` raises the message otherwise, and
+    ``validate`` reports the verdict as ``ok``. Each bound moves with its
+    object, so H → cH, L_j → √c L_j keep the verdict: ``_hermiticity_rule``
+    of H, or a channel's trace defect (``_trace_defect``) against rank_tol · s
+    (``_scale``), the most that stage 1's cut absorbs: the channel is
+    analyzed as trace preserving (K = −½·1), and L†(1) is that defect."""
+    if isinstance(obj, LindbladModel):
+        residual, bound = _hermiticity_rule(obj.hamiltonian, tol)
+        what, of = "hamiltonian is not Hermitian: ‖H − H†‖_F", "100 · residual_tol · ‖H‖_F"
+    else:
+        residual, bound = _trace_defect(obj), tol.rank_tol * _scale(obj)
+        what = "Kraus operators are not trace preserving: normalization defect ‖Σ V†V − 1‖_F"
+        of = "rank_tol · s"
+    return residual, bound, f"{what} = {residual:.3e} > {of} = {bound:.3e}"
+
+
+def _require(obj, tol: Tolerances):
+    """obj, or ValueError when its input rule fails (``_input_rule``)."""
+    residual, bound, message = _input_rule(obj, tol)
+    if residual > bound:
+        raise ValueError(message)
+    return obj
 
 
 def _sandwich_sum(stack: np.ndarray) -> np.ndarray:
@@ -167,12 +211,10 @@ def adjoint_generator(model: LindbladModel | KrausChannel) -> Superoperator:
 
 
 def channel_superoperator(channel: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Superoperator:
-    """Matrix sum_j conj(V_j) ⊗ V_j of the channel rho -> sum_j V_j rho V_j†."""
-    n = channel.dim
-    defect = frob(sum(dagger(v) @ v for v in channel.kraus) - np.eye(n))
-    if defect > 100 * tol.residual_tol:
-        raise ValueError(f"Kraus normalization violated: defect {defect:.3e}")
-    return Superoperator(dim=n, matrix=_sandwich_sum(channel._stack))
+    """Matrix sum_j conj(V_j) ⊗ V_j of the channel rho -> sum_j V_j rho V_j†,
+    once the channel's input rule holds (``_input_rule``)."""
+    _require(channel, tol)
+    return Superoperator(dim=channel.dim, matrix=_sandwich_sum(channel._stack))
 
 
 def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -201,22 +243,6 @@ def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
     return unvec(s.matrix @ vec(a))
 
 
-def propagate(
-    s: Superoperator, t: float, rho: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Evolve a density matrix by exp(t L); t must be nonnegative."""
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    rho = require_square(rho)
-    evolved = unvec(matrix_exponential(t * s.matrix) @ vec(rho))
-    drift = abs(np.trace(evolved).real - 1.0) + abs(np.trace(evolved).imag)
-    if drift > 1e-6:
-        raise ValueError(
-            f"trace drift {drift:.3e} after propagation; input is not a trace-preserving generator"
-        )
-    return psd_project(evolved, tol)
-
-
 def choi_min_eigenvalue(channel: KrausChannel) -> float:
     """Smallest eigenvalue of the Choi matrix C C†, C = [vec V_j], from the
     k × k Gram matrix C†C: C C† has rank at most k, so the value is 0 when
@@ -239,17 +265,18 @@ class ModelDiagnostics:
 
 
 def validate(obj, tol: Tolerances = DEFAULT_TOL) -> ModelDiagnostics:
-    """Diagnostics for a model or channel; never raises on bad numbers."""
+    """Diagnostics for a model or channel; never raises on bad numbers.
+
+    ``ok`` is ``create``'s rule (``_input_rule``), so it holds for every model
+    that ``create`` accepts, in every time unit. The residuals are absolute:
+    ‖H − H†‖_F (0 for a channel), the trace defect ‖L*(1)‖_F
+    (``_trace_defect``) and, for a channel, the smallest Choi eigenvalue, at
+    least 0 up to roundoff since Σ_i vec V_i vec V_i† ⪰ 0 for any V_i.
+    """
+    if not isinstance(obj, (LindbladModel, KrausChannel)):
+        raise TypeError(f"cannot validate object of type {type(obj).__name__}")
+    residual, bound, _ = _input_rule(obj, tol)
+    ok = bool(residual <= bound)
     if isinstance(obj, LindbladModel):
-        herm = hermiticity_defect(obj.hamiltonian)
-        # vec(1)† L = vec(L*(1))†, and L*(1) = K + K† + G.
-        drift, gram = _drift_and_gram(obj)
-        trace_res = frob(drift + dagger(drift) + gram)
-        ok = bool(herm <= 100 * tol.residual_tol and trace_res <= 100 * tol.residual_tol)
-        return ModelDiagnostics("lindblad", obj.dim, herm, trace_res, None, ok)
-    if isinstance(obj, KrausChannel):
-        trace_res = frob(sum(dagger(v) @ v for v in obj.kraus) - np.eye(obj.dim))
-        choi_min = choi_min_eigenvalue(obj)
-        ok = bool(trace_res <= 100 * tol.residual_tol and choi_min >= -tol.psd_tol)
-        return ModelDiagnostics("kraus", obj.dim, 0.0, trace_res, choi_min, ok)
-    raise TypeError(f"cannot validate object of type {type(obj).__name__}")
+        return ModelDiagnostics("lindblad", obj.dim, residual, _trace_defect(obj), None, ok)
+    return ModelDiagnostics("kraus", obj.dim, 0.0, residual, choi_min_eigenvalue(obj), ok)

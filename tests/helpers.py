@@ -1,6 +1,7 @@
 """Shared builders for seeded random models used across the test modules."""
 
 import numpy as np
+import scipy.linalg
 
 from enclosure_atlas.decomposition import recurrent_projector
 from enclosure_atlas.linalg import (
@@ -11,7 +12,13 @@ from enclosure_atlas.linalg import (
     real_null_spaces,
 )
 from enclosure_atlas.oqrw import RateMatrix
-from enclosure_atlas.semigroup import KrausChannel, LindbladModel, unvec, vec
+from enclosure_atlas.semigroup import (
+    KrausChannel,
+    LindbladModel,
+    build_generator,
+    unvec,
+    vec,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -37,6 +44,32 @@ def null_spaces(m, tol=DEFAULT_TOL):
     rank_tol · max(‖M‖_F, 1)."""
     real = gather_real(m, tol)
     return real_null_spaces(real, max(np.linalg.norm(real), 1.0), tol)
+
+
+def expm(m):
+    """exp(m) by scipy's scaling-and-squaring Padé: the oracle for the flow
+    exp(tL) of a generator's n² × n² matrix."""
+    return scipy.linalg.expm(m)
+
+
+def evolve(model, t, rho):
+    """exp(tL)(rho) for a model, through ``expm`` of its generator."""
+    return unvec(expm(t * build_generator(model).matrix) @ vec(rho))
+
+
+def flow_channel(model, t=1.0):
+    """exp(tL) as a Kraus channel, from the eigendecomposition of its Choi
+    matrix sum_k vec(V_k) vec(V_k)†: its entry [(k, l), (i, j)] (vec indices
+    k + n l and i + n j) is entry [(i, k), (j, l)] of the superoperator. Each
+    eigenvalue w above 1e-12 of the largest, eigenvector u, gives
+    V = √w unvec(u); smaller ones are roundoff of zeros, and their square
+    roots would be operators of size 1e-8 in arbitrary directions."""
+    n = model.dim
+    phi = expm(t * build_generator(model).matrix).reshape(n, n, n, n)
+    choi = phi.transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    w, u = np.linalg.eigh((choi + choi.conj().T) / 2)
+    keep = w > 1e-12 * w[-1]
+    return KrausChannel.create([np.sqrt(x) * unvec(v) for x, v in zip(w[keep], u[:, keep].T)])
 
 
 def unit(i, j, n=2):

@@ -36,7 +36,6 @@ from enclosure_atlas.linalg import DEFAULT_TOL
 from enclosure_atlas.oqrw import minimal_oqrw, verify_oqrw_theorem
 from enclosure_atlas.semigroup import (
     build_generator,
-    matrix_exponential,
     unvec,
     vec,
 )
@@ -45,6 +44,7 @@ from helpers import (
     PAULI_Y,
     block_diag_model,
     conjugated_pair_model,
+    expm,
     fixed_points,
     leaky_model,
     random_density,
@@ -264,7 +264,7 @@ def test_criterion_6_structural_properties():
             # trace preservation of the propagated flow
             t = float(rng.uniform(0.1, 5.0))
             rho = random_density(rng, n)
-            prop = matrix_exponential(t * gen.matrix)
+            prop = expm(t * gen.matrix)
             evolved = unvec(prop @ vec(rho))
             assert abs(np.trace(evolved) - 1.0) <= 1e-9
 

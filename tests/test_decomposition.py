@@ -22,18 +22,17 @@ from enclosure_atlas.semigroup import (
     KrausChannel,
     LindbladModel,
     Superoperator,
+    _scale,
     adjoint_generator,
     apply,
     build_generator,
     channel_superoperator,
     generator_action,
-    matrix_exponential,
     unvec,
     vec,
 )
 from enclosure_atlas.decomposition import (
     DecompositionError,
-    _scale,
     _weighted_operators,
     algebra_structure,
     cutoff_generator,
@@ -62,6 +61,8 @@ from helpers import (
     block_diag_model,
     conjugated_pair_channel,
     conjugated_pair_model,
+    expm,
+    flow_channel,
     leaky_model,
     null_spaces,
     random_channel,
@@ -1434,7 +1435,7 @@ def test_decompose_block_by_block_action():
         rho = iso @ rho @ iso
         rho = rho / np.trace(rho).real
         t = rng.uniform(0.0, 5.0)
-        prop = matrix_exponential(t * gen.matrix)
+        prop = expm(t * gen.matrix)
         evolved = unvec(prop @ vec(rho))
         for a in range(len(pairs)):
             for b in range(len(pairs)):
@@ -2037,3 +2038,58 @@ def test_reports_are_covariant_under_a_change_of_basis(index, seed):
     report = decompose(rotated)
     assert verify_decomposition(report, rotated).ok
     _assert_same_projectors(decompose(model), report, conj)
+
+
+def test_every_channel_that_create_accepts_decomposes_and_verifies():
+    # Scaling V_0 or every V_i by 1 + k·1e-9 gives a trace defect that create
+    # accepts while it is at most rank_tol · s; an accepted channel has the
+    # shape of the unscaled one and verifies.
+    accepted = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        channel = random_channel(rng, 2 + seed % 5, 1 + seed % 3)
+        reference = decompose(channel)
+        shape = (reference.transient_dimension, len(reference.unique_enclosures))
+        for k in range(1, 21):
+            factor = 1 + k * 1e-9
+            for every in (False, True):
+                ops = [factor * v if every or i == 0 else v for i, v in enumerate(channel.kraus)]
+                try:
+                    scaled = KrausChannel.create(ops)
+                except ValueError as exc:
+                    assert "rank_tol · s" in str(exc)
+                    continue
+                accepted += 1
+                report = decompose(scaled)
+                assert (report.transient_dimension, len(report.unique_enclosures)) == shape
+                assert verify_decomposition(report, scaled).ok
+    assert accepted >= 50
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        faithful_2d,
+        lambda: leaky_model(np.random.default_rng(1), 5, 2),
+        lambda: block_diag_model(np.random.default_rng(3), (3, 4), 2),
+        lambda: conjugated_pair_model(np.random.default_rng(5), 3, 2)[0],
+    ],
+    ids=["faithful-2d", "leaky-5", "blocks-3-4", "pair-3"],
+)
+def test_flow_as_a_kraus_channel_has_the_generators_decomposition(make):
+    # exp(L) has the invariant states of L, so the channel taken from its
+    # Choi matrix has L's transient part, family shapes and enclosures.
+    model = make()
+    channel = flow_channel(model)
+    expected, report = decompose(model), decompose(channel)
+    assert verify_decomposition(report, channel).ok
+    assert report.transient_dimension == expected.transient_dimension
+    assert [[m.dimension for m in fam.members] for fam in report.families] == [
+        [m.dimension for m in fam.members] for fam in expected.families
+    ]
+    assert np.linalg.norm(report.recurrent - expected.recurrent) <= 1e-10
+    pairs = zip(enumerate_minimal_enclosures(report), enumerate_minimal_enclosures(expected))
+    for (label, rec, _), (expected_label, expected_rec, _) in pairs:
+        assert label == expected_label
+        assert np.linalg.norm(rec.projector - expected_rec.projector) <= 1e-10
+    assert len(enumerate_minimal_enclosures(report)) == len(enumerate_minimal_enclosures(expected))

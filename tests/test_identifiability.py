@@ -143,6 +143,25 @@ def test_omega_real_part_nonpositive():
                     assert omega(q, a, b).real <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e8, 1e12])
+def test_omega_real_part_is_its_sum_of_squares_in_every_time_unit(c):
+    # energies × c and amplitudes × √c multiply ω by c; equal columns give
+    # Re ω = 0 exactly, where the expanded form cancels to c·eps.
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        q = random_qnd(rng, 3, 2)
+        amps = q.amplitudes.copy()
+        amps[:, 1] = amps[:, 0]
+        scaled = QndModel.create(c * q.energies, np.sqrt(c) * amps, q.split)
+        assert omega(scaled, 0, 1).real == 0.0
+        for a, b in ((0, 2), (2, 1)):
+            expected = -0.5 * c * np.sum(np.abs(amps[:, a] - amps[:, b]) ** 2)
+            assert omega(scaled, a, b).real == pytest.approx(expected, rel=1e-12)
+        record = qnd_uniqueness(scaled)
+        assert not record.nondegenerate and not record.omega_all_negative
+        assert record.re_omega[(1, 0)] == 0.0 and record.consistent
+
+
 def test_qnd_uniqueness_nondegenerate():
     q = QndModel.create([0.0, 0.0], [[1.0, 0.0]], split=0)
     record = qnd_uniqueness(q)

@@ -377,6 +377,102 @@ def test_cli_weakly_coupled_blocks_are_an_algebra_error_at_every_time_scale(
         assert "[algebra]" in err and "ε_F" in err, name
 
 
+# Each input rule reads on its own object's scale: H -> cH and L_j -> √c L_j,
+# amplitudes -> √c c_ja and energies -> c e_a give the c = 1 verdict.
+TIME_UNITS = [1e-12, 1e-8, 1.0, 1e4, 1e8, 1e12]
+
+
+def _tilted(model, eps):
+    """The model with an anti-Hermitian part of relative size eps added to H."""
+    a = np.random.default_rng(7).standard_normal((model.dim, model.dim))
+    a = a - a.T
+    h = model.hamiltonian
+    return LindbladModel.create(h + eps * np.linalg.norm(h) * a / np.linalg.norm(a), model.jumps)
+
+
+@pytest.mark.parametrize("c", TIME_UNITS)
+def test_cli_anti_hermitian_hamiltonian_is_a_validation_error_at_every_time_scale(
+    tmp_path, capsys, c
+):
+    # ‖H − H†‖_F = 2‖H‖_F against 100 · residual_tol · ‖H‖_F: no max(1, ‖H‖_F)
+    # floor lets a slow anti-Hermitian H through.
+    base = faithful_2d()
+    model = LindbladModel(2, np.array([[0, 1], [-1, 0]], dtype=complex), base.jumps)
+    code, report, err = _analyze_time_scaled(tmp_path, capsys, model, c)
+    assert code == 2 and report is None
+    assert "not Hermitian" in err and "100 · residual_tol · ‖H‖_F" in err
+
+
+@pytest.mark.parametrize("c", TIME_UNITS)
+def test_cli_model_diagnostics_ok_reads_the_same_at_every_time_scale(tmp_path, capsys, c):
+    # The Hermiticity residual grows with c and so does its bound; the trace
+    # residual (roundoff, 4e-4 at c = 1e12) is reported but is no input rule.
+    model = _tilted(random_model(np.random.default_rng(1), 4, 2), 1e-9)
+    code, report, _ = _analyze_time_scaled(tmp_path, capsys, model, c)
+    assert code == 0 and report["verification"]["ok"] is True
+    assert report["model_diagnostics"]["ok"] is True
+    assert _shape(report) == (0, [4], [])
+
+
+def _time_scaled_qnd_document(c):
+    """Three pointers; amplitude columns 0 and 1 are equal. Channel 0 is
+    diffusive, channel 1 jump-type."""
+    energies = c * np.array([0.3, 0.3, -0.7])
+    amplitudes = np.sqrt(c) * np.array([[0.5 + 0.2j, 0.5 + 0.2j, -0.4 + 0.1j], [0.3, 0.3, 0.9]])
+    return {
+        "mode": "qnd",
+        "dim": 3,
+        "qnd": {
+            "energies": energies.tolist(),
+            "amplitudes": [[[z.real, z.imag] for z in row] for row in amplitudes],
+            "split": 0,
+        },
+    }
+
+
+@pytest.mark.parametrize("c", TIME_UNITS)
+def test_cli_qnd_verdicts_read_the_same_at_every_time_scale(tmp_path, capsys, c):
+    # Re ω is the sum of squares -½ Σ_j |c_ja - c_jb|²: exactly 0 for the
+    # equal columns at every c, with no self-check to trip on cancellation.
+    path = tmp_path / "qnd.json"
+    path.write_text(json.dumps(_time_scaled_qnd_document(c)))
+    assert main(["identifiability", str(path), "--format", "structured"]) == 3
+    out = parse_report(capsys.readouterr().out)
+    pairs = [(p["a"], p["b"], p["separated"]) for p in out["identifiability"]["pairs"]]
+    assert pairs == [(0, 1, False), (0, 2, True), (1, 2, True)]
+    witnesses = [p["witness"] for p in out["identifiability"]["pairs"]]
+    assert witnesses == [None, "diffusive r[0]", "diffusive r[0]"]
+    record = out["qnd_uniqueness"]
+    assert record["consistent"] is True and record["omega_all_negative"] is False
+
+
+def _scaled_channel_document(factor):
+    channel = random_channel(np.random.default_rng(3), 4, 2)
+    return {
+        "mode": "kraus",
+        "dim": 4,
+        "kraus": [complex_matrix_to_json(factor * v) for v in channel.kraus],
+    }
+
+
+@pytest.mark.parametrize("k, defect", [(1, None), (5, "2.000e-08"), (10, "4.000e-08")])
+def test_cli_kraus_trace_defect_is_judged_by_what_stage_1_absorbs(tmp_path, capsys, k, defect):
+    # V_i -> (1 + k·1e-9) V_i: ‖Σ V†V − 1‖_F = 4k·1e-9 against rank_tol · s = 5e-9,
+    # the defect stage 1 absorbs. Accepting k = 5 and 10 led to `[recurrent]
+    # the generator has no eigenvalue at zero`, exit 3.
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(_scaled_channel_document(1 + k * 1e-9)))
+    code = main(["analyze", str(path), "--format", "structured"])
+    out, err = capsys.readouterr()
+    if defect is None:
+        report = parse_report(out)
+        assert code == 0 and report["model_diagnostics"]["ok"] is True
+        assert report["verification"]["ok"] is True
+    else:
+        assert code == 2 and "not trace preserving" in err
+        assert f"‖Σ V†V − 1‖_F = {defect}" in err and "rank_tol · s = 5.000e-09" in err
+
+
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):
     path = write_fixture(tmp_path, "two-state-chain")
     assert main(["oqrw", path, "--format", "structured"]) == 0

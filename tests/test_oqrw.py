@@ -33,6 +33,26 @@ def test_rate_matrix_validation():
         RateMatrix.create([[0.0, 0.0]])
 
 
+def test_rate_matrix_positive_diagonal_has_one_message_at_every_scale():
+    # q_ii > 0 is checked before the row sum, so no scale reads it as a row error.
+    for q in ([[5e-9]], [[2e-8]], [[-1.0, 1.0], [1.0, 1e-20]]):
+        with pytest.raises(ValueError, match=r"rates\[\d\]\[\d\] = .* must be nonpositive"):
+            RateMatrix.create(q)
+
+
+def test_discrete_oqrw_spec_takes_the_channel_trace_rule():
+    # Each column's Σ B†B = 1 is checked as the channel's trace rule,
+    # ‖Σ V†V − 1‖_F <= rank_tol · s.
+    ops = {(0, 0): np.eye(1) * np.sqrt(0.5), (1, 0): np.eye(1) * np.sqrt(0.5)}
+    for defect, ok in ((1e-10, True), (1e-7, False)):
+        spec = {**ops, (1, 1): np.eye(1) * np.sqrt(1 + defect)}
+        if ok:
+            assert oqrw_channel(OqrwSpec.create(2, 1, spec, time_mode="discrete")).dim == 2
+        else:
+            with pytest.raises(ValueError, match="rank_tol · s"):
+                OqrwSpec.create(2, 1, spec, time_mode="discrete")
+
+
 def test_minimal_oqrw_two_state_kernel():
     model = minimal_oqrw(RateMatrix.create(TWO_STATE))
     basis = fixed_points(model)

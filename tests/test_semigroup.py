@@ -12,8 +12,6 @@ from enclosure_atlas.semigroup import (
     channel_superoperator,
     choi_min_eigenvalue,
     generator_action,
-    matrix_exponential,
-    propagate,
     unvec,
     validate,
     vec,
@@ -35,6 +33,8 @@ from helpers import (
     choi_matrix,
     conjugated_pair_channel,
     conjugated_pair_model,
+    evolve,
+    expm,
     fixed_points,
     leaky_model,
     random_density,
@@ -167,29 +167,20 @@ def test_propagate_time_zero():
     rng = np.random.default_rng(3)
     model = random_model(rng, 2, 1)
     rho = random_density(rng, 2)
-    out = propagate(build_generator(model), 0.0, rho)
-    assert np.allclose(out, rho, atol=1e-10)
+    assert np.allclose(evolve(model, 0.0, rho), rho, atol=1e-10)
 
 
 def test_propagate_relaxes_to_maximally_mixed():
     model = LindbladModel.create(np.zeros((2, 2)), [unit(0, 1), unit(1, 0)])
-    gen = build_generator(model)
     rng = np.random.default_rng(4)
-    out = propagate(gen, 50.0, random_density(rng, 2))
+    out = evolve(model, 50.0, random_density(rng, 2))
     assert np.linalg.norm(out - np.eye(2) / 2) < 1e-8
 
 
 def test_propagate_absorbs_into_ground_level():
     model = LindbladModel.create(np.zeros((2, 2)), [unit(0, 1)])
-    gen = build_generator(model)
-    out = propagate(gen, 50.0, np.diag([0.0, 1.0]))
+    out = evolve(model, 50.0, np.diag([0.0, 1.0]))
     assert np.linalg.norm(out - np.diag([1.0, 0.0])) < 1e-8
-
-
-def test_propagate_rejects_non_generator():
-    bad = Superoperator(2, np.eye(4))  # not trace annihilating
-    with pytest.raises(ValueError, match="drift"):
-        propagate(bad, 1.0, np.eye(2) / 2)
 
 
 def test_validate_lindblad_and_kraus():
@@ -255,8 +246,8 @@ def test_generator_properties_random_models():
             )
         # semigroup property of the matrix exponential
         s, t = rng.uniform(0, 10, 2)
-        lhs = matrix_exponential((s + t) * gen.matrix)
-        rhs = matrix_exponential(s * gen.matrix) @ matrix_exponential(t * gen.matrix)
+        lhs = expm((s + t) * gen.matrix)
+        rhs = expm(s * gen.matrix) @ expm(t * gen.matrix)
         assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(rhs))
         # fixed points are annihilated
         for x in fixed_points(model):
@@ -281,8 +272,6 @@ def test_shape_and_type_guards():
         Superoperator(2, np.eye(3))
     with pytest.raises(ValueError, match="does not match"):
         apply(Superoperator(2, np.eye(4)), np.eye(3))
-    with pytest.raises(ValueError, match="nonnegative"):
-        propagate(Superoperator(2, np.zeros((4, 4))), -1.0, np.eye(2) / 2)
     with pytest.raises(TypeError):
         validate("nope")
 
@@ -414,3 +403,33 @@ def test_validate_reports_the_hamiltonian_defect_but_not_as_lost_trace():
     defect = np.linalg.norm(model.hamiltonian - model.hamiltonian.conj().T)
     assert defect > 1e-8 and diag.hermiticity_residual == defect
     assert diag.trace_residual <= 1e-14 and diag.ok
+
+
+def _time_scaled(model, c):
+    return LindbladModel.create(c * model.hamiltonian, [np.sqrt(c) * j for j in model.jumps])
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1.0, 1e4, 1e8, 1e12])
+def test_validate_ok_is_the_create_rule_in_every_time_unit(c):
+    # Accepted models are ok, with their residuals kept absolute; a model
+    # built past create is ok exactly when create would accept it.
+    rng = np.random.default_rng(13)
+    accepted = [faithful_2d(), zero_generator_2d(), tilted_hamiltonian_model(5e-7)[0]]
+    accepted += [random_model(rng, 4, 2), leaky_model(rng, 5, 2)]
+    for model in accepted:
+        h = _time_scaled(model, c).hamiltonian
+        diag = validate(_time_scaled(model, c))
+        assert diag.ok and diag.hermiticity_residual == np.linalg.norm(h - h.conj().T)
+    skew = LindbladModel(2, c * np.array([[0, 1], [-1, 0]], dtype=complex), ())
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LindbladModel.create(skew.hamiltonian, skew.jumps)
+    assert not validate(skew).ok
+    # A channel has no time unit: its bound rank_tol · s is fixed by n and the V_i.
+    channel = rotation_channel()
+    for factor, ok in ((1 + 1e-10, True), (1 + 1e-8, False)):
+        scaled = KrausChannel(2, tuple(factor * v for v in channel.kraus))
+        assert validate(scaled).ok is ok
+        if not ok:
+            with pytest.raises(ValueError, match="rank_tol · s"):
+                KrausChannel.create(scaled.kraus)
+
