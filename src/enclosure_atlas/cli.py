@@ -16,6 +16,7 @@ their modules when they are called.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .decomposition import DecompositionError, decompose, verify_decomposition
@@ -113,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_tol(args, parsed: ParsedModel):
     tol = parsed.tolerances
     if args.tol_rank is not None:
-        tol = tol.replace(rank_tol=args.tol_rank)
+        tol = dataclasses.replace(tol, rank_tol=args.tol_rank)
     if args.tol_residual is not None:
-        tol = tol.replace(residual_tol=args.tol_residual)
+        tol = dataclasses.replace(tol, residual_tol=args.tol_residual)
     return tol
 
 

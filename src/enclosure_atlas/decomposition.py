@@ -56,6 +56,12 @@ from .semigroup import (
 )
 
 
+# Width of an E_F(D) eigenvalue cluster, and the corner norm that links two
+# clusters (``_link_clusters``). E_F(D)'s spectrum lies in [0, n − 1] and the
+# retry elements have unit-scale coefficients, in every time unit.
+_CLUSTER_WIDTH = 1e-7
+
+
 class DecompositionError(RuntimeError):
     """Pipeline failure tagged with the stage that produced it."""
 
@@ -162,15 +168,14 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     ``build_generator`` matrix of either kind), and E is the Cesàro limit of
     the channel's powers. Eigenvalue 0 is semisimple for any
     trace-preserving semigroup or channel; a singular Y†K means it is not,
-    and raises. L must preserve Hermiticity (``gather_real`` raises
-    otherwise). Its rank cut is rank_tol · s on the operators' scale
+    and raises. Its rank cut is rank_tol · s on the operators' scale
     (``_scale``), so L → cL gives the same split at every c. The split keeps
     K and Y (as columns, each vec of a Hermitian matrix) for later stages.
     The complex n² × n² matrix of L lives only while ``gather_real`` reads
     it: the factorization works on the real M alone.
     """
     _model_kind(obj)
-    kern, left = real_null_spaces(gather_real(build_generator(obj).matrix, tol), _scale(obj), tol)
+    kern, left = real_null_spaces(gather_real(build_generator(obj).matrix), _scale(obj), tol)
     n = obj.dim
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")
@@ -231,9 +236,7 @@ def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> Enclosu
     return EnclosureCheck(enclosed=bool(residual <= tol.residual_tol), residual=residual)
 
 
-def _link_clusters(
-    x: np.ndarray, parts: Sequence[slice], tol: Tolerances
-) -> list[list[tuple[slice, np.ndarray]]]:
+def _link_clusters(x: np.ndarray, parts: Sequence[slice]) -> list[list[tuple[slice, np.ndarray]]]:
     """Group eigenvalue clusters into the blocks of the algebra.
 
     ``x`` is a generic algebra element in the eigenbasis of a generic
@@ -250,7 +253,7 @@ def _link_clusters(
             head = group[0][0]
             corner = x[part, head]
             scale = frob(corner) / np.sqrt(head.stop - head.start)
-            if corner.shape[0] == corner.shape[1] and scale > tol.eig_cluster_tol:
+            if corner.shape[0] == corner.shape[1] and scale > _CLUSTER_WIDTH:
                 group.append((part, corner / scale))
                 break
         else:
@@ -341,7 +344,7 @@ def algebra_structure(
         c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
         w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
         x = dagger(u) @ np.tensordot(c, stack, axes=1) @ u
-        groups = _link_clusters(x, cluster_sorted_values(w, tol.eig_cluster_tol), tol)
+        groups = _link_clusters(x, cluster_sorted_values(w, _CLUSTER_WIDTH))
         # each member's eigenvectors turned by its link: F's claimed form in this basis
         v = np.hstack([u[:, part] @ link for group in groups for part, link in group])
         layout = [(len(group), group[0][0].stop - group[0][0].start) for group in groups]

@@ -8,8 +8,8 @@ identifiability through outcome-word probabilities. Every mode builds a
 real table with one row per probe (a channel signature, a jump expectation,
 an outcome-word probability) and one column per state, and one rule reads
 the verdicts off it (``_separation``): differences at or below residual_tol
-count as equality, a pair's witness is its first probe that separates it,
-and its magnitude is its largest difference over all probes.
+times the probe's scale count as equality, a pair's witness is its first
+probe that separates it, and its magnitude is its largest raw difference.
 
 The discrete check closes the span of the tuples (V_w rho_a V_w†)_a that
 outcome words w reach, as in the equivalence test for probabilistic automata
@@ -43,7 +43,10 @@ from .decomposition import (
     is_enclosure,
 )
 
-TOLERANCE_POLICY_NOTE = "separations at or below residual_tol count as equality"
+TOLERANCE_POLICY_NOTE = (
+    "separations at or below residual_tol times the probe's scale count as equality; "
+    "magnitudes are raw"
+)
 
 
 @dataclass(frozen=True)
@@ -173,20 +176,22 @@ class IdentifiabilityReport:
     policy: str = TOLERANCE_POLICY_NOTE
 
 
-def _separation(mode, labels, values, probes, none, hypothesis_violated, tol):
+def _separation(mode, labels, values, probes, scales, none, hypothesis_violated, tol):
     """Pair verdicts from a real table with one row per probe, in witness
     order, and one column per label.
 
-    A pair's witness is its first probe whose values differ by more than
-    residual_tol, ``none`` without one; its magnitude is its largest
-    difference over all probes, 0.0 when there are none.
+    ``scales`` bounds each probe's values (one number for all probes) and
+    moves with the time unit as they do. A pair's witness is its first probe
+    whose values differ by more than residual_tol · scale, ``none`` without
+    one; its magnitude is its largest raw difference, 0.0 without probes.
     """
     first, second = np.triu_indices(len(labels), 1)
     values = np.asarray(values, dtype=float).reshape(len(probes), len(labels))
     gaps = np.abs(values[:, first] - values[:, second])
+    cuts = tol.residual_tol * np.asarray(scales, dtype=float)
     pairs = []
     for a, b, gap in zip(first, second, gaps.T):
-        hits = np.flatnonzero(gap > tol.residual_tol)
+        hits = np.flatnonzero(gap > cuts)
         witness = probes[hits[0]] if hits.size else none
         magnitude = float(gap.max(initial=0.0))
         pairs.append(PairVerdict(int(a), int(b), bool(hits.size), witness, magnitude))
@@ -196,12 +201,16 @@ def _separation(mode, labels, values, probes, none, hypothesis_violated, tol):
 
 def nondegeneracy_check(qnd: QndModel, tol: Tolerances = DEFAULT_TOL) -> IdentifiabilityReport:
     """Pairwise pointer distinguishability: some diffusive channel separates
-    the r signatures, or some jump channel separates the theta signatures."""
+    the r signatures, or some jump channel separates the theta signatures.
+    Channel j's scale is 2·max_a |c_ja| when diffusive, max_a |c_ja|² when
+    jump-type: the largest |r| or theta it can take."""
     diffusive = np.arange(qnd.num_channels) <= qnd.split
     labels = tuple(f"pointer{a}" for a in range(qnd.num_pointers))
     values = np.where(diffusive[:, None], qnd.r(), qnd.theta())
+    largest = np.abs(qnd.amplitudes).max(axis=1, initial=0.0)
+    scales = np.where(diffusive, 2 * largest, largest**2)
     probes = [f"{'diffusive r' if d else 'jump theta'}[{j}]" for j, d in enumerate(diffusive)]
-    return _separation("qnd-nondegeneracy", labels, values, probes, None, False, tol)
+    return _separation("qnd-nondegeneracy", labels, values, probes, scales, None, False, tol)
 
 
 def omega(qnd: QndModel, a: int, b: int) -> complex:
@@ -277,7 +286,8 @@ def continuous_identifiability(
     report: DecompositionReport,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IdentifiabilityReport:
-    """Pairwise separation of extremal states through tr((L_j + L_j†) rho).
+    """Pairwise separation of extremal states through tr((L_j + L_j†) rho),
+    each probe on its scale ‖L_j + L_j†‖₂, the largest value it can take.
 
     The underlying uniqueness statement assumes no transient part; with a
     transient present the check still runs but the report is marked as a
@@ -286,10 +296,12 @@ def continuous_identifiability(
     enclosures = enumerate_minimal_enclosures(report)
     labels = tuple(label for label, _, _ in enclosures)
     states = [rec.extremal_state for _, rec, _ in enclosures]
-    values = [[np.trace((op + dagger(op)) @ rho).real for rho in states] for op in model.jumps]
+    quadratures = [op + dagger(op) for op in model.jumps]
+    values = [[np.trace(x @ rho).real for rho in states] for x in quadratures]
+    scales = [np.linalg.norm(x, 2) for x in quadratures]
     probes = [f"channel[{j}]" for j in range(len(model.jumps))]
     violated = report.transient_dimension > 0
-    return _separation("continuous", labels, values, probes, None, violated, tol)
+    return _separation("continuous", labels, values, probes, scales, None, violated, tol)
 
 
 def discrete_identifiability(
@@ -369,7 +381,8 @@ def discrete_identifiability(
     probes = ["word" + str(list(word)) for word in tested]
     none = f"none up to {max_len}" if max_len is not None else "none of any length"
     violated = report.transient_dimension > 0
-    return _separation("discrete", labels, np.vstack(rows), probes, none, violated, tol)
+    # a word probability lies in [0, 1]: scale 1
+    return _separation("discrete", labels, np.vstack(rows), probes, 1.0, none, violated, tol)
 
 
 def _coordinates(level: list) -> np.ndarray:

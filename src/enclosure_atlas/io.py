@@ -150,13 +150,12 @@ def parse_model_document(doc) -> ParsedModel:
         tol_doc = doc["tolerances"]
         if not isinstance(tol_doc, dict):
             raise ModelFileError("tolerances must be an object")
-        known = {"rank_tol", "eig_cluster_tol", "residual_tol", "psd_tol"}
-        unknown = set(tol_doc) - known
+        unknown = set(tol_doc) - {f.name for f in dataclasses.fields(Tolerances)}
         if unknown:
             raise ModelFileError(f"unknown tolerance keys {sorted(unknown)}")
         values = {k: _real_entry(v, f"tolerances.{k}") for k, v in tol_doc.items()}
         try:
-            tolerances = DEFAULT_TOL.replace(**values)
+            tolerances = dataclasses.replace(DEFAULT_TOL, **values)
         except ValueError as exc:
             raise ValidationError(f"bad tolerances: {exc}") from None
 

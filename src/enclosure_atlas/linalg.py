@@ -8,7 +8,7 @@ than by wrapper types. Every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 from typing import Sequence
 
@@ -17,35 +17,29 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the package.
+    """Numerical thresholds shared across the package: two knobs, each read
+    on its own object's scale.
 
-    rank_tol         relative singular-value / eigenvalue cutoff for rank decisions,
-                     scaled by the operators' scale s in stage 1 and by the
-                     input's largest singular value or eigenvalue elsewhere;
-                     rank_tol · s bounds a channel's trace defect, too
-    eig_cluster_tol  absolute width used to group near-degenerate eigenvalues
-    residual_tol     acceptance threshold for linear identities, each on its
-                     own object's scale (100 · residual_tol · ‖H‖_F for H)
-    psd_tol          magnitude below which negative eigenvalues count as noise
+    rank_tol      relative singular-value / eigenvalue cutoff for rank decisions,
+                  scaled by the operators' scale s in stage 1 and by the
+                  input's largest singular value or eigenvalue elsewhere;
+                  rank_tol · s bounds a channel's trace defect, and
+                  rank_tol · λ_max is a state's noise (``psd_project``,
+                  ``support_projector``)
+    residual_tol  acceptance threshold for linear identities, each on its
+                  own object's scale (100 · residual_tol · ‖H‖_F for H)
     """
 
     rank_tol: float = 1e-9
-    eig_cluster_tol: float = 1e-7
     residual_tol: float = 1e-8
-    psd_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rank_tol", "eig_cluster_tol", "residual_tol", "psd_tol"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive and finite")
+                raise ValueError(f"{f.name} must be strictly positive and finite")
         if self.rank_tol >= 1:
             raise ValueError("rank_tol must be < 1")
-
-    def replace(self, **kwargs) -> "Tolerances":
-        import dataclasses
-
-        return dataclasses.replace(self, **kwargs)
 
 
 DEFAULT_TOL = Tolerances()
@@ -111,8 +105,10 @@ def check_projector(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
 def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the numerical range of a PSD Hermitian matrix.
 
-    Keeps eigenvectors with eigenvalue > rank_tol * lambda_max; the zero
-    matrix maps to the zero projector. The input must be Hermitian within
+    Keeps the eigenvectors with eigenvalue > rank_tol · λ_max: the
+    eigenvalues at most that are the state's noise, the ones ``psd_project``
+    zeroes. λ_max <= 0 gives the zero projector, and an eigenvalue below
+    −10 · rank_tol · λ_max is an error. The input must be Hermitian within
     100 · residual_tol · ‖a‖_F.
     """
     a = require_square(a)
@@ -120,12 +116,11 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
         raise ValueError("support_projector requires a Hermitian input")
     w, u = np.linalg.eigh(hermitian_part(a))
     lam_max = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -10 * max(tol.psd_tol, tol.rank_tol * abs(lam_max)):
+    if w.size and float(w[0]) < -10 * tol.rank_tol * lam_max:
         raise ValueError(f"input is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    if lam_max <= tol.psd_tol:
+    if lam_max <= 0:
         return np.zeros_like(a)
-    keep = w > tol.rank_tol * lam_max
-    v = u[:, keep]
+    v = u[:, w > tol.rank_tol * lam_max]
     return v @ dagger(v)
 
 
@@ -331,13 +326,7 @@ def _times_t(rows: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
     return cols
 
 
-def _sum_sq(x: np.ndarray) -> float:
-    """The sum of the squared entries, as one dot product."""
-    flat = x.ravel()
-    return float(flat @ flat)
-
-
-def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def gather_real(m: np.ndarray) -> np.ndarray:
     """The real matrix M = T† m T of a Hermiticity-preserving superoperator m.
 
     m acts on column-stacked n × n operators, and T is the unitary whose
@@ -347,8 +336,8 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q rows of each block of pairs, each times T (``_times_t``), combined and
     scaled into rows of M while in cache. Only these blocks and M are
     allocated, and no entry of M depends on the block size. The imaginary
-    part of T† m T must vanish within residual_tol · ‖M‖_F, on the scale of
-    m itself (the zero map passes), else ValueError.
+    part of T† m T is dropped unread: every generator has L(X)† = L(X†), so
+    it is roundoff.
     """
     m = require_square(m)
     n = isqrt(m.shape[0])
@@ -359,11 +348,9 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     perm = np.concatenate([diag, p, q])
     step = max(1, _GATHER_BYTES // (32 * n * n))
     real = np.empty(m.shape)
-    imag_sq = 0.0
     for lo in range(0, n, step):
         cols = _times_t(m[diag[lo : lo + step]], perm, n)
         real[lo : lo + len(cols)] = cols.real
-        imag_sq += _sum_sq(cols.imag)
     for lo in range(0, k, step):
         hi = min(lo + step, k)
         cols = _times_t(m[np.concatenate([p[lo:hi], q[lo:hi]])], perm, n)
@@ -373,9 +360,6 @@ def gather_real(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         sym *= r
         np.subtract(at_p.imag, at_q.imag, out=anti)
         anti *= r
-        imag_sq += 0.5 * _sum_sq(at_p.imag + at_q.imag) + 0.5 * _sum_sq(at_p.real - at_q.real)
-    if np.sqrt(imag_sq) > tol.residual_tol * frob(real):
-        raise ValueError("superoperator does not preserve Hermiticity")
     return real
 
 
@@ -529,24 +513,26 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
 def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Clip spectral noise and renormalize a near-state to unit trace.
 
-    Eigenvalues below psd_tol are zeroed; an error is raised when the clipped
-    mass exceeds 1% of the trace, which signals the input was not close to a
-    density matrix, or when the trace is too small to normalize. The input
-    must be Hermitian within 100 · residual_tol · ‖a‖_F.
+    The eigenvalues at most rank_tol · λ_max are noise and are zeroed, so
+    the result's support is ``support_projector``'s. An error is raised when
+    the trace is <= 0 or when the clipped mass exceeds 1% of the trace, which
+    signals the input was not close to a density matrix. The input must be
+    Hermitian within 100 · residual_tol · ‖a‖_F.
     """
     a = require_square(a)
     if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("psd_project requires a Hermitian input")
     w, u = np.linalg.eigh(hermitian_part(a))
     trace = float(w.sum())
-    if trace <= tol.psd_tol:
+    if trace <= 0:
         raise ValueError(f"trace {trace:.3e} too small to normalize")
-    clipped_mass = float(np.abs(w[w < tol.psd_tol]).sum())
+    noise = w <= tol.rank_tol * w[-1]
+    clipped_mass = float(np.abs(w[noise]).sum())
     if clipped_mass > 0.01 * trace:
         raise ValueError(
             f"clipped eigenvalue mass {clipped_mass:.3e} exceeds 1% of trace {trace:.3e}"
         )
-    w = np.where(w < tol.psd_tol, 0.0, w)
+    w = np.where(noise, 0.0, w)
     rho = (u * w) @ dagger(u)
     return hermitian_part(rho / w.sum())
 

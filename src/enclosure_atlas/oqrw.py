@@ -62,17 +62,18 @@ class OqrwSpec:
     """Walk on a finite graph with an internal degree of freedom.
 
     transition_ops maps (destination, source) vertex pairs to operators on
-    the inner space. In discrete time each source column must satisfy the
-    Kraus normalization sum_dest B†B = 1, the trace rule of the channel they
-    form (``oqrw_channel``); in continuous time the entries are rate
-    amplitudes and no normalization is imposed.
+    the inner space. The builder chosen is the time mode: ``general_oqrw``
+    reads them as rate amplitudes of the continuous-time walk, with no
+    normalization, and ``oqrw_channel`` as the Kraus operators of the
+    discrete-time walk, whose source columns must satisfy sum_dest B†B = 1,
+    the channel's trace rule. Local Hamiltonians drive only the
+    continuous-time walk.
     """
 
     num_sites: int
     inner_dim: int
     transition_ops: Mapping
     local_hamiltonians: tuple[np.ndarray, ...] = field(default=())
-    time_mode: str = "continuous"
 
     @classmethod
     def create(
@@ -81,11 +82,8 @@ class OqrwSpec:
         inner_dim: int,
         transition_ops: Mapping,
         local_hamiltonians: Sequence = (),
-        time_mode: str = "continuous",
         tol: Tolerances = DEFAULT_TOL,
     ) -> "OqrwSpec":
-        if time_mode not in ("continuous", "discrete"):
-            raise ValueError(f"unknown time mode {time_mode!r}")
         ops = {}
         for key, op in transition_ops.items():
             dest, src = key
@@ -107,16 +105,12 @@ class OqrwSpec:
             defect, bound = _hermiticity_rule(h, tol)
             if defect > bound:
                 raise ValueError(f"local Hamiltonian {i} is not Hermitian: ‖H − H†‖_F = {defect:.3e}")
-        spec = cls(
+        return cls(
             num_sites=num_sites,
             inner_dim=inner_dim,
             transition_ops=ops,
             local_hamiltonians=hams,
-            time_mode=time_mode,
         )
-        if time_mode == "discrete":
-            oqrw_channel(spec, tol)
-        return spec
 
 
 def minimal_oqrw(rate: RateMatrix) -> LindbladModel:
@@ -137,8 +131,6 @@ def general_oqrw(spec: OqrwSpec) -> LindbladModel:
     Jump operators are B ⊗ |dest><src| and the Hamiltonian is the block
     diagonal of the local terms.
     """
-    if spec.time_mode != "continuous":
-        raise ValueError("general_oqrw builds the continuous-time model; use oqrw_channel")
     dim = spec.inner_dim * spec.num_sites
     h = np.zeros((dim, dim), dtype=complex)
     for i, hi in enumerate(spec.local_hamiltonians):
@@ -151,9 +143,11 @@ def general_oqrw(spec: OqrwSpec) -> LindbladModel:
 
 
 def oqrw_channel(spec: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
-    """Discrete-time walk as a Kraus channel with operators B ⊗ |dest><src|."""
-    if spec.time_mode != "discrete":
-        raise ValueError("oqrw_channel builds the discrete-time channel; use general_oqrw")
+    """Discrete-time walk as a Kraus channel with operators B ⊗ |dest><src|,
+    validated by ``KrausChannel.create``. A channel has no Hamiltonian, so a
+    spec with local Hamiltonians is rejected."""
+    if spec.local_hamiltonians:
+        raise ValueError("a discrete-time walk takes no local Hamiltonians; use general_oqrw")
     kraus = [
         _site_operator(op, dest, src, spec.num_sites)
         for (dest, src), op in sorted(spec.transition_ops.items())

@@ -42,7 +42,7 @@ def null_spaces(m, tol=DEFAULT_TOL):
     ``real_null_spaces`` of ``gather_real``, from an n² × n² matrix. A raw
     matrix has no model to take the operators' scale from, so the cut is
     rank_tol · max(‖M‖_F, 1)."""
-    real = gather_real(m, tol)
+    real = gather_real(m)
     return real_null_spaces(real, max(np.linalg.norm(real), 1.0), tol)
 
 

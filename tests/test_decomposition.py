@@ -862,7 +862,7 @@ def test_null_spaces_sketch_that_counts_a_value_above_the_cut_needs_svd(monkeypa
     # certificate rejects d and the SVD gives its answer, one dimension. The
     # kernel lies 1.2·cut from the next singular vector, so rank_tol = 1e-4
     # keeps its roundoff below the oracle's 1e-10.
-    tol = DEFAULT_TOL.replace(rank_tol=1e-4)
+    tol = dataclasses.replace(DEFAULT_TOL, rank_tol=1e-4)
     cut = tol.rank_tol * np.sqrt(34)
     mat = _dense_sector_generator(np.r_[np.ones(34), 1.2 * cut, cut / 1000], np.random.default_rng(109))
     calls = _factor_spy(monkeypatch)
@@ -924,17 +924,6 @@ def test_decompose_generators_zero_up_to_roundoff():
             (family,) = report.families
             assert [member.dimension for member in family.members] == [1] * n
             assert verify_decomposition(report, model).ok
-
-
-def test_recurrent_projector_rejects_non_hermiticity_preserving_map(monkeypatch):
-    # Coherences decaying at different rates: L(X)† != L(X†).
-    _crafted_generator(monkeypatch, np.diag([0.0, -1.0, -2.0, 0.0]).astype(complex))
-    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-        recurrent_projector(faithful_2d())
-    with pytest.raises(DecompositionError, match="does not preserve Hermiticity") as err:
-        decompose(faithful_2d())
-    assert err.value.stage == "recurrent"
-    assert str(err.value).startswith("[recurrent]")
 
 
 def test_decompose_runs_one_svd_larger_than_twice_the_kernel(monkeypatch):
@@ -1070,7 +1059,7 @@ def _central_path_oracle(structure, p_r, seed=0, tol=DEFAULT_TOL, retries=5):
     def clusters(elements, accept):
         for _ in range(retries):
             w, u = np.linalg.eigh(sum(rng.standard_normal() * e for e in elements))
-            parts = cluster_sorted_values(w, tol.eig_cluster_tol)
+            parts = cluster_sorted_values(w, decomposition_module._CLUSTER_WIDTH)
             if accept(parts):
                 return u, parts
         raise AssertionError("oracle clustering stayed ambiguous")
@@ -1699,24 +1688,20 @@ def test_decompose_error_carries_stage():
     assert err.stage == "algebra" and "[algebra]" in str(err)
 
 
-def test_decompose_ambiguous_clustering_is_an_error():
-    from enclosure_atlas.linalg import Tolerances
-
+def test_decompose_ambiguous_clustering_is_an_error(monkeypatch):
     # a cluster width wider than every eigenvalue gap leaves the two central
     # blocks indistinguishable; after the retry budget this must fail loudly
-    coarse = Tolerances(eig_cluster_tol=1e6)
+    monkeypatch.setattr(decomposition_module, "_CLUSTER_WIDTH", 1e6)
     with pytest.raises(DecompositionError, match="ambiguous") as excinfo:
-        decompose(two_enclosures_2d(), tol=coarse)
+        decompose(two_enclosures_2d())
     assert excinfo.value.stage == "algebra"
 
 
-def test_decompose_ambiguous_clustering_reports_the_dimension_count():
-    from enclosure_atlas.linalg import Tolerances
-
+def test_decompose_ambiguous_clustering_reports_the_dimension_count(monkeypatch):
     # one cluster spans both blocks: one group of one member against dim F = 2
-    coarse = Tolerances(eig_cluster_tol=1e6)
+    monkeypatch.setattr(decomposition_module, "_CLUSTER_WIDTH", 1e6)
     with pytest.raises(DecompositionError, match="Σ m_b² = 1 against dim F = 2"):
-        decompose(two_enclosures_2d(), tol=coarse)
+        decompose(two_enclosures_2d())
 
 
 def test_cutoff_generator_dimension_mismatch():

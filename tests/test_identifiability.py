@@ -234,7 +234,8 @@ def test_continuous_identifiability_two_enclosures():
 
 
 def _qnd_loop_verdicts(qnd, tol):
-    """The per-pair loop nondegeneracy_check used before the shared rule."""
+    """The per-pair loop nondegeneracy_check used before the shared rule,
+    each channel on its scale: 2·max_a |c_ja| diffusive, max_a |c_ja|² jump."""
     r, theta = qnd.r(), qnd.theta()
     out = []
     for a in range(qnd.num_pointers):
@@ -243,24 +244,29 @@ def _qnd_loop_verdicts(qnd, tol):
             for j in range(qnd.num_channels):
                 diffusive = j <= qnd.split
                 gap = abs(r[j, a] - r[j, b]) if diffusive else abs(theta[j, a] - theta[j, b])
+                largest = max(abs(c) for c in qnd.amplitudes[j])
+                scale = 2 * largest if diffusive else largest**2
                 magnitude = max(magnitude, gap)
-                if witness is None and gap > tol.residual_tol:
+                if witness is None and gap > tol.residual_tol * scale:
                     witness = f"{'diffusive r' if diffusive else 'jump theta'}[{j}]"
             out.append((a, b, witness is not None, witness, magnitude))
     return out
 
 
 def _continuous_loop_verdicts(model, report, tol):
-    """The per-pair loop continuous_identifiability used before the shared rule."""
+    """The per-pair loop continuous_identifiability used before the shared
+    rule, each channel on its scale: the largest |eigenvalue| of L_j + L_j†."""
     states = [rec.extremal_state for _, rec, _ in enumerate_minimal_enclosures(report)]
     out = []
     for a in range(len(states)):
         for b in range(a + 1, len(states)):
             witness, magnitude = None, 0.0
             for j, op in enumerate(model.jumps):
-                gap = abs(np.trace((op + op.conj().T) @ (states[a] - states[b])).real)
+                quadrature = op + op.conj().T
+                gap = abs(np.trace(quadrature @ (states[a] - states[b])).real)
+                scale = np.abs(np.linalg.eigvalsh(quadrature)).max()
                 magnitude = max(magnitude, gap)
-                if witness is None and gap > tol.residual_tol:
+                if witness is None and gap > tol.residual_tol * scale:
                     witness = f"channel[{j}]"
             out.append((a, b, witness is not None, witness, magnitude))
     return out
@@ -310,6 +316,37 @@ def test_separation_matches_per_mode_loops():
             continuous_identifiability(model, report, tol),
             _continuous_loop_verdicts(model, report, tol),
         )
+
+
+TIME_UNITS = [1e-12, 1e-8, 1.0, 1e4, 1e8, 1e12]
+
+
+def _verdicts(report):
+    return [(p.a, p.b, p.separated, p.witness) for p in report.pairs]
+
+
+def test_separation_reads_the_same_in_every_time_unit():
+    # Energies × c and amplitudes × √c scale r by √c and theta by c; each
+    # channel's scale moves with them. An absolute cut left the jump-type
+    # pairs (0, 2) and (1, 2) unseparated at c = 1e-12.
+    energies, amplitudes = np.array([0.0, 1.0, 2.0]), np.array([[1, 1, 2], [0.5, 0.5, 1.5]])
+    for split in (-1, 0, 1):
+        expected = None
+        for c in TIME_UNITS:
+            qnd = QndModel.create(c * energies, np.sqrt(c) * amplitudes, split)
+            report = nondegeneracy_check(qnd)
+            expected = expected or _verdicts(report)
+            assert _verdicts(report) == expected, (split, c)
+            assert [p.separated for p in report.pairs] == [False, True, True], (split, c)
+            if split == -1:  # magnitudes stay the raw gaps: |theta_00 − theta_02| = 3c
+                assert report.pairs[1].magnitude == pytest.approx(3 * c)
+    base = block_diag_model(np.random.default_rng(3), (2, 3), 2)
+    expected = None
+    for c in TIME_UNITS:
+        model = LindbladModel.create(c * base.hamiltonian, [np.sqrt(c) * j for j in base.jumps])
+        report = continuous_identifiability(model, decompose(model))
+        expected = expected or _verdicts(report)
+        assert _verdicts(report) == expected and report.overall, c
 
 
 def test_continuous_identifiability_no_channels_fails():

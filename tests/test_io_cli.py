@@ -133,7 +133,7 @@ def test_parse_tolerances_and_seed():
     with pytest.raises(ModelFileError, match="bogus"):
         parse_model_document(doc)
     # tolerances are JSON numbers, not strings or booleans
-    for bad in ({"rank_tol": "1e-9"}, {"psd_tol": True}, {"residual_tol": None}):
+    for bad in ({"rank_tol": "1e-9"}, {"residual_tol": True}, {"residual_tol": None}):
         doc["tolerances"] = bad
         with pytest.raises(ModelFileError, match=f"tolerances.{next(iter(bad))}"):
             parse_model_document(doc)
@@ -299,6 +299,31 @@ def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     assert [rec["dimension"] for rec in dec["unique_enclosures"]] == [4]
     assert dec["families"] == []
     assert report["verification"]["ok"] is True
+
+
+@pytest.mark.parametrize("u", [1e-12, 5e-11, 1.5e-10, 3e-10, 9e-10, 2e-9, 1e-8])
+def test_cli_weak_pump_sweep(tmp_path, capsys, u):
+    # Decay |0><1| against a pump √u |1><0|: one enclosure of dimension 2 at
+    # every u > 0. Below 2e-9 the pumped level's weight u falls under the
+    # noise cut rank_tol · λ_max of the maximal-support state and the
+    # enclosure check fails; from 2e-9 up the report verifies.
+    doc = {
+        "mode": "lindblad",
+        "dim": 2,
+        "hamiltonian": complex_matrix_to_json(np.zeros((2, 2))),
+        "jumps": [
+            complex_matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])),
+            complex_matrix_to_json(np.sqrt(u) * np.array([[0.0, 0.0], [1.0, 0.0]])),
+        ],
+    }
+    path = tmp_path / "pump.json"
+    path.write_text(serialize_report(doc))
+    code = main(["analyze", str(path), "--format", "structured"])
+    out, err = capsys.readouterr()
+    if u < 2e-9:
+        assert code == 3 and "[enclosures]" in err
+    else:
+        assert code == 0 and _shape(parse_report(out)) == (0, [2], [])
 
 
 def _coupled_blocks(g):
@@ -647,7 +672,18 @@ def test_cli_tolerance_flags(tmp_path, capsys):
     assert doc["decomposition"]["tolerances"]["rank_tol"] == 1e-7
     assert main(["analyze", path, "--tol-residual", "1e-6", "--format", "structured"]) == 0
     doc = parse_report(capsys.readouterr().out)
-    assert doc["decomposition"]["tolerances"]["residual_tol"] == 1e-6
+    assert doc["decomposition"]["tolerances"] == {"rank_tol": 1e-9, "residual_tol": 1e-6}
+
+
+@pytest.mark.parametrize("key", ["psd_tol", "eig_cluster_tol"])
+def test_cli_removed_tolerance_keys_are_file_errors(tmp_path, capsys, key):
+    # A state's noise is rank_tol · λ_max, and the cluster width a constant.
+    doc = fixture_document("faithful-2d")
+    doc["tolerances"] = {key: 1e-10}
+    path = tmp_path / "removed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert key in capsys.readouterr().err
 
 
 def test_cli_output_file_and_file_seed(tmp_path, capsys):

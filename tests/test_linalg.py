@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,6 @@ from helpers import (
     conjugated_pair_channel,
     conjugated_pair_model,
     leaky_model,
-    null_spaces,
     random_channel,
     random_model,
     random_rate_matrix,
@@ -49,7 +50,10 @@ def test_tolerances_validation():
         Tolerances(rank_tol=1.5)
     with pytest.raises(ValueError):
         Tolerances(residual_tol=-1e-9)
-    assert Tolerances().replace(rank_tol=1e-6).rank_tol == 1e-6
+    assert dataclasses.replace(Tolerances(), rank_tol=1e-6).rank_tol == 1e-6
+    # two knobs: a state's noise is the rank cut, the cluster width a constant
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_tol", "residual_tol"]
+    assert not hasattr(Tolerances, "replace")
 
 
 def test_cluster_sorted_values_splits_at_gaps_wider_than_the_width():
@@ -220,6 +224,16 @@ def test_psd_project_examples():
     assert np.allclose(psd_project(np.diag([2.0, 2.0])), np.diag([0.5, 0.5]), atol=1e-14)
 
 
+def test_psd_project_and_support_projector_share_one_noise_rule():
+    # An eigenvalue at most rank_tol · λ_max is noise to both: psd_project
+    # zeroes it and support_projector drops it, so ρ lies in its support.
+    for k in (0.5, 2, 5, 20):
+        rho = psd_project(np.diag([1.0, k * 1e-10, 0.3]))
+        p = support_projector(rho)
+        assert np.linalg.norm((np.eye(3) - p) @ rho) <= 1e-15, k
+        assert round(np.trace(p).real) == (3 if k == 20 else 2), k
+
+
 def test_psd_project_errors():
     with pytest.raises(ValueError, match="trace"):
         psd_project(np.diag([1e-12, -1e-12]))
@@ -261,6 +275,7 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
         m = build_generator(model).matrix
         n2 = m.shape[0]
         ref, imag = unblocked_gather(m)
+        # L(X)† = L(X†): Im T† m T is roundoff, which gather_real drops unread
         assert imag <= DEFAULT_TOL.residual_tol * max(1.0, frob(ref))
         many_jumps = max(many_jumps, len(getattr(model, "jumps", ())))
         for gather_bytes in (32 * n2, 4 * 32 * n2, default):
@@ -271,15 +286,3 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
             assert np.array_equal(real != 0, ref != 0)
     assert many_jumps >= 20
 
-
-def test_gather_real_rejects_maps_that_do_not_preserve_hermiticity():
-    rng = np.random.default_rng(89)
-    good = build_generator(random_model(rng, 4, 2)).matrix
-    noise = rng.standard_normal(good.shape) + 1j * rng.standard_normal(good.shape)
-    for m in (1j * good, noise, good + 1e-6 * noise):
-        assert unblocked_gather(m)[1] > DEFAULT_TOL.residual_tol * frob(m)
-        for fn in (gather_real, null_spaces):
-            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-                fn(m)
-    # noise below residual_tol relative to the scale is accepted
-    gather_real(good + 1e-12 * noise)

@@ -42,15 +42,25 @@ def test_rate_matrix_positive_diagonal_has_one_message_at_every_scale():
 
 def test_discrete_oqrw_spec_takes_the_channel_trace_rule():
     # Each column's Σ B†B = 1 is checked as the channel's trace rule,
-    # ‖Σ V†V − 1‖_F <= rank_tol · s.
+    # ‖Σ V†V − 1‖_F <= rank_tol · s, when oqrw_channel builds the channel.
     ops = {(0, 0): np.eye(1) * np.sqrt(0.5), (1, 0): np.eye(1) * np.sqrt(0.5)}
     for defect, ok in ((1e-10, True), (1e-7, False)):
-        spec = {**ops, (1, 1): np.eye(1) * np.sqrt(1 + defect)}
+        spec = OqrwSpec.create(2, 1, {**ops, (1, 1): np.eye(1) * np.sqrt(1 + defect)})
         if ok:
-            assert oqrw_channel(OqrwSpec.create(2, 1, spec, time_mode="discrete")).dim == 2
+            assert oqrw_channel(spec).dim == 2
         else:
             with pytest.raises(ValueError, match="rank_tol · s"):
-                OqrwSpec.create(2, 1, spec, time_mode="discrete")
+                oqrw_channel(spec)
+
+
+def test_oqrw_channel_rejects_local_hamiltonians():
+    # A channel has no Hamiltonian: local terms would be dropped without a word.
+    ops = {(0, 0): np.eye(1) * np.sqrt(0.5), (1, 0): np.eye(1) * np.sqrt(0.5), (1, 1): np.eye(1)}
+    spec = OqrwSpec.create(2, 1, ops, local_hamiltonians=[3 * np.eye(1), 5 * np.eye(1)])
+    with pytest.raises(ValueError, match="local Hamiltonians"):
+        oqrw_channel(spec)
+    assert general_oqrw(spec).hamiltonian.diagonal().tolist() == [3, 5]
+    assert len(oqrw_channel(OqrwSpec.create(2, 1, ops)).kraus) == 3
 
 
 def test_minimal_oqrw_two_state_kernel():
@@ -148,29 +158,21 @@ def test_oqrw_spec_validation():
     with pytest.raises(ValueError, match="vertex range"):
         OqrwSpec.create(2, 1, {(2, 0): np.eye(1)})
     with pytest.raises(ValueError, match="Kraus"):
-        OqrwSpec.create(2, 1, {(0, 0): np.eye(1) * 0.5}, time_mode="discrete")
+        oqrw_channel(OqrwSpec.create(2, 1, {(0, 0): np.eye(1) * 0.5}))
     with pytest.raises(ValueError, match="shape"):
         OqrwSpec.create(2, 2, {(0, 1): np.eye(3)})
-    with pytest.raises(ValueError, match="time mode"):
-        OqrwSpec.create(1, 1, {}, time_mode="sometimes")
     with pytest.raises(ValueError, match="local Hamiltonians"):
         OqrwSpec.create(2, 1, {}, local_hamiltonians=[np.eye(1)])
     with pytest.raises(ValueError, match="not Hermitian"):
         OqrwSpec.create(1, 2, {}, local_hamiltonians=[np.array([[0, 1], [0, 0]])])
-    with pytest.raises(ValueError, match="continuous-time model"):
-        general_oqrw(
-            OqrwSpec.create(1, 1, {(0, 0): np.eye(1)}, time_mode="discrete")
-        )
     spec = OqrwSpec.create(
         2,
         1,
         {(0, 0): np.eye(1) * np.sqrt(0.5), (1, 0): np.eye(1) * np.sqrt(0.5), (1, 1): np.eye(1)},
-        time_mode="discrete",
     )
-    channel = oqrw_channel(spec)
-    assert channel.dim == 2
-    with pytest.raises(ValueError, match="discrete-time channel"):
-        oqrw_channel(OqrwSpec.create(1, 1, {(0, 0): np.eye(1)}))
+    # the builder is the time mode: the same spec as a channel and as a generator
+    assert oqrw_channel(spec).dim == 2
+    assert general_oqrw(spec).dim == 2
 
 
 def test_closed_classes_examples():
