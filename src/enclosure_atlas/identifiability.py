@@ -287,7 +287,10 @@ def continuous_identifiability(
     tol: Tolerances = DEFAULT_TOL,
 ) -> IdentifiabilityReport:
     """Pairwise separation of extremal states through tr((L_j + L_j†) rho),
-    each probe on its scale ‖L_j + L_j†‖₂, the largest value it can take.
+    each probe on its scale 2·‖L_j‖₂, a bound on its value on any state.
+    The bound is blind to the phase gauge L_j → e^{iφ} L_j, which leaves the
+    dynamics unchanged, and on a nondemolition model it is the diffusive
+    scale 2·max_a |c_ja| of ``nondegeneracy_check``.
 
     The underlying uniqueness statement assumes no transient part; with a
     transient present the check still runs but the report is marked as a
@@ -296,9 +299,8 @@ def continuous_identifiability(
     enclosures = enumerate_minimal_enclosures(report)
     labels = tuple(label for label, _, _ in enclosures)
     states = [rec.extremal_state for _, rec, _ in enclosures]
-    quadratures = [op + dagger(op) for op in model.jumps]
-    values = [[np.trace(x @ rho).real for rho in states] for x in quadratures]
-    scales = [np.linalg.norm(x, 2) for x in quadratures]
+    values = [[np.trace((op + dagger(op)) @ rho).real for rho in states] for op in model.jumps]
+    scales = [2 * np.linalg.norm(op, 2) for op in model.jumps]
     probes = [f"channel[{j}]" for j in range(len(model.jumps))]
     violated = report.transient_dimension > 0
     return _separation("continuous", labels, values, probes, scales, None, violated, tol)

@@ -107,19 +107,19 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
 
     Keeps the eigenvectors with eigenvalue > rank_tol · λ_max: the
     eigenvalues at most that are the state's noise, the ones ``psd_project``
-    zeroes. λ_max <= 0 gives the zero projector, and an eigenvalue below
-    −10 · rank_tol · λ_max is an error. The input must be Hermitian within
-    100 · residual_tol · ‖a‖_F.
+    zeroes. λ_max <= 0 gives the zero projector, since no eigenvalue is
+    kept; otherwise an eigenvalue below −10 · rank_tol · λ_max is an error.
+    The input must be Hermitian within 100 · residual_tol · ‖a‖_F.
     """
     a = require_square(a)
     if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("support_projector requires a Hermitian input")
     w, u = np.linalg.eigh(hermitian_part(a))
     lam_max = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -10 * tol.rank_tol * lam_max:
-        raise ValueError(f"input is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     if lam_max <= 0:
         return np.zeros_like(a)
+    if float(w[0]) < -10 * tol.rank_tol * lam_max:
+        raise ValueError(f"input is not positive semidefinite: min eigenvalue {w[0]:.3e}")
     v = u[:, w > tol.rank_tol * lam_max]
     return v @ dagger(v)
 

@@ -255,7 +255,7 @@ def _qnd_loop_verdicts(qnd, tol):
 
 def _continuous_loop_verdicts(model, report, tol):
     """The per-pair loop continuous_identifiability used before the shared
-    rule, each channel on its scale: the largest |eigenvalue| of L_j + L_j†."""
+    rule, each channel on its scale: twice the largest singular value of L_j."""
     states = [rec.extremal_state for _, rec, _ in enumerate_minimal_enclosures(report)]
     out = []
     for a in range(len(states)):
@@ -264,7 +264,7 @@ def _continuous_loop_verdicts(model, report, tol):
             for j, op in enumerate(model.jumps):
                 quadrature = op + op.conj().T
                 gap = abs(np.trace(quadrature @ (states[a] - states[b])).real)
-                scale = np.abs(np.linalg.eigvalsh(quadrature)).max()
+                scale = 2 * np.linalg.svd(op, compute_uv=False).max()
                 magnitude = max(magnitude, gap)
                 if witness is None and gap > tol.residual_tol * scale:
                     witness = f"channel[{j}]"
@@ -316,6 +316,55 @@ def test_separation_matches_per_mode_loops():
             continuous_identifiability(model, report, tol),
             _continuous_loop_verdicts(model, report, tol),
         )
+
+
+def test_continuous_identifiability_reads_a_jump_phase_free_scale():
+    # L = U (i D) U† has the dynamics of the Hermitian jump U D U† (the gauge
+    # L → e^{iφ} L), but L + L† is roundoff, so the scale cannot be
+    # ‖L + L†‖₂: read on it, roundoff gaps would separate every pair, and
+    # with D = 1 (a non-unique decomposition) uniqueness_cross_check would
+    # raise its internal error.
+    for seed in range(3):
+        u = random_unitary(np.random.default_rng(seed), 3)
+        for d in ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]):
+            jump = u @ np.diag(1j * np.array(d)) @ u.conj().T
+            model = LindbladModel.create(np.zeros((3, 3)), [jump])
+            ident = continuous_identifiability(model, decompose(model))
+            assert not any(p.separated for p in ident.pairs), (seed, d)
+            assert max(p.magnitude for p in ident.pairs) < 1e-14
+            uniqueness_cross_check(model)
+
+
+def test_continuous_verdicts_on_a_qnd_model_match_nondegeneracy():
+    # tr((L_j + L_j†) |a⟩⟨a|) = r_ja, so with every channel diffusive the two
+    # modes read the same table, each channel on the scale 2·max_a |c_ja|.
+    cases = [QndModel.create([0.0, 1.0], [[10j, 10j + 1e-9]], 0)]
+    rng = np.random.default_rng(31337)
+    for _ in range(10):
+        q = random_qnd(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+        amplitudes = q.amplitudes.copy()
+        # c -> conj(c) ties r and theta, c -> c + i·t ties r only
+        for j in range(q.num_channels):
+            a, b = rng.choice(q.num_pointers, size=2, replace=False)
+            tied = amplitudes[j, a].conj() if rng.random() < 0.5 else amplitudes[j, a] + 1j
+            amplitudes[j, b] = tied
+        cases.append(QndModel.create(q.energies, amplitudes, q.num_channels - 1))
+    for q in cases:
+        expected = {(p.a, p.b): p.separated for p in nondegeneracy_check(q).pairs}
+        model = qnd_to_model(q)
+        report = decompose(model)
+        pointer = []
+        for _, rec, _ in enumerate_minimal_enclosures(report):
+            a = int(np.argmax(np.diag(rec.extremal_state).real))
+            assert np.allclose(rec.extremal_state, unit(a, a, q.num_pointers), atol=1e-9)
+            pointer.append(a)
+        got = {
+            tuple(sorted((pointer[p.a], pointer[p.b]))): p.separated
+            for p in continuous_identifiability(model, report).pairs
+        }
+        assert got == expected
+    # gap 2e-9 against the scale 20: unseparated in both modes
+    assert not nondegeneracy_check(cases[0]).overall
 
 
 TIME_UNITS = [1e-12, 1e-8, 1.0, 1e4, 1e8, 1e12]

@@ -77,7 +77,9 @@ def test_support_projector_faithful_state():
 
 
 def test_support_projector_zero_matrix():
-    assert np.allclose(support_projector(np.zeros((3, 3))), 0.0)
+    # also zero up to roundoff: nothing to keep, no λ_max to read a PSD defect on
+    for a in (np.zeros((3, 3)), np.diag([0.0, -1e-20]), np.diag([-1e-20, -1e-20])):
+        assert np.array_equal(support_projector(a), np.zeros_like(a))
 
 
 def test_support_projector_diagonal():
