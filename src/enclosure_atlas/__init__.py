@@ -29,8 +29,8 @@ _EXPORTS = {
     ),
     "identifiability": (
         "IdentifiabilityReport", "QndModel", "continuous_identifiability",
-        "discrete_identifiability", "nondegeneracy_check", "omega", "qnd_diagonalize",
-        "qnd_uniqueness", "uniqueness_cross_check",
+        "discrete_identifiability", "nondegeneracy_check", "omega", "qnd_uniqueness",
+        "uniqueness_cross_check",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -211,17 +211,6 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return lambda a: p_r @ generator_action(obj, p_r @ a @ p_r, adjoint=True) @ p_r
 
 
-def _weighted_operators(obj) -> np.ndarray:
-    """The model's operators as one stack, weighted so that no residual built
-    from it depends on scale: K/s and (g/s)·L_j (all zero for the zero
-    generator, s = 0; K = -½·1 and L_j = V_j for a channel). The Frobenius
-    norm of any stack X A Y over the weighted A is unchanged by L → cL and by
-    reordering, splitting or unitarily mixing the jumps or Kraus operators."""
-    s = _scale(obj)
-    stack = np.concatenate([obj._drift[None], frob(obj._stack) * obj._stack])
-    return stack / s if s > 0 else stack
-
-
 def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> EnclosureCheck:
     """Check whether a projector P projects onto an enclosure of a model:
     P⊥ K P = 0 and P⊥ L_j P = 0 (P⊥ V_i P = 0 for a channel, whose K is
@@ -232,7 +221,7 @@ def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> Enclosu
     p_v = require_square(p_v)
     if p_v.shape != (obj.dim, obj.dim):
         raise ValueError("projector dimension does not match the model")
-    residual = frob((np.eye(obj.dim) - p_v) @ _weighted_operators(obj) @ p_v)
+    residual = frob((np.eye(obj.dim) - p_v) @ obj._weighted @ p_v)
     return EnclosureCheck(enclosed=bool(residual <= tol.residual_tol), residual=residual)
 
 
@@ -326,7 +315,7 @@ def algebra_structure(
     fbasis = orthonormal_hermitian_span(list(compressed), tol)
     stack, dim_f = np.array(fbasis), len(fbasis)
     tri = np.zeros((0, dim_f))
-    for a in dagger(iso_r) @ _weighted_operators(obj) @ iso_r:
+    for a in dagger(iso_r) @ obj._weighted @ iso_r:
         block = (a @ stack - stack @ a).reshape(dim_f, r * r).T
         tri = np.linalg.qr(np.vstack([tri, block]), mode="r")
     fixed, commutant = len(kernel_basis(tri, tol)), frob(tri)
@@ -567,6 +556,13 @@ class VerificationClause:
     ok: bool
 
 
+def _clause(name: str, residual: float, tol: Tolerances) -> VerificationClause:
+    """A named residual, which passes at residual_tol."""
+    return VerificationClause(
+        name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
+    )
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     clauses: tuple[VerificationClause, ...]
@@ -611,11 +607,7 @@ def verify_decomposition(
     clauses: list[VerificationClause] = []
 
     def add(name, residual):
-        clauses.append(
-            VerificationClause(
-                name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
-            )
-        )
+        clauses.append(_clause(name, residual, tol))
 
     def invariance(rho):
         return frob(generator_action(obj, rho)) / (s or 1.0)
@@ -649,7 +641,8 @@ def verify_decomposition(
             offdiag = rows[la] @ isos[lb] @ (dagger(isos[lb]) @ q)
             add(name.format("offdiag"), _prop_residual(offdiag, rho_a, isos[la], np.eye(n)))
 
-    worst = max((c.residual for c in clauses), default=0.0)
+    # np.max, not max: a NaN residual anywhere makes the maximum NaN.
+    worst = float(np.max([c.residual for c in clauses], initial=0.0))
     return VerificationRecord(
         clauses=tuple(clauses), max_residual=worst, ok=all(c.ok for c in clauses)
     )

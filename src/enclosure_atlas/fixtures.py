@@ -69,9 +69,9 @@ def _kraus_doc(channel: KrausChannel) -> dict:
 
 
 def _rates_doc(rate: RateMatrix) -> dict:
-    from .io import real_matrix_to_json
+    from .io import real_array_to_json
 
-    return {"mode": "rates", "dim": rate.n, "rates": real_matrix_to_json(rate.q)}
+    return {"mode": "rates", "dim": rate.n, "rates": real_array_to_json(rate.q)}
 
 
 FIXTURES = {

@@ -32,7 +32,6 @@ from .linalg import (
     Tolerances,
     dagger,
     frob,
-    hermitian_part,
 )
 from .semigroup import KrausChannel, LindbladModel, unvec
 from .decomposition import (
@@ -102,59 +101,6 @@ def qnd_to_model(qnd: QndModel) -> LindbladModel:
     h = np.diag(qnd.energies.astype(complex))
     jumps = [np.diag(qnd.amplitudes[j]) for j in range(qnd.num_channels)]
     return LindbladModel.create(h, jumps)
-
-
-@dataclass(frozen=True)
-class QndDiagnosis:
-    is_qnd: bool
-    max_commutator_residual: float
-    model: QndModel | None
-    basis: np.ndarray | None
-
-
-def qnd_diagonalize(
-    model: LindbladModel, tol: Tolerances = DEFAULT_TOL, split: int | None = None
-) -> QndDiagnosis:
-    """Find a common eigenbasis of the Hamiltonian and all jump operators.
-
-    Succeeds when every operator is normal and all pairs commute within
-    tolerance (for normal operators pairwise commutation propagates to the
-    adjoints). The diffusive/jump split is not recoverable from the
-    operators, so it is taken from ``split`` and defaults to all-diffusive.
-    Up to five combinations of the operators, drawn by a fixed generator,
-    are diagonalized. A commutator [A, B] is read against ‖A‖_F ‖B‖_F and an
-    off-diagonal part against ‖A‖_F, so scaling an operator keeps the verdict.
-    """
-    ops = [model.hamiltonian] + list(model.jumps)
-    norms = [frob(a) for a in ops]
-    worst = 0.0
-    for i, a in enumerate(ops):
-        for j in range(i, len(ops)):
-            # j = i: normality, [A, A†]; j > i: commutation, [A, B]. A zero
-            # operator has a zero norm and commutes exactly.
-            b = dagger(a) if j == i else ops[j]
-            worst = max(worst, frob(a @ b - b @ a) / (norms[i] * norms[j] or 1.0))
-    if worst > tol.residual_tol:
-        return QndDiagnosis(False, worst, None, None)
-
-    rng = np.random.default_rng(0)
-    n = model.dim
-    for _ in range(5):
-        combo = rng.standard_normal() * hermitian_part(model.hamiltonian)
-        for op in model.jumps:
-            combo = combo + rng.standard_normal() * (op + dagger(op))
-            combo = combo + rng.standard_normal() * ((op - dagger(op)) / 1j)
-        _, u = np.linalg.eigh(combo)
-        rotated = [dagger(u) @ a @ u for a in ops]
-        off = max(frob(r - np.diag(np.diag(r))) / (x or 1.0) for r, x in zip(rotated, norms))
-        if off <= 100 * tol.residual_tol:
-            energies = np.diag(rotated[0]).real
-            amplitudes = np.array([np.diag(r) for r in rotated[1:]]).reshape(len(model.jumps), n)
-            if split is None:
-                split = len(model.jumps) - 1
-            qnd = QndModel.create(energies, amplitudes, split)
-            return QndDiagnosis(True, worst, qnd, u)
-    return QndDiagnosis(False, worst, None, None)
 
 
 @dataclass(frozen=True)

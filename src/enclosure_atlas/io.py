@@ -120,12 +120,8 @@ def complex_matrix_to_json(m: np.ndarray) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def real_matrix_to_json(m: np.ndarray) -> list:
-    return np.asarray(m, dtype=float).tolist()
-
-
-def real_vector_to_json(v: np.ndarray) -> list:
-    return np.asarray(v, dtype=float).tolist()
+def real_array_to_json(a: np.ndarray) -> list:
+    return np.asarray(a, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -353,7 +349,7 @@ def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
     return {
         "convention": record.convention,
         "classes": [list(c) for c in record.classes],
-        "invariant_measures": [real_vector_to_json(m) for m in record.measures],
+        "invariant_measures": [real_array_to_json(m) for m in record.measures],
         "zero_diagonal_states": list(record.zero_diagonal_states),
         "passed": bool(record.passed),
         "clauses": clauses_to_json(record.clauses),
@@ -426,7 +422,3 @@ def serialize_report(doc: dict) -> str:
     ``[re, im]`` matrix) in one pass over its leaves.
     """
     return _write(doc, 0) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)

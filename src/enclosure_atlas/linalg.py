@@ -545,17 +545,21 @@ def cluster_sorted_values(values: np.ndarray, width: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def lex_key(m: np.ndarray, decimals: int = 12) -> tuple:
+# Decimals that lex_key and fix_phase round to before they compare.
+_KEY_DECIMALS = 12
+
+
+def lex_key(m: np.ndarray) -> tuple:
     """Deterministic ordering key: rounded row-major (re, im) interleaving."""
     flat = np.asarray(m, dtype=complex).ravel()
-    rounded = np.round(np.column_stack([flat.real, flat.imag]), decimals)
+    rounded = np.round(np.column_stack([flat.real, flat.imag]), _KEY_DECIMALS)
     return tuple(rounded.ravel().tolist())
 
 
-def fix_phase(q: np.ndarray, decimals: int = 12) -> np.ndarray:
+def fix_phase(q: np.ndarray) -> np.ndarray:
     """Rotate a global phase so the largest-magnitude entry is real positive."""
     flat = np.asarray(q).ravel()
-    mags = np.round(np.abs(flat), decimals)
+    mags = np.round(np.abs(flat), _KEY_DECIMALS)
     idx = int(np.argmax(mags))
     pivot = flat[idx]
     if abs(pivot) == 0.0:

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .decomposition import VerificationClause, decompose, enumerate_minimal_enclosures
+from .decomposition import VerificationClause, _clause, decompose, enumerate_minimal_enclosures
 from .linalg import DEFAULT_TOL, Tolerances, frob, kernel_basis
 from .semigroup import KrausChannel, LindbladModel, _hermiticity_rule
 
@@ -243,11 +243,7 @@ def verify_oqrw_theorem(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> Oqrw
     clauses: list[VerificationClause] = []
 
     def add(name, residual):
-        clauses.append(
-            VerificationClause(
-                name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
-            )
-        )
+        clauses.append(_clause(name, residual, tol))
 
     matched = set()
     for k, (cls, pi) in enumerate(zip(classes, measures)):

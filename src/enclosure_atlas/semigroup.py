@@ -64,6 +64,10 @@ class LindbladModel:
     def _stack(self) -> np.ndarray:
         return _stacked(self.jumps, self.dim)
 
+    @cached_property
+    def _weighted(self) -> np.ndarray:
+        return _weighted_operators(self)
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -93,6 +97,10 @@ class KrausChannel:
     @cached_property
     def _stack(self) -> np.ndarray:
         return _stacked(self.kraus, self.dim)
+
+    @cached_property
+    def _weighted(self) -> np.ndarray:
+        return _weighted_operators(self)
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,18 @@ def _scale(obj) -> float:
     """s = ‖K‖_F + g² with g² = Σ_j ‖L_j‖²_F (s = ½√n + n for a channel):
     L → cL multiplies s by c, and ‖L(ρ)‖_F <= 2s for a state ρ."""
     return frob(obj._drift) + frob(obj._stack) ** 2
+
+
+def _weighted_operators(obj) -> np.ndarray:
+    """The model's operators as one stack, weighted so that no residual built
+    from it depends on scale: K/s and (g/s)·L_j (all zero for the zero
+    generator, s = 0; K = -½·1 and L_j = V_j for a channel). The Frobenius
+    norm of any stack X A Y over the weighted A is unchanged by L → cL and by
+    reordering, splitting or unitarily mixing the jumps or Kraus operators.
+    Built once per model, as its ``_weighted`` attribute."""
+    s = _scale(obj)
+    stack = np.concatenate([obj._drift[None], frob(obj._stack) * obj._stack])
+    return stack / s if s > 0 else stack
 
 
 def _trace_defect(obj) -> float:

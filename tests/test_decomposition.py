@@ -23,6 +23,7 @@ from enclosure_atlas.semigroup import (
     LindbladModel,
     Superoperator,
     _scale,
+    _weighted_operators,
     adjoint_generator,
     apply,
     build_generator,
@@ -33,7 +34,6 @@ from enclosure_atlas.semigroup import (
 )
 from enclosure_atlas.decomposition import (
     DecompositionError,
-    _weighted_operators,
     algebra_structure,
     cutoff_generator,
     decompose,
@@ -407,6 +407,25 @@ def test_decompose_and_verify_factor_the_generator_once(monkeypatch):
     _forbid_superoperator_builds(monkeypatch)
     assert verify_decomposition(report, model).ok
     assert calls == [] and len(stages) == 1
+
+
+def test_decompose_and_verify_weigh_the_operators_once_per_model(monkeypatch):
+    # algebra_structure and every is_enclosure call, in decompose and in
+    # verify_decomposition, read the model's one cached weighted stack.
+    built = []
+
+    def spy(obj):
+        built.append(obj)
+        return _weighted_operators(obj)
+
+    monkeypatch.setattr(semigroup_module, "_weighted_operators", spy)
+    rng = np.random.default_rng(3)
+    for model in (block_diag_model(rng, (2, 3), 2), conjugated_pair_channel(rng, 2, 2)):
+        built.clear()
+        report = decompose(model)
+        assert len(enumerate_minimal_enclosures(report)) == 2
+        assert verify_decomposition(report, model).ok
+        assert len(built) == 1 and built[0] is model
 
 
 def test_decompose_builds_one_superoperator(monkeypatch):
@@ -1825,6 +1844,24 @@ def test_verification_fails_scaled_family_isometries(make):
         for kind in ("isometry", "transport")
     }
     assert _failed_clauses(dataclasses.replace(report, families=families), model) == expected
+
+
+def test_verification_max_residual_keeps_a_nan_clause():
+    # max() drops a NaN unless it comes first; the record's maximum must not.
+    model = two_enclosures_2d()
+    report = decompose(model)
+    a, b = report.unique_enclosures
+    state = b.extremal_state.copy()
+    state[0, 0] = np.nan
+    tampered = dataclasses.replace(
+        report, unique_enclosures=(a, dataclasses.replace(b, extremal_state=state))
+    )
+    with np.errstate(invalid="ignore"):
+        record = verify_decomposition(tampered, model)
+    nan = {c.name for c in record.clauses if np.isnan(c.residual)}
+    assert nan == {"extremal_invariance:alpha1", "extremal_support:alpha1", "diag:alpha1"}
+    assert not record.ok and np.isnan(record.max_residual)
+    assert not any(c.ok for c in record.clauses if c.name in nan)
 
 
 def test_verification_fails_swapped_extremal_states():

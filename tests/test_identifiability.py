@@ -3,7 +3,6 @@ import pytest
 
 from enclosure_atlas.decomposition import decompose, enumerate_minimal_enclosures
 from enclosure_atlas.fixtures import (
-    faithful_2d,
     rotation_channel,
     two_enclosures_2d,
     zero_generator_2d,
@@ -15,7 +14,6 @@ from enclosure_atlas.identifiability import (
     discrete_identifiability,
     nondegeneracy_check,
     omega,
-    qnd_diagonalize,
     qnd_to_model,
     qnd_uniqueness,
     uniqueness_cross_check,
@@ -53,28 +51,6 @@ def test_qnd_model_validation():
     q = QndModel.create([0.0, 0.0], [[1.0 + 1j, -2j]], split=0)
     assert np.allclose(q.r(), [[2.0, 0.0]])
     assert np.allclose(q.theta(), [[2.0, 4.0]])
-
-
-def test_qnd_diagonalize_diagonal_model():
-    diag = qnd_diagonalize(two_enclosures_2d())
-    assert diag.is_qnd
-    c = sorted(np.abs(diag.model.amplitudes[0]))
-    assert np.allclose(c, [0.0, 1.0], atol=1e-10)
-    assert np.allclose(diag.model.energies, 0.0, atol=1e-12)
-
-
-def test_qnd_diagonalize_rejects_noncommuting():
-    diag = qnd_diagonalize(faithful_2d())
-    assert not diag.is_qnd
-    # [L1, L2] = diag(1, -1), normalized by the operator norms
-    assert diag.max_commutator_residual > 0.5
-
-
-def test_qnd_diagonalize_pure_hamiltonian():
-    model = LindbladModel.create(np.diag([1.0, 2.0]), [])
-    diag = qnd_diagonalize(model)
-    assert diag.is_qnd
-    assert sorted(diag.model.energies.tolist()) == pytest.approx([1.0, 2.0])
 
 
 def test_nondegeneracy_witness_and_failure():

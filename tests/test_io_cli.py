@@ -30,7 +30,6 @@ from enclosure_atlas.io import (
     parse_complex_matrix,
     parse_model_document,
     parse_real_matrix,
-    parse_report,
     serialize_report,
     verification_record_to_dict,
 )
@@ -160,8 +159,8 @@ def test_parse_qnd_document():
 def test_report_roundtrip_bit_exact():
     doc = {"a": [0.1 + 0.2, 1e-17, -3.5], "b": {"nested": [[1.25, -0.75]]}, "c": "x"}
     text = serialize_report(doc)
-    assert parse_report(text) == doc
-    assert serialize_report(parse_report(text)) == text
+    assert json.loads(text) == doc
+    assert serialize_report(json.loads(text)) == text
 
 
 def test_cli_examples_roundtrip(tmp_path, capsys):
@@ -177,7 +176,7 @@ def test_cli_examples_roundtrip(tmp_path, capsys):
 def test_cli_analyze_unfaithful(tmp_path, capsys):
     path = write_fixture(tmp_path, "unfaithful-2d")
     assert main(["analyze", path, "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     dec = doc["decomposition"]
     assert dec["transient"]["dimension"] == 1
     assert len(dec["unique_enclosures"]) == 1
@@ -188,7 +187,7 @@ def test_cli_analyze_unfaithful(tmp_path, capsys):
 def test_cli_analyze_zero_generator(tmp_path, capsys):
     path = write_fixture(tmp_path, "zero-generator-2d")
     assert main(["analyze", path, "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     dec = doc["decomposition"]
     assert dec["is_unique"] is False
     assert len(dec["families"]) == 1
@@ -293,7 +292,7 @@ def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     path = tmp_path / "weak-drain.json"
     path.write_text(serialize_report(doc))
     assert main(["analyze", str(path), "--format", "structured"]) == 0
-    report = parse_report(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out)
     dec = report["decomposition"]
     assert dec["transient"]["dimension"] == 1
     assert [rec["dimension"] for rec in dec["unique_enclosures"]] == [4]
@@ -323,7 +322,7 @@ def test_cli_weak_pump_sweep(tmp_path, capsys, u):
     if u < 2e-9:
         assert code == 3 and "[enclosures]" in err
     else:
-        assert code == 0 and _shape(parse_report(out)) == (0, [2], [])
+        assert code == 0 and _shape(json.loads(out)) == (0, [2], [])
 
 
 def _coupled_blocks(g):
@@ -363,7 +362,7 @@ def _analyze_time_scaled(tmp_path, capsys, model, c):
     path.write_text(serialize_report(doc))
     code = main(["analyze", str(path), "--format", "structured"])
     out, err = capsys.readouterr()
-    return code, parse_report(out) if out else None, err
+    return code, json.loads(out) if out else None, err
 
 
 def _shape(report):
@@ -462,7 +461,7 @@ def test_cli_qnd_verdicts_read_the_same_at_every_time_scale(tmp_path, capsys, c)
     path = tmp_path / "qnd.json"
     path.write_text(json.dumps(_time_scaled_qnd_document(c)))
     assert main(["identifiability", str(path), "--format", "structured"]) == 3
-    out = parse_report(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
     pairs = [(p["a"], p["b"], p["separated"]) for p in out["identifiability"]["pairs"]]
     assert pairs == [(0, 1, False), (0, 2, True), (1, 2, True)]
     witnesses = [p["witness"] for p in out["identifiability"]["pairs"]]
@@ -490,7 +489,7 @@ def test_cli_kraus_trace_defect_is_judged_by_what_stage_1_absorbs(tmp_path, caps
     code = main(["analyze", str(path), "--format", "structured"])
     out, err = capsys.readouterr()
     if defect is None:
-        report = parse_report(out)
+        report = json.loads(out)
         assert code == 0 and report["model_diagnostics"]["ok"] is True
         assert report["verification"]["ok"] is True
     else:
@@ -501,7 +500,7 @@ def test_cli_kraus_trace_defect_is_judged_by_what_stage_1_absorbs(tmp_path, caps
 def test_cli_oqrw_pass_and_report(tmp_path, capsys):
     path = write_fixture(tmp_path, "two-state-chain")
     assert main(["oqrw", path, "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["oqrw"]["passed"] is True
     assert doc["oqrw"]["classes"] == [[0, 1]]
     pi = doc["oqrw"]["invariant_measures"][0]
@@ -522,7 +521,7 @@ def test_cli_oqrw_two_block_chain(tmp_path, capsys):
     path = tmp_path / "two-block.json"
     path.write_text(json.dumps(doc))
     assert main(["oqrw", str(path), "--format", "structured"]) == 0
-    out = parse_report(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
     assert out["oqrw"]["classes"] == [[0, 1], [2, 3]]
     assert len(out["oqrw"]["invariant_measures"]) == 2
 
@@ -530,7 +529,7 @@ def test_cli_oqrw_two_block_chain(tmp_path, capsys):
 def test_cli_identifiability_continuous(tmp_path, capsys):
     path = write_fixture(tmp_path, "two-enclosures-2d")
     assert main(["identifiability", path, "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["identifiability"]["mode"] == "continuous"
     assert doc["identifiability"]["overall"] is True
     assert doc["uniqueness_cross_check"]["theorem_applicable"] is True
@@ -539,7 +538,7 @@ def test_cli_identifiability_continuous(tmp_path, capsys):
 def test_cli_identifiability_rotation_fails(tmp_path, capsys):
     path = write_fixture(tmp_path, "rotation-channel")
     assert main(["identifiability", path, "--max-len", "6", "--format", "structured"]) == 3
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["identifiability"]["overall"] is False
     (pair,) = doc["identifiability"]["pairs"]
     assert pair["witness"] == "none up to 6"
@@ -557,7 +556,7 @@ def test_cli_identifiability_long_witness_without_cap(tmp_path, capsys):
     path = tmp_path / "renewal-pair.json"
     path.write_text(serialize_report(doc))
     assert main(["identifiability", str(path), "--format", "structured"]) == 0
-    (pair,) = parse_report(capsys.readouterr().out)["identifiability"]["pairs"]
+    (pair,) = json.loads(capsys.readouterr().out)["identifiability"]["pairs"]
     assert pair["witness"] == "word[0, 0, 0, 0, 0, 0, 0, 0]"
 
 
@@ -574,7 +573,7 @@ def test_cli_identifiability_qnd_mode(tmp_path, capsys):
     path = tmp_path / "qnd.json"
     path.write_text(json.dumps(doc))
     assert main(["identifiability", str(path), "--format", "structured"]) == 3
-    out = parse_report(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
     assert out["identifiability"]["mode"] == "qnd-nondegeneracy"
     assert out["identifiability"]["overall"] is False
     assert out["qnd_uniqueness"]["decomposition_unique"] is True
@@ -590,7 +589,7 @@ def test_cli_identifiability_qnd_small_amplitude_gap(tmp_path, capsys, gap):
     path = tmp_path / "qnd-gap.json"
     path.write_text(json.dumps(doc))
     assert main(["identifiability", str(path), "--format", "structured"]) == 0
-    out = parse_report(capsys.readouterr().out)
+    out = json.loads(capsys.readouterr().out)
     assert out["qnd_uniqueness"]["consistent"] is True
     assert out["qnd_uniqueness"]["omega_all_negative"] is True
 
@@ -607,7 +606,7 @@ def test_cli_analyze_hamiltonian_with_a_small_anti_hermitian_part(tmp_path, caps
     path = tmp_path / "tilted.json"
     path.write_text(serialize_report(doc))
     assert main(["analyze", str(path), "--format", "structured"]) == 0
-    report = parse_report(capsys.readouterr().out)
+    report = json.loads(capsys.readouterr().out)
     assert report["verification"]["ok"] is True
     assert _shape(report) == (0, [4], [])
 
@@ -616,7 +615,7 @@ def test_cli_batch_analyze(tmp_path, capsys):
     a = write_fixture(tmp_path, "unfaithful-2d")
     b = write_fixture(tmp_path, "two-enclosures-2d")
     assert main(["analyze", a, b, "--batch", "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert set(doc["reports"]) == {a, b}
     assert main(["analyze", a, b]) == 2  # multiple files without --batch
 
@@ -626,7 +625,7 @@ def test_cli_batch_mixed_failures(tmp_path, capsys):
     missing = str(tmp_path / "gone.json")
     code = main(["analyze", good, missing, "--batch", "--format", "structured"])
     assert code == 1
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert "error" in doc["reports"][missing]
 
 
@@ -668,10 +667,10 @@ def test_cli_reports_ignore_every_former_seed_input(tmp_path, capsys, monkeypatc
 def test_cli_tolerance_flags(tmp_path, capsys):
     path = write_fixture(tmp_path, "unfaithful-2d")
     assert main(["analyze", path, "--tol-rank", "1e-7", "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["decomposition"]["tolerances"]["rank_tol"] == 1e-7
     assert main(["analyze", path, "--tol-residual", "1e-6", "--format", "structured"]) == 0
-    doc = parse_report(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
     assert doc["decomposition"]["tolerances"] == {"rank_tol": 1e-9, "residual_tol": 1e-6}
 
 
@@ -694,7 +693,7 @@ def test_cli_output_file_and_file_seed(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["analyze", str(path), "--format", "structured", "-o", str(out)]) == 0
     assert capsys.readouterr().out == ""  # -o writes the file, not stdout
-    report = parse_report(out.read_text())
+    report = json.loads(out.read_text())
     assert report["verification"]["ok"] is True
     # the file's "seed" is ignored: the report is the one of the file without it
     plain = write_fixture(tmp_path, "two-enclosures-2d")
@@ -731,7 +730,7 @@ def test_golden_fixture_reingestion(tmp_path, capsys):
     for name, check in expectations.items():
         path = write_fixture(tmp_path, name)
         assert main(["analyze", path, "--format", "structured"]) == 0
-        doc = parse_report(capsys.readouterr().out)
+        doc = json.loads(capsys.readouterr().out)
         assert check(doc["decomposition"]), name
 
 
