@@ -497,25 +497,22 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     unique: list[EnclosureRecord] = []
     families: list[DegenerateFamily] = []
 
-    def build_record(projector):
+    def build_record(projector, dimension):
+        # extremal_state checks the projector; the block gives its rank
         state = extremal_state(projector, split.kernel, tol)
         check = is_enclosure(projector, obj, tol)
         if not check.enclosed:
             raise ValueError(
                 f"reported projector failed the enclosure check (δ = {check.residual:.3e})"
             )
-        return EnclosureRecord(
-            projector=projector,
-            dimension=check_projector(projector, tol),
-            extremal_state=state,
-        )
+        return EnclosureRecord(projector=projector, dimension=dimension, extremal_state=state)
 
     def build_all():
         for block in structure.blocks:
             if block.multiplicity == 1:
-                unique.append(build_record(block.projector))
+                unique.append(build_record(block.projector, block.dimension))
                 continue
-            records = [build_record(p) for p in block.member_projectors]
+            records = [build_record(p, block.inner_dimension) for p in block.member_projectors]
             order = sorted(range(len(records)), key=lambda i: lex_key(records[i].projector))
             records = [records[i] for i in order]
             links = [block.links[i] for i in order]
@@ -631,10 +628,11 @@ def verify_decomposition(
             if ga != gb:
                 add(f"cross:{la}|{lb}", frob(rows[la] @ isos[lb]))
     for fb, fam in enumerate(report.families):
+        labels = [label for label, _, group in enclosures if group == ("beta", fb)]
         for a, b in permutations(range(len(fam.members)), 2):
             rec_a, rec_b, q = fam.members[a], fam.members[b], fam.isometries[(a, b)]
             p_a, p_b, rho_a = rec_a.projector, rec_b.projector, rec_a.extremal_state
-            la, lb, name = f"beta{fb}.{a}", f"beta{fb}.{b}", f"family{fb}:{{}}:{a}->{b}"
+            la, lb, name = labels[a], labels[b], f"family{fb}:{{}}:{a}->{b}"
             add(name.format("isometry"), max(frob(dagger(q) @ q - p_a), frob(q @ dagger(q) - p_b)))
             add(name.format("transport"), frob(q @ rho_a @ dagger(q) - rec_b.extremal_state))
             # P_a X P_b Q = U_a (U_a† X U_b)(U_b† Q)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .io import _json
 from .semigroup import KrausChannel, LindbladModel
 from .oqrw import RateMatrix
 
@@ -48,30 +49,15 @@ def two_state_chain() -> RateMatrix:
 
 
 def _lindblad_doc(model: LindbladModel) -> dict:
-    from .io import complex_matrix_to_json
-
-    return {
-        "mode": "lindblad",
-        "dim": model.dim,
-        "hamiltonian": complex_matrix_to_json(model.hamiltonian),
-        "jumps": [complex_matrix_to_json(j) for j in model.jumps],
-    }
+    return {"mode": "lindblad", **_json(model)}
 
 
 def _kraus_doc(channel: KrausChannel) -> dict:
-    from .io import complex_matrix_to_json
-
-    return {
-        "mode": "kraus",
-        "dim": channel.dim,
-        "kraus": [complex_matrix_to_json(v) for v in channel.kraus],
-    }
+    return {"mode": "kraus", **_json(channel)}
 
 
 def _rates_doc(rate: RateMatrix) -> dict:
-    from .io import real_array_to_json
-
-    return {"mode": "rates", "dim": rate.n, "rates": real_array_to_json(rate.q)}
+    return {"mode": "rates", "dim": rate.n, "rates": rate.q.tolist()}
 
 
 FIXTURES = {

@@ -6,6 +6,12 @@ are plain real arrays. A report's text is exactly
 ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
 sorted keys and shortest-repr floats, so identical inputs produce
 byte-identical documents that round-trip exactly.
+
+A report object's keys are its record's field names (``_json``), except
+that a decomposition report nests ``transient`` and ``recurrent`` as
+``{projector, dimension}`` and omits ``invariant_kernel``, a Lindblad
+model's diagnostics omit ``choi_min_eigenvalue``, and a walk's record
+writes ``measures`` as ``invariant_measures``.
 """
 
 from __future__ import annotations
@@ -20,12 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decomposition import (
-    DecompositionReport,
-    EnclosureRecord,
-    VerificationClause,
-    VerificationRecord,
-)
+from .decomposition import DecompositionReport, VerificationRecord
 from .linalg import DEFAULT_TOL, Tolerances
 from .semigroup import KrausChannel, LindbladModel, ModelDiagnostics
 
@@ -118,10 +119,6 @@ def parse_real_matrix(data, field: str) -> np.ndarray:
 def complex_matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
-
-
-def real_array_to_json(a: np.ndarray) -> list:
-    return np.asarray(a, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -230,130 +227,68 @@ def load_model_file(path: str) -> ParsedModel:
 
 # -- report serialization ----------------------------------------------------
 
+def _json(value):
+    """A record as JSON values: a dataclass as a dict of its fields, a complex
+    array as nested [re, im] pairs, a real array as nested numbers, an
+    (a, b) key as "a->b", a tuple as a list and a numpy scalar as its Python
+    value."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return complex_matrix_to_json(value) if np.iscomplexobj(value) else value.tolist()
+    if isinstance(value, dict):
+        return {
+            "%s->%s" % k if isinstance(k, tuple) else k: _json(v) for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+# One function per record type, so that a tracer can time each one. Each is
+# its own def, not an alias of _json: a tracer wraps every binding of the
+# function it times, and would then also wrap _json's recursive calls.
+
 def tolerances_to_dict(tol: Tolerances) -> dict:
-    return {k: float(v) for k, v in dataclasses.asdict(tol).items()}
-
-
-def _record_to_dict(rec: EnclosureRecord) -> dict:
-    return {
-        "projector": complex_matrix_to_json(rec.projector),
-        "dimension": rec.dimension,
-        "extremal_state": complex_matrix_to_json(rec.extremal_state),
-    }
+    return _json(tol)
 
 
 def decomposition_report_to_dict(report: DecompositionReport) -> dict:
-    return {
-        "kind": report.kind,
-        "dim": report.dim,
-        "tolerances": tolerances_to_dict(report.tolerances),
-        "conventions": dict(report.conventions),
-        "recurrent_method": report.recurrent_method,
-        "is_unique": bool(report.is_unique),
-        "transient": {
-            "projector": complex_matrix_to_json(report.transient),
-            "dimension": report.transient_dimension,
-        },
-        "recurrent": {
-            "projector": complex_matrix_to_json(report.recurrent),
-            "dimension": report.recurrent_dimension,
-        },
-        "max_support_state": complex_matrix_to_json(report.max_support_state),
-        "unique_enclosures": [_record_to_dict(rec) for rec in report.unique_enclosures],
-        "families": [
-            {
-                "block_projector": complex_matrix_to_json(fam.block_projector),
-                "members": [_record_to_dict(rec) for rec in fam.members],
-                "isometries": {
-                    f"{a}->{b}": complex_matrix_to_json(q)
-                    for (a, b), q in sorted(fam.isometries.items())
-                },
-            }
-            for fam in report.families
-        ],
-        "residuals": {k: float(v) for k, v in sorted(report.residuals.items())},
-    }
-
-
-def clauses_to_json(clauses: tuple[VerificationClause, ...]) -> list:
-    return [{"name": c.name, "residual": float(c.residual), "ok": bool(c.ok)} for c in clauses]
+    doc = _json({k: v for k, v in vars(report).items() if k != "invariant_kernel"})
+    for part in ("transient", "recurrent"):
+        doc[part] = {"projector": doc[part], "dimension": doc.pop(f"{part}_dimension")}
+    return doc
 
 
 def verification_record_to_dict(record: VerificationRecord) -> dict:
-    return {
-        "ok": bool(record.ok),
-        "max_residual": float(record.max_residual),
-        "clauses": clauses_to_json(record.clauses),
-    }
+    return _json(record)
 
 
 def model_diagnostics_to_dict(diag: ModelDiagnostics) -> dict:
-    out = {
-        "kind": diag.kind,
-        "dim": diag.dim,
-        "hermiticity_residual": float(diag.hermiticity_residual),
-        "trace_residual": float(diag.trace_residual),
-        "ok": bool(diag.ok),
-    }
-    if diag.choi_min_eigenvalue is not None:
-        out["choi_min_eigenvalue"] = float(diag.choi_min_eigenvalue)
-    return out
+    doc = _json(diag)
+    if diag.choi_min_eigenvalue is None:  # a Lindblad model
+        del doc["choi_min_eigenvalue"]
+    return doc
 
 
 def identifiability_report_to_dict(report: IdentifiabilityReport) -> dict:
-    return {
-        "mode": report.mode,
-        "labels": list(report.labels),
-        "overall": bool(report.overall),
-        "hypothesis_violated": report.hypothesis_violated,
-        "policy": report.policy,
-        "pairs": [
-            {
-                "a": p.a,
-                "b": p.b,
-                "separated": bool(p.separated),
-                "witness": p.witness,
-                "magnitude": float(p.magnitude),
-            }
-            for p in report.pairs
-        ],
-    }
+    return _json(report)
 
 
 def qnd_uniqueness_to_dict(record: QndUniquenessRecord) -> dict:
-    return {
-        "nondegenerate": record.nondegenerate,
-        "re_omega": {f"{a}->{b}": v for (a, b), v in sorted(record.re_omega.items())},
-        "omega_all_negative": record.omega_all_negative,
-        "decomposition_unique": record.decomposition_unique,
-        "pointer_enclosures": record.pointer_enclosures,
-        "diagonal_fixed_points_residual": record.diagonal_fixed_points_residual,
-        "consistent": bool(record.consistent),
-    }
+    return _json(record)
 
 
 def cross_check_to_dict(record: UniquenessCrossCheck) -> dict:
-    return {
-        "kind": record.kind,
-        "identifiability": identifiability_report_to_dict(record.identifiability),
-        "transient_free": record.transient_free,
-        "theorem_applicable": record.theorem_applicable,
-        "is_unique": record.is_unique,
-        "commutation_checked": record.commutation_checked,
-        "commutation_residuals": [float(r) for r in record.commutation_residuals],
-        "converse_counterexample": record.converse_counterexample,
-    }
+    return _json(record)
 
 
 def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
-    return {
-        "convention": record.convention,
-        "classes": [list(c) for c in record.classes],
-        "invariant_measures": [real_array_to_json(m) for m in record.measures],
-        "zero_diagonal_states": list(record.zero_diagonal_states),
-        "passed": bool(record.passed),
-        "clauses": clauses_to_json(record.clauses),
-    }
+    doc = _json(record)
+    doc["invariant_measures"] = doc.pop("measures")
+    return doc
 
 
 _INDENT = "  "

@@ -38,6 +38,7 @@ class Tolerances:
             value = getattr(self, f.name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be strictly positive and finite")
+            object.__setattr__(self, f.name, float(value))  # 1 is written as 1.0
         if self.rank_tol >= 1:
             raise ValueError("rank_tol must be < 1")
 

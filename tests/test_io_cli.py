@@ -23,6 +23,7 @@ from enclosure_atlas.fixtures import (
 from enclosure_atlas.io import (
     ModelFileError,
     ValidationError,
+    _json,
     complex_matrix_to_json,
     decomposition_report_to_dict,
     load_model_file,
@@ -31,9 +32,11 @@ from enclosure_atlas.io import (
     parse_model_document,
     parse_real_matrix,
     serialize_report,
+    tolerances_to_dict,
     verification_record_to_dict,
 )
 from enclosure_atlas.identifiability import QndModel
+from enclosure_atlas.linalg import Tolerances
 from enclosure_atlas.oqrw import RateMatrix
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel, validate
 
@@ -929,3 +932,133 @@ def test_cli_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):
     model.write_text('{"mode": "rates", "dim": 2, "rates": [[-1' + "0" * 5000 + ", 1.0], [2.0, -2.0]]}")
     assert main(["oqrw", str(model)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- report keys: each record's field names ------------------------------------
+
+def _key_paths(value, path=""):
+    """Every key of a document as a dotted path; the items of a list share "[]"."""
+    if isinstance(value, dict):
+        return set().union(*({path + k} | _key_paths(v, f"{path}{k}.") for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(*(_key_paths(v, f"{path}[].") for v in value))
+    return set()
+
+
+def _at(key, inner=()):
+    return {key} | {f"{key}.{k}" for k in inner}
+
+
+_TOLERANCES = _at("tolerances", {"rank_tol", "residual_tol"})
+_ENCLOSURES = {"[].dimension", "[].extremal_state", "[].projector"}
+_DECOMPOSITION = {
+    "dim", "families", "is_unique", "kind", "max_support_state", "recurrent_method",
+    "unique_enclosures", *_TOLERANCES, *_at("conventions", {"vectorization"}),
+    *_at("recurrent", {"dimension", "projector"}), *_at("transient", {"dimension", "projector"}),
+    *_at("residuals", {"algebra_closure", "algebra_commutant"}),
+}
+_UNIQUE = _at("unique_enclosures", _ENCLOSURES)
+_FAMILIES = _at("families", {
+    "[].block_projector", *_at("[].isometries", {"0->1", "1->0"}), *_at("[].members", _ENCLOSURES),
+})
+_LINDBLAD_DIAGNOSTICS = {"dim", "hermiticity_residual", "kind", "ok", "trace_residual"}
+_VERIFICATION = {"max_residual", "ok", *_at("clauses", {"[].name", "[].ok", "[].residual"})}
+_IDENTIFIABILITY = {
+    "hypothesis_violated", "labels", "mode", "overall", "policy",
+    *_at("pairs", {"[].a", "[].b", "[].magnitude", "[].separated", "[].witness"}),
+}
+_CROSS_CHECK = {
+    "commutation_checked", "commutation_residuals", "converse_counterexample", "is_unique",
+    "kind", "theorem_applicable", "transient_free", *_at("identifiability", _IDENTIFIABILITY),
+}
+
+
+def _analyze_keys(decomposition, diagnostics):
+    return (
+        _at("decomposition", decomposition)
+        | _at("model_diagnostics", diagnostics)
+        | _at("verification", _VERIFICATION)
+    )
+
+
+_LINDBLAD_REPORT = _analyze_keys(_DECOMPOSITION | _UNIQUE, _LINDBLAD_DIAGNOSTICS)
+_KRAUS_REPORT = _analyze_keys(
+    _DECOMPOSITION | _UNIQUE, _LINDBLAD_DIAGNOSTICS | {"choi_min_eigenvalue"}
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, keys",
+    [
+        (["analyze", "two-enclosures-2d"], 0, _LINDBLAD_REPORT),
+        (["analyze", "zero-generator-2d"], 0,
+         _analyze_keys(_DECOMPOSITION | _FAMILIES, _LINDBLAD_DIAGNOSTICS)),
+        (["analyze", "rotation-channel"], 0, _KRAUS_REPORT),
+        (["oqrw", "two-state-chain"], 0, _TOLERANCES | _at("oqrw", {
+            "classes", "convention", "invariant_measures", "passed", "zero_diagonal_states",
+            *_at("clauses", {"[].name", "[].ok", "[].residual"}),
+        })),
+        (["identifiability", "two-enclosures-2d"], 0,
+         _at("identifiability", _IDENTIFIABILITY) | _at("uniqueness_cross_check", _CROSS_CHECK)),
+        (["identifiability", "rotation-channel"], 3,
+         _at("identifiability", _IDENTIFIABILITY) | _at("uniqueness_cross_check", _CROSS_CHECK)),
+        (["identifiability", "qnd"], 0, _at("identifiability", _IDENTIFIABILITY) | _at(
+            "qnd_uniqueness", {
+                "consistent", "decomposition_unique", "diagonal_fixed_points_residual",
+                "nondegenerate", "omega_all_negative", "pointer_enclosures",
+                *_at("re_omega", {"0->1", "1->0"}),
+            })),
+    ],
+    ids=["analyze-lindblad", "analyze-family", "analyze-kraus", "oqrw", "continuous",
+         "discrete", "qnd"],
+)
+def test_structured_report_keys_are_the_record_fields(tmp_path, argv, code, keys):
+    command, name = argv
+    if name == "qnd":
+        model = tmp_path / "qnd.json"
+        model.write_text(json.dumps(_qnd_document()))
+    else:
+        model = write_fixture(tmp_path, name)
+    out = tmp_path / "report.json"
+    assert main([command, str(model), "--format", "structured", "-o", str(out)]) == code
+    assert _key_paths(json.loads(out.read_text())) == keys
+
+
+def test_batch_report_keys_are_the_record_fields(tmp_path):
+    lindblad, kraus = (write_fixture(tmp_path, n) for n in ("two-enclosures-2d", "rotation-channel"))
+    out = tmp_path / "report.json"
+    assert main(["analyze", lindblad, kraus, "--batch", "--format", "structured", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["reports"]
+    assert sorted(doc["reports"]) == sorted([lindblad, kraus])
+    assert _key_paths(doc["reports"][lindblad]) == _LINDBLAD_REPORT
+    assert _key_paths(doc["reports"][kraus]) == _KRAUS_REPORT
+
+
+def test_json_writes_numpy_scalars_as_python_values():
+    assert [type(x) for x in _json([np.float64(0.5), np.int64(3), np.bool_(True)])] == [
+        float, int, bool
+    ]
+    assert _json(np.float64(0.1)) == 0.1
+
+
+def test_json_writes_pair_keys_as_arrows():
+    assert _json({(0, 1): np.float64(-1.5), (1, 0): 2.0, "name": (1, 2)}) == {
+        "0->1": -1.5, "1->0": 2.0, "name": [1, 2]
+    }
+
+
+def test_integer_tolerances_are_written_as_floats():
+    tol = Tolerances(residual_tol=1)
+    assert tolerances_to_dict(tol) == {"rank_tol": 1e-9, "residual_tol": 1.0}
+    assert '"residual_tol": 1.0\n' in serialize_report(tolerances_to_dict(tol))
+    doc = decomposition_report_to_dict(decompose(two_enclosures_2d(), tol=tol))
+    assert '"residual_tol": 1.0\n' in serialize_report(doc)
+
+
+def test_a_nan_record_field_is_refused_by_serialize_report():
+    model = two_enclosures_2d()
+    record = verify_decomposition(decompose(model), model)
+    doc = verification_record_to_dict(dataclasses.replace(record, max_residual=math.nan))
+    with pytest.raises(ValueError):
+        serialize_report(doc)
