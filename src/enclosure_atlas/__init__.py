@@ -15,7 +15,7 @@ _EXPORTS = {
         "matrix_exponential", "psd_project", "support_projector",
     ),
     "semigroup": (
-        "KrausChannel", "LindbladModel", "Superoperator", "adjoint_generator", "apply",
+        "KrausChannel", "LindbladModel", "Superoperator", "adjoint_generator",
         "build_generator", "channel_superoperator", "validate",
     ),
     "decomposition": (

@@ -83,12 +83,6 @@ class RecurrentSplit:
 
 
 @dataclass(frozen=True)
-class EnclosureCheck:
-    enclosed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
 class CentralBlock:
     projector: np.ndarray
     dimension: int
@@ -211,18 +205,31 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return lambda a: p_r @ generator_action(obj, p_r @ a @ p_r, adjoint=True) @ p_r
 
 
-def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> EnclosureCheck:
+@dataclass(frozen=True)
+class VerificationClause:
+    name: str
+    residual: float
+    ok: bool
+
+
+def _clause(name: str, residual: float, tol: Tolerances) -> VerificationClause:
+    """A named residual, which passes at residual_tol."""
+    return VerificationClause(
+        name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
+    )
+
+
+def is_enclosure(p_v: np.ndarray, obj, tol: Tolerances = DEFAULT_TOL) -> VerificationClause:
     """Check whether a projector P projects onto an enclosure of a model:
     P⊥ K P = 0 and P⊥ L_j P = 0 (P⊥ V_i P = 0 for a channel, whose K is
     -½·1). The residual δ is the Frobenius norm of the weighted stack of
     these leaks (``_weighted_operators``), so it reads the same at every
-    time scale; P is enclosed when δ <= residual_tol.
+    time scale; the clause "enclosure" passes when δ <= residual_tol.
     """
     p_v = require_square(p_v)
     if p_v.shape != (obj.dim, obj.dim):
         raise ValueError("projector dimension does not match the model")
-    residual = frob((np.eye(obj.dim) - p_v) @ obj._weighted @ p_v)
-    return EnclosureCheck(enclosed=bool(residual <= tol.residual_tol), residual=residual)
+    return _clause("enclosure", frob((np.eye(obj.dim) - p_v) @ obj._weighted @ p_v), tol)
 
 
 def _link_clusters(x: np.ndarray, parts: Sequence[slice]) -> list[list[tuple[slice, np.ndarray]]]:
@@ -501,7 +508,7 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
         # extremal_state checks the projector; the block gives its rank
         state = extremal_state(projector, split.kernel, tol)
         check = is_enclosure(projector, obj, tol)
-        if not check.enclosed:
+        if not check.ok:
             raise ValueError(
                 f"reported projector failed the enclosure check (δ = {check.residual:.3e})"
             )
@@ -543,20 +550,6 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
         residuals=structure.residuals,
         conventions={"vectorization": VECTORIZATION_NOTE},
         invariant_kernel=split.kernel,
-    )
-
-
-@dataclass(frozen=True)
-class VerificationClause:
-    name: str
-    residual: float
-    ok: bool
-
-
-def _clause(name: str, residual: float, tol: Tolerances) -> VerificationClause:
-    """A named residual, which passes at residual_tol."""
-    return VerificationClause(
-        name=name, residual=float(residual), ok=bool(residual <= tol.residual_tol)
     )
 
 

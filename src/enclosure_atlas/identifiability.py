@@ -293,7 +293,7 @@ def discrete_identifiability(
     blocks, level = [], []
     for label, rec, _ in enclosures:
         check = is_enclosure(rec.projector, channel, tol)
-        if not check.enclosed:
+        if not check.ok:
             raise ValueError(
                 f"a Kraus operator maps enclosure {label} out of itself "
                 f"(δ = {check.residual:.3e}); is the report from another model?"

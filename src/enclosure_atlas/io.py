@@ -3,9 +3,10 @@
 Model files are JSON documents with a "mode" of "lindblad", "kraus", "rates"
 or "qnd". Complex matrices are nested arrays of [re, im] pairs; rate matrices
 are plain real arrays. A report's text is exactly
-``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"``:
+``json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"``: one line,
 sorted keys and shortest-repr floats, so identical inputs produce
-byte-identical documents that round-trip exactly.
+byte-identical documents that round-trip exactly. For a readable view of a
+report, run ``python -m json.tool report.json``.
 
 A report object's keys are its record's field names (``_json``), except
 that a decomposition report nests ``transient`` and ``recurrent`` as
@@ -18,10 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -291,69 +290,8 @@ def oqrw_record_to_dict(record: OqrwTheoremRecord) -> dict:
     return doc
 
 
-_INDENT = "  "
-_encode_scalar = json.JSONEncoder(allow_nan=False).encode
-
-
-def _float_block(value: list) -> tuple[list, list] | None:
-    """Shape and flattened leaves of a rectangular nested list of floats.
-
-    None when some level mixes types or lengths, or a leaf is not a float.
-    """
-    shape, level = [], [value]
-    while set(map(type, level)) == {list}:
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-    return (shape, level) if set(map(type, level)) == {float} else None
-
-
-def _write_floats(shape: list, leaves: list, depth: int) -> str:
-    """A float block as the indented encoder writes it, innermost lists first."""
-    if not math.isfinite(sum(leaves)):
-        for x in leaves:
-            _encode_scalar(x)  # raises ValueError on the first NaN or infinity
-    items = list(map(float.__repr__, leaves))
-    for level in reversed(range(len(shape))):
-        inner = "\n" + _INDENT * (depth + level + 1)
-        head, sep, tail = "[" + inner, "," + inner, "\n" + _INDENT * (depth + level) + "]"
-        size = shape[level]
-        items = [head + sep.join(items[k:k + size]) + tail for k in range(0, len(items), size)]
-    return items[0]
-
-
-def _write(value, depth: int) -> str:
-    inner = "\n" + _INDENT * (depth + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError for a key that is not a str.
-        parts = [
-            encode_basestring_ascii(k) + ": " + _write(v, depth + 1)
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        block = _float_block(value)
-        if block is not None:
-            return _write_floats(*block, depth)
-        parts = [_write(v, depth + 1) for v in value]
-        return "[" + inner + ("," + inner).join(parts) + "\n" + _INDENT * depth + "]"
-    return _encode_scalar(value)
-
-
 def serialize_report(doc: dict) -> str:
-    """Deterministic JSON text of a document with str keys.
-
-    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True,
-    allow_nan=False) + "\n"``; a NaN or an infinity raises ValueError, and a
-    key that is not a str raises TypeError. The
-    standard encoder runs in pure Python whenever it indents, so this writer
-    indents itself and writes each rectangular block of floats (every
-    ``[re, im]`` matrix) in one pass over its leaves.
-    """
-    return _write(doc, 0) + "\n"
+    """Deterministic one-line JSON text of a document: sorted keys and
+    shortest-repr floats. A NaN or an infinity raises ValueError, and a
+    key such as a tuple, which JSON cannot write, raises TypeError."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"

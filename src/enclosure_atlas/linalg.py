@@ -36,6 +36,8 @@ class Tolerances:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a number, not a bool")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{f.name} must be strictly positive and finite")
             object.__setattr__(self, f.name, float(value))  # 1 is written as 1.0

@@ -256,13 +256,6 @@ def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return out + np.tensordot(left, ops.conj(), axes=([0, 2], [0, 2]))
 
 
-def apply(s: Superoperator, a: np.ndarray) -> np.ndarray:
-    a = require_square(a)
-    if a.shape != (s.dim, s.dim):
-        raise ValueError(f"operator shape {a.shape} does not match superoperator dim {s.dim}")
-    return unvec(s.matrix @ vec(a))
-
-
 def choi_min_eigenvalue(channel: KrausChannel) -> float:
     """Smallest eigenvalue of the Choi matrix C C†, C = [vec V_j], from the
     k × k Gram matrix C†C: C C† has rank at most k, so the value is 0 when

@@ -46,6 +46,11 @@ def null_spaces(m, tol=DEFAULT_TOL):
     return real_null_spaces(real, max(np.linalg.norm(real), 1.0), tol)
 
 
+def apply(s, a):
+    """A superoperator's n² × n² matrix applied to an operator, unvec(S vec(a))."""
+    return unvec(s.matrix @ vec(np.asarray(a)))
+
+
 def expm(m):
     """exp(m) by scipy's scaling-and-squaring Padé: the oracle for the flow
     exp(tL) of a generator's n² × n² matrix."""

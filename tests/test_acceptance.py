@@ -122,7 +122,7 @@ def test_criterion_1d_zero_generator_family():
                 q, fam.members[0].projector, fam.members[1].projector, theta
             )
             check = is_enclosure(p_theta, model)
-            assert check.enclosed and check.residual <= 1e-9
+            assert check.ok and check.residual <= 1e-9
 
 
 def test_criterion_2_rotation_channel():

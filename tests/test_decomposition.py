@@ -25,7 +25,6 @@ from enclosure_atlas.semigroup import (
     _scale,
     _weighted_operators,
     adjoint_generator,
-    apply,
     build_generator,
     channel_superoperator,
     generator_action,
@@ -58,6 +57,7 @@ from enclosure_atlas.fixtures import (
 )
 
 from helpers import (
+    apply,
     block_diag_model,
     conjugated_pair_channel,
     conjugated_pair_model,
@@ -1203,13 +1203,13 @@ def test_cutoff_generator_zero():
 
 def test_is_enclosure_coordinate_spans():
     check = is_enclosure(np.diag([1.0, 0.0]), two_enclosures_2d())
-    assert check.enclosed and check.residual < 1e-12
+    assert check.ok and check.residual < 1e-12
 
 
 def test_is_enclosure_superposition_fails():
     plus = np.full((2, 2), 0.5)
     check = is_enclosure(plus, two_enclosures_2d())
-    assert not check.enclosed
+    assert not check.ok
     # K = -|0><0|/2 and L = |0><0| leak 1/4 and 1/2 out of |+>; s = 3/2, g = 1
     assert abs(check.residual - np.sqrt(5) / 6) < 1e-12
 
@@ -1219,13 +1219,13 @@ def test_is_enclosure_zero_generator_everything():
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     v = v / np.linalg.norm(v)
     check = is_enclosure(np.outer(v, v.conj()), zero_generator_2d())
-    assert check.enclosed
+    assert check.ok
 
 
 def test_is_enclosure_transient_level_is_not_enclosed():
     # L = |0><1| takes the transient level |1> to |0>: leak 1, weight g/s = 2/3
     check = is_enclosure(np.diag([0.0, 1.0]), unfaithful_2d())
-    assert not check.enclosed
+    assert not check.ok
     assert abs(check.residual - 2 / 3) < 1e-12
 
 
@@ -1393,7 +1393,7 @@ def test_decompose_family_projector_continuum_is_enclosed():
             q, fam.members[0].projector, fam.members[1].projector, theta
         )
         check = is_enclosure(p_theta, model)
-        assert check.enclosed and check.residual < 1e-9
+        assert check.ok and check.residual < 1e-9
 
 
 def test_decompose_reports_every_enclosure_enclosed():
@@ -1402,7 +1402,7 @@ def test_decompose_reports_every_enclosure_enclosed():
     report = decompose(model)
     for label, rec, _ in enumerate_minimal_enclosures(report):
         check = is_enclosure(rec.projector, model)
-        assert check.enclosed, label
+        assert check.ok, label
 
 
 def test_decompose_projector_algebra_invariants():
@@ -1594,7 +1594,7 @@ def test_enclosure_leak_and_commutator_norms_do_not_depend_on_time_unit_or_label
     p, f = iso @ iso.conj().T, random_hermitian(rng, model.dim)
     other = _relabeled(model, change)
     base, moved = is_enclosure(p, model), is_enclosure(p, other)
-    assert not base.enclosed
+    assert not base.ok
     assert abs(moved.residual - base.residual) <= 1e-9 * base.residual
     a, b = _weighted_commutator(model, f), _weighted_commutator(other, f)
     assert a > 0.1 and abs(b - a) <= 1e-9 * a

@@ -50,6 +50,11 @@ def test_tolerances_validation():
         Tolerances(rank_tol=1.5)
     with pytest.raises(ValueError):
         Tolerances(residual_tol=-1e-9)
+    # a bool is not a number here, as in a model file
+    with pytest.raises(ValueError):
+        Tolerances(residual_tol=True)
+    with pytest.raises(ValueError):
+        Tolerances(residual_tol=np.True_)
     assert dataclasses.replace(Tolerances(), rank_tol=1e-6).rank_tol == 1e-6
     # two knobs: a state's noise is the rank cut, the cluster width a constant
     assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_tol", "residual_tol"]

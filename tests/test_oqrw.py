@@ -12,9 +12,9 @@ from enclosure_atlas.oqrw import (
     oqrw_channel,
     verify_oqrw_theorem,
 )
-from enclosure_atlas.semigroup import LindbladModel, apply, build_generator
+from enclosure_atlas.semigroup import LindbladModel, build_generator
 
-from helpers import PAULI_X, fixed_points, random_rate_matrix
+from helpers import PAULI_X, apply, fixed_points, random_rate_matrix
 
 
 TWO_STATE = [[-1.0, 1.0], [2.0, -2.0]]
