@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-len",
         type=int,
         default=None,
-        help="optional cap on word length; default: search until the reachable span closes",
+        help="discrete mode only: optional word-length cap; default: search until the span closes",
     )
     _add_common_flags(p)
     p.set_defaults(func=cmd_identifiability)
@@ -169,6 +169,9 @@ def _analyze_one(path: str, args) -> tuple[int, dict, str]:
 def cmd_analyze(args) -> int:
     if len(args.paths) > 1 and not args.batch:
         raise ValidationError("multiple model files require --batch")
+    twice = [path for i, path in enumerate(args.paths) if path in args.paths[:i]]
+    if twice:
+        raise ValidationError(f"model file {twice[0]} is given more than once")
     if not args.batch:
         code, doc, text = _analyze_one(args.paths[0], args)
         _emit(args, doc, text)

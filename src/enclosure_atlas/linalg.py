@@ -188,7 +188,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve(a[i : i + 1], b[i : i + 1]) for i in range(len(a))])
 
 
-def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator, width: int = 1) -> tuple:
+def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator, width: int) -> tuple:
     """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·maxᵢ
     ‖A⁻¹ωᵢ‖), and A⁻¹[E, Ω] for E the last ``width`` unit vectors: one LU each."""
     count, size, _ = a.shape
@@ -199,93 +199,41 @@ def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator, width: int = 1) ->
     return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., width:], axis=1).max(axis=1)), sol
 
 
-def _certified_kernels(
-    s: np.ndarray, y: np.ndarray, cut: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel dimension of each real square matrix in a stack, certified by
-    at most one LU each to be the one the SVD's rule ``σ <= cut`` gives: 0,
-    or 1 with kernel vectors x of s and y of sᵀ, or −1 where the certificate
-    cannot decide. Also the certified lower bound on the smallest singular
-    value kept (σ_N or σ_{N−1}; NaN where undecided), and the sketch s⁻¹Ω of
-    each undecided matrix: from its kernel-free LU, else from one more LU.
-
-    Each row of y is the unit restriction of y₀ (1 on the diagonal
-    coordinates, 0 elsewhere) to its matrix's coordinates, or zero for a
-    coherence sector, which has no diagonal coordinate. A coherence sector
-    has dimension 0 when the probe bound on σ_min(s) exceeds the cut. A
-    trace-preserving map has sᵀy = 0; where ‖sᵀy‖ <= cut, the bordered
-    B = [[s, y], [yᵀ, 0]] is factored once, and its solve against e_{N+1}
-    gives x with s x = −μ y and yᵀx = 1, so x has positive trace. Dimension
-    1, with kernel vectors x̂ and y, when ‖s x̂‖ <= cut, so σ_N <= cut, and
-    the probe bound on σ_min(B) exceeds the cut: for unit z ⊥ y,
-    ‖B (z, 0)‖ = ‖s z‖, so σ_min(B) <= σ_{N−1}(s) by Courant–Fischer.
+def _bordered_kernels(
+    s: np.ndarray, sectors: np.ndarray, border: np.ndarray, cut: float,
+    rng: np.random.Generator, left_known: bool,
+) -> tuple:
+    """Certify that each real square matrix S = s[k], k in ``sectors``, has
+    the d-dimensional kernel the SVD's rule ``σ <= cut`` gives, by one LU of
+    B = [[S, X̂], [X̂ᵀ, 0]] (X̂: d orthonormal ``border`` columns) and one of
+    Bᵀ unless X̂ is a known left kernel, stacked, filled in place from s and
+    solved against [0; I_d | Ω]. They give X with S X = −X̂Λ and Y with
+    Sᵀ Y = −X̂Γ, X̂ᵀX = X̂ᵀY = I_d, and X_o, Y_o orthonormal bases of them;
+    with a known left kernel d = 1, Y_o = X̂ and X_o = x/‖x‖, so X̂ᵀX_o > 0
+    (a kernel vector bordered by the trace functional has positive trace).
+    d is certified when ‖S X_o‖₂ (and ‖Sᵀ Y_o‖₂) <= cut, so σ_{N−d+1}(S) <=
+    cut, and cut < the probe bound on σ_min(B): for unit z ⊥ X̂,
+    ‖B (z, 0)‖ = ‖S z‖, so σ_min(B) <= σ_{N−d}(S) by Courant–Fischer. B is
+    singular unless ker S ∩ ran S = 0. Returns (certified, bound, X_o, Y_o),
+    with the smaller of B's and Bᵀ's bounds.
     """
-    count, size, _ = s.shape
-    dim, bound = np.full(count, -1), np.full(count, np.nan)
-    sketch = np.zeros((count, size, _PROBES))
-    traced = y.any(axis=1)
-    with np.errstate(all="ignore"):
-        free = np.flatnonzero(~traced)
-        if free.size:
-            kept, sol = _sigma_min_bound(s[free], rng)
-            sketch[free] = sol[..., 1:]
-            free, kept = free[kept > cut], kept[kept > cut]
-            dim[free], bound[free] = 0, kept
-        residual = np.linalg.norm(np.einsum("cji,cj->ci", s, y), axis=1)
-        rest = np.flatnonzero(traced & (residual <= cut))
-        y, x = y[rest], np.empty((0, size))
-        if rest.size:
-            bordered = np.zeros((rest.size, size + 1, size + 1))
-            inner = bordered[:, :size, :size]
-            # Each of these sectors holds a diagonal coordinate: at most n.
-            for to, sector in enumerate(rest):
-                inner[to] = s[sector]
-            bordered[:, :size, size] = bordered[:, size, :size] = y
-            kept, x = _sigma_min_bound(bordered, rng)
-            x = x[:, :size, 0] / np.linalg.norm(x[:, :size, 0], axis=1, keepdims=True)
-            one = (np.linalg.norm(inner @ x[..., None], axis=(1, 2)) <= cut) & (kept > cut)
-            dim[rest[one]], bound[rest[one]] = 1, kept[one]
-            x, y = x[one], y[one]
-        again = np.flatnonzero(traced & (dim < 0))
-        if again.size:
-            sketch[again] = _solve(s[again], rng.standard_normal((again.size, size, _PROBES)))
-    return dim, bound, x, y, sketch
-
-
-def _sketched_kernels(
-    s: np.ndarray, sectors: np.ndarray, w: np.ndarray, cut: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Kernel dimension d of each real square matrix S = s[k], k in
-    ``sectors`` (how many directions X̂ of its sketch W = S⁻¹Ω grew past
-    1/cut; 0 if W is not finite), whether d is certified, and (index into
-    ``sectors``, X_o, Y_o) groups, one vector a row. For 0 < d < 10, one
-    stacked solve of B = [[S, X̂], [X̂ᵀ, 0]] and Bᵀ, filled in place from s,
-    against [0; I_d] gives X and Y; X_o, Y_o are orthonormal bases of them.
-    d is the SVD's when ‖S X_o‖₂, ‖Sᵀ Y_o‖₂ <= cut < the probe bound on
-    σ_min(B) <= σ_{N−d}(S). B is singular unless ker S ∩ ran S = 0.
-    """
-    size = s.shape[1]
-    q, r = np.linalg.qr(np.where(np.isfinite(w), w, 0))
-    u, sigma, _ = np.linalg.svd(r)
-    dim = np.count_nonzero(sigma > 1 / cut, axis=1)
-    certified, found = np.zeros(len(sectors), bool), []
-    # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
-    for d in sorted(set(dim[(dim > 0) & (dim < _PROBES)].tolist())):
-        at = np.flatnonzero(dim == d)
-        xh = q[at] @ u[at, :, :d]
-        pair = np.zeros((2, at.size, size + d, size + d))  # B, then Bᵀ: one border
-        for to, sector in enumerate(sectors[at]):
-            pair[0, to, :size, :size] = s[sector]
-            pair[1, to, :size, :size] = s[sector].T
-        pair[..., :size, size:], pair[..., size:, :size] = xh, xh.transpose(0, 2, 1)
-        pair = pair.reshape(2 * at.size, size + d, size + d)
-        kept, sol = _sigma_min_bound(pair, rng, d)
-        basis = np.linalg.qr(np.where(np.isfinite(sol), sol, 0)[:, :-d, :d])[0]
-        ok = (np.linalg.norm(pair[:, :-d, :-d] @ basis, 2, axis=(1, 2)) <= cut) & (kept > cut)
-        certified[at] = ok = ok.reshape(2, -1).all(axis=0)
-        vecs = basis.reshape(2, at.size, -1, d)[:, ok].transpose(0, 1, 3, 2)
-        found.append((np.repeat(at[ok], d), *vecs.reshape(2, -1, vecs.shape[-1])))
-    return dim, certified, found
+    count, size, d = border.shape
+    sides = 1 if left_known else 2
+    pair = np.zeros((sides, count, size + d, size + d))  # B, then Bᵀ if any: one border
+    for to, sector in enumerate(sectors):
+        pair[0, to, :size, :size], pair[1:, to, :size, :size] = s[sector], s[sector].T
+    pair[..., :size, size:], pair[..., size:, :size] = border, border.transpose(0, 2, 1)
+    pair = pair.reshape(sides * count, size + d, size + d)
+    bound, sol = _sigma_min_bound(pair, rng, d)
+    sol = np.where(np.isfinite(sol), sol, 0)[:, :size, :d]  # a zero pivot's NaN fails the bound
+    if left_known:
+        basis = sol / np.maximum(np.linalg.norm(sol, axis=1, keepdims=True), np.finfo(float).tiny)
+    else:
+        basis = np.linalg.qr(sol)[0]
+    ok = (np.linalg.norm(pair[:, :size, :size] @ basis, 2, axis=(1, 2)) <= cut) & (bound > cut)
+    ok, bound = ok.reshape(sides, count).all(axis=0), bound.reshape(sides, count).min(axis=0)
+    basis = basis.reshape(sides, count, size, d)
+    return ok, bound, basis[0], border if left_known else basis[1]
 
 
 def _sector_roots(m: np.ndarray) -> np.ndarray:
@@ -380,22 +328,23 @@ def real_null_spaces(
     least the smallest normal float, so the zero map's cut is positive. The
     sectors of one size are stacked, and M itself is used when one sector
     spans every coordinate.
-    A trace-preserving map has m†(1) = 0, so on every sector that holds a
-    diagonal coordinate the restriction of y₀ = T† vec(1) (1 on the diagonal
-    coordinates) is a left kernel vector. One LU per sector with Gaussian
-    probes (``_certified_kernels``) certifies a coherence sector kernel-free,
-    or a diagonal-bearing one, through its matrix bordered by y₀, to have a
-    one-dimensional kernel, with the SVD's decision; the left kernel vector
-    is then the normalized restriction of y₀ itself. An undecided sector gets
-    d kernel directions from its probe solves, and one LU of its matrix
-    bordered by them and one of the transpose certify a d-dimensional kernel
-    (``_sketched_kernels``). The probes come from a generator fixed here.
-    The other sectors (a value near the cut, an exact zero pivot, ten kernel
-    directions, a Jordan block at 0) are factored by one batched real SVD,
-    whose trailing singular vectors span their kernels. Kernel vectors are
-    embedded at their sector's coordinates; columns come ordered by sector
-    (smallest coordinate first), and mapped back through T every basis
-    vector is vec of a Hermitian matrix.
+    Per size, in this order: one LU with Gaussian probes Ω
+    (``_sigma_min_bound``) of each coherence sector (no diagonal
+    coordinate), kernel-free when that bound on σ_min exceeds the cut; the
+    bordered certificate ``_bordered_kernels`` of each sector S that holds a
+    diagonal coordinate and has ‖Sᵀy‖ <= cut, with the normalized
+    restriction y of y₀ = T† vec(1) (1 on the diagonal coordinates) as its
+    known left border, since a trace-preserving map has m†(1) = 0; one probe
+    LU of each such sector the border left open. The probe solves S⁻¹Ω of an
+    undecided sector are its sketch: the 0 < d < 10 of its directions that
+    grew past 1/cut (from a QR and an SVD of its 10 × 10 factor) border S
+    and Sᵀ in the same certificate, one call per d. The probes come from a
+    generator fixed here. The other sectors (a value near the cut, an exact
+    zero pivot, ten kernel directions, a Jordan block at 0) are factored by
+    one batched real SVD, whose trailing singular vectors span their
+    kernels. Kernel vectors are embedded at their sector's coordinates;
+    columns come ordered by sector (smallest coordinate first), and mapped
+    back through T every basis vector is vec of a Hermitian matrix.
     """
     n = isqrt(real.shape[0])
     cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
@@ -409,15 +358,39 @@ def real_null_spaces(
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
         block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
         diagonal = idx < n
+        traced = diagonal.any(axis=1)
         y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
-        dim, _, x, y, sketch = _certified_kernels(block, y, cut, rng)
-        # (sector rows of idx, right and left kernel vectors), one vector a row
-        found = [(np.flatnonzero(dim == 1), x, y)]
+        dim, sketch = np.full(len(idx), -1), np.zeros((len(idx), size, _PROBES))
+        found = []  # (sector rows of idx, right and left kernel vectors), one vector a row
+
+        def certify(sectors, border, left_known):
+            ok, _, x_o, y_o = _bordered_kernels(block, sectors, border, cut, rng, left_known)
+            dim[sectors[ok]] = d = border.shape[2]
+            vecs = (v[ok].transpose(0, 2, 1).reshape(-1, size) for v in (x_o, y_o))
+            found.append((np.repeat(sectors[ok], d), *vecs))
+
+        with np.errstate(all="ignore"):
+            free = np.flatnonzero(~traced)
+            if free.size:
+                bound, sketch[free] = _sigma_min_bound(block[free], rng, 0)
+                dim[free[bound > cut]] = 0
+            residual = np.linalg.norm(np.einsum("cji,cj->ci", block, y), axis=1)
+            rest = np.flatnonzero(traced & (residual <= cut))
+            if rest.size:
+                certify(rest, y[rest, :, None], True)
+            again = np.flatnonzero(traced & (dim < 0))
+            if again.size:
+                sketch[again] = _sigma_min_bound(block[again], rng, 0)[1]
+            undecided = np.flatnonzero(dim < 0)
+            if undecided.size:
+                q, r = np.linalg.qr(np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0))
+                u, sigma, _ = np.linalg.svd(r)
+                width = np.count_nonzero(sigma > 1 / cut, axis=1)
+                # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
+                for d in sorted(set(width[(width > 0) & (width < _PROBES)].tolist())):
+                    at = np.flatnonzero(width == d)
+                    certify(undecided[at], q[at] @ u[at, :, :d], False)
         undecided = np.flatnonzero(dim < 0)
-        if undecided.size:
-            _, certified, groups = _sketched_kernels(block, undecided, sketch[undecided], cut, rng)
-            found += [(undecided[rows], x, y) for rows, x, y in groups]
-            undecided = undecided[~certified]
         if undecided.size:
             u, s, vt = np.linalg.svd(block[undecided])
             sector, j = np.nonzero(s <= cut)
@@ -429,10 +402,7 @@ def real_null_spaces(
                 out.append(np.zeros((n * n, rows.size)))
                 out[-1][at] = vecs
     by_sector = np.argsort(np.concatenate(owners), kind="stable")
-    return (
-        _real_to_vec_herm(np.hstack(right)[:, by_sector], n),
-        _real_to_vec_herm(np.hstack(left)[:, by_sector], n),
-    )
+    return tuple(_real_to_vec_herm(np.hstack(vecs)[:, by_sector], n) for vecs in (right, left))
 
 
 def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:

@@ -13,6 +13,7 @@ from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     cluster_sorted_values,
     frob,
+    gather_real,
     kernel_basis,
     orthonormal_hermitian_span,
     psd_project,
@@ -46,6 +47,7 @@ from enclosure_atlas.decomposition import (
 import enclosure_atlas.decomposition as decomposition_module
 import enclosure_atlas.semigroup as semigroup_module
 import enclosure_atlas.linalg as linalg_module
+import helpers as helpers_module
 from enclosure_atlas.io import decomposition_report_to_dict, serialize_report
 from enclosure_atlas.oqrw import minimal_oqrw
 from enclosure_atlas.fixtures import (
@@ -165,12 +167,13 @@ def test_recurrent_projector_rejects_a_rotated_jordan_block(monkeypatch):
     t = _hermitian_coordinates(2)
     _crafted_generator(monkeypatch, t @ p @ core @ p.T @ t.conj().T)
     calls = _factor_spy(monkeypatch)
+    stages = _stage_one_spy(monkeypatch, calls)
     with pytest.raises(RuntimeError, match="not semisimple"):
         recurrent_projector(faithful_2d())
     # stage 1 ends with the SVD after the rank-d certificate
-    (sketched,) = [i for i, c in enumerate(calls) if c[0] == "sketch"]
-    assert _sector_decisions(calls[: sketched + 2], 4) == [(4, "svd")]
-    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [1]
+    (stage,), widths = stages, []
+    assert _sector_decisions(stage, 4, widths) == [(4, "svd")]
+    assert [w.tolist() for w in widths] == [[1]]
 
 
 def test_recurrent_projector_rejects_kernel_free_map(monkeypatch):
@@ -271,14 +274,15 @@ def _forbid_superoperator_builds(monkeypatch):
 def _factor_spy(monkeypatch):
     """Record every factorization as (kind, shape, is_complex): "svd" for
     np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
-    after a solve that raised LinAlgError. After each stack of sectors the
-    one-LU certificate decided, ("cert", shape, (dims, traced)): dims holds 0,
-    1 or -1 (undecided) and traced whether the sector has a diagonal
-    coordinate, per sector. After the rank-d certificate of its undecided
-    sectors, ("sketch", shape, (dims, certified)): the sketch's kernel
-    dimension and whether the border certified it, per undecided sector."""
+    after a solve that raised LinAlgError. Stage 1 adds three records: as
+    ``real_null_spaces`` starts on M, ("stage", M's shape, (cut, roots)) with
+    its cut and each coordinate's sector root; after the probe LU of a stack
+    of sectors, ("probe", its shape, (bounds, solves)); after each bordered
+    certificate of k sectors, ("border", (k, N, N), (sectors, d, left_known,
+    certified)), sectors indexing its stack of same-size sectors."""
     svd, solve = np.linalg.svd, np.linalg.solve
-    certify, sketched = linalg_module._certified_kernels, linalg_module._sketched_kernels
+    factor, bound = linalg_module.real_null_spaces, linalg_module._sigma_min_bound
+    border = linalg_module._bordered_kernels
     calls = []
 
     def svd_spy(a, *args, **kwargs):
@@ -293,20 +297,29 @@ def _factor_spy(monkeypatch):
             calls.append(("zero pivot", np.shape(a), False))
             raise
 
-    def certify_spy(s, y, cut, rng):
-        out = certify(s, y, cut, rng)
-        calls.append(("cert", s.shape, (out[0], y.any(axis=1))))
+    def stage_spy(real, scale, tol=DEFAULT_TOL):
+        cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
+        calls.append(("stage", real.shape, (cut, linalg_module._sector_roots(real))))
+        return factor(real, scale, tol)
+
+    def bound_spy(a, rng, width):
+        out = bound(a, rng, width)
+        if width == 0:
+            calls.append(("probe", a.shape, out))
         return out
 
-    def sketched_spy(s, sectors, w, cut, rng):
-        out = sketched(s, sectors, w, cut, rng)
-        calls.append(("sketch", (len(sectors), *s.shape[1:]), out[:2]))
+    def border_spy(s, sectors, xh, cut, rng, left_known):
+        out = border(s, sectors, xh, cut, rng, left_known)
+        record = (sectors, xh.shape[2], left_known, out[0])
+        calls.append(("border", (len(sectors), *s.shape[1:]), record))
         return out
 
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
-    monkeypatch.setattr(linalg_module, "_certified_kernels", certify_spy)
-    monkeypatch.setattr(linalg_module, "_sketched_kernels", sketched_spy)
+    for module in (decomposition_module, helpers_module):
+        monkeypatch.setattr(module, "real_null_spaces", stage_spy)
+    monkeypatch.setattr(linalg_module, "_sigma_min_bound", bound_spy)
+    monkeypatch.setattr(linalg_module, "_bordered_kernels", border_spy)
     return calls
 
 
@@ -323,51 +336,88 @@ def _lu_sizes(records):
     return sizes
 
 
-def _sector_decisions(stage, n2):
-    """Check that one null_spaces run (its ``_factor_spy`` calls) decided
-    every sector exactly once. Per stack of same-size sectors, the one-LU
-    certificate takes, in order, one LU of each coherence sector (no
-    diagonal coordinate), at most one bordered LU of each other sector, and
-    one LU of each of those it left undecided. It certifies a coherence
-    sector kernel-free or leaves it undecided, any other sector
-    one-dimensional or undecided. The undecided sectors' sketches then take
-    one small SVD, and each sector whose sketch finds 0 < d < 10 kernel
-    directions one LU of its rank-d border and one of its transpose, stacked
-    by d. One SVD factors exactly the sectors that border did not certify.
+# np.linalg.svd as numpy defines it, for checks made while ``_factor_spy``
+# records every call.
+_SVD = np.linalg.svd
+
+
+def _sector_decisions(stage, n2, widths=None):
+    """Check that one null_spaces run (its ``_factor_spy`` records) decided
+    every sector exactly once, in stage 1's order. Per stack of same-size
+    sectors, sector roots ascending: one probe LU of the coherence sectors
+    (no diagonal coordinate), kernel-free where the probe bound exceeds the
+    cut; at most one bordered LU of each other sector, the certificate with
+    the trace functional as its known left border, which decides a
+    one-dimensional kernel or nothing; one probe LU of each of those left
+    undecided. The undecided sectors' probe solves, their sketches, take one
+    small SVD, and the sectors whose sketch finds 0 < d < 10 directions past
+    1/cut one LU of their rank-d border and one of its transpose, one
+    certificate per d, d ascending. One SVD factors exactly the sectors left.
     Every factorization is real and the sectors cover n2 coordinates.
-    Returns (size, decision) per sector: 0 or 1 from the one-LU certificate,
-    ("sketch", d) from the rank-d certificate, or "svd"."""
+    Returns (size, decision) per sector: 0 or 1 from a probe or the trace
+    functional's border, ("sketch", d) from a rank-d border, or "svd".
+    ``widths``, if given, gets the sketch's d of each undecided sector, an
+    array per stack."""
     probes = linalg_module._PROBES
     assert not any(c[2] for c in stage if c[0] in ("svd", "lu"))
-    decisions, pos = [], 0
-    while pos < len(stage):
-        at = next(i for i in range(pos, len(stage)) if stage[i][0] == "cert")
-        _, (count, size, _), (dims, traced) = stage[at]
-        assert set(dims[~traced]) <= {0, -1} and set(dims[traced]) <= {1, -1}
-        lus = _lu_sizes(stage[pos:at])
-        bordered = lus.count(size + 1)
-        assert np.count_nonzero(dims[traced] == 1) <= bordered <= np.count_nonzero(traced)
-        again = np.count_nonzero(traced & (dims < 0))
-        assert lus == [size] * np.count_nonzero(~traced) + [size + 1] * bordered + [size] * again
+    (first, _, (cut, roots)), pos = stage[0], 1
+    assert first == "stage" and roots.size == n2
+
+    def ahead():
+        """Position of the next record that is not an LU's."""
+        rest = range(pos, len(stage))
+        return next((i for i in rest if stage[i][0] not in ("lu", "zero pivot")), len(stage))
+
+    def take(kind):
+        """The LU sizes up to the next record, a ``kind`` one, and its payload."""
+        nonlocal pos
+        end = ahead()
+        assert stage[end][0] == kind
+        lus, pos = _lu_sizes(stage[pos:end]), end + 1
+        return lus, stage[end][2]
+
+    decisions = []
+    labels, counts = np.unique(roots, return_counts=True)
+    for size in sorted(set(counts.tolist())):
+        traced = labels[counts == size] < isqrt(n2)
+        dims, sketch = np.full(traced.size, -1), np.zeros((traced.size, size, probes))
+        free = np.flatnonzero(~traced)
+        if free.size:
+            lus, (bound, sketch[free]) = take("probe")
+            assert lus == [size] * free.size
+            dims[free[bound > cut]] = 0
+        kind, shape, record = stage[ahead()] if ahead() < len(stage) else ("", (), None)
+        if kind == "border" and shape[1] == size and record[2]:  # the trace functional's
+            lus, (sectors, d, _, ok) = take("border")
+            assert d == 1 and traced[sectors].all() and lus == [size + 1] * sectors.size
+            dims[sectors[ok]] = 1
+        again = np.flatnonzero(traced & (dims < 0))
+        if again.size:
+            lus, (_, sketch[again]) = take("probe")
+            assert lus == [size] * again.size
         decided = [int(d) if d >= 0 else "svd" for d in dims]
-        undecided, pos = np.flatnonzero(dims < 0), at + 1
+        undecided = np.flatnonzero(dims < 0)
         if undecided.size:
-            end = next(i for i in range(pos, len(stage)) if stage[i][0] == "sketch")
-            _, shape, (widths, certified) = stage[end]
-            assert shape == (undecided.size, size, size)
             assert stage[pos][:2] == ("svd", (undecided.size, min(size, probes), probes))
-            tried = sorted(int(w) for w in widths if 0 < w < probes)
-            assert _lu_sizes(stage[pos + 1 : end]) == [size + w for w in tried for _ in "BT"]
-            assert np.all((widths[certified] > 0) & (widths[certified] < probes))
-            for i, w in zip(undecided[certified], widths[certified]):
-                decided[i] = ("sketch", int(w))
-            undecided, pos = undecided[~certified], end + 1
+            pos += 1
+            sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
+            found = np.count_nonzero(_SVD(np.linalg.qr(sketched)[1])[1] > 1 / cut, axis=1)
+            for d in sorted(set(found[(found > 0) & (found < probes)].tolist())):
+                lus, (sectors, width, left_known, ok) = take("border")
+                assert not left_known and width == d and lus == [size + d] * (2 * sectors.size)
+                assert np.array_equal(sectors, undecided[found == d])
+                for i in sectors[ok]:
+                    decided[i] = ("sketch", d)
+            undecided = undecided[[decided[i] == "svd" for i in undecided]]
+            if widths is not None:
+                widths.append(found)
         svds = []
         while pos < len(stage) and stage[pos][0] == "svd":
             svds.append(stage[pos][1])
             pos += 1
         assert svds == ([(undecided.size, size, size)] if undecided.size else [])
         decisions += [(size, d) for d in decided]
+    assert pos == len(stage)
     assert sum(size for size, _ in decisions) == n2
     return decisions
 
@@ -377,7 +427,7 @@ def _stage_one_spy(monkeypatch, calls):
     ``null_spaces`` that ``recurrent_projector`` calls), the slice of
     ``calls`` (a ``_factor_spy`` list) that it made."""
     stages = []
-    factor = linalg_module.real_null_spaces
+    factor = decomposition_module.real_null_spaces
 
     def spy(real, scale, tol=DEFAULT_TOL):
         start = len(calls)
@@ -510,36 +560,50 @@ def _sector_models():
 def test_null_spaces_match_complex_svd_oracle(monkeypatch):
     # Oracle: the complex SVD of L itself, with the same rank rule on the
     # scale ‖L‖_F = ‖M‖_F. The sector blocks' singular values together are
-    # the singular values of L, and for every sector the certificate decided,
-    # the cut and its bound bracket them: σ_N <= cut < bound <= σ_{N-1} for a
-    # one-dimensional kernel, cut < bound <= σ_N for none.
+    # the singular values of L. Every probe bound lies below σ_N of its
+    # sector, and for every sector a bordered certificate decided to have a
+    # d-dimensional kernel, rank-d borders included, the cut and its bound
+    # bracket the sector's singular values: σ_{N-d+1} <= cut < bound <= σ_{N-d}.
     svd = np.linalg.svd
-    certify = linalg_module._certified_kernels
-    sectors = []
+    bound, border = linalg_module._sigma_min_bound, linalg_module._bordered_kernels
+    probed, bordered = [], []
 
-    def spy(s, y, cut, rng):
-        out = certify(s, y, cut, rng)
-        sectors.append((s.copy(), cut, out[0], out[1]))
+    def bound_spy(a, rng, width):
+        out = bound(a, rng, width)
+        if width == 0:
+            probed.append((a.copy(), out[0]))
         return out
 
-    monkeypatch.setattr(linalg_module, "_certified_kernels", spy)
+    def border_spy(s, sectors, xh, cut, rng, left_known):
+        out = border(s, sectors, xh, cut, rng, left_known)
+        bordered.append((s[sectors], xh.shape[2], cut, *out[:2]))
+        return out
+
+    monkeypatch.setattr(linalg_module, "_sigma_min_bound", bound_spy)
+    monkeypatch.setattr(linalg_module, "_bordered_kernels", border_spy)
+    dims = set()
     for model in (*_agreement_models(), *_sector_models()):
         gen, n = build_generator(model).matrix, model.dim
         u, s, vh = svd(gen)
         cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen), 1.0)
         rank = int(np.count_nonzero(s > cut))
-        sectors.clear()
-        kern, left = null_spaces(gen)
-        values = np.sort(np.concatenate([svd(b, compute_uv=False).ravel() for b, *_ in sectors]))
+        real = gather_real(gen)
+        roots = linalg_module._sector_roots(real)
+        blocks = [real[np.ix_(roots == r, roots == r)] for r in np.unique(roots)]
+        values = np.sort(np.concatenate([svd(b, compute_uv=False) for b in blocks]))
         assert np.max(np.abs(values[::-1] - s)) <= 1e-12 * max(s[0], 1.0)
-        for block, sector_cut, dims, bounds in sectors:
+        probed.clear()
+        bordered.clear()
+        kern, left = null_spaces(gen)
+        for blocks, bounds in probed:
+            assert not np.any(bounds > svd(blocks, compute_uv=False)[:, -1])
+        for blocks, d, sector_cut, ok, bounds in bordered:
             assert abs(sector_cut - cut) <= 1e-12 * cut
-            sigma = svd(block, compute_uv=False)
-            free, one = dims == 0, dims == 1
-            assert np.all((cut < bounds[free]) & (bounds[free] <= sigma[free, -1]))
-            assert np.all((sigma[one, -1] <= cut) & (cut < bounds[one]))
-            if block.shape[-1] > 1:
-                assert np.all(bounds[one] <= sigma[one, -2])
+            sigma = svd(blocks[ok], compute_uv=False)
+            assert np.all((sigma[:, -d] <= cut) & (cut < bounds[ok]))
+            if blocks.shape[-1] > d:
+                assert np.all(bounds[ok] <= sigma[:, -d - 1])
+            dims.update([d] if ok.any() else [])
         assert kern.shape[1] == left.shape[1] == n * n - rank
         for basis, oracle in ((kern, vh[rank:].conj().T), (left, u[:, rank:])):
             assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
@@ -548,6 +612,8 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
             for v in basis.T:
                 x = unvec(v)
                 assert np.array_equal(x, x.conj().T)
+    # the grid certifies one-dimensional kernels and rank-d ones
+    assert max(dims) > 1
 
 
 def test_null_spaces_factor_a_dense_model_as_one_sector(monkeypatch):
@@ -731,13 +797,15 @@ def test_null_spaces_certified_left_vectors_are_the_trace_functional(monkeypatch
         calls.clear()
         kern, left = null_spaces(mat)
         _sector_decisions(calls, n * n)
-        # every sector with a diagonal coordinate is certified
-        certified = [out for kind, _, out in calls if kind == "cert"]
-        assert all(np.all(dims[traced] == 1) for dims, traced in certified)
         t = _hermitian_coordinates(n)
         labels = scipy.sparse.csgraph.connected_components(
             (t.conj().T @ mat @ t).real != 0, directed=False
         )[1]
+        # every sector with a diagonal coordinate is certified by the border
+        # with the trace functional
+        borders = [out for kind, _, out in calls if kind == "border" and out[2]]
+        assert all(ok.all() for *_, ok in borders)
+        assert sum(ok.size for *_, ok in borders) == len(set(labels[:n]))
         traced = 0
         for x, y in zip(kern.T, left.T):
             label = labels[np.flatnonzero(linalg_module._herm_to_real(unvec(y)))[0]]
@@ -884,10 +952,10 @@ def test_null_spaces_sketch_that_counts_a_value_above_the_cut_needs_svd(monkeypa
     tol = dataclasses.replace(DEFAULT_TOL, rank_tol=1e-4)
     cut = tol.rank_tol * np.sqrt(34)
     mat = _dense_sector_generator(np.r_[np.ones(34), 1.2 * cut, cut / 1000], np.random.default_rng(109))
-    calls = _factor_spy(monkeypatch)
+    calls, widths = _factor_spy(monkeypatch), []
     kern, left = null_spaces(mat, tol)
-    assert _sector_decisions(calls, 36) == [(36, "svd")]
-    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [2]
+    assert _sector_decisions(calls, 36, widths) == [(36, "svd")]
+    assert [w.tolist() for w in widths] == [[2]]
     for basis, proj in zip((kern, left), _sector_svd_oracle(mat, tol)):
         assert basis.shape[1] == round(np.trace(proj).real) == 1
         assert np.linalg.norm(basis @ basis.conj().T - proj) < 1e-10
@@ -900,11 +968,78 @@ def test_null_spaces_kernel_of_ten_dimensions_needs_svd(monkeypatch):
     cut = DEFAULT_TOL.rank_tol * np.sqrt(26)
     mat = _dense_sector_generator(np.r_[np.ones(26), np.full(10, cut / 1000)], np.random.default_rng(113))
     _assert_matches_sector_svd_oracle(mat)
-    calls = _factor_spy(monkeypatch)
+    calls, widths = _factor_spy(monkeypatch), []
     kern, left = null_spaces(mat)
-    assert _sector_decisions(calls, 36) == [(36, "svd")]
-    assert [out for kind, _, out in calls if kind == "sketch"][0][0].tolist() == [10]
+    assert _sector_decisions(calls, 36, widths) == [(36, "svd")]
+    assert [w.tolist() for w in widths] == [[10]]
     assert kern.shape[1] == left.shape[1] == 10
+
+
+def _planted_block(rng, values, left=None):
+    """A real square matrix with the given singular values and random
+    singular vectors; ``left``, if given, is the left singular vector of the
+    last value."""
+    size = len(values)
+    first = rng.standard_normal((size, size))
+    if left is not None:
+        first[:, 0] = left
+    q1 = np.linalg.qr(first)[0][:, ::-1]
+    q2 = np.linalg.qr(rng.standard_normal((size, size)))[0]
+    return (q1 * values) @ q2.T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(True, 4), (True, 5), (True, 6), (False, 5), (False, 6)]),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+)
+def test_null_spaces_decide_a_planted_dense_sector_as_the_svd(form, k, seed):
+    # One dense sector of N = 16 to 36 coordinates whose singular values are
+    # k values <= cut/100 and others in [1e-6, 1], at least 100·cut, in two
+    # forms. Trace-preserving: the sector spans all n² coordinates, with one
+    # more value 0 whose left singular vector is y₀, so y is exact. Coherence:
+    # the sector holds the n² − n coherence coordinates, beside a population
+    # block with y₀ as its left kernel vector. Before the sketches' SVD every
+    # sector takes at most one probe LU, and a diagonal-bearing one at most
+    # one LU bordered by y. The kernel dimensions are the per-sector SVD's.
+    # A certified basis X is exact only up to its residual: by Wedin's
+    # theorem it lies within the angle ‖M X‖₂ / gap of the SVD's kernel, gap
+    # the smallest value kept, and the oracle's basis within (largest small
+    # value + roundoff) / gap; the projectors agree within the sum, which is
+    # far above 1e-10 when a small value is near cut/100 and the gap 1e-6.
+    traced, n = form
+    rng = np.random.default_rng(seed)
+    size = n * n if traced else n * n - n
+    large = np.exp(rng.uniform(np.log(1e-6), 0.0, size - k - traced))
+    large[0] = 1.0
+    population = np.r_[np.exp(rng.uniform(np.log(1e-6), 0.0, n - 1)), 0.0]
+    y0 = np.r_[np.ones(n), np.zeros(size - n)] / np.sqrt(n) if traced else np.ones(n) / np.sqrt(n)
+    norm = np.sqrt(np.sum(large**2) + (0 if traced else np.sum(population**2)))
+    cut = DEFAULT_TOL.rank_tol * max(norm, 1.0)
+    small = rng.uniform(0.0, cut / 100, k)
+    if traced:
+        m, gap = _planted_block(rng, np.r_[large, small, 0.0], y0), large.min()
+    else:
+        blocks = (_planted_block(rng, population, y0), _planted_block(rng, np.r_[large, small]))
+        m, gap = scipy.linalg.block_diag(*blocks), min(large.min(), population[:-1].min())
+    t = _hermitian_coordinates(n)
+    mat = t @ m @ t.conj().T
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _factor_spy(patch)
+        kern, left = null_spaces(mat)
+        decisions = _sector_decisions(calls, n * n)
+    first_svd = next((i for i, c in enumerate(calls) if c[0] == "svd"), len(calls))
+    lus = _lu_sizes([c for c in calls[:first_svd] if c[0] in ("lu", "zero pivot")])
+    assert lus.count(size) <= 1 and lus.count(size + 1) <= traced
+    (planted,) = [d for at, d in decisions if at == size]
+    assert planted in (k + traced, ("sketch", k + traced), "svd")
+    dim = k + 1
+    for basis, proj, op in zip((kern, left), _sector_svd_oracle(mat), (mat, mat.conj().T)):
+        assert basis.shape[1] == round(np.trace(proj).real) == dim
+        angle = (np.linalg.norm(op @ basis, 2) + max(small, default=0) + 1e-14 * norm) / gap
+        error = np.linalg.norm(basis @ basis.conj().T - proj)
+        assert error <= 1e-10 + np.sqrt(2 * dim) * angle
 
 
 def test_null_spaces_kernel_dimension_is_basis_invariant():

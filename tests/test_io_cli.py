@@ -545,6 +545,22 @@ def test_cli_identifiability_rotation_fails(tmp_path, capsys):
     assert doc["uniqueness_cross_check"]["converse_counterexample"] is True
 
 
+def test_cli_max_len_applies_to_discrete_mode_only(tmp_path, capsys):
+    # The continuous criterion searches no words, so --max-len leaves its
+    # output unchanged, byte for byte; it stays accepted there.
+    path = write_fixture(tmp_path, "two-enclosures-2d")
+    outputs = []
+    for extra in ([], ["--max-len", "6"]):
+        for fmt in ("text", "structured"):
+            argv = ["identifiability", path, "--mode", "continuous", "--format", fmt, *extra]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+    with pytest.raises(SystemExit):
+        main(["identifiability", "--help"])
+    assert "discrete mode only" in capsys.readouterr().out
+
+
 def test_cli_identifiability_long_witness_without_cap(tmp_path, capsys):
     channel = renewal_pair_channel()
     doc = {
@@ -617,6 +633,24 @@ def test_cli_batch_analyze(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc["reports"]) == {a, b}
     assert main(["analyze", a, b]) == 2  # multiple files without --batch
+
+
+def test_cli_batch_rejects_a_path_given_twice(tmp_path, capsys, monkeypatch):
+    # A report is keyed by its path, so a repeated path would print two text
+    # reports but write one structured one. It is a validation error that
+    # names the path, raised before any model file is read.
+    a = write_fixture(tmp_path, "unfaithful-2d")
+    b = write_fixture(tmp_path, "two-enclosures-2d")
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_model_file", unread)
+    for fmt in ("text", "structured"):
+        assert main(["analyze", a, b, a, "--batch", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: model file {a} is given more than once\n"
 
 
 def test_cli_batch_mixed_failures(tmp_path, capsys):

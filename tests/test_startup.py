@@ -45,8 +45,9 @@ def _fresh(code: str, *args):
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     root = tmp_path_factory.mktemp("models")
-    # The pair's stage-1 sector has a two-dimensional kernel, certified by
-    # _sketched_kernels.
+    # Stage 1 splits the pair into its two blocks and the 8-coordinate sector
+    # between them, whose two-dimensional kernel ``_bordered_kernels``
+    # certifies from its sketch: the commands run the rank-d border.
     pair = conjugated_pair_model(np.random.default_rng(1), 2, 2)[0]
     docs = {name: fixture_document(name) for name in ANALYZED + ["two-state-chain"]}
     docs["pair"] = {
