@@ -45,8 +45,7 @@ from .linalg import (
 )
 from .semigroup import (
     VECTORIZATION_NOTE,
-    KrausChannel,
-    LindbladModel,
+    _kind,
     _require,
     _scale,
     build_generator,
@@ -168,7 +167,7 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     The complex n² × n² matrix of L lives only while ``gather_real`` reads
     it: the factorization works on the real M alone.
     """
-    _model_kind(obj)
+    _kind(obj, "decompose")
     kern, left = real_null_spaces(gather_real(build_generator(obj).matrix), _scale(obj), tol)
     n = obj.dim
     if kern.shape[1] == 0:
@@ -198,7 +197,7 @@ def cutoff_generator(obj, p_r: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     channel L* = Phi* - Id. ``decompose`` does not call it:
     ``algebra_structure`` decides F from the operators.
     """
-    _model_kind(obj)
+    _kind(obj, "decompose")
     p_r = require_square(p_r)
     if p_r.shape != (obj.dim, obj.dim):
         raise ValueError("projector dimension does not match the model")
@@ -464,14 +463,6 @@ def enumerate_minimal_enclosures(report: DecompositionReport) -> list[tuple]:
     return out
 
 
-def _model_kind(obj) -> str:
-    if isinstance(obj, LindbladModel):
-        return "lindblad"
-    if isinstance(obj, KrausChannel):
-        return "kraus"
-    raise TypeError(f"cannot decompose object of type {type(obj).__name__}")
-
-
 def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     """Full decomposition of a Lindblad model or Kraus channel.
 
@@ -484,7 +475,7 @@ def decompose(obj, tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     state: "spectral" (t -> infinity of the semigroup) for Lindblad models,
     "cesaro" (average of the channel's powers) for Kraus channels.
     """
-    kind, n = _model_kind(obj), obj.dim
+    kind, n = _kind(obj, "decompose"), obj.dim
     _require(obj, tol)  # the model's input rule, under these tolerances
 
     def stage(name, fn):
@@ -584,7 +575,7 @@ def verify_decomposition(
     ``report.invariant_kernel``, the same for every orthonormal basis, read
     through each enclosure's range isometry U_a (U_a† X formed once).
     """
-    kind = _model_kind(obj)
+    kind = _kind(obj, "decompose")
     if kind != report.kind:
         raise ValueError(f"report kind {report.kind!r} does not match object kind {kind!r}")
     n, s = report.dim, _scale(obj)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .io import _json
-from .semigroup import KrausChannel, LindbladModel
+from .semigroup import KrausChannel, LindbladModel, _kind
 from .oqrw import RateMatrix
 
 
@@ -48,12 +48,8 @@ def two_state_chain() -> RateMatrix:
     return RateMatrix.create([[-1.0, 1.0], [2.0, -2.0]])
 
 
-def _lindblad_doc(model: LindbladModel) -> dict:
-    return {"mode": "lindblad", **_json(model)}
-
-
-def _kraus_doc(channel: KrausChannel) -> dict:
-    return {"mode": "kraus", **_json(channel)}
+def _model_doc(obj: LindbladModel | KrausChannel) -> dict:
+    return {"mode": _kind(obj, "write"), **_json(obj)}
 
 
 def _rates_doc(rate: RateMatrix) -> dict:
@@ -61,11 +57,11 @@ def _rates_doc(rate: RateMatrix) -> dict:
 
 
 FIXTURES = {
-    "faithful-2d": lambda: _lindblad_doc(faithful_2d()),
-    "unfaithful-2d": lambda: _lindblad_doc(unfaithful_2d()),
-    "two-enclosures-2d": lambda: _lindblad_doc(two_enclosures_2d()),
-    "zero-generator-2d": lambda: _lindblad_doc(zero_generator_2d()),
-    "rotation-channel": lambda: _kraus_doc(rotation_channel()),
+    "faithful-2d": lambda: _model_doc(faithful_2d()),
+    "unfaithful-2d": lambda: _model_doc(unfaithful_2d()),
+    "two-enclosures-2d": lambda: _model_doc(two_enclosures_2d()),
+    "zero-generator-2d": lambda: _model_doc(zero_generator_2d()),
+    "rotation-channel": lambda: _model_doc(rotation_channel()),
     "two-state-chain": lambda: _rates_doc(two_state_chain()),
 }
 

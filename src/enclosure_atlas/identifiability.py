@@ -33,7 +33,7 @@ from .linalg import (
     dagger,
     frob,
 )
-from .semigroup import KrausChannel, LindbladModel, unvec
+from .semigroup import KrausChannel, LindbladModel, _kind, unvec
 from .decomposition import (
     DecompositionReport,
     _leading_isometry,
@@ -391,16 +391,15 @@ def uniqueness_cross_check(
     (transient-free case). The converse failing (unique decomposition with
     failing identifiability) is recorded, not an error.
     """
+    kind = _kind(obj, "cross-check")
     if report is None:
         report = decompose(obj, tol=tol)
-    if isinstance(obj, LindbladModel):
+    if kind == "lindblad":
         ident = continuous_identifiability(obj, report, tol)
-        unraveling = list(obj.jumps)
-    elif isinstance(obj, KrausChannel):
-        ident = discrete_identifiability(obj, report, max_len, tol)
-        unraveling = list(obj.kraus)
+        unraveling = obj.jumps
     else:
-        raise TypeError(f"cannot cross-check object of type {type(obj).__name__}")
+        ident = discrete_identifiability(obj, report, max_len, tol)
+        unraveling = obj.kraus
 
     transient_free = report.transient_dimension == 0
     applicable = ident.overall and transient_free

@@ -151,30 +151,25 @@ def parse_model_document(doc) -> ParsedModel:
         except ValueError as exc:
             raise ValidationError(f"bad tolerances: {exc}") from None
 
-    def check_dim(mat, field, n):
-        if mat.shape != (n, n):
-            raise ValidationError(f"field {field} has shape {mat.shape}, expected {(n, n)}")
+    def square(data, field):
+        mat = parse_complex_matrix(data, field)
+        if mat.shape != (dim, dim):
+            raise ValidationError(f"field {field} has shape {mat.shape}, expected {(dim, dim)}")
         return mat
 
     try:
         if mode == "lindblad":
-            h = check_dim(parse_complex_matrix(_require(doc, "hamiltonian"), "hamiltonian"), "hamiltonian", dim)
+            h = square(_require(doc, "hamiltonian"), "hamiltonian")
             jumps_doc = doc.get("jumps", [])
             if not isinstance(jumps_doc, list):
                 raise ModelFileError("jumps must be an array of matrices")
-            jumps = [
-                check_dim(parse_complex_matrix(j, f"jumps[{k}]"), f"jumps[{k}]", dim)
-                for k, j in enumerate(jumps_doc)
-            ]
+            jumps = [square(j, f"jumps[{k}]") for k, j in enumerate(jumps_doc)]
             obj = LindbladModel.create(h, jumps, tolerances)
         elif mode == "kraus":
             kraus_doc = _require(doc, "kraus")
             if not isinstance(kraus_doc, list) or not kraus_doc:
                 raise ModelFileError("kraus must be a non-empty array of matrices")
-            kraus = [
-                check_dim(parse_complex_matrix(v, f"kraus[{k}]"), f"kraus[{k}]", dim)
-                for k, v in enumerate(kraus_doc)
-            ]
+            kraus = [square(v, f"kraus[{k}]") for k, v in enumerate(kraus_doc)]
             obj = KrausChannel.create(kraus, tolerances)
         elif mode == "rates":
             from .oqrw import RateMatrix

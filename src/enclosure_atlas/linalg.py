@@ -127,23 +127,14 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     return v @ dagger(v)
 
 
-# Hermitian matrices form a real vector space; the maps below embed them
-# isometrically (for the HS inner product) into real coordinate vectors so
+# Hermitian matrices form a real vector space; the unitary T below maps real
+# coordinate vectors isometrically (for the HS inner product) onto them, so
 # that real SVD can orthonormalize without leaving the Hermitian cone.
-
-def _herm_to_real(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate([
-        np.diag(x).real,
-        np.sqrt(2.0) * x[iu].real,
-        np.sqrt(2.0) * x[iu].imag,
-    ])
-
 
 def _hermitian_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-stacked vec indices of the diagonal (i, i) and of the entries
-    (i, j), (j, i) for i < j, in the order ``_herm_to_real`` uses."""
+    (i, j), (j, i) for i < j, whose real coordinates (diagonal, √2 Re, √2 Im)
+    ``_real_to_vec_herm`` maps back."""
     iu = np.triu_indices(n, k=1)
     return np.arange(n) * (n + 1), iu[0] + n * iu[1], iu[1] + n * iu[0]
 
@@ -157,10 +148,6 @@ def _real_to_vec_herm(x: np.ndarray, n: int) -> np.ndarray:
     out[p] = (x[n:n + k] + 1j * x[n + k:]) / np.sqrt(2.0)
     out[q] = out[p].conj()
     return out
-
-
-def _real_to_herm(v: np.ndarray, n: int) -> np.ndarray:
-    return _real_to_vec_herm(v[:, None], n).reshape((n, n), order="F")
 
 
 def _numerical_rank(s: np.ndarray, tol: Tolerances) -> int:
@@ -281,7 +268,7 @@ def gather_real(m: np.ndarray) -> np.ndarray:
     """The real matrix M = T† m T of a Hermiticity-preserving superoperator m.
 
     m acts on column-stacked n × n operators, and T is the unitary whose
-    columns are vec of the orthonormal Hermitian basis of ``_herm_to_real``
+    columns are vec of the orthonormal Hermitian basis of ``_real_to_vec_herm``
     (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2). M is gathered in
     row blocks of ``_GATHER_BYTES``: the diagonal rows of m, then the p and
     q rows of each block of pairs, each times T (``_times_t``), combined and
@@ -421,16 +408,20 @@ def kernel_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarra
 def orthonormal_hermitian_span(
     candidates: Sequence[np.ndarray], tol: Tolerances = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """HS-orthonormal Hermitian basis of the real span of Hermitian matrices."""
+    """HS-orthonormal Hermitian basis of the real span of Hermitian matrices,
+    from the real SVD of their coordinates T† vec(x), mapped back by T."""
     if not candidates:
         return []
     n = candidates[0].shape[0]
-    rows = np.array([_herm_to_real(hermitian_part(x)) for x in candidates])
+    diag, p, _ = _hermitian_pairs(n)
+    vecs = np.array([hermitian_part(x).reshape(-1, order="F") for x in candidates])
+    pairs = vecs[:, p]
+    rows = np.hstack([vecs[:, diag].real, np.sqrt(2.0) * pairs.real, np.sqrt(2.0) * pairs.imag])
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return []
     keep = s > tol.rank_tol * s[0]
-    return [_real_to_herm(vh[i], n) for i in range(len(s)) if keep[i]]
+    return list(_real_to_vec_herm(vh[keep].T, n).T.reshape(-1, n, n).transpose(0, 2, 1))
 
 
 def hermitian_basis(

@@ -114,15 +114,22 @@ class OqrwSpec:
 
 
 def minimal_oqrw(rate: RateMatrix) -> LindbladModel:
-    """Lindblad model of the minimal walk: H = 0 and one jump
-    sqrt(q_ij) |j><i| per active edge."""
-    return general_oqrw(spec_from_rate_matrix(rate))
+    """Lindblad model of the minimal walk, on a one-dimensional inner space:
+    H = 0 and one jump sqrt(q_ij) |j><i| per active edge."""
+    edges = {(j, i): [[np.sqrt(rate.q[i, j])]] for i, j in np.argwhere(rate.q > 0) if i != j}
+    return general_oqrw(OqrwSpec.create(rate.n, 1, edges))
 
 
 def _site_operator(op: np.ndarray, dest: int, src: int, num_sites: int) -> np.ndarray:
     hop = np.zeros((num_sites, num_sites), dtype=complex)
     hop[dest, src] = 1.0
     return np.kron(op, hop)
+
+
+def _transitions(spec: OqrwSpec) -> list[np.ndarray]:
+    """The operators B ⊗ |dest><src| of a walk, in (destination, source) order."""
+    items = sorted(spec.transition_ops.items())
+    return [_site_operator(op, dest, src, spec.num_sites) for (dest, src), op in items]
 
 
 def general_oqrw(spec: OqrwSpec) -> LindbladModel:
@@ -135,11 +142,7 @@ def general_oqrw(spec: OqrwSpec) -> LindbladModel:
     h = np.zeros((dim, dim), dtype=complex)
     for i, hi in enumerate(spec.local_hamiltonians):
         h += _site_operator(hi, i, i, spec.num_sites)
-    jumps = [
-        _site_operator(op, dest, src, spec.num_sites)
-        for (dest, src), op in sorted(spec.transition_ops.items())
-    ]
-    return LindbladModel.create(h, jumps)
+    return LindbladModel.create(h, _transitions(spec))
 
 
 def oqrw_channel(spec: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -148,21 +151,7 @@ def oqrw_channel(spec: OqrwSpec, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     spec with local Hamiltonians is rejected."""
     if spec.local_hamiltonians:
         raise ValueError("a discrete-time walk takes no local Hamiltonians; use general_oqrw")
-    kraus = [
-        _site_operator(op, dest, src, spec.num_sites)
-        for (dest, src), op in sorted(spec.transition_ops.items())
-    ]
-    return KrausChannel.create(kraus, tol)
-
-
-def spec_from_rate_matrix(rate: RateMatrix) -> OqrwSpec:
-    """One-dimensional inner space encoding of a rate matrix."""
-    ops = {}
-    for i in range(rate.n):
-        for j in range(rate.n):
-            if i != j and rate.q[i, j] > 0:
-                ops[(j, i)] = np.array([[np.sqrt(rate.q[i, j])]])
-    return OqrwSpec.create(rate.n, 1, ops)
+    return KrausChannel.create(_transitions(spec), tol)
 
 
 def closed_classes(rate: RateMatrix) -> list[list[int]]:
@@ -249,16 +238,15 @@ def verify_oqrw_theorem(rate: RateMatrix, tol: Tolerances = DEFAULT_TOL) -> Oqrw
     for k, (cls, pi) in enumerate(zip(classes, measures)):
         target = np.zeros((rate.n, rate.n))
         target[cls, cls] = 1.0
-        best = None
-        for idx, (label, rec, _) in enumerate(enclosures):
-            gap = frob(rec.projector - target)
-            if best is None or gap < best[0]:
-                best = (gap, idx, label, rec)
-        gap, idx, label, rec = best if best else (np.inf, -1, "none", None)
+        # the enclosure nearest the class: decompose always returns one
+        gap, idx, label, rec = min(
+            ((frob(rec.projector - target), idx, label, rec)
+             for idx, (label, rec, _) in enumerate(enclosures)),
+            key=lambda best: best[0],
+        )
+        matched.add(idx)
         add(f"class{k}:projector_match:{label}", gap)
-        if rec is not None:
-            matched.add(idx)
-            add(f"class{k}:state_match:{label}", frob(rec.extremal_state - np.diag(pi)))
+        add(f"class{k}:state_match:{label}", frob(rec.extremal_state - np.diag(pi)))
     add("enclosure_count", abs(len(enclosures) - len(classes)) + len(classes) - len(matched))
     add("no_degenerate_families", len(report.families))
 

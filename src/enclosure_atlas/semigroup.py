@@ -58,7 +58,9 @@ class LindbladModel:
 
     @cached_property
     def _drift(self) -> np.ndarray:
-        return _drift_and_gram(self)[0]
+        """K = -iH - ½ Σ_j L_j†L_j, H the Hermitian part of the Hamiltonian
+        (``create`` accepts a small anti-Hermitian part)."""
+        return -1j * hermitian_part(self.hamiltonian) - 0.5 * _gram(self.jumps, self.dim)
 
     @cached_property
     def _stack(self) -> np.ndarray:
@@ -128,12 +130,13 @@ def _gram(ops: Sequence[np.ndarray], n: int) -> np.ndarray:
     return sum((dagger(op) @ op for op in ops), np.zeros((n, n), dtype=complex))
 
 
-def _drift_and_gram(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
-    """(K, G) with G = sum_j L_j†L_j and K = -iH - G/2, H the Hermitian part of
-    the Hamiltonian (``create`` accepts a small anti-Hermitian part), so that
-    the generator is rho -> K rho + rho K† + sum_j L_j rho L_j†."""
-    gram = _gram(model.jumps, model.dim)
-    return -1j * hermitian_part(model.hamiltonian) - 0.5 * gram, gram
+def _kind(obj, verb: str) -> str:
+    """A model's kind, "lindblad" or "kraus"; TypeError "cannot {verb} …" otherwise."""
+    if isinstance(obj, LindbladModel):
+        return "lindblad"
+    if isinstance(obj, KrausChannel):
+        return "kraus"
+    raise TypeError(f"cannot {verb} object of type {type(obj).__name__}")
 
 
 def _scale(obj) -> float:
@@ -167,28 +170,33 @@ def _hermiticity_rule(h: np.ndarray, tol: Tolerances) -> tuple[float, float]:
     return hermiticity_defect(h), 100 * tol.residual_tol * frob(h)
 
 
-def _input_rule(obj, tol: Tolerances) -> tuple[float, float, str]:
-    """(residual, bound, message) of a model's one input rule, which holds
-    when residual <= bound: ``create`` raises the message otherwise, and
-    ``validate`` reports the verdict as ``ok``. Each bound moves with its
+def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str]:
+    """(residual, verdict, message) of a model's one input rule, which holds
+    when residual <= bound: ``create`` raises the message unless it holds,
+    and ``validate`` reports the verdict as ``ok``. Each bound moves with its
     object, so H → cH, L_j → √c L_j keep the verdict: ``_hermiticity_rule``
     of H, or a channel's trace defect (``_trace_defect``) against rank_tol · s
     (``_scale``), the most that stage 1's cut absorbs: the channel is
-    analyzed as trace preserving (K = −½·1), and L†(1) is that defect."""
-    if isinstance(obj, LindbladModel):
-        residual, bound = _hermiticity_rule(obj.hamiltonian, tol)
-        what, of = "hamiltonian is not Hermitian: ‖H − H†‖_F", "100 · residual_tol · ‖H‖_F"
-    else:
-        residual, bound = _trace_defect(obj), tol.rank_tol * _scale(obj)
-        what = "Kraus operators are not trace preserving: normalization defect ‖Σ V†V − 1‖_F"
-        of = "rank_tol · s"
-    return residual, bound, f"{what} = {residual:.3e} > {of} = {bound:.3e}"
+    analyzed as trace preserving (K = −½·1), and L†(1) is that defect. The
+    rule fails when s or the bound overflows: no residual is compared then."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _scale(obj)
+        if isinstance(obj, LindbladModel):
+            residual, bound = _hermiticity_rule(obj.hamiltonian, tol)
+            what, of = "hamiltonian is not Hermitian: ‖H − H†‖_F", "100 · residual_tol · ‖H‖_F"
+        else:
+            residual, bound = _trace_defect(obj), tol.rank_tol * s
+            what = "Kraus operators are not trace preserving: normalization defect ‖Σ V†V − 1‖_F"
+            of = "rank_tol · s"
+    if not np.isfinite(s + bound):
+        return residual, False, f"operator norms overflow: s = {s:.3e}, {of} = {bound:.3e}"
+    return residual, bool(residual <= bound), f"{what} = {residual:.3e} > {of} = {bound:.3e}"
 
 
 def _require(obj, tol: Tolerances):
     """obj, or ValueError when its input rule fails (``_input_rule``)."""
-    residual, bound, message = _input_rule(obj, tol)
-    if residual > bound:
+    _, holds, message = _input_rule(obj, tol)
+    if not holds:
         raise ValueError(message)
     return obj
 
@@ -247,8 +255,7 @@ def generator_action(obj, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
     K and the k × n × n stack of operators are computed once per model; the
     sum over operators is two GEMMs: the stacked A_j x, then its contraction
     with the stacked A_j†."""
-    if not isinstance(obj, (LindbladModel, KrausChannel)):
-        raise TypeError(f"cannot apply object of type {type(obj).__name__}")
+    _kind(obj, "apply")
     drift = dagger(obj._drift) if adjoint else obj._drift
     out = drift @ x + x @ dagger(drift)
     ops = obj._stack.conj().transpose(0, 2, 1) if adjoint else obj._stack
@@ -286,10 +293,8 @@ def validate(obj, tol: Tolerances = DEFAULT_TOL) -> ModelDiagnostics:
     (``_trace_defect``) and, for a channel, the smallest Choi eigenvalue, at
     least 0 up to roundoff since Σ_i vec V_i vec V_i† ⪰ 0 for any V_i.
     """
-    if not isinstance(obj, (LindbladModel, KrausChannel)):
-        raise TypeError(f"cannot validate object of type {type(obj).__name__}")
-    residual, bound, _ = _input_rule(obj, tol)
-    ok = bool(residual <= bound)
-    if isinstance(obj, LindbladModel):
-        return ModelDiagnostics("lindblad", obj.dim, residual, _trace_defect(obj), None, ok)
-    return ModelDiagnostics("kraus", obj.dim, 0.0, residual, choi_min_eigenvalue(obj), ok)
+    kind = _kind(obj, "validate")
+    residual, ok, _ = _input_rule(obj, tol)
+    if kind == "lindblad":
+        return ModelDiagnostics(kind, obj.dim, residual, _trace_defect(obj), None, ok)
+    return ModelDiagnostics(kind, obj.dim, 0.0, residual, choi_min_eigenvalue(obj), ok)

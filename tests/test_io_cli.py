@@ -35,7 +35,7 @@ from enclosure_atlas.io import (
 from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.linalg import Tolerances
 from enclosure_atlas.oqrw import RateMatrix
-from enclosure_atlas.semigroup import KrausChannel, LindbladModel
+from enclosure_atlas.semigroup import KrausChannel, LindbladModel, validate
 
 from helpers import (
     block_diag_model,
@@ -906,6 +906,101 @@ def test_cli_huge_integer_is_a_file_error(tmp_path, capsys, document, path, argv
     model.write_text(json.dumps(doc))
     assert main([argv[0], str(model), *argv[1:]]) == 1
     assert capsys.readouterr().err == f"error: field {field}: number out of float range\n"
+
+
+def _qnd_with(**fields):
+    doc = _qnd_document()
+    doc["qnd"].update(fields)
+    return doc
+
+
+_QND = ["identifiability", "--mode", "qnd"]
+
+
+@pytest.mark.parametrize(
+    "document, argv, code, message",
+    [
+        ("[1, 2]", ["analyze"], 1, "error: model document must be a JSON object"),
+        (lambda: dict(fixture_document("faithful-2d"), tolerances=[1e-9]), ["analyze"], 1,
+         "error: tolerances must be an object"),
+        (lambda: dict(fixture_document("faithful-2d"), jumps={}), ["analyze"], 1,
+         "error: jumps must be an array of matrices"),
+        (lambda: dict(fixture_document("rotation-channel"), kraus=[]), ["analyze"], 1,
+         "error: kraus must be a non-empty array of matrices"),
+        (lambda: dict(fixture_document("two-state-chain"), dim=3), ["oqrw"], 2,
+         "validation error: rates has shape (2, 2), expected (3, 3)"),
+        (lambda: dict(_qnd_document(), qnd=[]), _QND, 1, "error: qnd must be an object"),
+        (lambda: _qnd_with(energies=[0.0]), _QND, 1,
+         "error: qnd.energies must be an array of length 2"),
+        (lambda: _qnd_with(amplitudes={}), _QND, 1,
+         "error: qnd.amplitudes must be an array of channel rows"),
+        (lambda: _qnd_with(amplitudes=[]), _QND, 2, "validation error: split 0 outside [-1, -1]"),
+        (lambda: _qnd_with(split=0.5), _QND, 1, "error: qnd.split must be an integer, got 0.5"),
+        (lambda: dict(fixture_document("faithful-2d"), hamiltonian=[0.0, 0.0]),
+         ["analyze"], 1, "error: field hamiltonian: expected a nested array of [re, im] pairs"),
+        (lambda: dict(fixture_document("faithful-2d"), hamiltonian=[[[0, 0], [0, 0]], [[0, 0]]]),
+         ["analyze"], 1, "error: field hamiltonian: row 1 has length 1, expected 2"),
+        (lambda: fixture_document("faithful-2d"), ["oqrw"], 2,
+         "validation error: oqrw expects a rates model, got 'lindblad'"),
+        (lambda: fixture_document("rotation-channel"),
+         ["identifiability", "--mode", "discrete", "--max-len", "0"], 2,
+         "validation error: max_len must be at least 1"),
+        ('{"mode": "lindblad", "dim": 1, "hamiltonian": [[[NaN, 0.0]]]}', ["analyze"], 2,
+         "validation error: matrix has non-finite entries"),
+        ('{"mode": "lindblad", "dim": 1, "hamiltonian": [[[0.0, Infinity]]]}', ["analyze"], 2,
+         "validation error: matrix has non-finite entries"),
+        ('{"mode": "rates", "dim": 2, "rates": [[NaN, 1.0], [2.0, -2.0]]}', ["oqrw"], 2,
+         "validation error: rate matrix has non-finite entries"),
+        ('{"mode": "rates", "dim": 2, "rates": [[-Infinity, 1.0], [2.0, -2.0]]}', ["oqrw"], 2,
+         "validation error: rate matrix has non-finite entries"),
+    ],
+    ids=[
+        "not-an-object", "tolerances", "jumps", "empty-kraus", "rates-shape", "qnd-object",
+        "qnd-energies", "qnd-amplitudes", "qnd-empty-amplitudes", "qnd-split", "flat-array",
+        "ragged-row", "oqrw-on-lindblad", "max-len-0", "nan-pair", "infinity-pair", "nan-rate",
+        "infinity-rate",
+    ],
+)
+def test_cli_input_checks_exit_with_their_message(tmp_path, capsys, document, argv, code, message):
+    # json.loads reads NaN and Infinity literals; the model checks reject them.
+    model = tmp_path / "model.json"
+    model.write_text(document if isinstance(document, str) else json.dumps(document()))
+    assert main([argv[0], str(model), *argv[1:]]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+# Operators whose norms overflow: an anti-Hermitian H, a 1 x 1 channel, and a
+# Hermitian H with entries 2e154, whose squares overflow, plus one jump.
+_OVERFLOWING = {
+    "anti-hermitian": {"mode": "lindblad", "dim": 2,
+                       "hamiltonian": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]},
+    "kraus": {"mode": "kraus", "dim": 1, "kraus": [[[[1e200, 0]]]]},
+    "hermitian": {"mode": "lindblad", "dim": 2, "hamiltonian": [[[2e154, 0]] * 2] * 2,
+                  "jumps": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]]},
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_cli_overflowing_operator_norms_are_a_validation_error(tmp_path, capsys, name, fmt):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(_OVERFLOWING[name]))
+    assert main(["analyze", str(model), "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validation error: operator norms overflow: s = ")
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_validate_is_not_ok_when_operator_norms_overflow(name):
+    doc = _OVERFLOWING[name]
+    mats = lambda key: tuple(parse_complex_matrix(m, key) for m in doc.get(key, []))  # noqa: E731
+    if doc["mode"] == "kraus":
+        obj = KrausChannel(doc["dim"], mats("kraus"))
+    else:
+        obj = LindbladModel(doc["dim"], parse_complex_matrix(doc["hamiltonian"], "h"), mats("jumps"))
+    with np.errstate(over="ignore", invalid="ignore"):  # the diagnostics are inf or NaN
+        assert not validate(obj).ok
 
 
 def test_cli_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):

@@ -105,15 +105,26 @@ def test_minimal_oqrw_matches_displayed_lindbladian():
 def test_general_oqrw_specializes_to_minimal():
     # minimal_oqrw is general_oqrw on a one-dimensional inner space; the
     # oracle builds the walk's jumps sqrt(q_ij) |j><i| one edge at a time.
+    # The jumps come in (destination, source) order, exactly: a report's
+    # bytes depend on their order, which a generator comparison cannot see.
     for rate in (RateMatrix.create(TWO_STATE), random_rate_matrix(np.random.default_rng(4), 5)):
         n = rate.n
         jumps = []
-        for i, j in zip(*np.nonzero(rate.q > 0)):  # off-diagonal: q_ii <= 0
+        for j, i in zip(*np.nonzero(rate.q.T > 0)):  # (destination, source); q_ii <= 0
             jumps.append(np.zeros((n, n), dtype=complex))
             jumps[-1][j, i] = np.sqrt(rate.q[i, j])
         oracle = build_generator(LindbladModel.create(np.zeros((n, n)), jumps))
-        a = build_generator(minimal_oqrw(rate))
-        assert np.allclose(a.matrix, oracle.matrix, atol=1e-12)
+        model = minimal_oqrw(rate)
+        assert np.array_equal(model.jumps, jumps)
+        assert np.allclose(build_generator(model).matrix, oracle.matrix, atol=1e-12)
+
+
+def test_oqrw_channel_takes_the_continuous_walks_operators():
+    # Both builders list B ⊗ |dest><src| from one helper, in one order.
+    c, s = np.cos(0.3), np.sin(0.3)
+    ops = {(0, 0): c * np.eye(2), (1, 0): s * PAULI_X, (0, 1): s * np.eye(2), (1, 1): c * PAULI_X}
+    spec = OqrwSpec.create(2, 2, ops)
+    assert np.array_equal(oqrw_channel(spec).kraus, general_oqrw(spec).jumps)
 
 
 def test_general_oqrw_single_vertex_is_plain_model():

@@ -334,17 +334,17 @@ def test_generator_action_matches_dense_superoperator():
 
 
 def test_generator_action_builds_the_drift_once_per_model(monkeypatch):
-    # K = -iH - ½ Σ L_j†L_j (k Gram products) is built on the first call only
+    # K = -iH - ½ Σ L_j†L_j (k Gram products) is built once per model
     import enclosure_atlas.semigroup as semigroup_module
 
     calls = []
-    drift_and_gram = semigroup_module._drift_and_gram
+    gram = semigroup_module._gram
 
-    def spy(model):
-        calls.append(model.dim)
-        return drift_and_gram(model)
+    def spy(ops, n):
+        calls.append(n)
+        return gram(ops, n)
 
-    monkeypatch.setattr(semigroup_module, "_drift_and_gram", spy)
+    monkeypatch.setattr(semigroup_module, "_gram", spy)
     rng = np.random.default_rng(29)
     model = LindbladModel.create(random_density(rng, 4), [random_density(rng, 4)] * 3)
     x = random_density(rng, 4)
