@@ -32,7 +32,7 @@ from .linalg import (
     dagger,
     fix_phase,
     frob,
-    gather_real,
+    gather_sectors,
     hermitian_part,
     hs_inner,
     kernel_basis,
@@ -164,11 +164,12 @@ def recurrent_projector(obj, tol: Tolerances = DEFAULT_TOL) -> RecurrentSplit:
     and raises. Its rank cut is rank_tol · s on the operators' scale
     (``_scale``), so L → cL gives the same split at every c. The split keeps
     K and Y (as columns, each vec of a Hermitian matrix) for later stages.
-    The complex n² × n² matrix of L lives only while ``gather_real`` reads
-    it: the factorization works on the real M alone.
+    The complex n² × n² matrix of L is only the argument of
+    ``gather_sectors``, so it is freed when the gather of its sectors' real
+    blocks returns: the factorization works on those alone.
     """
     _kind(obj, "decompose")
-    kern, left = real_null_spaces(gather_real(build_generator(obj).matrix), _scale(obj), tol)
+    kern, left = real_null_spaces(gather_sectors(build_generator(obj).matrix), _scale(obj), tol)
     n = obj.dim
     if kern.shape[1] == 0:
         raise RuntimeError("the generator has no eigenvalue at zero")

@@ -224,97 +224,195 @@ def _bordered_kernels(
 
 
 def _sector_roots(m: np.ndarray) -> np.ndarray:
-    """For each coordinate of a square matrix, the smallest coordinate of its
-    sector: its connected component in the symmetric nonzero pattern
-    (m != 0) | (m != 0)ᵀ. Only exact zeros separate coordinates.
+    """For each coordinate of a square matrix, or of each matrix in a stack,
+    the smallest coordinate of its sector: its connected component in the
+    symmetric nonzero pattern (m != 0) | (m != 0)ᵀ. Only exact zeros
+    separate coordinates.
 
     Every coordinate starts with its own label and repeatedly takes the
     smallest label among its neighbours, then its label's label (pointer
     jumping); at the fixed point each component carries its smallest
     coordinate.
     """
-    size = m.shape[0]
+    size = m.shape[-1]
     pattern = m != 0
-    pattern |= pattern.T
-    labels = np.arange(size)
+    pattern |= pattern.swapaxes(-1, -2)
+    labels = np.broadcast_to(np.arange(size), m.shape[:-1])
     while True:
-        nearest = np.minimum(labels, np.where(pattern, labels, size).min(axis=1))
-        nearest = nearest[nearest]
+        # row r's smallest neighbour label, read through a broadcast view of
+        # the labels: no size × size temporary
+        near = np.broadcast_to(labels[..., None, :], pattern.shape)
+        nearest = np.minimum(labels, near.min(axis=-1, where=pattern, initial=size))
+        nearest = np.take_along_axis(nearest, nearest, axis=-1)
         if np.array_equal(nearest, labels):
-            return labels
+            return nearest
         labels = nearest
 
 
-# Bytes of complex rows that the stage-1 gather handles at a time: the p and q
-# rows of one block of pairs, sized to stay in cache.
+def _pair_roots(m: np.ndarray, n: int) -> np.ndarray:
+    """Stage 1's coarse sectors: m's nonzero pattern folded onto Hermitian
+    pairs, labelled by ``_sector_roots``. The nodes are the diagonal i (node
+    i) and the pairs {i, k}, i < k (node n + j for the j-th pair of
+    ``_hermitian_pairs``), node rows and columns the OR of the pattern's at
+    the node's vec indices (i, k) and (k, i). A real coordinate of
+    M = T† m T is read from its node's vec indices alone, so M has no
+    nonzero between two components."""
+    diag, p, q = _hermitian_pairs(n)
+    at_p, at_q = np.concatenate([diag, p]), np.concatenate([diag, q])
+    # m != 0 in half the time: an entry is nonzero where its real or its
+    # imaginary half is, and the two halves' bools read as one uint16
+    nonzero = (m.view(float) != 0).view(np.uint16) != 0
+    rows = nonzero[at_p] | nonzero[at_q]
+    return _sector_roots(rows[:, at_p] | rows[:, at_q])
+
+
+# Bytes of complex entries that the stage-1 gather handles at a time: the p
+# and q rows of one block of pairs, sized to stay in cache.
 _GATHER_BYTES = 1 << 18
 
 
-def _times_t(rows: np.ndarray, perm: np.ndarray, n: int) -> np.ndarray:
-    """rows · T for rows of a superoperator m: column blocks m[:, diag],
-    (m[:, p] + m[:, q]) r and i (m[:, p] − m[:, q]) r, with perm the column
-    order (diag, p, q) and r = 1/√2."""
-    k, r = (perm.size - n) // 2, np.sqrt(0.5)
-    sym, anti = slice(n, n + k), slice(n + k, None)
-    cols = rows.take(perm, axis=1)
-    diff = cols[:, anti] - cols[:, sym]
-    cols[:, sym] += cols[:, anti]
-    cols[:, sym] *= r
-    np.multiply(diff, -1j * r, out=cols[:, anti])
-    return cols
+def _gather_rows(m: np.ndarray, rows: np.ndarray, perm: np.ndarray, n: int, out: list) -> None:
+    """Write rows of the real blocks T_c† m T_c of a stack of sectors c.
+
+    rows · T_c takes the entries of m at rows[:, c] and the columns
+    perm[c] = (diag, p, q), n of them diagonal, into the column blocks
+    m[:, diag], (m[:, p] + m[:, q]) r and i (m[:, p] − m[:, q]) r,
+    r = 1/√2. Diagonal rows (``rows`` of shape (1, count, h)) write their
+    real part to out[0]; the p and q rows of h pairs (shape (2, count, h))
+    write the sym rows (Re p + Re q) r to out[0] and the anti rows
+    (Im p − Im q) r to out[1]. A sector of every coordinate takes whole rows
+    of m, then its columns; smaller ones take their entries by flat index.
+    Every column block is contiguous, which keeps numpy's ufuncs off their
+    buffered loops, and none outlives the call.
+    """
+    k, r = (perm.shape[1] - n) // 2, np.sqrt(0.5)
+    parts = (slice(n), slice(n, n + k), slice(n + k, None))
+    if perm.shape[1] == m.shape[1]:
+        whole = m[rows[:, 0]]
+        diag, at_p, at_q = (whole.take(perm[0, part], axis=-1)[:, None] for part in parts)
+    else:
+        at = rows[..., None] * m.shape[1]
+        diag, at_p, at_q = (m.take(at + perm[:, None, part]) for part in parts)
+    diff = at_q - at_p
+    at_p += at_q
+    at_p *= r
+    diff *= -1j * r
+    for part, cols in zip(parts, (diag, at_p, diff)):
+        if len(rows) == 1:
+            out[0][..., part] = cols[0].real
+            continue
+        sym = cols[0].real + cols[1].real
+        sym *= r
+        out[0][..., part] = sym
+        anti = cols[0].imag - cols[1].imag
+        anti *= r
+        out[1][..., part] = anti
 
 
-def gather_real(m: np.ndarray) -> np.ndarray:
-    """The real matrix M = T† m T of a Hermiticity-preserving superoperator m.
+def gather_real(m: np.ndarray, diags: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The real blocks T_c† m T_c of a Hermiticity-preserving superoperator m
+    on a stack of sectors c of one shape.
 
     m acts on column-stacked n × n operators, and T is the unitary whose
     columns are vec of the orthonormal Hermitian basis of ``_real_to_vec_herm``
-    (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2). M is gathered in
-    row blocks of ``_GATHER_BYTES``: the diagonal rows of m, then the p and
-    q rows of each block of pairs, each times T (``_times_t``), combined and
-    scaled into rows of M while in cache. Only these blocks and M are
-    allocated, and no entry of M depends on the block size. The imaginary
-    part of T† m T is dropped unread: every generator has L(X)† = L(X†), so
-    it is roundoff.
+    (diagonal units, (E_ij + E_ji)/√2, i(E_ij − E_ji)/√2); T_c keeps the
+    columns of sector c's coordinates, ascending: the diagonal ``diags[c]``,
+    then the two coordinates of each pair ``pairs[c]`` (indices into
+    ``_hermitian_pairs``). A sector of every coordinate gives the whole
+    M = T† m T. The blocks are gathered in row blocks of ``_GATHER_BYTES``:
+    the diagonal rows, then the p and q rows of each block of pairs, each
+    times T_c, combined and scaled into rows of the blocks while in cache
+    (``_gather_rows``). Only these row blocks and the blocks are allocated,
+    and no entry depends on the row-block size or on the stack. The
+    imaginary part of T_c† m T_c is dropped unread: every generator has
+    L(X)† = L(X†), so it is roundoff.
     """
-    m = require_square(m)
-    n = isqrt(m.shape[0])
-    if n * n != m.shape[0]:
-        raise ValueError(f"{m.shape} is not the shape of a superoperator")
-    diag, p, q = _hermitian_pairs(n)
-    k, r = p.size, np.sqrt(0.5)
-    perm = np.concatenate([diag, p, q])
-    step = max(1, _GATHER_BYTES // (32 * n * n))
-    real = np.empty(m.shape)
-    for lo in range(0, n, step):
-        cols = _times_t(m[diag[lo : lo + step]], perm, n)
-        real[lo : lo + len(cols)] = cols.real
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        cols = _times_t(m[np.concatenate([p[lo:hi], q[lo:hi]])], perm, n)
-        at_p, at_q = cols[: hi - lo], cols[hi - lo :]
-        sym, anti = real[n + lo : n + hi], real[n + k + lo : n + k + hi]
-        np.add(at_p.real, at_q.real, out=sym)
-        sym *= r
-        np.subtract(at_p.imag, at_q.imag, out=anti)
-        anti *= r
+    diag, p, q = _hermitian_pairs(isqrt(m.shape[0]))
+    count, a = diags.shape
+    b = pairs.shape[1]
+    perm = np.concatenate([diag[diags], p[pairs], q[pairs]], axis=1)
+    step = max(1, _GATHER_BYTES // (32 * count * perm.shape[1]))
+    real = np.empty((count, perm.shape[1], perm.shape[1]))
+    for lo in range(0, a, step):
+        hi = min(lo + step, a)
+        _gather_rows(m, diag[diags[None, :, lo:hi]], perm, a, [real[:, lo:hi]])
+    for lo in range(0, b, step):
+        hi = min(lo + step, b)
+        rows = np.stack([p[pairs[:, lo:hi]], q[pairs[:, lo:hi]]])
+        _gather_rows(m, rows, perm, a, [real[:, a + lo : a + hi], real[:, a + b + lo : a + b + hi]])
     return real
 
 
-def real_null_spaces(
-    real: np.ndarray, scale: float, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (as columns) of the null spaces of m and m†, from
-    the real M = T† m T of ``gather_real``; M has the singular values of m.
+def gather_sectors(m: np.ndarray) -> list:
+    """The real blocks of M = T† m T on its coarse sectors (``_pair_roots``),
+    one ``gather_real`` stack per shape: (coordinates, blocks) with one row
+    of ascending coordinates of M and one block per sector, sectors by
+    smallest coordinate. M has no nonzero outside these blocks, and a model
+    that does not split gathers M itself as its one block. m's entries are
+    not checked again: ``Superoperator`` rejects non-finite ones."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    n = isqrt(m.shape[0])
+    if m.shape != (n * n, n * n):
+        raise ValueError(f"{m.shape} is not the shape of a superoperator")
+    k = n * (n - 1) // 2
+    nodes = _pair_roots(m, n)
+    order = np.argsort(nodes, kind="stable")
+    _, starts, sizes = np.unique(nodes[order], return_index=True, return_counts=True)
+    diagonal = np.add.reduceat((order < n).astype(int), starts)
+    stacks = []
+    for a, b in sorted(set(zip(diagonal.tolist(), (sizes - diagonal).tolist()))):
+        idx = order[starts[(diagonal == a) & (sizes == a + b)][:, None] + np.arange(a + b)]
+        diags, pairs = idx[:, :a], idx[:, a:] - n
+        coords = np.concatenate([diags, n + pairs, n + k + pairs], axis=1)
+        stacks.append((coords, gather_real(m, diags, pairs)))
+    return stacks
 
-    M maps each of its sectors (``_sector_roots``) to itself, so its singular
-    values are the union of the sectors' and its kernels are direct sums of
-    the sectors' kernels. The rank rule keeps singular values above
-    rank_tol · ``scale``, a scale the caller takes before any factorization
-    (stage 1: the operators' scale s, which L → cL multiplies by c), and at
-    least the smallest normal float, so the zero map's cut is positive. The
-    sectors of one size are stacked, and M itself is used when one sector
-    spans every coordinate.
+
+def _refine(stacks: list, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, where) of M's sectors from its coarse blocks (``gather_sectors``):
+    each coordinate's root as ``_sector_roots`` of M gives it, from one
+    labelling per stack, and its stack, block and position in that block."""
+    roots, where = np.empty(total, int), np.empty((3, total), int)
+    for g, (coords, blocks) in enumerate(stacks):
+        roots[coords] = np.take_along_axis(coords, _sector_roots(blocks), axis=1)
+        where[0, coords] = g
+        where[1, coords] = np.arange(len(coords))[:, None]
+        where[2, coords] = np.arange(coords.shape[1])
+    return roots, where
+
+
+def _sector_blocks(stacks: list, where: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The blocks of M on sectors of one size (rows of ``idx``, their
+    coordinates), from the coarse blocks that hold them: the stack itself
+    when they are its every block, unsplit."""
+    g, member, local = where[:, idx]
+    own = stacks[g[0, 0]][1]
+    if own.shape[:2] == idx.shape and (g == g[0, 0]).all():
+        return own
+    out = np.empty((*idx.shape, idx.shape[1]))
+    for s in sorted(set(g[:, 0].tolist())):
+        at = g[:, 0] == s
+        out[at] = stacks[s][1][member[at, :1, None], local[at, :, None], local[at, None, :]]
+    return out
+
+
+def real_null_spaces(
+    stacks: list, scale: float, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (as columns) of the null spaces of a
+    Hermiticity-preserving superoperator m and of m†, factored in real
+    arithmetic sector by sector from the coarse blocks of M = T† m T that
+    ``gather_sectors`` takes from m: M has the singular values of m.
+
+    M maps each of its sectors (``_sector_roots`` of M) to itself, so its
+    singular values are the union of the sectors' and its kernels are
+    direct sums of the sectors' kernels. M has no nonzero outside the
+    coarse blocks, and each block is split into M's sectors (``_refine``);
+    M itself exists only when the model does not split. The rank rule keeps
+    singular values above rank_tol · ``scale``, a scale the caller takes
+    before any factorization (stage 1: the operators' scale s, which
+    L → cL multiplies by c), and at least the smallest normal float, so the
+    zero map's cut is positive. The sectors of one size are stacked.
     Per size, in this order: one LU with Gaussian probes Ω
     (``_sigma_min_bound``) of each coherence sector (no diagonal
     coordinate), kernel-free when that bound on σ_min exceeds the cut; the
@@ -333,17 +431,17 @@ def real_null_spaces(
     columns come ordered by sector (smallest coordinate first), and mapped
     back through T every basis vector is vec of a Hermitian matrix.
     """
-    n = isqrt(real.shape[0])
+    n = isqrt(sum(coords.size for coords, _ in stacks))
+    roots, where = _refine(stacks, n * n)
     cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
-    roots = _sector_roots(real)
     order = np.argsort(roots, kind="stable")
     _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
     owners, right, left = [], [], []
     for size in sorted(set(sizes.tolist())):
         # (sectors of this size) x size coordinates, one row per sector
         idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        block = real[None] if size == n * n else real[idx[:, :, None], idx[:, None, :]]
+        block = _sector_blocks(stacks, where, idx)
         diagonal = idx < n
         traced = diagonal.any(axis=1)
         y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))

@@ -170,15 +170,16 @@ def _hermiticity_rule(h: np.ndarray, tol: Tolerances) -> tuple[float, float]:
     return hermiticity_defect(h), 100 * tol.residual_tol * frob(h)
 
 
-def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str]:
-    """(residual, verdict, message) of a model's one input rule, which holds
-    when residual <= bound: ``create`` raises the message unless it holds,
-    and ``validate`` reports the verdict as ``ok``. Each bound moves with its
-    object, so H → cH, L_j → √c L_j keep the verdict: ``_hermiticity_rule``
-    of H, or a channel's trace defect (``_trace_defect``) against rank_tol · s
-    (``_scale``), the most that stage 1's cut absorbs: the channel is
-    analyzed as trace preserving (K = −½·1), and L†(1) is that defect. The
-    rule fails when s or the bound overflows: no residual is compared then."""
+def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str, bool]:
+    """(residual, verdict, message, overflow) of a model's one input rule,
+    which holds when residual <= bound: ``create`` raises the message unless
+    it holds, and ``validate`` reports the verdict as ``ok``. Each bound
+    moves with its object, so H → cH, L_j → √c L_j keep the verdict:
+    ``_hermiticity_rule`` of H, or a channel's trace defect
+    (``_trace_defect``) against rank_tol · s (``_scale``), the most that
+    stage 1's cut absorbs: the channel is analyzed as trace preserving
+    (K = −½·1), and L†(1) is that defect. The rule fails when s or the bound
+    overflows (``overflow``): no residual is compared then."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = _scale(obj)
         if isinstance(obj, LindbladModel):
@@ -189,13 +190,13 @@ def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str]:
             what = "Kraus operators are not trace preserving: normalization defect ‖Σ V†V − 1‖_F"
             of = "rank_tol · s"
     if not np.isfinite(s + bound):
-        return residual, False, f"operator norms overflow: s = {s:.3e}, {of} = {bound:.3e}"
-    return residual, bool(residual <= bound), f"{what} = {residual:.3e} > {of} = {bound:.3e}"
+        return residual, False, f"operator norms overflow: s = {s:.3e}, {of} = {bound:.3e}", True
+    return residual, bool(residual <= bound), f"{what} = {residual:.3e} > {of} = {bound:.3e}", False
 
 
 def _require(obj, tol: Tolerances):
     """obj, or ValueError when its input rule fails (``_input_rule``)."""
-    _, holds, message = _input_rule(obj, tol)
+    _, holds, message, _ = _input_rule(obj, tol)
     if not holds:
         raise ValueError(message)
     return obj
@@ -291,10 +292,13 @@ def validate(obj, tol: Tolerances = DEFAULT_TOL) -> ModelDiagnostics:
     that ``create`` accepts, in every time unit. The residuals are absolute:
     ‖H − H†‖_F (0 for a channel), the trace defect ‖L*(1)‖_F
     (``_trace_defect``) and, for a channel, the smallest Choi eigenvalue, at
-    least 0 up to roundoff since Σ_i vec V_i vec V_i† ⪰ 0 for any V_i.
+    least 0 up to roundoff since Σ_i vec V_i vec V_i† ⪰ 0 for any V_i. A
+    channel whose operator norms overflow has no Choi eigenvalue to read:
+    None, as for a Lindblad model.
     """
     kind = _kind(obj, "validate")
-    residual, ok, _ = _input_rule(obj, tol)
+    residual, ok, _, overflow = _input_rule(obj, tol)
     if kind == "lindblad":
         return ModelDiagnostics(kind, obj.dim, residual, _trace_defect(obj), None, ok)
-    return ModelDiagnostics(kind, obj.dim, 0.0, residual, choi_min_eigenvalue(obj), ok)
+    choi = None if overflow else choi_min_eigenvalue(obj)
+    return ModelDiagnostics(kind, obj.dim, 0.0, residual, choi, ok)

@@ -7,11 +7,18 @@ from enclosure_atlas.decomposition import recurrent_projector
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     _hermitian_pairs,
-    gather_real,
+    gather_sectors,
     hermitian_part,
     real_null_spaces,
 )
-from enclosure_atlas.oqrw import RateMatrix
+from enclosure_atlas.fixtures import (
+    faithful_2d,
+    rotation_channel,
+    two_enclosures_2d,
+    unfaithful_2d,
+    zero_generator_2d,
+)
+from enclosure_atlas.oqrw import RateMatrix, minimal_oqrw
 from enclosure_atlas.semigroup import (
     KrausChannel,
     LindbladModel,
@@ -39,11 +46,20 @@ def random_unitary(rng, n):
 def null_spaces(m, tol=DEFAULT_TOL):
     """Orthonormal bases (as columns) of the null spaces of a
     Hermiticity-preserving superoperator m and of m†: stage 1's
-    ``real_null_spaces`` of ``gather_real``, from an n² × n² matrix. A raw
-    matrix has no model to take the operators' scale from, so the cut is
-    rank_tol · max(‖M‖_F, 1)."""
-    real = gather_real(m)
-    return real_null_spaces(real, max(np.linalg.norm(real), 1.0), tol)
+    ``real_null_spaces`` of ``gather_sectors``, from an n² × n² matrix. A
+    raw matrix has no model to take the operators' scale from, so the cut
+    is rank_tol · max(‖M‖_F, 1)."""
+    stacks = gather_sectors(m)
+    return real_null_spaces(stacks, max(np.linalg.norm(assembled(stacks)), 1.0), tol)
+
+
+def assembled(stacks):
+    """M = T† m T from its coarse blocks (``gather_sectors``), zero outside them."""
+    n2 = sum(at.size for at, _ in stacks)
+    real = np.zeros((n2, n2))
+    for at, blocks in stacks:
+        real[at[:, :, None], at[:, None, :]] = blocks
+    return real
 
 
 def apply(s, a):
@@ -91,7 +107,8 @@ def fixed_points(obj):
 def unblocked_gather(m):
     """(M, ‖Im T† m T‖_F): the stage-1 gather of a superoperator in one pass
     over whole arrays, through the complex n² × n² product m T. The
-    reference for ``gather_real``, which must give the same M bit for bit."""
+    reference for ``gather_real``, whose sector blocks must be the blocks of
+    this M bit for bit."""
     n = int(round(np.sqrt(m.shape[0])))
     diag, p, q = _hermitian_pairs(n)
     k, r = p.size, np.sqrt(0.5)
@@ -260,3 +277,19 @@ def tilted_hamiltonian_model(eps):
     h = (g + g.conj().T) / 2
     tilted = h + eps * np.linalg.norm(h) * a / np.linalg.norm(a)
     return LindbladModel.create(tilted, [jump]), LindbladModel.create(h, [jump])
+
+
+def gather_models():
+    """The models whose stage-1 gather the tests compare with ``unblocked_gather``."""
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 3, 7, 24):
+        yield random_model(rng, n, 2)
+        yield random_channel(rng, n, 2)
+    yield from (faithful_2d(), unfaithful_2d(), two_enclosures_2d(), zero_generator_2d())
+    yield rotation_channel()
+    yield leaky_model(rng, 5, 2)
+    yield block_diag_model(rng, (2, 3, 1), 2)
+    yield conjugated_pair_model(rng, 3, 2)[0]
+    yield conjugated_pair_channel(rng, 3, 2)
+    yield renewal_pair_channel()
+    yield minimal_oqrw(random_rate_matrix(rng, 7, density=0.9))

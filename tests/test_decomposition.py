@@ -13,7 +13,6 @@ from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     cluster_sorted_values,
     frob,
-    gather_real,
     kernel_basis,
     orthonormal_hermitian_span,
     psd_project,
@@ -60,11 +59,13 @@ from enclosure_atlas.fixtures import (
 
 from helpers import (
     apply,
+    assembled,
     block_diag_model,
     conjugated_pair_channel,
     conjugated_pair_model,
     expm,
     flow_channel,
+    gather_models,
     leaky_model,
     null_spaces,
     random_channel,
@@ -75,6 +76,7 @@ from helpers import (
     random_unitary,
     renewal_pair_channel,
     tilted_hamiltonian_model,
+    unblocked_gather,
     unit,
 )
 
@@ -275,8 +277,9 @@ def _factor_spy(monkeypatch):
     """Record every factorization as (kind, shape, is_complex): "svd" for
     np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
     after a solve that raised LinAlgError. Stage 1 adds three records: as
-    ``real_null_spaces`` starts on M, ("stage", M's shape, (cut, roots)) with
-    its cut and each coordinate's sector root; after the probe LU of a stack
+    ``real_null_spaces`` starts on the coarse blocks of M, ("stage", M's
+    shape, (cut, roots)) with its cut and each coordinate's sector root in M
+    (``assembled`` from the blocks); after the probe LU of a stack
     of sectors, ("probe", its shape, (bounds, solves)); after each bordered
     certificate of k sectors, ("border", (k, N, N), (sectors, d, left_known,
     certified)), sectors indexing its stack of same-size sectors."""
@@ -297,10 +300,11 @@ def _factor_spy(monkeypatch):
             calls.append(("zero pivot", np.shape(a), False))
             raise
 
-    def stage_spy(real, scale, tol=DEFAULT_TOL):
+    def stage_spy(stacks, scale, tol=DEFAULT_TOL):
         cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
+        real = assembled(stacks)
         calls.append(("stage", real.shape, (cut, linalg_module._sector_roots(real))))
-        return factor(real, scale, tol)
+        return factor(stacks, scale, tol)
 
     def bound_spy(a, rng, width):
         out = bound(a, rng, width)
@@ -429,9 +433,9 @@ def _stage_one_spy(monkeypatch, calls):
     stages = []
     factor = decomposition_module.real_null_spaces
 
-    def spy(real, scale, tol=DEFAULT_TOL):
+    def spy(stacks, scale, tol=DEFAULT_TOL):
         start = len(calls)
-        out = factor(real, scale, tol)
+        out = factor(stacks, scale, tol)
         stages.append(calls[start:])
         return out
 
@@ -499,30 +503,39 @@ def test_decompose_builds_one_superoperator(monkeypatch):
 
 def test_decompose_holds_one_complex_superoperator_at_a_time():
     # Stage 1's working set at n = 24: the complex n² x n² L (16 n⁴ bytes)
-    # only while the gather reads it, next to the real M (8 n⁴) and the
-    # gather's cache-sized row blocks; then M and its bordered copy for the
-    # LU (LAPACK's work copy is allocated outside tracemalloc's view). L is
-    # freed when the gather returns, so the traced peak of decompose stays
-    # within two complex superoperators; holding L through the LU, as before,
-    # traced about three. In a random basis, two enclosures and a conjugated
-    # pair leave their one sector to the rank-d certificate, whose stack of
-    # B and Bᵀ is filled in place from M: copying the sector, then B, then the
-    # pair traced about 2.6 times.
+    # while its pattern is folded onto Hermitian pairs and the coarse
+    # sectors' real blocks are gathered, in cache-sized row blocks; then the
+    # blocks and their bordered copies for the LU (LAPACK's work copy is
+    # allocated outside tracemalloc's view). L is freed when the gather
+    # returns, before any sector is refined or factored. A model that does
+    # not split gathers the whole real M (8 n⁴) next to L, so the traced
+    # peak of decompose stays within two complex superoperators; holding L
+    # through the LU, as before, traced about three. In a random basis, two
+    # enclosures and a conjugated pair leave their one sector to the rank-d
+    # certificate, whose stack of B and Bᵀ is filled in place from M: copying
+    # the sector, then B, then the pair traced about 2.6 times. In their own
+    # basis, three blocks, a conjugated pair and a minimal walk split into
+    # many sectors, and no real M sits next to L: within 1.3 superoperators.
     n = 24
     rng = np.random.default_rng(97)
-    models = [(random_model(rng, n, 2), 1), (random_channel(rng, n, 2), 1)]
+    # (model, recurrent dimension, enclosures, bound in units of 16 n⁴)
+    models = [(random_model(rng, n, 2), n, 1, 2), (random_channel(rng, n, 2), n, 1, 2)]
     rotated = (block_diag_model(rng, (12, 12), 2), conjugated_pair_model(rng, 12, 2)[0])
-    models += [(_rotated(model, random_unitary(rng, n)), 2) for model in rotated]
-    for model, count in models:
+    models += [(_rotated(model, random_unitary(rng, n)), n, 2, 2) for model in rotated]
+    models += [(block_diag_model(rng, (8, 8, 8), 2), n, 3, 1.3)]
+    models += [(conjugated_pair_model(rng, 12, 2)[0], n, 2, 1.3)]
+    # one closed class of 23 sites; site 23 is transient
+    models += [(minimal_oqrw(random_rate_matrix(rng, n, 0.1)), 23, 1, 1.3)]
+    for model, dimension, count, bound in models:
         tracemalloc.start()
         try:
             report = decompose(model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.recurrent_dimension == n
+        assert report.recurrent_dimension == dimension
         assert len(enumerate_minimal_enclosures(report)) == count
-        assert peak <= 2 * 16 * n**4
+        assert peak <= bound * 16 * n**4
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):
@@ -557,6 +570,25 @@ def _sector_models():
     yield block_diag_model(rng, (3, 1, 2), 2)
 
 
+def test_refined_sectors_are_the_sectors_of_the_reference_gather():
+    # Stage 1 labels L's pattern folded onto Hermitian pairs, gathers only
+    # those coarse blocks and splits each by ``_sector_roots``: every
+    # coordinate gets its root in the whole reference M, and a real model
+    # (the minimal walks, a real channel) still splits sym from anti.
+    rng = np.random.default_rng(29)
+    walks = [minimal_oqrw(random_rate_matrix(rng, n, p)) for n, p in ((5, 0.3), (9, 0.5), (24, 0.1))]
+    q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
+    real_channel = KrausChannel.create([q[:4], q[4:]])
+    split = 0
+    for model in (*gather_models(), *_sector_models(), *walks, real_channel):
+        m = build_generator(model).matrix
+        stacks = linalg_module.gather_sectors(m)
+        roots, _ = linalg_module._refine(stacks, m.shape[0])
+        assert np.array_equal(roots, linalg_module._sector_roots(unblocked_gather(m)[0]))
+        split += np.unique(roots).size > sum(len(at) for at, _ in stacks)
+    assert split >= 4
+
+
 def test_null_spaces_match_complex_svd_oracle(monkeypatch):
     # Oracle: the complex SVD of L itself, with the same rank rule on the
     # scale ‖L‖_F = ‖M‖_F. The sector blocks' singular values together are
@@ -587,7 +619,7 @@ def test_null_spaces_match_complex_svd_oracle(monkeypatch):
         u, s, vh = svd(gen)
         cut = DEFAULT_TOL.rank_tol * max(np.linalg.norm(gen), 1.0)
         rank = int(np.count_nonzero(s > cut))
-        real = gather_real(gen)
+        real = unblocked_gather(gen)[0]
         roots = linalg_module._sector_roots(real)
         blocks = [real[np.ix_(roots == r, roots == r)] for r in np.unique(roots)]
         values = np.sort(np.concatenate([svd(b, compute_uv=False) for b in blocks]))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -991,16 +992,29 @@ def test_cli_overflowing_operator_norms_are_a_validation_error(tmp_path, capsys,
     assert out == "" and err.startswith("validation error: operator norms overflow: s = ")
 
 
-@pytest.mark.parametrize("name", list(_OVERFLOWING))
-def test_validate_is_not_ok_when_operator_norms_overflow(name):
+def _overflowing_model(name):
+    """The ``_OVERFLOWING`` document as a model built without ``create``."""
     doc = _OVERFLOWING[name]
     mats = lambda key: tuple(parse_complex_matrix(m, key) for m in doc.get(key, []))  # noqa: E731
     if doc["mode"] == "kraus":
-        obj = KrausChannel(doc["dim"], mats("kraus"))
-    else:
-        obj = LindbladModel(doc["dim"], parse_complex_matrix(doc["hamiltonian"], "h"), mats("jumps"))
+        return KrausChannel(doc["dim"], mats("kraus"))
+    return LindbladModel(doc["dim"], parse_complex_matrix(doc["hamiltonian"], "h"), mats("jumps"))
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_validate_is_not_ok_when_operator_norms_overflow(name):
     with np.errstate(over="ignore", invalid="ignore"):  # the diagnostics are inf or NaN
-        assert not validate(obj).ok
+        assert not validate(_overflowing_model(name)).ok
+
+
+@pytest.mark.parametrize("name", list(_OVERFLOWING))
+def test_validate_of_overflowing_operators_raises_no_warning(name):
+    # The rule fails without comparing, and a channel's Choi eigenvalue is
+    # not read (None): its Gram matrix V†V overflows as the norms do.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagnostics = validate(_overflowing_model(name))
+    assert not diagnostics.ok and diagnostics.choi_min_eigenvalue is None
 
 
 def test_cli_integer_past_the_digit_limit_is_a_file_error(tmp_path, capsys):

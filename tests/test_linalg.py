@@ -4,19 +4,11 @@ import numpy as np
 import pytest
 
 import enclosure_atlas.linalg as linalg_module
-from enclosure_atlas.fixtures import (
-    faithful_2d,
-    rotation_channel,
-    two_enclosures_2d,
-    unfaithful_2d,
-    zero_generator_2d,
-)
 from enclosure_atlas.linalg import (
     DEFAULT_TOL,
     Tolerances,
     cluster_sorted_values,
     frob,
-    gather_real,
     hermitian_basis,
     hermitian_part,
     kernel_basis,
@@ -24,20 +16,12 @@ from enclosure_atlas.linalg import (
     psd_project,
     support_projector,
 )
-from enclosure_atlas.oqrw import minimal_oqrw
 from enclosure_atlas.semigroup import build_generator
 
 from helpers import (
     PAULI_X,
     PAULI_Y,
-    block_diag_model,
-    conjugated_pair_channel,
-    conjugated_pair_model,
-    leaky_model,
-    random_channel,
-    random_model,
-    random_rate_matrix,
-    renewal_pair_channel,
+    gather_models,
     unblocked_gather,
     unit,
 )
@@ -256,29 +240,16 @@ def test_hermitian_part_is_projection():
     assert np.allclose(hermitian_part(h), h)
 
 
-def _gather_models():
-    rng = np.random.default_rng(83)
-    for n in (1, 2, 3, 7, 24):
-        yield random_model(rng, n, 2)
-        yield random_channel(rng, n, 2)
-    yield from (faithful_2d(), unfaithful_2d(), two_enclosures_2d(), zero_generator_2d())
-    yield rotation_channel()
-    yield leaky_model(rng, 5, 2)
-    yield block_diag_model(rng, (2, 3, 1), 2)
-    yield conjugated_pair_model(rng, 3, 2)[0]
-    yield conjugated_pair_channel(rng, 3, 2)
-    yield renewal_pair_channel()
-    yield minimal_oqrw(random_rate_matrix(rng, 7, density=0.9))
-
-
 def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
-    # M must not depend on the row blocks: one pair per block, four pairs per
+    # Each coarse sector's block must be the reference M's block, entry for
+    # entry, whatever the row blocks: one pair per block, four pairs per
     # block (the last block is short at n = 3 and 7, with 3 and 21 pairs),
     # and the default size, which at n = 24 splits 276 pairs into 19 blocks
-    # of 14 and one of 10.
+    # of 14 and one of 10. The stacks cover every coordinate once, and M has
+    # no nonzero outside their blocks.
     default = linalg_module._GATHER_BYTES
-    many_jumps = 0
-    for model in _gather_models():
+    many_jumps, stacked = 0, 0
+    for model in gather_models():
         m = build_generator(model).matrix
         n2 = m.shape[0]
         ref, imag = unblocked_gather(m)
@@ -287,9 +258,16 @@ def test_gather_real_equals_the_unblocked_gather_bit_for_bit(monkeypatch):
         many_jumps = max(many_jumps, len(getattr(model, "jumps", ())))
         for gather_bytes in (32 * n2, 4 * 32 * n2, default):
             monkeypatch.setattr(linalg_module, "_GATHER_BYTES", gather_bytes)
-            real = gather_real(m)
-            assert real.dtype == np.float64 and real.shape == m.shape
-            assert real.tobytes() == ref.tobytes()
-            assert np.array_equal(real != 0, ref != 0)
-    assert many_jumps >= 20
-
+            stacks = linalg_module.gather_sectors(m)
+            coords = np.concatenate([c.ravel() for c, _ in stacks])
+            assert np.array_equal(np.sort(coords), np.arange(n2))
+            outside = ref.copy()
+            for at, blocks in stacks:
+                assert blocks.dtype == np.float64 and blocks.shape == (*at.shape, at.shape[1])
+                assert np.all(np.diff(at, axis=1) > 0)
+                sub = (at[:, :, None], at[:, None, :])
+                assert blocks.tobytes() == ref[sub].tobytes()
+                outside[sub] = 0
+                stacked = max(stacked, len(at))
+            assert not outside.any()
+    assert many_jumps >= 20 and stacked > 1
