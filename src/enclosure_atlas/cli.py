@@ -269,15 +269,9 @@ def cmd_identifiability(args) -> int:
 
 
 def cmd_examples(args) -> int:
-    from .fixtures import FIXTURES, fixture_document
+    from .fixtures import fixture_document
 
-    try:
-        doc = fixture_document(args.name)
-    except KeyError:
-        known = ", ".join(sorted(FIXTURES))
-        sys.stderr.write(f"unknown example {args.name!r}; available: {known}\n")
-        return 2
-    _emit(args, doc)
+    _emit(args, fixture_document(args.name))
     return 0
 
 

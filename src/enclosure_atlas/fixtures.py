@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .io import _json
+from .io import ValidationError, _json
 from .semigroup import KrausChannel, LindbladModel, _kind
 from .oqrw import RateMatrix
 
@@ -69,5 +69,5 @@ FIXTURES = {
 def fixture_document(name: str) -> dict:
     if name not in FIXTURES:
         known = ", ".join(sorted(FIXTURES))
-        raise KeyError(f"unknown fixture {name!r}; available: {known}")
+        raise ValidationError(f"unknown example {name!r}; available: {known}")
     return FIXTURES[name]()

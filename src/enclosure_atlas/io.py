@@ -210,12 +210,14 @@ def load_model_file(path: str) -> ParsedModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ModelFileError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:  # json reads nested arrays and objects by recursion
+        raise ModelFileError(f"{path} nests arrays or objects too deeply to read") from None
     return parse_model_document(doc)
 
 

@@ -345,9 +345,10 @@ def gather_real(m: np.ndarray, diags: np.ndarray, pairs: np.ndarray) -> np.ndarr
 
 def gather_sectors(m: np.ndarray) -> list:
     """The real blocks of M = T† m T on its coarse sectors (``_pair_roots``),
-    one ``gather_real`` stack per shape: (coordinates, blocks) with one row
-    of ascending coordinates of M and one block per sector, sectors by
-    smallest coordinate. M has no nonzero outside these blocks, and a model
+    one ``gather_real`` stack per shape, shapes by block width, then by
+    diagonal count: (coordinates, blocks) with one row of ascending
+    coordinates of M and one block per sector, sectors by smallest
+    coordinate. M has no nonzero outside these blocks, and a model
     that does not split gathers M itself as its one block. m's entries are
     not checked again: ``Superoperator`` rejects non-finite ones."""
     m = np.ascontiguousarray(m, dtype=complex)
@@ -359,41 +360,15 @@ def gather_sectors(m: np.ndarray) -> list:
     order = np.argsort(nodes, kind="stable")
     _, starts, sizes = np.unique(nodes[order], return_index=True, return_counts=True)
     diagonal = np.add.reduceat((order < n).astype(int), starts)
+    widths = 2 * sizes - diagonal  # a diagonal node holds one coordinate, a pair two
     stacks = []
-    for a, b in sorted(set(zip(diagonal.tolist(), (sizes - diagonal).tolist()))):
-        idx = order[starts[(diagonal == a) & (sizes == a + b)][:, None] + np.arange(a + b)]
+    for w, a in sorted(set(zip(widths.tolist(), diagonal.tolist()))):
+        b = (w - a) // 2
+        idx = order[starts[(diagonal == a) & (widths == w)][:, None] + np.arange(a + b)]
         diags, pairs = idx[:, :a], idx[:, a:] - n
         coords = np.concatenate([diags, n + pairs, n + k + pairs], axis=1)
         stacks.append((coords, gather_real(m, diags, pairs)))
     return stacks
-
-
-def _refine(stacks: list, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """(roots, where) of M's sectors from its coarse blocks (``gather_sectors``):
-    each coordinate's root as ``_sector_roots`` of M gives it, from one
-    labelling per stack, and its stack, block and position in that block."""
-    roots, where = np.empty(total, int), np.empty((3, total), int)
-    for g, (coords, blocks) in enumerate(stacks):
-        roots[coords] = np.take_along_axis(coords, _sector_roots(blocks), axis=1)
-        where[0, coords] = g
-        where[1, coords] = np.arange(len(coords))[:, None]
-        where[2, coords] = np.arange(coords.shape[1])
-    return roots, where
-
-
-def _sector_blocks(stacks: list, where: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The blocks of M on sectors of one size (rows of ``idx``, their
-    coordinates), from the coarse blocks that hold them: the stack itself
-    when they are its every block, unsplit."""
-    g, member, local = where[:, idx]
-    own = stacks[g[0, 0]][1]
-    if own.shape[:2] == idx.shape and (g == g[0, 0]).all():
-        return own
-    out = np.empty((*idx.shape, idx.shape[1]))
-    for s in sorted(set(g[:, 0].tolist())):
-        at = g[:, 0] == s
-        out[at] = stacks[s][1][member[at, :1, None], local[at, :, None], local[at, None, :]]
-    return out
 
 
 def real_null_spaces(
@@ -407,13 +382,16 @@ def real_null_spaces(
     M maps each of its sectors (``_sector_roots`` of M) to itself, so its
     singular values are the union of the sectors' and its kernels are
     direct sums of the sectors' kernels. M has no nonzero outside the
-    coarse blocks, and each block is split into M's sectors (``_refine``);
-    M itself exists only when the model does not split. The rank rule keeps
-    singular values above rank_tol · ``scale``, a scale the caller takes
-    before any factorization (stage 1: the operators' scale s, which
-    L → cL multiplies by c), and at least the smallest normal float, so the
-    zero map's cut is positive. The sectors of one size are stacked.
-    Per size, in this order: one LU with Gaussian probes Ω
+    coarse blocks, so each stack's sectors are found (one batched
+    ``_sector_roots`` of its blocks) and decided in it, stacks in
+    ``gather_sectors`` order; a stack whose blocks do not split is decided
+    as it is, and M itself exists only when the model does not split. The
+    rank rule keeps singular values above rank_tol · ``scale``, a scale the
+    caller takes before any factorization (stage 1: the operators' scale s,
+    which L → cL multiplies by c), and at least the smallest normal float,
+    so the zero map's cut is positive. Per stack, the sectors of one size
+    are stacked, sizes ascending, roots ascending. Per stack and size, in
+    this order: one LU with Gaussian probes Ω
     (``_sigma_min_bound``) of each coherence sector (no diagonal
     coordinate), kernel-free when that bound on σ_min exceeds the cut; the
     bordered certificate ``_bordered_kernels`` of each sector S that holds a
@@ -432,60 +410,64 @@ def real_null_spaces(
     back through T every basis vector is vec of a Hermitian matrix.
     """
     n = isqrt(sum(coords.size for coords, _ in stacks))
-    roots, where = _refine(stacks, n * n)
     cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
-    order = np.argsort(roots, kind="stable")
-    _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
     owners, right, left = [], [], []
-    for size in sorted(set(sizes.tolist())):
-        # (sectors of this size) x size coordinates, one row per sector
-        idx = order[starts[sizes == size][:, None] + np.arange(size)]
-        block = _sector_blocks(stacks, where, idx)
-        diagonal = idx < n
-        traced = diagonal.any(axis=1)
-        y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
-        dim, sketch = np.full(len(idx), -1), np.zeros((len(idx), size, _PROBES))
-        found = []  # (sector rows of idx, right and left kernel vectors), one vector a row
+    for coords, blocks in stacks:
+        roots = np.take_along_axis(coords, _sector_roots(blocks), axis=1).ravel()
+        order = np.argsort(roots, kind="stable")
+        _, starts, sizes = np.unique(roots[order], return_index=True, return_counts=True)
+        for size in sorted(set(sizes.tolist())):
+            # (sectors of this size) x size positions in the stack, one row per sector
+            pos = order[starts[sizes == size][:, None] + np.arange(size)]
+            idx, (member, local) = coords.take(pos), np.divmod(pos, coords.shape[1])
+            sub = (member[:, :1, None], local[:, :, None], local[:, None, :])
+            block = blocks if pos.shape == coords.shape else blocks[sub]  # no block splits
+            diagonal = idx < n
+            traced = diagonal.any(axis=1)
+            y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
+            dim, sketch = np.full(len(idx), -1), np.zeros((len(idx), size, _PROBES))
+            found = []  # (sector rows of idx, right and left kernel vectors), one vector a row
 
-        def certify(sectors, border, left_known):
-            ok, _, x_o, y_o = _bordered_kernels(block, sectors, border, cut, rng, left_known)
-            dim[sectors[ok]] = d = border.shape[2]
-            vecs = (v[ok].transpose(0, 2, 1).reshape(-1, size) for v in (x_o, y_o))
-            found.append((np.repeat(sectors[ok], d), *vecs))
+            def certify(sectors, border, left_known):
+                ok, _, x_o, y_o = _bordered_kernels(block, sectors, border, cut, rng, left_known)
+                dim[sectors[ok]] = d = border.shape[2]
+                vecs = (v[ok].transpose(0, 2, 1).reshape(-1, size) for v in (x_o, y_o))
+                found.append((np.repeat(sectors[ok], d), *vecs))
 
-        with np.errstate(all="ignore"):
-            free = np.flatnonzero(~traced)
-            if free.size:
-                bound, sketch[free] = _sigma_min_bound(block[free], rng, 0)
-                dim[free[bound > cut]] = 0
-            residual = np.linalg.norm(np.einsum("cji,cj->ci", block, y), axis=1)
-            rest = np.flatnonzero(traced & (residual <= cut))
-            if rest.size:
-                certify(rest, y[rest, :, None], True)
-            again = np.flatnonzero(traced & (dim < 0))
-            if again.size:
-                sketch[again] = _sigma_min_bound(block[again], rng, 0)[1]
+            with np.errstate(all="ignore"):
+                free = np.flatnonzero(~traced)
+                if free.size:
+                    bound, sketch[free] = _sigma_min_bound(block[free], rng, 0)
+                    dim[free[bound > cut]] = 0
+                residual = np.linalg.norm(np.einsum("cji,cj->ci", block, y), axis=1)
+                rest = np.flatnonzero(traced & (residual <= cut))
+                if rest.size:
+                    certify(rest, y[rest, :, None], True)
+                again = np.flatnonzero(traced & (dim < 0))
+                if again.size:
+                    sketch[again] = _sigma_min_bound(block[again], rng, 0)[1]
+                undecided = np.flatnonzero(dim < 0)
+                if undecided.size:
+                    sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
+                    q, r = np.linalg.qr(sketched)
+                    u, sigma, _ = np.linalg.svd(r)
+                    width = np.count_nonzero(sigma > 1 / cut, axis=1)
+                    # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
+                    for d in sorted(set(width[(width > 0) & (width < _PROBES)].tolist())):
+                        at = np.flatnonzero(width == d)
+                        certify(undecided[at], q[at] @ u[at, :, :d], False)
             undecided = np.flatnonzero(dim < 0)
             if undecided.size:
-                q, r = np.linalg.qr(np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0))
-                u, sigma, _ = np.linalg.svd(r)
-                width = np.count_nonzero(sigma > 1 / cut, axis=1)
-                # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.
-                for d in sorted(set(width[(width > 0) & (width < _PROBES)].tolist())):
-                    at = np.flatnonzero(width == d)
-                    certify(undecided[at], q[at] @ u[at, :, :d], False)
-        undecided = np.flatnonzero(dim < 0)
-        if undecided.size:
-            u, s, vt = np.linalg.svd(block[undecided])
-            sector, j = np.nonzero(s <= cut)
-            found.append((undecided[sector], vt[sector, j], u[sector, :, j]))
-        for rows, r_vecs, l_vecs in found:
-            at = (idx[rows], np.arange(rows.size)[:, None])
-            owners.append(idx[rows, 0])
-            for out, vecs in ((right, r_vecs), (left, l_vecs)):
-                out.append(np.zeros((n * n, rows.size)))
-                out[-1][at] = vecs
+                u, s, vt = np.linalg.svd(block[undecided])
+                sector, j = np.nonzero(s <= cut)
+                found.append((undecided[sector], vt[sector, j], u[sector, :, j]))
+            for rows, r_vecs, l_vecs in found:
+                at = (idx[rows], np.arange(rows.size)[:, None])
+                owners.append(idx[rows, 0])
+                for out, vecs in ((right, r_vecs), (left, l_vecs)):
+                    out.append(np.zeros((n * n, rows.size)))
+                    out[-1][at] = vecs
     by_sector = np.argsort(np.concatenate(owners), kind="stable")
     return tuple(_real_to_vec_herm(np.hstack(vecs)[:, by_sector], n) for vecs in (right, left))
 

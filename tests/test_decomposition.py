@@ -278,11 +278,12 @@ def _factor_spy(monkeypatch):
     np.linalg.svd, "lu" for np.linalg.solve (one LU per matrix), "zero pivot"
     after a solve that raised LinAlgError. Stage 1 adds three records: as
     ``real_null_spaces`` starts on the coarse blocks of M, ("stage", M's
-    shape, (cut, roots)) with its cut and each coordinate's sector root in M
-    (``assembled`` from the blocks); after the probe LU of a stack
-    of sectors, ("probe", its shape, (bounds, solves)); after each bordered
-    certificate of k sectors, ("border", (k, N, N), (sectors, d, left_known,
-    certified)), sectors indexing its stack of same-size sectors."""
+    shape, (cut, M, coords)) with its cut, M (``assembled`` from the
+    blocks) and the coordinates of each coarse stack, in order; after the
+    probe LU of a stack of sectors, ("probe", its shape, (bounds, solves));
+    after each bordered certificate of k sectors, ("border", (k, N, N),
+    (sectors, d, left_known, certified)), sectors indexing its stack of
+    same-size sectors."""
     svd, solve = np.linalg.svd, np.linalg.solve
     factor, bound = linalg_module.real_null_spaces, linalg_module._sigma_min_bound
     border = linalg_module._bordered_kernels
@@ -303,7 +304,7 @@ def _factor_spy(monkeypatch):
     def stage_spy(stacks, scale, tol=DEFAULT_TOL):
         cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
         real = assembled(stacks)
-        calls.append(("stage", real.shape, (cut, linalg_module._sector_roots(real))))
+        calls.append(("stage", real.shape, (cut, real, [at for at, _ in stacks])))
         return factor(stacks, scale, tol)
 
     def bound_spy(a, rng, width):
@@ -347,11 +348,13 @@ _SVD = np.linalg.svd
 
 def _sector_decisions(stage, n2, widths=None):
     """Check that one null_spaces run (its ``_factor_spy`` records) decided
-    every sector exactly once, in stage 1's order. Per stack of same-size
-    sectors, sector roots ascending: one probe LU of the coherence sectors
-    (no diagonal coordinate), kernel-free where the probe bound exceeds the
-    cut; at most one bordered LU of each other sector, the certificate with
-    the trace functional as its known left border, which decides a
+    every sector exactly once, in stage 1's order: coarse stack by coarse
+    stack, in the gather's order, and in each, size by size ascending. Per
+    stack of same-size sectors, sector roots ascending: one probe LU of the
+    coherence sectors (no diagonal coordinate), kernel-free where the probe
+    bound exceeds the cut; at most one bordered LU of each other sector, the
+    certificate with the trace functional y as its known left border, of
+    exactly the sectors S with ‖Sᵀy‖ <= cut, which decides a
     one-dimensional kernel or nothing; one probe LU of each of those left
     undecided. The undecided sectors' probe solves, their sketches, take one
     small SVD, and the sectors whose sketch finds 0 < d < 10 directions past
@@ -361,10 +364,11 @@ def _sector_decisions(stage, n2, widths=None):
     Returns (size, decision) per sector: 0 or 1 from a probe or the trace
     functional's border, ("sketch", d) from a rank-d border, or "svd".
     ``widths``, if given, gets the sketch's d of each undecided sector, an
-    array per stack."""
+    array per stack of same-size sectors."""
     probes = linalg_module._PROBES
     assert not any(c[2] for c in stage if c[0] in ("svd", "lu"))
-    (first, _, (cut, roots)), pos = stage[0], 1
+    (first, _, (cut, real, stacks)), pos = stage[0], 1
+    roots = linalg_module._sector_roots(real)
     assert first == "stage" and roots.size == n2
 
     def ahead():
@@ -381,46 +385,52 @@ def _sector_decisions(stage, n2, widths=None):
         return lus, stage[end][2]
 
     decisions = []
-    labels, counts = np.unique(roots, return_counts=True)
-    for size in sorted(set(counts.tolist())):
-        traced = labels[counts == size] < isqrt(n2)
-        dims, sketch = np.full(traced.size, -1), np.zeros((traced.size, size, probes))
-        free = np.flatnonzero(~traced)
-        if free.size:
-            lus, (bound, sketch[free]) = take("probe")
-            assert lus == [size] * free.size
-            dims[free[bound > cut]] = 0
-        kind, shape, record = stage[ahead()] if ahead() < len(stage) else ("", (), None)
-        if kind == "border" and shape[1] == size and record[2]:  # the trace functional's
-            lus, (sectors, d, _, ok) = take("border")
-            assert d == 1 and traced[sectors].all() and lus == [size + 1] * sectors.size
-            dims[sectors[ok]] = 1
-        again = np.flatnonzero(traced & (dims < 0))
-        if again.size:
-            lus, (_, sketch[again]) = take("probe")
-            assert lus == [size] * again.size
-        decided = [int(d) if d >= 0 else "svd" for d in dims]
-        undecided = np.flatnonzero(dims < 0)
-        if undecided.size:
-            assert stage[pos][:2] == ("svd", (undecided.size, min(size, probes), probes))
-            pos += 1
-            sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
-            found = np.count_nonzero(_SVD(np.linalg.qr(sketched)[1])[1] > 1 / cut, axis=1)
-            for d in sorted(set(found[(found > 0) & (found < probes)].tolist())):
-                lus, (sectors, width, left_known, ok) = take("border")
-                assert not left_known and width == d and lus == [size + d] * (2 * sectors.size)
-                assert np.array_equal(sectors, undecided[found == d])
-                for i in sectors[ok]:
-                    decided[i] = ("sketch", d)
-            undecided = undecided[[decided[i] == "svd" for i in undecided]]
-            if widths is not None:
-                widths.append(found)
-        svds = []
-        while pos < len(stage) and stage[pos][0] == "svd":
-            svds.append(stage[pos][1])
-            pos += 1
-        assert svds == ([(undecided.size, size, size)] if undecided.size else [])
-        decisions += [(size, d) for d in decided]
+    for at in stacks:
+        labels, counts = np.unique(roots[at], return_counts=True)
+        for size in sorted(set(counts.tolist())):
+            idx = np.array([np.flatnonzero(roots == r) for r in labels[counts == size]])
+            diagonal = idx < isqrt(n2)
+            traced = diagonal.any(axis=1)
+            y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
+            sty = np.einsum("cji,cj->ci", real[idx[:, :, None], idx[:, None, :]], y)
+            bordered = np.flatnonzero(traced & (np.linalg.norm(sty, axis=1) <= cut))
+            dims, sketch = np.full(traced.size, -1), np.zeros((traced.size, size, probes))
+            free = np.flatnonzero(~traced)
+            if free.size:
+                lus, (bound, sketch[free]) = take("probe")
+                assert lus == [size] * free.size
+                dims[free[bound > cut]] = 0
+            if bordered.size:
+                lus, (sectors, d, left_known, ok) = take("border")
+                assert left_known and d == 1 and np.array_equal(sectors, bordered)
+                assert lus == [size + 1] * sectors.size
+                dims[sectors[ok]] = 1
+            again = np.flatnonzero(traced & (dims < 0))
+            if again.size:
+                lus, (_, sketch[again]) = take("probe")
+                assert lus == [size] * again.size
+            decided = [int(d) if d >= 0 else "svd" for d in dims]
+            undecided = np.flatnonzero(dims < 0)
+            if undecided.size:
+                assert stage[pos][:2] == ("svd", (undecided.size, min(size, probes), probes))
+                pos += 1
+                sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
+                found = np.count_nonzero(_SVD(np.linalg.qr(sketched)[1])[1] > 1 / cut, axis=1)
+                for d in sorted(set(found[(found > 0) & (found < probes)].tolist())):
+                    lus, (sectors, width, left_known, ok) = take("border")
+                    assert not left_known and width == d and lus == [size + d] * (2 * sectors.size)
+                    assert np.array_equal(sectors, undecided[found == d])
+                    for i in sectors[ok]:
+                        decided[i] = ("sketch", d)
+                undecided = undecided[[decided[i] == "svd" for i in undecided]]
+                if widths is not None:
+                    widths.append(found)
+            svds = []
+            while pos < len(stage) and stage[pos][0] == "svd":
+                svds.append(stage[pos][1])
+                pos += 1
+            assert svds == ([(undecided.size, size, size)] if undecided.size else [])
+            decisions += [(size, d) for d in decided]
     assert pos == len(stage)
     assert sum(size for size, _ in decisions) == n2
     return decisions
@@ -570,23 +580,69 @@ def _sector_models():
     yield block_diag_model(rng, (3, 1, 2), 2)
 
 
+def _stack_sectors(model):
+    """Each coordinate's sector root in the whole reference M
+    (``unblocked_gather``) and the number of coarse blocks, once stage 1 has
+    been checked to decide exactly those sectors, coarse stack by coarse
+    stack (``_sector_decisions``)."""
+    m = build_generator(model).matrix
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _factor_spy(patch)
+        null_spaces(m)
+    _, real, coords = calls[0][2]
+    roots = linalg_module._sector_roots(unblocked_gather(m)[0])
+    assert np.array_equal(linalg_module._sector_roots(real), roots)
+    _sector_decisions(calls, m.shape[0])
+    return roots, sum(len(at) for at in coords)
+
+
 def test_refined_sectors_are_the_sectors_of_the_reference_gather():
     # Stage 1 labels L's pattern folded onto Hermitian pairs, gathers only
-    # those coarse blocks and splits each by ``_sector_roots``: every
-    # coordinate gets its root in the whole reference M, and a real model
-    # (the minimal walks, a real channel) still splits sym from anti.
+    # those coarse blocks and splits each stack of them by ``_sector_roots``:
+    # every coordinate gets its root in the whole reference M, and a real
+    # model (the minimal walks, a real channel) still splits sym from anti.
     rng = np.random.default_rng(29)
     walks = [minimal_oqrw(random_rate_matrix(rng, n, p)) for n, p in ((5, 0.3), (9, 0.5), (24, 0.1))]
     q = np.linalg.qr(rng.standard_normal((8, 4)))[0]
     real_channel = KrausChannel.create([q[:4], q[4:]])
     split = 0
     for model in (*gather_models(), *_sector_models(), *walks, real_channel):
-        m = build_generator(model).matrix
-        stacks = linalg_module.gather_sectors(m)
-        roots, _ = linalg_module._refine(stacks, m.shape[0])
-        assert np.array_equal(roots, linalg_module._sector_roots(unblocked_gather(m)[0]))
-        split += np.unique(roots).size > sum(len(at) for at, _ in stacks)
+        roots, blocks = _stack_sectors(model)
+        split += np.unique(roots).size > blocks
     assert split >= 4
+
+
+def _sparse_model(kraus, real, n, density, seed):
+    """A model with random exact zeros: a Lindblad model whose Hamiltonian
+    and two jumps keep each entry with probability ``density``, or a channel
+    of two Kraus operators, the blocks of a 2n × n isometry whose rows each
+    hold at most one nonzero (so its columns are orthogonal whatever the
+    pattern), real or complex."""
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        values = rng.standard_normal(shape)
+        return values if real else values + 1j * rng.standard_normal(shape)
+
+    if kraus:
+        owner = np.where(rng.random(2 * n) < density, rng.integers(0, n, 2 * n), -1)
+        owner[rng.permutation(2 * n)[:n]] = np.arange(n)  # every column is used
+        g = np.zeros((2 * n, n), dtype=float if real else complex)
+        rows = np.flatnonzero(owner >= 0)
+        g[rows, owner[rows]] = entries(rows.size)
+        g /= np.linalg.norm(g, axis=0)
+        return KrausChannel.create([g[:n], g[n:]])
+    h, *jumps = (entries((n, n)) * (rng.random((n, n)) < density) for _ in range(3))
+    return LindbladModel.create((h + h.conj().T) / 2, jumps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.booleans(), st.booleans(), st.integers(1, 5), st.floats(0.05, 0.6), st.integers(0, 2**16))
+def test_stack_sectors_of_sparse_models_are_the_sectors_of_the_reference_gather(
+    kraus, real, n, density, seed
+):
+    # The same split on random exact-zero patterns.
+    _stack_sectors(_sparse_model(kraus, real, n, density, seed))
 
 
 def test_null_spaces_match_complex_svd_oracle(monkeypatch):

@@ -169,8 +169,8 @@ def test_cli_examples_roundtrip(tmp_path, capsys):
     parsed = load_model_file(str(out))
     assert isinstance(parsed.obj, LindbladModel)
     assert main(["examples", "nope"]) == 2
-    err = capsys.readouterr().err
-    assert "rotation-channel" in err  # lists the available fixtures
+    known = ", ".join(sorted(FIXTURES))
+    assert capsys.readouterr().err == f"validation error: unknown example 'nope'; available: {known}\n"
 
 
 def test_cli_analyze_unfaithful(tmp_path, capsys):
@@ -954,20 +954,36 @@ _QND = ["identifiability", "--mode", "qnd"]
          "validation error: rate matrix has non-finite entries"),
         ('{"mode": "rates", "dim": 2, "rates": [[-Infinity, 1.0], [2.0, -2.0]]}', ["oqrw"], 2,
          "validation error: rate matrix has non-finite entries"),
+        (b'{"mode": "lindblad", \xff}', ["analyze"], 1,
+         "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 21: "
+         "invalid start byte"),
+        (b'{"mode": "rates", \xff}', ["oqrw"], 1,
+         "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 18: "
+         "invalid start byte"),
+        ('{"mode": "lindblad", "dim": 1, "hamiltonian": %s}' % ("[" * 10**5 + "]" * 10**5),
+         ["analyze"], 1, "error: {path} nests arrays or objects too deeply to read"),
+        ('{"mode": "lindblad", "dim": 1, "jumps": %s}' % ("[" * 5000 + "]" * 5000),
+         ["identifiability", "--mode", "continuous"], 1,
+         "error: {path} nests arrays or objects too deeply to read"),
     ],
     ids=[
         "not-an-object", "tolerances", "jumps", "empty-kraus", "rates-shape", "qnd-object",
         "qnd-energies", "qnd-amplitudes", "qnd-empty-amplitudes", "qnd-split", "flat-array",
         "ragged-row", "oqrw-on-lindblad", "max-len-0", "nan-pair", "infinity-pair", "nan-rate",
-        "infinity-rate",
+        "infinity-rate", "not-utf-8", "rates-not-utf-8", "deep-hamiltonian", "deep-jumps",
     ],
 )
 def test_cli_input_checks_exit_with_their_message(tmp_path, capsys, document, argv, code, message):
     # json.loads reads NaN and Infinity literals; the model checks reject them.
+    # A file that is not UTF-8, or that nests past the JSON reader's
+    # recursion limit, is a file error that names the file.
     model = tmp_path / "model.json"
-    model.write_text(document if isinstance(document, str) else json.dumps(document()))
+    if isinstance(document, bytes):
+        model.write_bytes(document)
+    else:
+        model.write_text(document if isinstance(document, str) else json.dumps(document()))
     assert main([argv[0], str(model), *argv[1:]]) == code
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == message.replace("{path}", str(model)) + "\n"
 
 
 # Operators whose norms overflow: an anti-Hermitian H, a 1 x 1 channel, and a
