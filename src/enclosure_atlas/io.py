@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -34,6 +35,8 @@ if TYPE_CHECKING:  # analyze loads neither module; the parse branches import wha
     from .oqrw import OqrwTheoremRecord
 
 MODES = ("lindblad", "kraus", "rates", "qnd")
+_echo = reprlib.Repr()  # an offending value in a message: two levels, three items each
+_echo.maxlevel, _echo.maxlist, _echo.maxdict = 2, 3, 3
 
 
 class ModelFileError(ValueError):
@@ -60,7 +63,7 @@ def _out_of_range(field: str) -> ModelFileError:
 
 def _complex_entry(value, field: str) -> complex:
     if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
-        raise ModelFileError(f"field {field}: expected a [re, im] pair, got {value!r}")
+        raise ModelFileError(f"field {field}: expected a [re, im] pair, got {_echo.repr(value)}")
     try:
         return complex(value[0], value[1])
     except OverflowError:
@@ -69,7 +72,7 @@ def _complex_entry(value, field: str) -> complex:
 
 def _real_entry(value, field: str) -> float:
     if not _is_number(value):
-        raise ModelFileError(f"field {field}: expected a number, got {value!r}")
+        raise ModelFileError(f"field {field}: expected a number, got {_echo.repr(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -132,10 +135,10 @@ def parse_model_document(doc) -> ParsedModel:
         raise ModelFileError("model document must be a JSON object")
     mode = _require(doc, "mode")
     if mode not in MODES:
-        raise ModelFileError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise ModelFileError(f"unknown mode {_echo.repr(mode)}; expected one of {MODES}")
     dim = _require(doc, "dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ModelFileError(f"dim must be a positive integer, got {dim!r}")
+        raise ModelFileError(f"dim must be a positive integer, got {_echo.repr(dim)}")
 
     tolerances = DEFAULT_TOL
     if "tolerances" in doc:
@@ -197,7 +200,7 @@ def parse_model_document(doc) -> ParsedModel:
                 amps = np.zeros((0, dim), dtype=complex)
             split = _require(qnd_doc, "split", "qnd.")
             if not isinstance(split, int) or isinstance(split, bool):
-                raise ModelFileError(f"qnd.split must be an integer, got {split!r}")
+                raise ModelFileError(f"qnd.split must be an integer, got {_echo.repr(split)}")
             obj = QndModel.create(np.array(energies, dtype=float), amps, split)
     except (ModelFileError, ValidationError):
         raise

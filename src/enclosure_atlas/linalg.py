@@ -193,8 +193,8 @@ def _bordered_kernels(
     """Certify that each real square matrix S = s[k], k in ``sectors``, has
     the d-dimensional kernel the SVD's rule ``σ <= cut`` gives, by one LU of
     B = [[S, X̂], [X̂ᵀ, 0]] (X̂: d orthonormal ``border`` columns) and one of
-    Bᵀ unless X̂ is a known left kernel, stacked, filled in place from s and
-    solved against [0; I_d | Ω]. They give X with S X = −X̂Λ and Y with
+    Bᵀ unless X̂ is a known left kernel, stacked and solved against
+    [0; I_d | Ω]. They give X with S X = −X̂Λ and Y with
     Sᵀ Y = −X̂Γ, X̂ᵀX = X̂ᵀY = I_d, and X_o, Y_o orthonormal bases of them;
     with a known left kernel d = 1, Y_o = X̂ and X_o = x/‖x‖, so X̂ᵀX_o > 0
     (a kernel vector bordered by the trace functional has positive trace).
@@ -202,13 +202,16 @@ def _bordered_kernels(
     cut, and cut < the probe bound on σ_min(B): for unit z ⊥ X̂,
     ‖B (z, 0)‖ = ‖S z‖, so σ_min(B) <= σ_{N−d}(S) by Courant–Fischer. B is
     singular unless ker S ∩ ran S = 0. Returns (certified, bound, X_o, Y_o),
-    with the smaller of B's and Bᵀ's bounds.
+    with the smaller of B's and Bᵀ's bounds. B is s's ``gather_real`` buffer,
+    X̂ in its spare row and column, when a known left X̂ borders all of s.
     """
     count, size, d = border.shape
     sides = 1 if left_known else 2
-    pair = np.zeros((sides, count, size + d, size + d))  # B, then Bᵀ if any: one border
-    for to, sector in enumerate(sectors):
-        pair[0, to, :size, :size], pair[1:, to, :size, :size] = s[sector], s[sector].T
+    pair = s.base if left_known and count == len(s) and s.base is not None else s
+    if pair.shape != (count, size + 1, size + 1):  # not gather_real's buffer: copy S into B
+        pair = np.zeros((sides, count, size + d, size + d))  # B, then Bᵀ if any: one border
+        for to, sector in enumerate(sectors):
+            pair[0, to, :size, :size], pair[1:, to, :size, :size] = s[sector], s[sector].T
     pair[..., :size, size:], pair[..., size:, :size] = border, border.transpose(0, 2, 1)
     pair = pair.reshape(sides * count, size + d, size + d)
     bound, sol = _sigma_min_bound(pair, rng, d)
@@ -249,26 +252,31 @@ def _sector_roots(m: np.ndarray) -> np.ndarray:
         labels = nearest
 
 
+# Bytes of complex entries that the stage-1 fold and gather handle at a
+# time: the p and q rows of one block of nodes or pairs, sized to stay in cache.
+_GATHER_BYTES = 1 << 18
+
+
 def _pair_roots(m: np.ndarray, n: int) -> np.ndarray:
     """Stage 1's coarse sectors: m's nonzero pattern folded onto Hermitian
     pairs, labelled by ``_sector_roots``. The nodes are the diagonal i (node
     i) and the pairs {i, k}, i < k (node n + j for the j-th pair of
     ``_hermitian_pairs``), node rows and columns the OR of the pattern's at
-    the node's vec indices (i, k) and (k, i). A real coordinate of
-    M = T† m T is read from its node's vec indices alone, so M has no
-    nonzero between two components."""
+    the node's vec indices (i, k) and (k, i), ORed a block of nodes at a
+    time. A coordinate of M = T† m T is read from its node's vec indices
+    alone, so M has no nonzero between two components."""
     diag, p, q = _hermitian_pairs(n)
     at_p, at_q = np.concatenate([diag, p]), np.concatenate([diag, q])
-    # m != 0 in half the time: an entry is nonzero where its real or its
-    # imaginary half is, and the two halves' bools read as one uint16
-    nonzero = (m.view(float) != 0).view(np.uint16) != 0
-    rows = nonzero[at_p] | nonzero[at_q]
-    return _sector_roots(rows[:, at_p] | rows[:, at_q])
-
-
-# Bytes of complex entries that the stage-1 gather handles at a time: the p
-# and q rows of one block of pairs, sized to stay in cache.
-_GATHER_BYTES = 1 << 18
+    folded = np.empty((at_p.size, at_p.size), dtype=bool)
+    step = max(1, _GATHER_BYTES // (32 * m.shape[1]))
+    for lo in range(0, at_p.size, step):
+        # m != 0 in half the time: an entry is nonzero where its real or its
+        # imaginary half is, and the two halves' bools read as one uint16
+        nodes = slice(lo, lo + step)
+        rows = [(m[at[nodes]].view(float) != 0).view(np.uint16) != 0 for at in (at_p, at_q)]
+        rows[0] |= rows[1]
+        np.logical_or(rows[0][:, at_p], rows[0][:, at_q], out=folded[nodes])
+    return _sector_roots(folded)
 
 
 def _gather_rows(m: np.ndarray, rows: np.ndarray, perm: np.ndarray, n: int, out: list) -> None:
@@ -323,7 +331,9 @@ def gather_real(m: np.ndarray, diags: np.ndarray, pairs: np.ndarray) -> np.ndarr
     the diagonal rows, then the p and q rows of each block of pairs, each
     times T_c, combined and scaled into rows of the blocks while in cache
     (``_gather_rows``). Only these row blocks and the blocks are allocated,
-    and no entry depends on the row-block size or on the stack. The
+    and no entry depends on the row-block size or on the stack. The blocks
+    are the w × w corner of a zeroed (count, w + 1, w + 1) buffer, with
+    room for a bordered LU's border (``_bordered_kernels``). The
     imaginary part of T_c† m T_c is dropped unread: every generator has
     L(X)† = L(X†), so it is roundoff.
     """
@@ -332,7 +342,7 @@ def gather_real(m: np.ndarray, diags: np.ndarray, pairs: np.ndarray) -> np.ndarr
     b = pairs.shape[1]
     perm = np.concatenate([diag[diags], p[pairs], q[pairs]], axis=1)
     step = max(1, _GATHER_BYTES // (32 * count * perm.shape[1]))
-    real = np.empty((count, perm.shape[1], perm.shape[1]))
+    real = np.zeros((count, perm.shape[1] + 1, perm.shape[1] + 1))[:, :-1, :-1]
     for lo in range(0, a, step):
         hi = min(lo + step, a)
         _gather_rows(m, diag[diags[None, :, lo:hi]], perm, a, [real[:, lo:hi]])
@@ -349,7 +359,8 @@ def gather_sectors(m: np.ndarray) -> list:
     diagonal count: (coordinates, blocks) with one row of ascending
     coordinates of M and one block per sector, sectors by smallest
     coordinate. M has no nonzero outside these blocks, and a model
-    that does not split gathers M itself as its one block. m's entries are
+    that does not split gathers M itself as its one block, with room for
+    B's border (``gather_real``). m's entries are
     not checked again: ``Superoperator`` rejects non-finite ones."""
     m = np.ascontiguousarray(m, dtype=complex)
     n = isqrt(m.shape[0])
@@ -397,8 +408,9 @@ def real_null_spaces(
     bordered certificate ``_bordered_kernels`` of each sector S that holds a
     diagonal coordinate and has ‖Sᵀy‖ <= cut, with the normalized
     restriction y of y₀ = T† vec(1) (1 on the diagonal coordinates) as its
-    known left border, since a trace-preserving map has m†(1) = 0; one probe
-    LU of each such sector the border left open. The probe solves S⁻¹Ω of an
+    known left border, since a trace-preserving map has m†(1) = 0 (in the
+    gathered buffer when they are all of an undivided stack); one probe LU
+    of each such sector the border left open. The probe solves S⁻¹Ω of an
     undecided sector are its sketch: the 0 < d < 10 of its directions that
     grew past 1/cut (from a QR and an SVD of its 10 × 10 factor) border S
     and Sᵀ in the same certificate, one call per d. The probes come from a

@@ -515,17 +515,20 @@ def test_decompose_holds_one_complex_superoperator_at_a_time():
     # Stage 1's working set at n = 24: the complex n² x n² L (16 n⁴ bytes)
     # while its pattern is folded onto Hermitian pairs and the coarse
     # sectors' real blocks are gathered, in cache-sized row blocks; then the
-    # blocks and their bordered copies for the LU (LAPACK's work copy is
-    # allocated outside tracemalloc's view). L is freed when the gather
-    # returns, before any sector is refined or factored. A model that does
-    # not split gathers the whole real M (8 n⁴) next to L, so the traced
-    # peak of decompose stays within two complex superoperators; holding L
-    # through the LU, as before, traced about three. In a random basis, two
-    # enclosures and a conjugated pair leave their one sector to the rank-d
-    # certificate, whose stack of B and Bᵀ is filled in place from M: copying
-    # the sector, then B, then the pair traced about 2.6 times. In their own
-    # basis, three blocks, a conjugated pair and a minimal walk split into
-    # many sectors, and no real M sits next to L: within 1.3 superoperators.
+    # blocks for the LU (LAPACK's work copy is allocated outside
+    # tracemalloc's view). A stack whose every block the trace functional
+    # borders is factored in the gather's own buffer, whose spare row and
+    # column take the border, so no bordered copy of it exists; every other
+    # B is a copy. L is freed when the gather returns, before any sector is
+    # refined or factored. A model that does not split gathers the whole
+    # real M (8 n⁴) next to L, so the traced peak of decompose stays within
+    # two complex superoperators; holding L through the LU, as before,
+    # traced about three. In a random basis, two enclosures and a conjugated
+    # pair leave their one sector to the rank-d certificate, whose stack of
+    # B and Bᵀ is copied from M: copying the sector, then B, then the pair
+    # traced about 2.6 times. In their own basis, three blocks, a conjugated
+    # pair and a minimal walk split into many sectors, and no real M sits
+    # next to L: within 1.3 superoperators.
     n = 24
     rng = np.random.default_rng(97)
     # (model, recurrent dimension, enclosures, bound in units of 16 n⁴)
@@ -546,6 +549,54 @@ def test_decompose_holds_one_complex_superoperator_at_a_time():
         assert report.recurrent_dimension == dimension
         assert len(enumerate_minimal_enclosures(report)) == count
         assert peak <= bound * 16 * n**4
+
+
+def _traced_peak(call, *args):
+    """The peak of tracemalloc's traced memory while ``call(*args)`` runs,
+    above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_bordered_sectors_are_factored_in_the_gathered_buffer(monkeypatch):
+    # A dense model, a dense channel and a leaky model at n = 24: the traced
+    # sector is one undivided block, and the trace functional borders it.
+    # Its bordered LU reads the gather's own buffer, so stage 1 adds no copy
+    # of M next to it: such a copy alone is 8 n⁴ bytes, 0.5 of 16 n⁴.
+    n = 24
+    rng = np.random.default_rng(97)
+    bound = linalg_module._sigma_min_bound
+    bordered = []
+
+    def bound_spy(a, rng, width):
+        bordered.extend([a] if width == 1 else [])
+        return bound(a, rng, width)
+
+    monkeypatch.setattr(linalg_module, "_sigma_min_bound", bound_spy)
+    for model in (random_model(rng, n, 2), random_channel(rng, n, 2), leaky_model(rng, n, 2)):
+        stacks = linalg_module.gather_sectors(build_generator(model).matrix)
+        traced = [blocks for coords, blocks in stacks if (coords < n).any()]
+        bordered.clear()
+        peak = _traced_peak(linalg_module.real_null_spaces, stacks, _scale(model))
+        assert len(traced) == len(bordered) == 1
+        assert np.shares_memory(bordered[0], traced[0])
+        assert peak <= 0.2 * 16 * n**4
+
+
+def test_pattern_fold_holds_no_pattern_of_the_superoperator():
+    # The fold ORs L's rows block of nodes by block of nodes into one
+    # node x node array (node = diagonal or Hermitian pair, (n² + n) / 2 of
+    # them), so it holds no N x 2N or N x N bool pattern of L (N = n²):
+    # those two alone are 3 n⁴ bytes, 0.19 of 16 n⁴.
+    n = 24
+    rng = np.random.default_rng(98)
+    for model in (random_model(rng, n, 2), minimal_oqrw(random_rate_matrix(rng, n, 0.1))):
+        m = build_generator(model).matrix
+        assert _traced_peak(linalg_module._pair_roots, m, n) <= 0.08 * 16 * n**4
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):

@@ -965,25 +965,37 @@ _QND = ["identifiability", "--mode", "qnd"]
         ('{"mode": "lindblad", "dim": 1, "jumps": %s}' % ("[" * 5000 + "]" * 5000),
          ["identifiability", "--mode", "continuous"], 1,
          "error: {path} nests arrays or objects too deeply to read"),
+        (lambda: {"mode": "lindblad", "dim": 1, "hamiltonian": [[[[0.5, 0.0]] * 10**5]]},
+         ["analyze"], 1, "error: field hamiltonian[0][0]: expected a [re, im] pair, got "
+         "[[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], ...]"),
+        ('{"mode": "lindblad", "dim": 1, "hamiltonian": %s}' % ("[" * 950 + "]" * 950),
+         ["analyze"], 1, "error: field hamiltonian[0][0]: expected a [re, im] pair, got [[[...]]]"),
+        (lambda: {"mode": "x" * 10**5, "dim": 1}, ["analyze"], 1,
+         "error: unknown mode 'xxxxxxxxxxxx...xxxxxxxxxxxxx'; "
+         "expected one of ('lindblad', 'kraus', 'rates', 'qnd')"),
     ],
     ids=[
         "not-an-object", "tolerances", "jumps", "empty-kraus", "rates-shape", "qnd-object",
         "qnd-energies", "qnd-amplitudes", "qnd-empty-amplitudes", "qnd-split", "flat-array",
         "ragged-row", "oqrw-on-lindblad", "max-len-0", "nan-pair", "infinity-pair", "nan-rate",
         "infinity-rate", "not-utf-8", "rates-not-utf-8", "deep-hamiltonian", "deep-jumps",
+        "long-entry", "nested-entry", "long-mode",
     ],
 )
 def test_cli_input_checks_exit_with_their_message(tmp_path, capsys, document, argv, code, message):
     # json.loads reads NaN and Infinity literals; the model checks reject them.
     # A file that is not UTF-8, or that nests past the JSON reader's
-    # recursion limit, is a file error that names the file.
+    # recursion limit, is a file error that names the file. A bad entry is
+    # echoed within a short line however long or deep it is.
     model = tmp_path / "model.json"
     if isinstance(document, bytes):
         model.write_bytes(document)
     else:
         model.write_text(document if isinstance(document, str) else json.dumps(document()))
     assert main([argv[0], str(model), *argv[1:]]) == code
-    assert capsys.readouterr().err == message.replace("{path}", str(model)) + "\n"
+    err = capsys.readouterr().err
+    assert err == message.replace("{path}", str(model)) + "\n"
+    assert len(err) <= 200 + len(str(model))
 
 
 # Operators whose norms overflow: an anti-Hermitian H, a 1 x 1 channel, and a
