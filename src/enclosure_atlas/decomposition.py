@@ -27,6 +27,8 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _eigh,
+    _range_projector,
     check_projector,
     cluster_sorted_values,
     dagger,
@@ -139,8 +141,9 @@ class DecompositionReport:
 
 def _leading_isometry(p: np.ndarray, rank: int) -> np.ndarray:
     """Eigenvectors of the ``rank`` largest eigenvalues of p's Hermitian part:
-    the range isometry of a rank-``rank`` projector, defined for any p."""
-    return np.linalg.eigh(hermitian_part(p))[1][:, max(len(p) - rank, 0) :]
+    the range isometry of a rank-``rank`` projector, defined for any p; a
+    coordinate projector's is exactly its unit vectors (``_eigh``)."""
+    return _eigh(hermitian_part(p))[1][:, max(len(p) - rank, 0) :]
 
 
 def _kernel_stack(kernel: np.ndarray) -> np.ndarray:
@@ -289,11 +292,14 @@ def algebra_structure(
     (``_link_clusters``). The first Hermitian one is E_F(D), the HS
     projection of D = diag(0, 1, …, n−1) onto F: A_b ⊗ 1_d on block b, with
     A_b generically nondegenerate, so the members depend only on the
-    dynamics and the input basis. Each member's eigenvectors turned by its
-    link form a basis V in which the sample claims F = ⊕_b M_{m_b} ⊗ 1_{d_b},
-    block by block. The ``algebra_closure`` residual is the distance of
-    V† f V from that form over the orthonormal basis of F
-    (``_block_form_distance``): it is 0 exactly when F lies in the claimed
+    dynamics and the input basis. It is solved from the compressed ker L†
+    elements, so the zeros they share with D stay exact (``_eigh``), and a
+    member on coordinates is their projector (``_range_projector``). Each
+    member's eigenvectors turned by its link form a basis V in which the
+    sample claims F = ⊕_b M_{m_b} ⊗ 1_{d_b}, block by block. The
+    ``algebra_closure`` residual is the distance of V† f V from that form
+    over the orthonormal basis of F (``_block_form_distance``): it is 0
+    exactly when F lies in the claimed
     algebra, and since 1_R is in F and ‖link‖_F = √d, only when every link
     is unitary. A sample is accepted when Σ m_b² = dim F and the closure is
     at most residual_tol, which proves F equal to the claimed algebra;
@@ -333,12 +339,14 @@ def algebra_structure(
             f"operators (dim F = {dim_f}, ε_F = {commutant:.3e})",
         )
 
-    # g_i = ⟨f_i, D_R⟩: the coefficients of E_F(D) in the orthonormal basis
+    # E_F(D) = Σ c_i X_i, ⟨X_i, X_j⟩ c_j = ⟨X_i, D_R⟩ over the compressed ker L† basis X
     d_r = dagger(iso_r) @ (np.arange(len(p_r))[:, None] * iso_r)
-    g = np.tensordot(stack.conj(), d_r, axes=2).real
+    flat = compressed.reshape(k, -1)
+    coeff = np.linalg.solve((flat.conj() @ flat.T).real, (flat.conj() @ d_r.ravel()).real)
+    element = hermitian_part(np.tensordot(coeff, compressed, axes=1))
     for _ in range(5):
         c = rng.standard_normal(dim_f) + 1j * rng.standard_normal(dim_f)
-        w, u = np.linalg.eigh(np.tensordot(g, stack, axes=1))
+        w, u = _eigh(element)
         x = dagger(u) @ np.tensordot(c, stack, axes=1) @ u
         groups = _link_clusters(x, cluster_sorted_values(w, _CLUSTER_WIDTH))
         # each member's eigenvectors turned by its link: F's claimed form in this basis
@@ -348,7 +356,7 @@ def algebra_structure(
         squares = sum(m * m for m, _ in layout)
         if squares == dim_f and closure <= tol.residual_tol:
             break
-        g = rng.standard_normal(dim_f)
+        element = np.tensordot(rng.standard_normal(dim_f), stack, axes=1)
     else:
         raise DecompositionError(
             "algebra",
@@ -361,7 +369,7 @@ def algebra_structure(
     for group in groups:
         # n x d isometries onto the members; the first is the group's head
         lifts = [iso_r @ u[:, part] for part, _ in group]
-        members = [lift @ dagger(lift) for lift in lifts]
+        members = [_range_projector(lift) for lift in lifts]
         m, d = len(group), lifts[0].shape[1]
         blocks.append(
             CentralBlock(

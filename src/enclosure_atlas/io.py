@@ -6,7 +6,8 @@ are plain real arrays. A report's text is exactly
 ``json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"``: one line,
 sorted keys and shortest-repr floats, so identical inputs produce
 byte-identical documents that round-trip exactly. For a readable view of a
-report, run ``python -m json.tool report.json``.
+report, run ``python -m json.tool report.json``. Reports carry exact zeros
+where the model's structure puts them, and coordinate projectors as 0 and 1.
 
 A report object's keys are its record's field names (``_json``), except
 that a decomposition report nests ``transient`` and ``recurrent`` as

@@ -105,6 +105,40 @@ def check_projector(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return rank
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a Hermitian matrix split on its exact zeros: each
+    component of ``_sector_roots`` is factored on its own, one batched eigh
+    per component size (none for a diagonal a), so every eigenvector is zero
+    outside one component. Eigenvalues come ascending, ties in component order."""
+    diagonal = a.diagonal().real
+    if np.count_nonzero(a) == np.count_nonzero(diagonal):  # every coordinate alone
+        ascending = np.argsort(diagonal, kind="stable")
+        return diagonal[ascending], np.eye(len(a), dtype=a.dtype)[:, ascending]
+    roots = _sector_roots(a)
+    if not roots.any():  # one component, rooted at coordinate 0
+        return np.linalg.eigh(a)
+    sizes = np.bincount(roots, minlength=len(a))[roots]  # each coordinate's component size
+    w, v, at = np.empty(len(a)), np.zeros_like(a), 0
+    for size in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == size)  # a row per component of this size
+        idx = members[np.argsort(roots[members], kind="stable")].reshape(-1, size)
+        cols = at + np.arange(idx.size).reshape(idx.shape)
+        blocks = a[idx[:, :, None], idx[:, None]]
+        w[cols], v[idx[:, :, None], cols[:, None]] = np.linalg.eigh(blocks)
+        at += idx.size
+    ascending = np.argsort(w, kind="stable")
+    return w[ascending], v[:, ascending]
+
+
+def _range_projector(v: np.ndarray) -> np.ndarray:
+    """v v† for orthonormal columns v, or exactly the coordinate projector
+    when v is nonzero on only as many rows as it has columns, which span it."""
+    rows = v.any(axis=1)
+    if np.count_nonzero(rows) == v.shape[1]:
+        return np.diag(rows).astype(v.dtype)
+    return v @ dagger(v)
+
+
 def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the numerical range of a PSD Hermitian matrix.
 
@@ -112,19 +146,19 @@ def support_projector(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarra
     eigenvalues at most that are the state's noise, the ones ``psd_project``
     zeroes. λ_max <= 0 gives the zero projector, since no eigenvalue is
     kept; otherwise an eigenvalue below −10 · rank_tol · λ_max is an error.
-    The input must be Hermitian within 100 · residual_tol · ‖a‖_F.
+    The input must be Hermitian within 100 · residual_tol · ‖a‖_F. Its exact
+    zeros split it (``_eigh``); a coordinate range is exact (``_range_projector``).
     """
     a = require_square(a)
     if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("support_projector requires a Hermitian input")
-    w, u = np.linalg.eigh(hermitian_part(a))
+    w, u = _eigh(hermitian_part(a))
     lam_max = float(w[-1]) if w.size else 0.0
     if lam_max <= 0:
         return np.zeros_like(a)
     if float(w[0]) < -10 * tol.rank_tol * lam_max:
         raise ValueError(f"input is not positive semidefinite: min eigenvalue {w[0]:.3e}")
-    v = u[:, w > tol.rank_tol * lam_max]
-    return v @ dagger(v)
+    return _range_projector(u[:, w > tol.rank_tol * lam_max])
 
 
 # Hermitian matrices form a real vector space; the unitary T below maps real
@@ -255,6 +289,7 @@ def _sector_roots(m: np.ndarray) -> np.ndarray:
 # Bytes of complex entries that the stage-1 fold and gather handle at a
 # time: the p and q rows of one block of nodes or pairs, sized to stay in cache.
 _GATHER_BYTES = 1 << 18
+_FOLD_NODES = 16  # the fold's least block: a large n takes no Python step per node
 
 
 def _pair_roots(m: np.ndarray, n: int) -> np.ndarray:
@@ -268,7 +303,7 @@ def _pair_roots(m: np.ndarray, n: int) -> np.ndarray:
     diag, p, q = _hermitian_pairs(n)
     at_p, at_q = np.concatenate([diag, p]), np.concatenate([diag, q])
     folded = np.empty((at_p.size, at_p.size), dtype=bool)
-    step = max(1, _GATHER_BYTES // (32 * m.shape[1]))
+    step = max(_FOLD_NODES, _GATHER_BYTES // (32 * m.shape[1]))
     for lo in range(0, at_p.size, step):
         # m != 0 in half the time: an entry is nonzero where its real or its
         # imaginary half is, and the two halves' bools read as one uint16
@@ -573,12 +608,13 @@ def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     the result's support is ``support_projector``'s. An error is raised when
     the trace is <= 0 or when the clipped mass exceeds 1% of the trace, which
     signals the input was not close to a density matrix. The input must be
-    Hermitian within 100 · residual_tol · ‖a‖_F.
+    Hermitian within 100 · residual_tol · ‖a‖_F. The eigendecomposition
+    splits on a's exact zeros (``_eigh``), so the result keeps them.
     """
     a = require_square(a)
     if hermiticity_defect(a) > 100 * tol.residual_tol * frob(a):
         raise ValueError("psd_project requires a Hermitian input")
-    w, u = np.linalg.eigh(hermitian_part(a))
+    w, u = _eigh(hermitian_part(a))
     trace = float(w.sum())
     if trace <= 0:
         raise ValueError(f"trace {trace:.3e} too small to normalize")

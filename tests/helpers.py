@@ -194,6 +194,12 @@ def leaky_model(rng, n, num_jumps):
     return LindbladModel.create(h, jumps)
 
 
+def weak_drain(amplitude):
+    """leaky-5 with its drain jump scaled by ``amplitude``: drain rate amplitude²."""
+    base = leaky_model(np.random.default_rng(1), 5, 2)
+    return LindbladModel.create(base.hamiltonian, [*base.jumps[:-1], amplitude * base.jumps[-1]])
+
+
 def conjugated_pair_model(rng, d, num_jumps):
     """Direct sum of a dense block and its conjugation by a random unitary.
 

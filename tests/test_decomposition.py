@@ -78,6 +78,7 @@ from helpers import (
     tilted_hamiltonian_model,
     unblocked_gather,
     unit,
+    weak_drain,
 )
 
 
@@ -1433,6 +1434,103 @@ def test_algebra_structure_factors_nothing_larger_than_its_inputs(monkeypatch):
         assert rows["svd"] and max(rows["svd"] + rows["eigh"]) <= max(n * n, k)
         assert len(rows["qr"]) == 1 + len(model.jumps)
         assert max(rows["qr"]) <= n * n + k
+
+
+def test_e_f_d_from_the_kernel_basis_is_the_projection_onto_the_fixed_point_algebra(
+    monkeypatch,
+):
+    # algebra_structure solves the normal equations of the compressed ker L†
+    # elements X_i for E_F(D), so the zeros the X_i and D_R share stay
+    # exact; it is the HS projection Σ ⟨f_i, D_R⟩ f_i over an orthonormal
+    # basis f of F, on models with and without a transient part.
+    eigh, decomposed = decomposition_module._eigh, []
+
+    def spy(a):
+        decomposed.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(decomposition_module, "_eigh", spy)
+    for model in (*_agreement_models(), weak_drain(1e-3)):
+        split = recurrent_projector(model)
+        decomposed.clear()
+        algebra_structure(model, split.recurrent, split.adjoint_kernel)
+        # the first call reads P_R's range isometry, the second E_F(D)
+        rank = round(np.trace(split.recurrent).real)
+        iso = decomposition_module._leading_isometry(split.recurrent, rank)
+        basis = iso.conj().T @ decomposition_module._kernel_stack(split.adjoint_kernel) @ iso
+        d_r = iso.conj().T @ np.diag(np.arange(model.dim)) @ iso
+        expected = sum(np.vdot(f, d_r).real * f for f in orthonormal_hermitian_span(list(basis)))
+        assert np.linalg.norm(decomposed[1] - expected) <= 1e-12
+
+
+def _permuted(model, perm):
+    """The model with its coordinates permuted: coordinate i is the input's perm[i]."""
+    move = lambda a: a[perm][:, perm]  # noqa: E731
+    if isinstance(model, KrausChannel):
+        return KrausChannel.create([move(v) for v in model.kraus])
+    return LindbladModel.create(move(model.hamiltonian), [move(j) for j in model.jumps])
+
+
+def _outside(a, rows, cols):
+    """The entries of a outside the rows ``rows`` and columns ``cols``."""
+    inside = np.zeros(a.shape, dtype=bool)
+    inside[np.ix_(rows, cols)] = True
+    return a[~inside]
+
+
+def test_a_faithful_model_reports_an_exact_recurrent_projector():
+    report = decompose(random_model(np.random.default_rng(71), 6, 2))
+    assert np.array_equal(report.recurrent, np.eye(6))
+    # every entry of the transient projector is +0.0, real and imaginary
+    assert not report.transient.view(float).any()
+    assert not np.signbit(report.transient.view(float)).any()
+
+
+def test_a_block_model_reports_exact_zeros_between_its_blocks():
+    # Blocks of 3, 4 and 5 coordinates under a coordinate permutation. Each
+    # n × n eigendecomposition splits on exact zeros, as stage 1 does, so
+    # nothing in the report mixes two blocks: the projectors and states are
+    # bitwise zero outside their blocks' coordinates, and each enclosure's
+    # projector is its coordinates' projector, with entries 0 and 1.
+    rng = np.random.default_rng(61)
+    dims = (3, 4, 5)
+    perm = rng.permutation(sum(dims))
+    label = np.repeat(np.arange(len(dims)), dims)[perm]
+    model = _permuted(block_diag_model(rng, dims, 2), perm)
+    report = decompose(model)
+    assert verify_decomposition(report, model).ok
+    between = label[:, None] != label
+    for a in (report.recurrent, report.transient, report.max_support_state):
+        assert not a[between].any()
+    assert sorted(rec.dimension for rec in report.unique_enclosures) == sorted(dims)
+    for rec in report.unique_enclosures:
+        block = label == label[np.argmax(np.diag(rec.projector).real)]
+        assert np.array_equal(rec.projector, np.diag(block).astype(complex))
+        assert not _outside(rec.extremal_state, block, block).any()
+
+
+def test_a_family_reports_exact_zeros_outside_its_members():
+    # conjugated_pair_channel's family of two 3-dimensional members beside a
+    # dense 2-level channel, under a coordinate permutation: E_F(D) from the
+    # kernel basis has exact zeros between the members, so each member is
+    # its coordinates' projector, the block projector is zero outside the
+    # pair, and the isometry a -> b outside member b's rows and a's columns.
+    rng = np.random.default_rng(67)
+    pair, other = conjugated_pair_channel(rng, 3, 2), random_channel(rng, 2, 2)
+    perm = rng.permutation(8)
+    kraus = [scipy.linalg.block_diag(v, u) for v, u in zip(pair.kraus, other.kraus)]
+    channel = _permuted(KrausChannel.create(kraus), perm)
+    report = decompose(channel)
+    assert verify_decomposition(report, channel).ok
+    (family,) = report.families
+    in_pair = perm < 6
+    assert not _outside(family.block_projector, in_pair, in_pair).any()
+    members = [np.diag(rec.projector).real == 1 for rec in family.members]
+    assert sorted(map(tuple, members)) == sorted([tuple(perm < 3), tuple(in_pair & (perm >= 3))])
+    for rec, member in zip(family.members, members):
+        assert np.array_equal(rec.projector, np.diag(member).astype(complex))
+    for (a, b), q in family.isometries.items():
+        assert not _outside(q, members[b], members[a]).any()
 
 
 def _dense_cutoff(model, p_r):

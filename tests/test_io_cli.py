@@ -45,6 +45,7 @@ from helpers import (
     random_model,
     renewal_pair_channel,
     tilted_hamiltonian_model,
+    weak_drain,
 )
 
 
@@ -270,19 +271,13 @@ def test_cli_analyze_weak_block_coupling_never_exits_0_unverified(tmp_path, caps
     assert "verification: ok" not in out
 
 
-def _weak_drain(amplitude):
-    """leaky-5 with its drain jump scaled by ``amplitude``: drain rate amplitude²."""
-    base = leaky_model(np.random.default_rng(1), 5, 2)
-    return LindbladModel.create(base.hamiltonian, [*base.jumps[:-1], amplitude * base.jumps[-1]])
-
-
 def test_cli_analyze_weak_drain_reports_its_transient_level(tmp_path, capsys):
     # A 4-level generic block drained from a fifth level at rate 1e-6. Stage
     # 1 factors the drained level's coherences as a sector of their own, and
     # the kernel vector from the remaining sector leaks about 3e-10 into the
     # transient level: verification's recurrent_support clause, well inside
     # residual_tol. extremal_state reads ker L compressed to the enclosure.
-    model = _weak_drain(1e-3)
+    model = weak_drain(1e-3)
     doc = {
         "mode": "lindblad",
         "dim": 5,
@@ -345,7 +340,7 @@ VERIFIED_AT_UNIT_SCALE = {
 ILL_CONDITIONED_MODELS = {
     "coupled-1e-6": lambda: _coupled_blocks(1e-6),
     "coupled-1e-8": lambda: _coupled_blocks(1e-8),
-    "drain-1e-8": lambda: _weak_drain(1e-4),
+    "drain-1e-8": lambda: weak_drain(1e-4),
 }
 
 

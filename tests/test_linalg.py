@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enclosure_atlas.linalg as linalg_module
 from enclosure_atlas.linalg import (
@@ -223,6 +225,57 @@ def test_psd_project_and_support_projector_share_one_noise_rule():
         p = support_projector(rho)
         assert np.linalg.norm((np.eye(3) - p) @ rho) <= 1e-15, k
         assert round(np.trace(p).real) == (3 if k == 20 else 2), k
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**16),
+)
+def test_split_eigh_agrees_with_numpy_and_keeps_each_eigenvector_in_one_component(
+    n, real, split, sparse, seed
+):
+    # A random Hermitian matrix, zero between random diagonal blocks and at
+    # random entries inside them, under a random coordinate permutation.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + (0 if real else 1j) * rng.standard_normal((n, n))
+    block = np.cumsum(rng.random(n) < split)
+    a[(block[:, None] != block) | (rng.random((n, n)) < sparse)] = 0
+    perm = rng.permutation(n)
+    a = (a + a.conj().T)[perm][:, perm]
+    w, v = linalg_module._eigh(a)
+    scale = np.linalg.norm(a, 2)
+    assert v.dtype == np.linalg.eigh(a)[1].dtype
+    assert np.all(np.diff(w) >= 0)
+    assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * scale
+    assert np.abs(a @ v - v * w).max() <= 1e-12 * scale
+    assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
+    roots = linalg_module._sector_roots(a)
+    assert all(np.unique(roots[col != 0]).size == 1 for col in v.T)
+
+
+def test_range_projector_is_exact_only_on_as_many_coordinates_as_its_rank():
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q = np.linalg.qr(g)[0]
+    for cols in (3, 2):
+        v = np.zeros((6, cols), dtype=complex)
+        v[[0, 2, 5]] = q[:, :cols]
+        p = linalg_module._range_projector(v)
+        if cols == 3:  # three columns on three coordinates: exactly their projector
+            assert np.array_equal(p, np.diag([1, 0, 1, 0, 0, 1]).astype(complex))
+        else:  # two columns on three coordinates: v v†, zero outside them
+            assert np.array_equal(p, v @ v.conj().T)
+            assert not np.isin(p, [0, 1]).all()
+    # a faithful state's support is exactly 1; a block state's, its coordinates
+    rho = psd_project(g @ g.conj().T)
+    assert np.array_equal(support_projector(rho), np.eye(3))
+    state = np.zeros((5, 5), dtype=complex)
+    state[np.ix_([0, 3, 4], [0, 3, 4])] = rho
+    assert np.array_equal(support_projector(state), np.diag([1, 0, 0, 1, 1]).astype(complex))
 
 
 def test_psd_project_errors():
