@@ -289,22 +289,21 @@ def algebra_structure(
     Kojima, Japan J. Indust. Appl. Math. 27, 2010): the eigenspaces of a
     Hermitian one are the minimal projections, and the corners of a generic
     complex one group them into blocks and give the links
-    (``_link_clusters``). The first Hermitian one is E_F(D), the HS
-    projection of D = diag(0, 1, …, n−1) onto F: A_b ⊗ 1_d on block b, with
-    A_b generically nondegenerate, so the members depend only on the
-    dynamics and the input basis. It is solved from the compressed ker L†
-    elements, so the zeros they share with D stay exact (``_eigh``), and a
-    member on coordinates is their projector (``_range_projector``). Each
-    member's eigenvectors turned by its link form a basis V in which the
-    sample claims F = ⊕_b M_{m_b} ⊗ 1_{d_b}, block by block. The
-    ``algebra_closure`` residual is the distance of V† f V from that form
-    over the orthonormal basis of F (``_block_form_distance``): it is 0
-    exactly when F lies in the claimed
-    algebra, and since 1_R is in F and ‖link‖_F = √d, only when every link
-    is unitary. A sample is accepted when Σ m_b² = dim F and the closure is
-    at most residual_tol, which proves F equal to the claimed algebra;
-    otherwise up to four samples with a generic Hermitian element from a
-    fixed generator follow, then an error is raised.
+    (``_link_clusters``). The first Hermitian one is E_F(D), the HS projection
+    of D = diag(0, 1, …, n−1) onto F: A_b ⊗ 1_d on block b, with A_b
+    generically nondegenerate, so the members depend only on the dynamics and
+    the input basis. It is solved from the compressed ker L† elements, so the
+    zeros they share with D stay exact (``_eigh``), and a member on
+    coordinates is their projector (``_range_projector``). Each member's
+    eigenvectors turned by its link form a basis V in which the sample claims
+    F = ⊕_b M_{m_b} ⊗ 1_{d_b}, block by block. The ``algebra_closure``
+    residual is the distance of V† f V from that form over the orthonormal
+    basis of F (``_block_form_distance``): it is 0 exactly when F lies in the
+    claimed algebra, and since 1_R is in F and ‖link‖_F = √d, only when every
+    link is unitary. A sample is accepted when Σ m_b² = dim F and the closure
+    is at most residual_tol, which proves F equal to the claimed algebra;
+    otherwise up to four samples with a generic Hermitian element from a fixed
+    generator follow, then an error is raised.
 
     The fixed points are P_R Y P_R for Y in ker L† (``adjoint_kernel``, as
     columns): every invariant state lives in R, so compression to R is
