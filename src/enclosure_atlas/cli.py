@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .decomposition import DecompositionError, decompose, verify_decomposition
@@ -69,6 +70,7 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("-o", "--output", default=None, help="write the report to a file")
 
 
+@functools.cache  # nothing changes the parser once built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enclosure-atlas",

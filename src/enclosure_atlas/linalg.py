@@ -266,12 +266,16 @@ def _sector_roots(m: np.ndarray) -> np.ndarray:
     symmetric nonzero pattern (m != 0) | (m != 0)ᵀ. Only exact zeros
     separate coordinates.
 
-    Every coordinate starts with its own label and repeatedly takes the
-    smallest label among its neighbours, then its label's label (pointer
-    jumping); at the fixed point each component carries its smallest
-    coordinate.
+    When coordinate 0 touches every other coordinate (row 0 or column 0 is
+    nonzero there) in every matrix, the pattern is connected and every label
+    is 0, read from that row and column alone. Otherwise every coordinate
+    starts with its own label and repeatedly takes the smallest label among
+    its neighbours, then its label's label (pointer jumping); at the fixed
+    point each component carries its smallest coordinate.
     """
     size = m.shape[-1]
+    if size and ((m[..., 0, 1:] != 0) | (m[..., 1:, 0] != 0)).all():  # a hub: one sector
+        return np.zeros(m.shape[:-1], dtype=int)
     pattern = m != 0
     pattern |= pattern.swapaxes(-1, -2)
     labels = np.broadcast_to(np.arange(size), m.shape[:-1])
@@ -299,9 +303,15 @@ def _pair_roots(m: np.ndarray, n: int) -> np.ndarray:
     ``_hermitian_pairs``), node rows and columns the OR of the pattern's at
     the node's vec indices (i, k) and (k, i), ORed a block of nodes at a
     time. A coordinate of M = T† m T is read from its node's vec indices
-    alone, so M has no nonzero between two components."""
+    alone, so M has no nonzero between two components. Node 0, vec index 0
+    alone, touches every node where m's row 0 or column 0 is nonzero at the
+    node's vec indices; when that is every other node, every label is 0 and
+    nothing is folded."""
     diag, p, q = _hermitian_pairs(n)
     at_p, at_q = np.concatenate([diag, p]), np.concatenate([diag, q])
+    hub = (m[0] != 0) | (m[:, 0] != 0)
+    if (hub[at_p] | hub[at_q])[1:].all():
+        return np.zeros(at_p.size, dtype=int)
     folded = np.empty((at_p.size, at_p.size), dtype=bool)
     step = max(_FOLD_NODES, _GATHER_BYTES // (32 * m.shape[1]))
     for lo in range(0, at_p.size, step):
@@ -487,7 +497,9 @@ def real_null_spaces(
                 if free.size:
                     bound, sketch[free] = _sigma_min_bound(block[free], rng, 0)
                     dim[free[bound > cut]] = 0
-                residual = np.linalg.norm(np.einsum("cji,cj->ci", block, y), axis=1)
+                # y is zero past each sector's diagonal coordinates, which come first
+                lead = slice(diagonal.sum(axis=1).max())
+                residual = np.linalg.norm(np.einsum("cji,cj->ci", block[:, lead], y[:, lead]), axis=1)
                 rest = np.flatnonzero(traced & (residual <= cut))
                 if rest.size:
                     certify(rest, y[rest, :, None], True)

@@ -135,6 +135,26 @@ def unblocked_gather(m):
     return real, float(np.sqrt(imag_sq))
 
 
+def search_sector_roots(m):
+    """Each coordinate's smallest connected coordinate in the symmetric
+    nonzero pattern of a square matrix, or of each matrix in a stack, by
+    breadth-first search from each coordinate not yet reached, ascending:
+    the reference for ``_sector_roots``."""
+    pattern = (m != 0) | (m != 0).swapaxes(-1, -2)
+    roots = np.full(pattern.shape[:-1], -1)
+    for at in np.ndindex(pattern.shape[:-2]):
+        adjacent, labels = pattern[at], roots[at]  # labels: a view of roots
+        for start in range(labels.size):
+            if labels[start] >= 0:
+                continue
+            labels[start], queue = start, [start]
+            for i in queue:  # grows as the search reaches new coordinates
+                new = np.flatnonzero(adjacent[i] & (labels < 0))
+                labels[new] = start
+                queue.extend(new.tolist())
+    return roots
+
+
 def choi_matrix(channel):
     """Choi matrix sum_j vec(V_j) vec(V_j)† in the column-stacking convention:
     the dense oracle for ``choi_min_eigenvalue``."""

@@ -75,6 +75,7 @@ from helpers import (
     random_rate_matrix,
     random_unitary,
     renewal_pair_channel,
+    search_sector_roots,
     tilted_hamiltonian_model,
     unblocked_gather,
     unit,
@@ -598,6 +599,36 @@ def test_pattern_fold_holds_no_pattern_of_the_superoperator():
     for model in (random_model(rng, n, 2), minimal_oqrw(random_rate_matrix(rng, n, 0.1))):
         m = build_generator(model).matrix
         assert _traced_peak(linalg_module._pair_roots, m, n) <= 0.08 * 16 * n**4
+
+
+def test_an_unsplit_model_is_labelled_from_one_row_and_one_column():
+    # In a dense model coordinate 0 touches every other coordinate, in L's
+    # fold and in M, so neither stage-1 labelling forms a pattern: M's alone
+    # is n⁴ bytes, 0.0625 of 16 n⁴, and the blocked fold peaks at 0.057.
+    n = 24
+    m = build_generator(random_model(np.random.default_rng(99), n, 2)).matrix
+    ((_, blocks),) = linalg_module.gather_sectors(m)
+    assert blocks.shape == (1, n * n, n * n)
+    assert _traced_peak(linalg_module._pair_roots, m, n) <= 0.005 * 16 * n**4
+    assert _traced_peak(linalg_module._sector_roots, blocks) <= 0.005 * 16 * n**4
+
+
+def test_pair_roots_are_the_labels_of_the_whole_fold():
+    # The fold of the whole pattern at once, labelled by a breadth-first
+    # search: node 0 touches every node for a dense model and channel, not
+    # for a leaky model (the drained level's coherences split off) or a walk.
+    rng = np.random.default_rng(100)
+    models = [(random_model(rng, 7, 2), True), (random_channel(rng, 7, 2), True)]
+    models += [(leaky_model(rng, 7, 2), False)]
+    models += [(minimal_oqrw(random_rate_matrix(rng, 6, 0.5)), False)]
+    for model, hub in models:
+        m, n = build_generator(model).matrix, model.dim
+        diag, p, q = linalg_module._hermitian_pairs(n)
+        at_p, at_q = np.concatenate([diag, p]), np.concatenate([diag, q])
+        rows = (m[at_p] != 0) | (m[at_q] != 0)
+        folded = rows[:, at_p] | rows[:, at_q]
+        assert (folded[0, 1:] | folded[1:, 0]).all() == hub
+        assert np.array_equal(linalg_module._pair_roots(m, n), search_sector_roots(folded))
 
 
 def test_verify_builds_no_channel_superoperator(monkeypatch):

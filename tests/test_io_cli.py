@@ -784,6 +784,40 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    # main builds its parser once per process: each call, after any other,
+    # gives the exit code and the bytes a fresh interpreter gives, a usage
+    # error (argparse exits 2) and a validation error included.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    chain = write_fixture(tmp_path, "two-state-chain")
+    two = write_fixture(tmp_path, "two-enclosures-2d")
+    calls = [
+        ["examples", "faithful-2d"],
+        ["analyze", chain, "--format", "structured"],
+        ["analyze", "--format", "yaml", two],
+        ["analyze", two, "--format", "structured"],
+        ["identifiability", two, "--mode", "continuous"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "enclosure_atlas.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert codes == [0, 2, 2, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_cli_analyze_leaves_scipy_unloaded(tmp_path):
     # Stage 1 factors with numpy alone, so analyze, not only the import,
     # starts no scipy. The leaky model has a kernel-free sector and a

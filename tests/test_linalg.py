@@ -24,6 +24,7 @@ from helpers import (
     PAULI_X,
     PAULI_Y,
     gather_models,
+    search_sector_roots,
     unblocked_gather,
     unit,
 )
@@ -255,6 +256,43 @@ def test_split_eigh_agrees_with_numpy_and_keeps_each_eigenvector_in_one_componen
     assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 1e-12
     roots = linalg_module._sector_roots(a)
     assert all(np.unique(roots[col != 0]).size == 1 for col in v.T)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 7),
+    st.integers(1, 4),
+    st.booleans(),
+    st.sampled_from(["hub", "near", "mixed", "free"]),
+    st.floats(0.0, 0.8),
+    st.integers(0, 2**16),
+)
+def test_sector_roots_match_a_breadth_first_search(size, count, real, plant, density, seed):
+    # Stacks of random exact-zero patterns, real or complex (an entry whose
+    # real or imaginary half alone is zero still counts), with coordinate 0
+    # planted as a hub (row 0 or column 0 nonzero at every other coordinate)
+    # in every matrix, in none, or in some; "near" hubs lack one edge, and
+    # half of those lose every edge of that coordinate, so they split.
+    rng = np.random.default_rng(seed)
+    shape = (count, size, size)
+    m = rng.standard_normal(shape) * (rng.random(shape) < density)
+    if not real:
+        m = m * (rng.random(shape) < 0.7) + 1j * m * (rng.random(shape) < 0.7)
+    kinds = {"hub": [1] * count, "near": [2] * count, "free": [0] * count}
+    for b, kind in enumerate(kinds.get(plant, rng.integers(0, 3, count))):
+        if kind and size > 1:
+            side = rng.random(size) < 0.5
+            m[b, 0, 1:][side[1:]] = 1 + rng.random(np.count_nonzero(side[1:]))
+            m[b, 1:, 0][~side[1:]] = 1 + rng.random(np.count_nonzero(~side[1:]))
+        if kind == 2 and size > 1:
+            j = rng.integers(1, size)
+            m[b, 0, j] = m[b, j, 0] = 0
+            if rng.random() < 0.5:
+                m[b, j], m[b, :, j] = 0, 0
+    roots = linalg_module._sector_roots(m)
+    assert roots.shape == (count, size) and roots.dtype.kind == "i"
+    assert np.array_equal(roots, search_sector_roots(m))
+    assert np.array_equal(linalg_module._sector_roots(m[0]), search_sector_roots(m[0]))
 
 
 def test_range_projector_is_exact_only_on_as_many_coordinates_as_its_rank():
