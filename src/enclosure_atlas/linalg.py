@@ -211,13 +211,15 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sigma_min_bound(a: np.ndarray, rng: np.random.Generator, width: int) -> tuple:
     """A lower bound on σ_min of each matrix in a stack, 1 / (10·√(2/π)·maxᵢ
-    ‖A⁻¹ωᵢ‖), and A⁻¹[E, Ω] for E the last ``width`` unit vectors: one LU each."""
+    ‖A⁻¹ωᵢ‖), and A⁻¹[E, Ω] for E the last ``width`` unit vectors: one LU each.
+    A zero pivot's NaN fails the bound and reads 0 in the solves."""
     count, size, _ = a.shape
     rhs = np.zeros((count, size, width + _PROBES))
     rhs[:, size - width :, :width] = np.eye(width)
     rhs[..., width:] = rng.standard_normal((count, size, _PROBES))
     sol = _solve(a, rhs)
-    return 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., width:], axis=1).max(axis=1)), sol
+    bound = 1 / (_PROBE_FACTOR * np.linalg.norm(sol[..., width:], axis=1).max(axis=1))
+    return bound, np.where(np.isfinite(sol), sol, 0)
 
 
 def _bordered_kernels(
@@ -249,7 +251,7 @@ def _bordered_kernels(
     pair[..., :size, size:], pair[..., size:, :size] = border, border.transpose(0, 2, 1)
     pair = pair.reshape(sides * count, size + d, size + d)
     bound, sol = _sigma_min_bound(pair, rng, d)
-    sol = np.where(np.isfinite(sol), sol, 0)[:, :size, :d]  # a zero pivot's NaN fails the bound
+    sol = sol[:, :size, :d]
     if left_known:
         basis = sol / np.maximum(np.linalg.norm(sol, axis=1, keepdims=True), np.finfo(float).tiny)
     else:
@@ -447,29 +449,28 @@ def real_null_spaces(
     which L → cL multiplies by c), and at least the smallest normal float,
     so the zero map's cut is positive. Per stack, the sectors of one size
     are stacked, sizes ascending, roots ascending. Per stack and size, in
-    this order: one LU with Gaussian probes Ω
-    (``_sigma_min_bound``) of each coherence sector (no diagonal
-    coordinate), kernel-free when that bound on σ_min exceeds the cut; the
-    bordered certificate ``_bordered_kernels`` of each sector S that holds a
-    diagonal coordinate and has ‖Sᵀy‖ <= cut, with the normalized
-    restriction y of y₀ = T† vec(1) (1 on the diagonal coordinates) as its
-    known left border, since a trace-preserving map has m†(1) = 0 (in the
-    gathered buffer when they are all of an undivided stack); one probe LU
-    of each such sector the border left open. The probe solves S⁻¹Ω of an
-    undecided sector are its sketch: the 0 < d < 10 of its directions that
-    grew past 1/cut (from a QR and an SVD of its 10 × 10 factor) border S
-    and Sᵀ in the same certificate, one call per d. The probes come from a
-    generator fixed here. The other sectors (a value near the cut, an exact
-    zero pivot, ten kernel directions, a Jordan block at 0) are factored by
-    one batched real SVD, whose trailing singular vectors span their
-    kernels. Kernel vectors are embedded at their sector's coordinates;
-    columns come ordered by sector (smallest coordinate first), and mapped
-    back through T every basis vector is vec of a Hermitian matrix.
+    this order: the bordered certificate ``_bordered_kernels`` of each
+    sector S that holds a diagonal coordinate and has ‖Sᵀy‖ <= cut, with
+    the normalized restriction y of y₀ = T† vec(1) (1 on the diagonal
+    coordinates) as its known left border, since a trace-preserving map has
+    m†(1) = 0 (in the gathered buffer when they are all of an undivided
+    stack); one LU with Gaussian probes Ω (``_sigma_min_bound``) of every
+    sector still open, kernel-free when that bound on σ_min exceeds the
+    cut, whatever its kind. The probe solves S⁻¹Ω of the others are their
+    sketches: the 0 < d < 10 directions that grew past 1/cut (from a QR
+    and an SVD of its 10 × 10 factor) border S and Sᵀ in the same
+    certificate, one call per d. The probes come from a generator fixed
+    here. The other sectors (a value near the cut, an exact zero pivot,
+    ten kernel directions, a Jordan block at 0) are factored by one
+    batched real SVD, whose trailing singular vectors span their kernels.
+    Kernel vectors are embedded at their sector's coordinates; columns
+    come ordered by sector (smallest coordinate first), and mapped back
+    through T every basis vector is vec of a Hermitian matrix.
     """
     n = isqrt(sum(coords.size for coords, _ in stacks))
     cut = max(tol.rank_tol * scale, np.finfo(float).tiny)
     rng = np.random.default_rng(0)
-    owners, right, left = [], [], []
+    owners, right, left = [np.zeros(0, int)], [np.zeros((n * n, 0))], [np.zeros((n * n, 0))]
     for coords, blocks in stacks:
         roots = np.take_along_axis(coords, _sector_roots(blocks), axis=1).ravel()
         order = np.argsort(roots, kind="stable")
@@ -481,9 +482,8 @@ def real_null_spaces(
             sub = (member[:, :1, None], local[:, :, None], local[:, None, :])
             block = blocks if pos.shape == coords.shape else blocks[sub]  # no block splits
             diagonal = idx < n
-            traced = diagonal.any(axis=1)
             y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
-            dim, sketch = np.full(len(idx), -1), np.zeros((len(idx), size, _PROBES))
+            dim = np.full(len(idx), -1)
             found = []  # (sector rows of idx, right and left kernel vectors), one vector a row
 
             def certify(sectors, border, left_known):
@@ -493,23 +493,19 @@ def real_null_spaces(
                 found.append((np.repeat(sectors[ok], d), *vecs))
 
             with np.errstate(all="ignore"):
-                free = np.flatnonzero(~traced)
-                if free.size:
-                    bound, sketch[free] = _sigma_min_bound(block[free], rng, 0)
-                    dim[free[bound > cut]] = 0
                 # y is zero past each sector's diagonal coordinates, which come first
                 lead = slice(diagonal.sum(axis=1).max())
                 residual = np.linalg.norm(np.einsum("cji,cj->ci", block[:, lead], y[:, lead]), axis=1)
-                rest = np.flatnonzero(traced & (residual <= cut))
+                rest = np.flatnonzero(diagonal.any(axis=1) & (residual <= cut))
                 if rest.size:
                     certify(rest, y[rest, :, None], True)
-                again = np.flatnonzero(traced & (dim < 0))
-                if again.size:
-                    sketch[again] = _sigma_min_bound(block[again], rng, 0)[1]
+                probe = np.flatnonzero(dim < 0)
+                if probe.size:
+                    bound, sketch = _sigma_min_bound(block[probe], rng, 0)
+                    dim[probe[bound > cut]] = 0
                 undecided = np.flatnonzero(dim < 0)
-                if undecided.size:
-                    sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
-                    q, r = np.linalg.qr(sketched)
+                if undecided.size:  # the probed sectors still open: their solves are the sketch
+                    q, r = np.linalg.qr(sketch[dim[probe] < 0])
                     u, sigma, _ = np.linalg.svd(r)
                     width = np.count_nonzero(sigma > 1 / cut, axis=1)
                     # sorted(set(...)): np.unique without indices imports numpy.ma on numpy 2.

@@ -352,17 +352,18 @@ def _sector_decisions(stage, n2, widths=None):
     """Check that one null_spaces run (its ``_factor_spy`` records) decided
     every sector exactly once, in stage 1's order: coarse stack by coarse
     stack, in the gather's order, and in each, size by size ascending. Per
-    stack of same-size sectors, sector roots ascending: one probe LU of the
-    coherence sectors (no diagonal coordinate), kernel-free where the probe
-    bound exceeds the cut; at most one bordered LU of each other sector, the
-    certificate with the trace functional y as its known left border, of
-    exactly the sectors S with ‖Sᵀy‖ <= cut, which decides a
-    one-dimensional kernel or nothing; one probe LU of each of those left
-    undecided. The undecided sectors' probe solves, their sketches, take one
-    small SVD, and the sectors whose sketch finds 0 < d < 10 directions past
-    1/cut one LU of their rank-d border and one of its transpose, one
-    certificate per d, d ascending. One SVD factors exactly the sectors left.
-    Every factorization is real and the sectors cover n2 coordinates.
+    stack of same-size sectors, sector roots ascending: at most one bordered
+    LU of each sector that holds a diagonal coordinate, the certificate with
+    the trace functional y as its known left border, of exactly the sectors
+    S with ‖Sᵀy‖ <= cut, which decides a one-dimensional kernel or nothing;
+    one probe LU of every sector still open, traced or coherence (no
+    diagonal coordinate), kernel-free where the probe bound exceeds the cut.
+    The probe solves of the sectors still undecided, their sketches, are
+    finite and take one small SVD, and the sectors whose sketch finds
+    0 < d < 10 directions past 1/cut one LU of their rank-d border and one
+    of its transpose, one certificate per d, d ascending. One SVD factors
+    exactly the sectors left. Every factorization is real and the sectors
+    cover n2 coordinates.
     Returns (size, decision) per sector: 0 or 1 from a probe or the trace
     functional's border, ("sketch", d) from a rank-d border, or "svd".
     ``widths``, if given, gets the sketch's d of each undecided sector, an
@@ -396,27 +397,24 @@ def _sector_decisions(stage, n2, widths=None):
             y = diagonal / np.sqrt(np.maximum(diagonal.sum(axis=1, keepdims=True), 1))
             sty = np.einsum("cji,cj->ci", real[idx[:, :, None], idx[:, None, :]], y)
             bordered = np.flatnonzero(traced & (np.linalg.norm(sty, axis=1) <= cut))
-            dims, sketch = np.full(traced.size, -1), np.zeros((traced.size, size, probes))
-            free = np.flatnonzero(~traced)
-            if free.size:
-                lus, (bound, sketch[free]) = take("probe")
-                assert lus == [size] * free.size
-                dims[free[bound > cut]] = 0
+            dims = np.full(traced.size, -1)
             if bordered.size:
                 lus, (sectors, d, left_known, ok) = take("border")
                 assert left_known and d == 1 and np.array_equal(sectors, bordered)
                 assert lus == [size + 1] * sectors.size
                 dims[sectors[ok]] = 1
-            again = np.flatnonzero(traced & (dims < 0))
-            if again.size:
-                lus, (_, sketch[again]) = take("probe")
-                assert lus == [size] * again.size
+            probed = np.flatnonzero(dims < 0)
+            if probed.size:
+                lus, (bound, sketch) = take("probe")
+                assert lus == [size] * probed.size
+                dims[probed[bound > cut]] = 0
             decided = [int(d) if d >= 0 else "svd" for d in dims]
             undecided = np.flatnonzero(dims < 0)
             if undecided.size:
                 assert stage[pos][:2] == ("svd", (undecided.size, min(size, probes), probes))
                 pos += 1
-                sketched = np.where(np.isfinite(sketch[undecided]), sketch[undecided], 0)
+                sketched = sketch[dims[probed] < 0]
+                assert np.isfinite(sketched).all()
                 found = np.count_nonzero(_SVD(np.linalg.qr(sketched)[1])[1] > 1 / cut, axis=1)
                 for d in sorted(set(found[(found > 0) & (found < probes)].tolist())):
                     lus, (sectors, width, left_known, ok) = take("border")
@@ -1037,6 +1035,43 @@ def test_null_spaces_left_kernel_off_the_trace_functional_needs_svd(monkeypatch)
     assert _sector_decisions(calls, 4) == [(1, 0), (1, 0), (2, ("sketch", 1))]
     assert [c[1] for c in calls if c[0] == "lu"] == [(2, 1, 1), (1, 2, 2), (2, 3, 3)]
     assert np.allclose(np.abs(unvec(left[:, 0])), unit(1, 1), atol=1e-12)
+
+
+def test_null_spaces_probe_traced_and_coherence_sectors_of_one_size_together(monkeypatch):
+    # n = 3, M = T† L T real and block-diagonal in the Hermitian coordinates
+    # (diag 0..2, sym (0,1) (0,2) (1,2), anti (0,1) (0,2) (1,2)). Diag 0,
+    # pairs (1,2) and (0,2) form one coarse stack of width 5 with sectors
+    # {diag 0, sym(1,2)}, {anti(0,2), anti(1,2)} and {sym(0,2)}: one traced
+    # and one coherence sector of size 2. Diag 0's row is zero, so y is an
+    # exact left kernel and the border certifies that sector first; then one
+    # probe LU takes the coherence sector, kernel-free. Diag 1 is a traced
+    # sector with ‖Sᵀy‖ = 1: no border, and its probe bound makes it
+    # kernel-free like any coherence sector.
+    blocks = {
+        (0, 5): [[0.0, 0.0], [1.0, 2.0]],
+        (7, 8): [[2.0, 1.0], [-1.0, 3.0]],
+        (4,): [[-1.5]],
+        (1,): [[-1.0]],
+        (2,): [[0.0]],
+        (3, 6): [[-1.0, 0.5], [0.5, -1.0]],
+    }
+    real = np.zeros((9, 9))
+    for at, block in blocks.items():
+        real[np.ix_(at, at)] = block
+    t = _hermitian_coordinates(3)
+    mat = t @ real @ t.conj().T
+    _assert_matches_sector_svd_oracle(mat)
+    calls = _factor_spy(monkeypatch)
+    kern, left = null_spaces(mat)
+    decisions = _sector_decisions(calls, 9)
+    assert decisions == [(1, 0), (1, 1), (2, 0), (1, 0), (2, 1), (2, 0)]
+    # in the width-5 stack's size-2 group, the bordered LU comes before the
+    # one probe LU of every sector it left open
+    assert [c[1] for c in calls if c[0] == "lu"] == [
+        (1, 2, 2), (1, 1, 1), (1, 2, 2), (1, 1, 1), (1, 3, 3), (1, 2, 2)
+    ]
+    assert kern.shape[1] == left.shape[1] == 2
+    assert np.array_equal(unvec(left[:, 0]), np.diag([1.0, 0.0, 0.0]).astype(complex))
 
 
 def test_null_spaces_bordered_bound_rules_out_a_second_small_value(monkeypatch):

@@ -14,6 +14,7 @@ from enclosure_atlas.cli import main
 from enclosure_atlas.decomposition import decompose, verify_decomposition
 from enclosure_atlas.fixtures import (
     FIXTURES,
+    _model_doc,
     faithful_2d,
     fixture_document,
     two_enclosures_2d,
@@ -35,14 +36,16 @@ from enclosure_atlas.io import (
 )
 from enclosure_atlas.identifiability import QndModel
 from enclosure_atlas.linalg import Tolerances
-from enclosure_atlas.oqrw import RateMatrix
+from enclosure_atlas.oqrw import RateMatrix, minimal_oqrw
 from enclosure_atlas.semigroup import KrausChannel, LindbladModel, validate
 
 from helpers import (
     block_diag_model,
+    conjugated_pair_model,
     leaky_model,
     random_channel,
     random_model,
+    random_rate_matrix,
     renewal_pair_channel,
     tilted_hamiltonian_model,
     weak_drain,
@@ -847,6 +850,81 @@ def test_cli_analyze_leaves_scipy_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "[0, 0] False"
+
+
+def _report_leaves(doc, path=()):
+    """(path, value) of every leaf of a parsed report, depth first."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _report_leaves(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _report_leaves(value, (*path, i))
+    else:
+        yield path, doc
+
+
+def test_reports_agree_across_blas_thread_counts(tmp_path):
+    # Reports are byte-identical for one BLAS build and thread setting, not
+    # across thread counts: stage 1's stacked LU solves round differently.
+    # Two child processes, with OPENBLAS_NUM_THREADS=1 and =2, analyze a
+    # dense n = 24 model, a leaky n = 12 model, a conjugated pair with
+    # d = 8, a channel with n = 12 and a minimal walk with n = 24. They
+    # give the same exit codes, shapes and verification. Every float that
+    # is not a residual agrees within 1e-12 of the largest entry of its
+    # object (the value of its innermost key), and each side's residuals
+    # are at most residual_tol.
+    rng = np.random.default_rng(1)
+    models = [
+        random_model(rng, 24, 2),
+        leaky_model(rng, 12, 2),
+        conjugated_pair_model(rng, 8, 2)[0],
+        random_channel(rng, 12, 2),
+        minimal_oqrw(random_rate_matrix(rng, 24)),
+    ]
+    paths = []
+    for i, model in enumerate(models):
+        paths.append(tmp_path / f"model-{i}.json")
+        paths[-1].write_text(serialize_report(_model_doc(model)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; from enclosure_atlas.cli import main; "
+        "print([main(['analyze', p, '--format', 'structured', '-o', f'{p}.{sys.argv[1]}']) "
+        "for p in sys.argv[2:]])"
+    )
+    codes = []
+    for threads in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", code, threads, *map(str, paths)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        codes.append(out.stdout.strip())
+    assert codes == ["[0, 0, 0, 0, 0]"] * 2
+    for p in paths:
+        one, two = (json.loads(p.with_name(f"{p.name}.{t}").read_text()) for t in "12")
+        assert one["verification"]["ok"] and two["verification"]["ok"], p.name
+        tol = one["decomposition"]["tolerances"]["residual_tol"]
+        leaves = [list(_report_leaves(doc)) for doc in (one, two)]
+        assert [at for at, _ in leaves[0]] == [at for at, _ in leaves[1]], p.name
+        keys = [[k for k in at if isinstance(k, str)] for at, _ in leaves[0]]
+        objects = [
+            at[: max(i for i, k in enumerate(at) if isinstance(k, str)) + 1] for at, _ in leaves[0]
+        ]
+        scale = {}
+        for obj, (_, x), (_, y) in zip(objects, *leaves):
+            if isinstance(x, float):
+                scale[obj] = max(scale.get(obj, 0.0), abs(x), abs(y))
+        for obj, names, (at, x), (_, y) in zip(objects, keys, *leaves):
+            if not isinstance(x, float):
+                assert x == y, (p.name, at)
+            elif any("residual" in k for k in names):
+                assert max(x, y) <= tol, (p.name, at)
+            else:
+                assert abs(x - y) <= 1e-12 * scale[obj], (p.name, at, x, y)
 
 
 # -- report writer: the standard encoder on one line ---------------------------
