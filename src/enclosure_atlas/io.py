@@ -2,7 +2,11 @@
 
 Model files are JSON documents with a "mode" of "lindblad", "kraus", "rates"
 or "qnd". Complex matrices are nested arrays of [re, im] pairs; rate matrices
-are plain real arrays. A report's text is exactly
+are plain real arrays. Two readers take every number from a file: ``_entry``
+reads one number or one [re, im] pair, and ``_parse_rows`` one nested array
+of them. A number is a JSON int or float, never a bool. A malformed array is
+a ModelFileError naming its first short row or bad entry; a well-formed one
+of the wrong shape fails the model's shape check. A report's text is exactly
 ``json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"``: one line,
 sorted keys and shortest-repr floats, so identical inputs produce
 byte-identical documents that round-trip exactly. For a readable view of a
@@ -38,6 +42,7 @@ if TYPE_CHECKING:  # analyze loads neither module; the parse branches import wha
 MODES = ("lindblad", "kraus", "rates", "qnd")
 _echo = reprlib.Repr()  # an offending value in a message: two levels, three items each
 _echo.maxlevel, _echo.maxlist, _echo.maxdict = 2, 3, 3
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a number; a bool is not one
 
 
 class ModelFileError(ValueError):
@@ -54,61 +59,41 @@ def _require(doc: dict, field: str, path: str = ""):
     return doc[field]
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _out_of_range(field: str) -> ModelFileError:
-    return ModelFileError(f"field {field}: number out of float range")
-
-
-def _complex_entry(value, field: str) -> complex:
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
-        raise ModelFileError(f"field {field}: expected a [re, im] pair, got {_echo.repr(value)}")
+def _entry(value, field: str, pairs: bool = False):
+    """A number as a float or, if ``pairs``, an [re, im] pair as a complex."""
+    parts = value if pairs and isinstance(value, (list, tuple)) else [value]
+    if len(parts) != 1 + pairs or not set(map(type, parts)) <= _NUMBER_TYPES:
+        what = "a [re, im] pair" if pairs else "a number"
+        raise ModelFileError(f"field {field}: expected {what}, got {_echo.repr(value)}")
     try:
-        return complex(value[0], value[1])
+        return complex(*parts) if pairs else float(value)
     except OverflowError:
-        raise _out_of_range(field) from None
-
-
-def _real_entry(value, field: str) -> float:
-    if not _is_number(value):
-        raise ModelFileError(f"field {field}: expected a number, got {_echo.repr(value)}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise _out_of_range(field) from None
+        raise ModelFileError(f"field {field}: number out of float range") from None
 
 
 def _parse_rows(data, field: str, pairs: bool) -> np.ndarray:
     """A rectangular nested array of numbers, or of [re, im] pairs if
     ``pairs``, as a float or complex array. One scan of the leaf types and
-    one np.array read a well-formed array; anything else is read entry by
-    entry, so that the error names the bad entry."""
-    what, entry = ("[re, im] pairs", _complex_entry) if pairs else ("numbers", _real_entry)
+    one np.array read a well-formed array, rows of no entries included;
+    anything else is read entry by entry up to its first short row or bad
+    entry, and the error names it."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        what = "[re, im] pairs" if pairs else "numbers"
         raise ModelFileError(f"field {field}: expected a nested array of {what}")
     try:
         leaves = chain.from_iterable(data)
-        if set(map(type, chain.from_iterable(leaves) if pairs else leaves)) <= {int, float}:
+        if set(map(type, chain.from_iterable(leaves) if pairs else leaves)) <= _NUMBER_TYPES:
             array = np.array(data, dtype=float)
-            if array.shape[2:] == (2,) * pairs:
-                return array.view(complex)[..., 0] if pairs else array
+            if array.shape[2:] == (2,) * pairs or array.shape[1:] == (0,):
+                return array.view(complex).reshape(array.shape[:2]) if pairs else array
     except (TypeError, ValueError, OverflowError):
         pass
-    width = len(data[0])
-    rows = []
+    width = len(data[0])  # not well formed: raise at the first short row or bad entry
     for i, row in enumerate(data):
         if len(row) != width:
             raise ModelFileError(f"field {field}: row {i} has length {len(row)}, expected {width}")
-        try:
-            rows.append([entry(v, field) for v in row])
-        except ModelFileError:
-            # Read the row again, naming each entry, so the error names the bad one.
-            for j, v in enumerate(row):
-                entry(v, f"{field}[{i}][{j}]")
-            raise
-    return np.array(rows, dtype=complex if pairs else float)
+        for j, value in enumerate(row):
+            _entry(value, f"{field}[{i}][{j}]", pairs)
 
 
 def parse_complex_matrix(data, field: str) -> np.ndarray:
@@ -149,7 +134,7 @@ def parse_model_document(doc) -> ParsedModel:
         unknown = set(tol_doc) - {f.name for f in dataclasses.fields(Tolerances)}
         if unknown:
             raise ModelFileError(f"unknown tolerance keys {sorted(unknown)}")
-        values = {k: _real_entry(v, f"tolerances.{k}") for k, v in tol_doc.items()}
+        values = {k: _entry(v, f"tolerances.{k}") for k, v in tol_doc.items()}
         try:
             tolerances = dataclasses.replace(DEFAULT_TOL, **values)
         except ValueError as exc:
@@ -161,19 +146,18 @@ def parse_model_document(doc) -> ParsedModel:
             raise ValidationError(f"field {field} has shape {mat.shape}, expected {(dim, dim)}")
         return mat
 
+    def squares(data, field, nonempty=False):
+        if not isinstance(data, list) or (nonempty and not data):
+            what = "a non-empty" if nonempty else "an"
+            raise ModelFileError(f"{field} must be {what} array of matrices")
+        return [square(m, f"{field}[{k}]") for k, m in enumerate(data)]
+
     try:
         if mode == "lindblad":
             h = square(_require(doc, "hamiltonian"), "hamiltonian")
-            jumps_doc = doc.get("jumps", [])
-            if not isinstance(jumps_doc, list):
-                raise ModelFileError("jumps must be an array of matrices")
-            jumps = [square(j, f"jumps[{k}]") for k, j in enumerate(jumps_doc)]
-            obj = LindbladModel.create(h, jumps, tolerances)
+            obj = LindbladModel.create(h, squares(doc.get("jumps", []), "jumps"), tolerances)
         elif mode == "kraus":
-            kraus_doc = _require(doc, "kraus")
-            if not isinstance(kraus_doc, list) or not kraus_doc:
-                raise ModelFileError("kraus must be a non-empty array of matrices")
-            kraus = [square(v, f"kraus[{k}]") for k, v in enumerate(kraus_doc)]
+            kraus = squares(_require(doc, "kraus"), "kraus", nonempty=True)
             obj = KrausChannel.create(kraus, tolerances)
         elif mode == "rates":
             from .oqrw import RateMatrix
@@ -191,7 +175,7 @@ def parse_model_document(doc) -> ParsedModel:
             energies = _require(qnd_doc, "energies", "qnd.")
             if not isinstance(energies, list) or len(energies) != dim:
                 raise ModelFileError(f"qnd.energies must be an array of length {dim}")
-            energies = [_real_entry(e, f"qnd.energies[{i}]") for i, e in enumerate(energies)]
+            energies = [_entry(e, f"qnd.energies[{i}]") for i, e in enumerate(energies)]
             amps_doc = _require(qnd_doc, "amplitudes", "qnd.")
             if not isinstance(amps_doc, list):
                 raise ModelFileError("qnd.amplitudes must be an array of channel rows")

@@ -11,6 +11,7 @@ from enclosure_atlas.linalg import (
     hermitian_part,
     real_null_spaces,
 )
+from enclosure_atlas.io import ModelFileError, _echo
 from enclosure_atlas.fixtures import (
     faithful_2d,
     rotation_channel,
@@ -319,3 +320,31 @@ def gather_models():
     yield conjugated_pair_channel(rng, 3, 2)
     yield renewal_pair_channel()
     yield minimal_oqrw(random_rate_matrix(rng, 7, density=0.9))
+
+
+def read_rows(data, field, pairs):
+    """The reference for ``io._parse_rows``: a nested array read entry by
+    entry in row order. It raises at the first malformed row or entry,
+    naming it as ``field[i][j]``, and otherwise builds the float (complex if
+    ``pairs``) array from ``float`` or ``complex`` of each entry. A number
+    is exactly an int or a float, never a bool."""
+    what = "[re, im] pairs" if pairs else "numbers"
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        raise ModelFileError(f"field {field}: expected a nested array of {what}")
+    number = lambda v: type(v) in (int, float)  # noqa: E731
+    width, rows = len(data[0]), []
+    for i, row in enumerate(data):
+        if len(row) != width:
+            raise ModelFileError(f"field {field}: row {i} has length {len(row)}, expected {width}")
+        rows.append([])
+        for j, v in enumerate(row):
+            name = f"{field}[{i}][{j}]"
+            if pairs and not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(number, v))):
+                raise ModelFileError(f"field {name}: expected a [re, im] pair, got {_echo.repr(v)}")
+            if not pairs and not number(v):
+                raise ModelFileError(f"field {name}: expected a number, got {_echo.repr(v)}")
+            try:
+                rows[-1].append(complex(v[0], v[1]) if pairs else float(v))
+            except OverflowError:
+                raise ModelFileError(f"field {name}: number out of float range") from None
+    return np.array(rows, dtype=complex if pairs else float)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import enclosure_atlas.cli as cli
 from enclosure_atlas.cli import main
@@ -24,6 +26,7 @@ from enclosure_atlas.io import (
     ModelFileError,
     ValidationError,
     _json,
+    _parse_rows,
     complex_matrix_to_json,
     decomposition_report_to_dict,
     load_model_file,
@@ -46,6 +49,7 @@ from helpers import (
     random_channel,
     random_model,
     random_rate_matrix,
+    read_rows,
     renewal_pair_channel,
     tilted_hamiltonian_model,
     weak_drain,
@@ -96,6 +100,63 @@ def test_parse_reads_the_same_values_as_entry_by_entry():
     assert parsed.dtype == complex and parsed.view(float).tobytes() == expected.view(float).tobytes()
     reals = [[0.5, -0.0], [2**63, 7]]
     assert parse_real_matrix(reals, "q").tobytes() == np.array(reals, dtype=float).tobytes()
+
+
+_FLOATS = st.one_of(st.integers(), st.floats(), st.sampled_from([-0.0, 2**53 + 1]))
+_HUGE = st.sampled_from([10**400, -(10**400), 2**1024])
+_NUMBERS = st.one_of(_FLOATS, _HUGE)
+_BAD = st.sampled_from([True, False, None, "1", {}, [], [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]])
+_LEAVES = st.one_of(
+    _NUMBERS,
+    _BAD,
+    st.text(max_size=2),
+    st.dictionaries(st.text(max_size=1), _NUMBERS, max_size=2),
+    st.lists(_NUMBERS, max_size=3),
+    st.lists(_NUMBERS, min_size=2, max_size=2),
+    st.lists(st.lists(_NUMBERS, max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _nested_arrays(draw, pairs):
+    """Arrays of numbers, or of [re, im] pairs if ``pairs``, rows of no
+    entries included. One entry in sixteen is a leaf that is no number, one
+    any leaf and one out of float range; two rows in sixteen have any
+    length, one is a leaf, and one array in ten is a leaf."""
+    if not draw(st.integers(0, 9)):
+        return draw(_LEAVES)
+    good = st.lists(_FLOATS, min_size=2, max_size=2) if pairs else _FLOATS
+    huge = _HUGE
+    if pairs:
+        huge = st.one_of(st.tuples(_HUGE, _FLOATS), st.tuples(_FLOATS, _HUGE)).map(list)
+    entries = (_BAD, _LEAVES, huge) + (good,) * 13
+    width, rows = draw(st.integers(0, 3)), []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.integers(0, 15))
+        length = draw(st.integers(0, 4)) if shape in (1, 2) else width
+        row = [draw(entries[draw(st.integers(0, 15))]) for _ in range(length)]
+        rows.append(draw(_LEAVES) if shape == 0 else row)
+    return rows
+
+
+def _read(reader, data, pairs):
+    try:
+        array = reader(data, "m", pairs)
+    except ModelFileError as exc:
+        return "ModelFileError", str(exc)
+    return array.dtype, array.shape, array.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_parse_rows_matches_the_entry_by_entry_reference(data):
+    # Same dtype, shape and bytes, or the same message naming the first bad
+    # row or entry: -0.0, 2**53 + 1 and NaN keep their bits, 10**400 is out
+    # of float range, and a bool, None, string, object or list of the wrong
+    # length is not a number or a pair.
+    for pairs in (False, True):
+        doc = data.draw(_nested_arrays(pairs))
+        assert _read(_parse_rows, doc, pairs) == _read(read_rows, doc, pairs)
 
 
 def test_parse_rejects_unknown_mode_and_missing_fields():
@@ -1080,20 +1141,32 @@ _QND = ["identifiability", "--mode", "qnd"]
         (lambda: {"mode": "x" * 10**5, "dim": 1}, ["analyze"], 1,
          "error: unknown mode 'xxxxxxxxxxxx...xxxxxxxxxxxxx'; "
          "expected one of ('lindblad', 'kraus', 'rates', 'qnd')"),
+        (lambda: dict(fixture_document("faithful-2d"), hamiltonian=[[]]), ["analyze"], 2,
+         "validation error: field hamiltonian has shape (1, 0), expected (2, 2)"),
+        (lambda: dict(fixture_document("faithful-2d"), jumps=[[[]]]), ["analyze"], 2,
+         "validation error: field jumps[0] has shape (1, 0), expected (2, 2)"),
+        (lambda: dict(fixture_document("rotation-channel"), kraus=[[[], []]]), ["analyze"], 2,
+         "validation error: field kraus[0] has shape (2, 0), expected (2, 2)"),
+        (lambda: dict(fixture_document("two-state-chain"), rates=[[], []]), ["oqrw"], 2,
+         "validation error: rates has shape (2, 0), expected (2, 2)"),
+        (lambda: _qnd_with(amplitudes=[[]]), _QND, 2,
+         "validation error: amplitudes must have shape (channels, 2), got (1, 0)"),
     ],
     ids=[
         "not-an-object", "tolerances", "jumps", "empty-kraus", "rates-shape", "qnd-object",
         "qnd-energies", "qnd-amplitudes", "qnd-empty-amplitudes", "qnd-split", "flat-array",
         "ragged-row", "oqrw-on-lindblad", "max-len-0", "nan-pair", "infinity-pair", "nan-rate",
         "infinity-rate", "not-utf-8", "rates-not-utf-8", "deep-hamiltonian", "deep-jumps",
-        "long-entry", "nested-entry", "long-mode",
+        "long-entry", "nested-entry", "long-mode", "empty-hamiltonian-rows", "empty-jump-rows",
+        "empty-kraus-rows", "empty-rate-rows", "empty-amplitude-rows",
     ],
 )
 def test_cli_input_checks_exit_with_their_message(tmp_path, capsys, document, argv, code, message):
     # json.loads reads NaN and Infinity literals; the model checks reject them.
     # A file that is not UTF-8, or that nests past the JSON reader's
     # recursion limit, is a file error that names the file. A bad entry is
-    # echoed within a short line however long or deep it is.
+    # echoed within a short line however long or deep it is. Rows that hold
+    # no entries are well formed, and fail the model's shape check.
     model = tmp_path / "model.json"
     if isinstance(document, bytes):
         model.write_bytes(document)
