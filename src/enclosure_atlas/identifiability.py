@@ -85,6 +85,14 @@ class QndModel:
             raise ValueError(
                 f"split {split} outside [-1, {amplitudes.shape[0] - 1}]"
             )
+        if not (np.isfinite(energies).all() and np.isfinite(amplitudes).all()):
+            raise ValueError("energies and amplitudes must be finite")
+        # s of ``qnd_to_model``'s generator: |ω| <= 2s, and no signature gap overflows.
+        with np.errstate(over="ignore"):
+            theta = np.sum(np.abs(amplitudes) ** 2, axis=0)
+            s = frob(np.hypot(energies, theta / 2)) + theta.sum()
+            if not np.isfinite(2 * s):
+                raise ValueError(f"operator norms overflow: s = {s:.3e}, 2s = {2 * s:.3e}")
         return cls(energies=energies, amplitudes=amplitudes, split=split)
 
     def r(self) -> np.ndarray:

@@ -179,7 +179,10 @@ def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str, bool]:
     (``_trace_defect``) against rank_tol · s (``_scale``), the most that
     stage 1's cut absorbs: the channel is analyzed as trace preserving
     (K = −½·1), and L†(1) is that defect. The rule fails when s or the bound
-    overflows (``overflow``): no residual is compared then."""
+    overflows (``overflow``), or when s is below the smallest normal float
+    while some operator is not zero: K/s overflows (``_weighted_operators``),
+    or s rounds to 0 and the model would read as the zero generator, which
+    passes. No residual is compared then."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = _scale(obj)
         if isinstance(obj, LindbladModel):
@@ -191,6 +194,8 @@ def _input_rule(obj, tol: Tolerances) -> tuple[float, bool, str, bool]:
             of = "rank_tol · s"
     if not np.isfinite(s + bound):
         return residual, False, f"operator norms overflow: s = {s:.3e}, {of} = {bound:.3e}", True
+    if s < np.finfo(float).tiny and (obj._drift.any() or obj._stack.any()):
+        return residual, False, f"operator norms underflow: s = {s:.3e}", False
     return residual, bool(residual <= bound), f"{what} = {residual:.3e} > {of} = {bound:.3e}", False
 
 

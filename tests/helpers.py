@@ -348,3 +348,108 @@ def read_rows(data, field, pairs):
             except OverflowError:
                 raise ModelFileError(f"field {name}: number out of float range") from None
     return np.array(rows, dtype=complex if pairs else float)
+
+
+def _spin(v, ops, tol):
+    """Orthonormal columns spanning the smallest subspace that holds v and is
+    invariant under ops: a block Krylov closure, each new direction kept
+    when its part off the basis exceeds tol (the ops have spectral norm at
+    most 1)."""
+    basis = v[:, None] / np.linalg.norm(v)
+    at = 0
+    while at < basis.shape[1]:
+        q = basis[:, at]
+        at += 1
+        for a in ops:
+            r = a @ q
+            for _ in range(2):
+                r = r - basis @ (basis.conj().T @ r)
+            if np.linalg.norm(r) > tol:
+                basis = np.column_stack([basis, r / np.linalg.norm(r)])
+    return basis
+
+
+def _minimal_subspace(u, ops, rng, tol):
+    """A minimal invariant subspace inside the invariant subspace ran u
+    (orthonormal columns), by Norton's irreducibility test (the MeatAxe:
+    Holt & Rees 1994). On the compressed ops, take the most isolated
+    eigenvalue of one random element Y. Its eigenvector spins to a proper
+    invariant subspace, or its left eigenvector spins under the adjoints to
+    a proper subspace whose orthogonal complement is invariant; either is
+    recursed into. When both spins are the whole space, ran u is minimal."""
+    d = u.shape[1]
+    if d == 1:
+        return u
+    compressed = [u.conj().T @ a @ u for a in ops]
+    y = sum(rng.standard_normal(2) @ [1, 1j] * b for b in compressed)
+    values, vectors = np.linalg.eig(y)
+    gaps = np.abs(values[:, None] - values[None, :]) + np.diag(np.full(d, np.inf))
+    lone = np.argmax(gaps.min(axis=1))
+    spun = _spin(vectors[:, lone], compressed, tol)
+    if spun.shape[1] < d:
+        return _minimal_subspace(u @ spun, ops, rng, tol)
+    left_values, left_vectors = np.linalg.eig(y.conj().T)
+    w = left_vectors[:, np.argmin(np.abs(left_values - values[lone].conjugate()))]
+    dual = _spin(w, [b.conj().T for b in compressed], tol)
+    if dual.shape[1] < d:
+        complement = np.linalg.qr(dual, mode="complete")[0][:, dual.shape[1]:]
+        return _minimal_subspace(u @ complement, ops, rng, tol)
+    return u
+
+
+def _isomorphic(u, v, ops, tol):
+    """Whether the ops restricted to ran u and to ran v are isomorphic: some
+    Q ≠ 0 has Q A_u = A_v Q for every op, a null vector of the stacked
+    Kronecker system (Schur: such a Q is invertible)."""
+    if u.shape[1] != v.shape[1]:
+        return False
+    d = u.shape[1]
+    eye = np.eye(d)
+    system = np.vstack([
+        np.kron((u.conj().T @ a @ u).T, eye) - np.kron(eye, v.conj().T @ a @ v) for a in ops
+    ])
+    return np.linalg.svd(system, compute_uv=False)[-1] <= tol
+
+
+def spin_shape(obj, seed=0, tol=DEFAULT_TOL):
+    """The decomposition's shape read off the operators: (transient
+    dimension, unique enclosure dimensions, family (m, d) pairs), each list
+    in decreasing order.
+
+    A subspace is an enclosure exactly when K and every L_j (for a channel,
+    every V_i) map it into itself, so the minimal enclosures are the minimal
+    common invariant subspaces of the operators, R is their sum, and two
+    minimal enclosures belong to one family exactly when the operators
+    restricted to them are intertwined by some Q ≠ 0. Each nonzero operator
+    is scaled to unit Frobenius norm and 1 joins them, which moves no
+    invariant subspace and no intertwiner: a weak operator counts as much as
+    a strong one, and the shape is the one every ε > 0 in it gives.
+
+    Each minimal enclosure holds an eigenvector of a generic element X of
+    the operators' span: the eigenvectors of one seeded random X off the
+    enclosures found so far are spun, and each spin is cut down to a
+    minimal subspace (``_minimal_subspace``). Spans are cut at rank_tol and
+    intertwiners at residual_tol."""
+    n, rng = obj.dim, np.random.default_rng(seed)
+    ops = list(obj.kraus) if isinstance(obj, KrausChannel) else [obj._drift, *obj.jumps]
+    ops = [np.eye(n), *(a / np.linalg.norm(a) for a in ops if np.linalg.norm(a) > 0)]
+    x = sum(rng.standard_normal(2) @ [1, 1j] * a for a in ops)
+    found, socle = [], np.zeros((n, 0))
+    for v in np.linalg.eig(x)[1].T:
+        if np.linalg.norm(v - socle @ (socle.conj().T @ v)) <= tol.rank_tol:
+            continue
+        m = _minimal_subspace(_spin(v, ops, tol.rank_tol), ops, rng, tol.rank_tol)
+        rest = m - socle @ (socle.conj().T @ m)
+        if np.linalg.svd(rest, compute_uv=False)[-1] > tol.rank_tol:
+            found.append(m)
+            socle = np.linalg.qr(np.column_stack([socle, m]))[0]
+    classes = []
+    for m in found:
+        match = next((c for c in classes if _isomorphic(c[0], m, ops, tol.residual_tol)), None)
+        if match is None:
+            classes.append([m])
+        else:
+            match.append(m)
+    unique = sorted((c[0].shape[1] for c in classes if len(c) == 1), reverse=True)
+    families = sorted(((len(c), c[0].shape[1]) for c in classes if len(c) > 1), reverse=True)
+    return n - socle.shape[1], unique, families

@@ -408,9 +408,8 @@ ILL_CONDITIONED_MODELS = {
 }
 
 
-def _analyze_time_scaled(tmp_path, capsys, model, c):
-    """``analyze`` of the model with H -> cH and L_j -> √c L_j: (exit code,
-    structured report or None, stderr)."""
+def _time_scaled_file(tmp_path, model, c):
+    """The model with H -> cH and L_j -> √c L_j, written as a model file."""
     doc = {
         "mode": "lindblad",
         "dim": model.dim,
@@ -419,7 +418,13 @@ def _analyze_time_scaled(tmp_path, capsys, model, c):
     }
     path = tmp_path / f"scaled-{c:g}.json"
     path.write_text(serialize_report(doc))
-    code = main(["analyze", str(path), "--format", "structured"])
+    return str(path)
+
+
+def _analyze_time_scaled(tmp_path, capsys, model, c):
+    """``analyze`` of the model with H -> cH and L_j -> √c L_j: (exit code,
+    structured report or None, stderr)."""
+    code = main(["analyze", _time_scaled_file(tmp_path, model, c), "--format", "structured"])
     out, err = capsys.readouterr()
     return code, json.loads(out) if out else None, err
 
@@ -433,7 +438,7 @@ def _shape(report):
     )
 
 
-@pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-10, 1e-9, 1e6, 1e8])
+@pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-10, 1e-9, 1e6, 1e8, 1e-306])
 @pytest.mark.parametrize("name", list(VERIFIED_AT_UNIT_SCALE))
 def test_cli_sped_up_time_scale_gives_the_unit_scale_report(tmp_path, capsys, name, c):
     # Stage 1 cuts at rank_tol · s, on the operators' scale s, which L -> cL
@@ -445,6 +450,24 @@ def test_cli_sped_up_time_scale_gives_the_unit_scale_report(tmp_path, capsys, na
     assert code == 0
     assert _shape(report) == _shape(unit_report)
     assert report["verification"]["ok"] is True
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("c, jump_scale", [(1e-308, 1.0), (1e-310, 1.0), (1.0, 1e-163)])
+def test_cli_subnormal_operator_norms_are_a_validation_error(
+    tmp_path, capsys, c, jump_scale, fmt
+):
+    # faithful-2d has s = 2c: below np.finfo(float).tiny, K/s would overflow.
+    # At c = 1e-306 it verifies (test_cli_sped_up_time_scale_gives_the_unit_scale_report).
+    # With its jumps scaled by 1e-163, s = 2e-326 rounds to 0, but the model
+    # is not the zero generator, whose report it would otherwise get.
+    base = faithful_2d()
+    model = LindbladModel(2, base.hamiltonian, tuple(jump_scale * j for j in base.jumps))
+    path = _time_scaled_file(tmp_path, model, c)
+    assert main(["analyze", path, "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("validation error: operator norms underflow: s = ")
 
 
 @pytest.mark.parametrize("c", [1e-14, 1e-12, 1e-10, 1.0, 1e6, 1e8])
@@ -1189,15 +1212,35 @@ _OVERFLOWING = {
 }
 
 
+# Nondemolition files, read by ``identifiability``: an infinite amplitude, and
+# amplitudes 1e200 or energies ±1e308, whose squares or gap overflow.
+_OVERFLOWING_QND = {
+    f"qnd-{name}": (
+        {"mode": "qnd", "dim": 2, "qnd": {"energies": e, "amplitudes": [a], "split": 0}}, message
+    )
+    for name, e, a, message in [
+        ("infinite", [0, 0], [[math.inf, 0], [0.5, 0]], "energies and amplitudes must be finite"),
+        ("amplitudes-1e200", [0, 0], [[1e200, 0], [0.5, 0]], "operator norms overflow: s = "),
+        ("energies-1e308", [1e308, -1e308], [[1, 0], [0.5, 0]], "operator norms overflow: s = "),
+    ]
+}
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 @pytest.mark.parametrize("fmt", ["text", "structured"])
-@pytest.mark.parametrize("name", list(_OVERFLOWING))
+@pytest.mark.parametrize("name", [*_OVERFLOWING, *_OVERFLOWING_QND])
 def test_cli_overflowing_operator_norms_are_a_validation_error(tmp_path, capsys, name, fmt):
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(_OVERFLOWING[name]))
-    assert main(["analyze", str(model), "--format", fmt]) == 2
+    command, message = "analyze", "operator norms overflow: s = "
+    if name in _OVERFLOWING:
+        model.write_text(json.dumps(_OVERFLOWING[name]))
+    else:
+        document, message = _OVERFLOWING_QND[name]
+        model.write_text(json.dumps(document))
+        command = "identifiability"
+    assert main([command, str(model), "--format", fmt]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("validation error: operator norms overflow: s = ")
+    assert out == "" and err.startswith("validation error: " + message)
 
 
 def _overflowing_model(name):

@@ -163,6 +163,10 @@ def test_hermitian_basis_already_hermitian():
     for b in basis:
         assert np.linalg.norm(b - b.conj().T) < 1e-12
         assert np.linalg.norm(b - np.diag(np.diag(b))) < 1e-12
+    # An element below rank_tol · σ_max is noise to the rank count, as it is
+    # to orthonormal_hermitian_span: one element, and no adjoint failure.
+    (b,) = hermitian_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1e-10])])
+    assert np.allclose(np.abs(b), np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_hermitian_basis_spans_input():
@@ -182,6 +186,10 @@ def test_hermitian_basis_spans_input():
 def test_hermitian_basis_rejects_unclosed_span():
     with pytest.raises(ValueError, match="adjoint"):
         hermitian_basis([unit(0, 1)])
+    rng = np.random.default_rng(29)
+    generic = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    with pytest.raises(ValueError, match="adjoint"):
+        hermitian_basis(list(generic))
 
 
 def test_matrix_exponential_basics():
